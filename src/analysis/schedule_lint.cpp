@@ -339,7 +339,7 @@ void check_slack_and_rta(const ScheduleLintInput& input, Report& report) {
     }
   }
 
-  // Slack-table recheck: the curves the runtime slack stealer consults
+  // Slack-table recheck: the per-level idle curves slack queries read
   // must be non-negative and cumulatively non-decreasing.
   const auto table = sched::SlackTable::shared(set);
   if (!table->schedulable()) {

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "sched/task.hpp"
-
 namespace coeff::core {
 
 CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
@@ -56,24 +54,6 @@ CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
     energy_ = std::make_unique<flexray::EnergyMeter>(
         options_.power, static_cast<int>(cfg_.num_nodes),
         static_cast<double>(cfg_.bus_bit_rate));
-  }
-  if (options_.use_fp_admission) {
-    // Model the bus as a preemptive fixed-priority processor: each static
-    // message is a periodic task whose cost is its wire time (§III-A).
-    std::vector<sched::PeriodicTask> tasks;
-    for (const auto& m : statics_.messages()) {
-      sched::PeriodicTask t;
-      t.id = m.id;
-      t.wcet = cfg_.transmission_time(m.size_bits);
-      t.period = m.period;
-      t.offset = m.offset;
-      t.deadline = m.deadline;
-      tasks.push_back(t);
-    }
-    sched::TaskSet set{std::move(tasks)};
-    if (!set.empty()) {
-      stealer_ = std::make_unique<sched::SlackStealer>(set);
-    }
   }
 }
 
@@ -157,31 +137,13 @@ void CoEfficientScheduler::on_static_release(Instance& inst,
   }
   if (kz <= 0) return;
 
-  int admitted = kz;
-  if (stealer_ != nullptr) {
-    // §III-C acceptance test: each copy is a hard aperiodic job; admit
-    // only what the fixed-priority slack analysis can guarantee.
-    const sim::Time p = cfg_.transmission_time(m.size_bits);
-    const sim::Time t = std::max(stealer_->now(), sim::Time::zero());
-    admitted = 0;
-    for (int c = 0; c < kz; ++c) {
-      if (stealer_->admit_hard(t, p, inst.abs_deadline)) {
-        ++admitted;
-      } else {
-        ++stats_.admission_rejections;
-      }
-    }
-  }
   stats_.retransmission_copies_planned += kz;
-  stats_.retransmission_copies_dropped += kz - admitted;
-  if (admitted <= 0) return;
-
-  add_copies(inst, admitted);
+  add_copies(inst, kz);
   if (trace_ != nullptr) {
-    // a=message, b=node, c=admitted copies: the budget the trace linter
+    // a=message, b=node, c=staged copies: the budget the trace linter
     // charges retransmission transmissions against.
     trace_->emit(inst.release, sim::TraceKind::kRetransmissionScheduled, m.id,
-                 m.node, admitted);
+                 m.node, kz);
   }
   RetxJob job;
   job.instance = inst.key;
@@ -194,7 +156,7 @@ void CoEfficientScheduler::on_static_release(Instance& inst,
   auto pos = std::upper_bound(
       retx_jobs_.begin(), retx_jobs_.end(), job,
       [](const RetxJob& a, const RetxJob& b) { return a.deadline < b.deadline; });
-  retx_jobs_.insert(pos, static_cast<std::size_t>(admitted), job);
+  retx_jobs_.insert(pos, static_cast<std::size_t>(kz), job);
 }
 
 void CoEfficientScheduler::on_dynamic_release(
@@ -333,10 +295,6 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
         cancel_copies(*inst, 1);
       }
       ++stats_.retransmission_copies_dropped;
-      if (stealer_ != nullptr && stealer_->hard_backlog() > sim::Time::zero()) {
-        const sim::Time p = cfg_.transmission_time(it->bits);
-        stealer_->on_hard_executed(std::min(p, stealer_->hard_backlog()));
-      }
       it = retx_jobs_.erase(it);
     } else {
       ++it;
@@ -577,10 +535,6 @@ std::optional<flexray::TxRequest> CoEfficientScheduler::decide_static(
     const RetxJob job = *retx_it;
     retx_jobs_.erase(retx_it);
     ++stats_.slack_slots_stolen;
-    if (stealer_ != nullptr && stealer_->hard_backlog() > sim::Time::zero()) {
-      const sim::Time p = cfg_.transmission_time(job.bits);
-      stealer_->on_hard_executed(std::min(p, stealer_->hard_backlog()));
-    }
     flexray::TxRequest req;
     req.instance = job.instance;
     req.frame_id = units::to_frame_id(slot);
@@ -737,10 +691,6 @@ void CoEfficientScheduler::on_node_down(units::NodeId node,
   for (auto it = retx_jobs_.begin(); it != retx_jobs_.end();) {
     if (instances_.find(it->instance) == nullptr) {
       ++stats_.retransmission_copies_dropped;
-      if (stealer_ != nullptr && stealer_->hard_backlog() > sim::Time::zero()) {
-        const sim::Time p = cfg_.transmission_time(it->bits);
-        stealer_->on_hard_executed(std::min(p, stealer_->hard_backlog()));
-      }
       it = retx_jobs_.erase(it);
     } else {
       ++it;

@@ -15,9 +15,6 @@
 // * Dynamic messages (soft aperiodic): FTDMA over *both* channels with
 //   independent slot counters (dual-channel cooperation), plus overflow
 //   into stolen static slack once no retransmission copy wants it.
-// * Optionally, every retransmission copy passes the fixed-priority
-//   slack-stealing acceptance test of §III-B/§III-C before it may claim
-//   wire slack (use_fp_admission).
 #pragma once
 
 #include <deque>
@@ -31,7 +28,6 @@
 #include "fault/structural.hpp"
 #include "flexray/power.hpp"
 #include "sched/criticality.hpp"
-#include "sched/slack_stealer.hpp"
 
 namespace coeff::core {
 
@@ -42,9 +38,6 @@ struct CoEfficientOptions {
   double rho = 0.0;
   sim::Time u = sim::seconds(3600);
   int max_copies_per_message = 8;
-  /// Run the fixed-priority slack acceptance test (SlackStealer) on
-  /// every retransmission copy in addition to slot-level placement.
-  bool use_fp_admission = false;
   /// Throw instead of degrading when rho is unreachable at
   /// max_copies_per_message (forwarded to the solver).
   bool throw_on_infeasible = false;
@@ -243,7 +236,6 @@ class CoEfficientScheduler : public SchedulerBase {
   std::int64_t idle_slot_counter_ = 0;
   std::unordered_map<int, int> copies_by_message_;  ///< k_z by message id
   std::deque<RetxJob> retx_jobs_;                   ///< EDF-ordered
-  std::unique_ptr<sched::SlackStealer> stealer_;    ///< when use_fp_admission
   std::unique_ptr<fault::ReliabilityMonitor> monitor_;
   std::unique_ptr<fault::SilentNodeDetector> detector_;
   std::vector<char> member_dead_;  ///< excluded from the plan, by node

@@ -58,7 +58,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     opt.rho = rho;
     opt.u = config.u;
     opt.max_copies_per_message = config.max_copies;
-    opt.use_fp_admission = config.use_fp_admission;
     opt.throw_on_infeasible = config.throw_on_infeasible;
     opt.enable_monitor = config.enable_monitor;
     opt.monitor = config.monitor;

@@ -52,8 +52,6 @@ struct ExperimentConfig {
   /// Running-time mode: dynamic entries never expire and the run
   /// continues past the window until every owed copy has been sent.
   bool drain_batch = false;
-  /// Enable the fixed-priority acceptance test inside CoEfficient.
-  bool use_fp_admission = false;
 
   /// CoEfficient ablation switches (see CoEfficientOptions).
   bool ablation_uniform_plan = false;

@@ -78,7 +78,10 @@ struct RunStats {
   std::int64_t retransmission_copies_dropped = 0;  ///< no slack before deadline
   std::int64_t slack_slots_stolen = 0;  ///< static idle slots reused
   std::int64_t dynamic_in_static_slots = 0;  ///< dynamic frames via stolen slots
-  std::int64_t admission_rejections = 0;     ///< FP acceptance-test rejections
+  /// No scheduler runs an admission test, so this stays 0. It is kept
+  /// because the perfbench run digest (perfbench/layers.cpp) folds it in:
+  /// removing it would change every stored reference digest.
+  std::int64_t admission_rejections = 0;
 
   /// Resilience counters (monitor / degraded-mode layer).
   std::int64_t plan_swaps = 0;          ///< online re-plans after BER drift

@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "flexray/config.hpp"
-#include "flexray/frame.hpp"
 #include "flexray/timing.hpp"
 #include "sim/time.hpp"
 #include "units/units.hpp"

@@ -16,7 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flexray/frame.hpp"
+#include "flexray/config.hpp"
 #include "sim/time.hpp"
 #include "units/units.hpp"
 

@@ -29,6 +29,11 @@ inline constexpr int kNumChannels = 2;
   return c == ChannelId::kA ? "A" : "B";
 }
 
+/// 11-bit frame identifier; equals the slot number it is sent in.
+/// A strong type (units::FrameId): constructing one from a slot number
+/// goes through units::to_frame_id, and the raw wire value is `.value()`.
+using FrameId = units::FrameId;
+
 struct ClusterConfig {
   // --- Global timing -----------------------------------------------------
   /// Duration of one macrotick. All other durations are multiples of it.

@@ -228,26 +228,6 @@ TEST(CoEfficientTest, UnplacedDynamicFrameIdThrows) {
       std::invalid_argument);
 }
 
-TEST(CoEfficientTest, FpAdmissionPathRuns) {
-  net::MessageSet statics({static_msg(1, 0, 1, 1500),
-                           static_msg(2, 1, 2, 800)});
-  CoEfficientOptions opt;
-  opt.ber = 1e-6;
-  opt.rho = 1.0 - 1e-6;
-  opt.use_fp_admission = true;
-  CoEfficientScheduler sched(small_cluster(), statics, {}, sim::millis(50),
-                             opt);
-  sim::Engine engine;
-  fault::FaultInjector injector(0.0, 1);
-  flexray::Cluster cluster(engine, small_cluster(), sched,
-                           injector.as_corruption_fn());
-  cluster.run_until(sim::millis(60));
-  sched.finalize(engine.now());
-  // Every instance still delivered; the acceptance test may reject some
-  // copies but must never break the primaries.
-  EXPECT_EQ(sched.stats().statics.missed, 0);
-}
-
 TEST(CoEfficientTest, WorkRemainingDrainsToZero) {
   net::MessageSet statics({static_msg(1, 0, 1, 400)});
   Harness h(statics, {}, 0.0, 0.0);
