@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,25 +73,9 @@ inline void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
-/// Monotonic stopwatch shared by the figure reporter and the cycle
-/// microbenchmark; wraps steady_clock so no binary rolls its own.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void restart() { start_ = std::chrono::steady_clock::now(); }
-  [[nodiscard]] double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Median of a sample set (destructive on a copy). The microbenchmark
-/// and the perf gate both report medians: a background-load spike can
-/// only shift one repetition, not the reported number.
+/// Median of a sample set (destructive on a copy). The cycle
+/// microbenchmark reports medians: a background-load spike can only
+/// shift one repetition, not the reported number.
 inline double median_of(std::vector<double> samples) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());

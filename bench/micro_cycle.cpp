@@ -1,22 +1,17 @@
 // Cycle-walk microbenchmark: simulated communication cycles per
-// wall-clock second, for each scheme under both engines.
+// wall-clock second, for each scheme, through the Cluster's one cycle
+// walk.
 //
-// This is the tentpole number for the compiled cycle engine: the same
-// loaded baseline_comparison workload (synthetic statics + bursty SAE
-// aperiodics, 50 minislots, BER=1e-7) is replayed with --engine
-// compiled and --engine interpreted, and the ratio is the speedup the
-// flat CycleTemplate walk buys over the slot-by-slot table
-// interpretation. The workload window is fixed, so the cycle count per
-// run is deterministic; each (scheme, engine) cell reports the median
-// of N repetitions, which makes the number stable enough to gate CI on
-// (tools/bench_gate.py).
-//
-// Output: a human table on stdout, a JSON report (default
-// BENCH_cycle.json; bench/BENCH_cycle.json holds the committed
-// baseline), and optionally one appended JSON line per invocation to a
-// trajectory log for tracking the number across commits.
-#include <cassert>
-#include <fstream>
+// Two suites bracket the walk's cost. The loaded suite replays the
+// baseline_comparison workload (synthetic statics + bursty SAE
+// aperiodics, 50 minislots, BER=1e-7), where per-frame accounting
+// dominates; the sparse suite is walk-bound. The workload window is
+// fixed, so the cycle count per run is deterministic; each (suite,
+// scheme) cell reports the median walk time of N repetitions and
+// refuses to report when a repetition diverges from the first. This is
+// a local tool for before/after comparisons on one machine; the
+// benchmark of record is perfbench/ (BENCHMARK.json).
+#include <charconv>
 
 #include "bench_common.hpp"
 
@@ -26,57 +21,64 @@ namespace {
 struct MicroOptions {
   int reps = 5;
   std::int64_t window_ms = 400;
-  std::string json = "BENCH_cycle.json";
-  std::string trajectory;  // empty = no trajectory append
-  std::string suite;       // empty = all suites
-  std::string engine;      // empty = both engines
+  std::string suite;  // empty = all suites
 };
+
+[[noreturn]] void usage_error(const char* prog, const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", prog, message.c_str());
+  std::exit(2);
+}
+
+/// The whole of `text` as an integer in [1, max]; exits 2 otherwise.
+std::int64_t parse_positive(const char* prog, const char* flag,
+                            const std::string& text, std::int64_t max) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < 1 || value > max) {
+    usage_error(prog, std::string(flag) + " needs an integer in [1, " +
+                          std::to_string(max) + "], got '" + text + "'");
+  }
+  return value;
+}
 
 MicroOptions parse_micro_args(int argc, char** argv) {
   MicroOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    auto next = [&](const char* what) -> std::string {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], what);
-        std::exit(2);
+        usage_error(argv[0], std::string(what) + " needs a value");
       }
       return argv[++i];
     };
     if (arg == "--reps") {
-      opt.reps = std::atoi(next("--reps"));
-      if (opt.reps < 1) opt.reps = 1;
+      opt.reps = static_cast<int>(
+          parse_positive(argv[0], "--reps", next("--reps"), 1000));
     } else if (arg == "--window-ms") {
-      opt.window_ms = std::atoll(next("--window-ms"));
-    } else if (arg == "--json") {
-      opt.json = next("--json");
-    } else if (arg == "--trajectory") {
-      opt.trajectory = next("--trajectory");
+      // One simulated hour; far past any useful window, and well inside
+      // the nanosecond clock's range.
+      opt.window_ms = parse_positive(argv[0], "--window-ms",
+                                     next("--window-ms"), 3'600'000);
     } else if (arg == "--suite") {
       opt.suite = next("--suite");
-    } else if (arg == "--engine") {
-      opt.engine = next("--engine");
+      if (opt.suite != "loaded" && opt.suite != "sparse") {
+        usage_error(argv[0], "unknown suite '" + opt.suite +
+                                 "' (expected loaded|sparse)");
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--reps N] [--window-ms W] [--json PATH]\n"
-          "          [--trajectory PATH]\n"
+          "usage: %s [--reps N] [--window-ms W] [--suite NAME]\n"
           "  --reps N          repetitions per cell; the median is\n"
           "                    reported (default: 5)\n"
           "  --window-ms W     release window; fixes the cycle count\n"
           "                    per run (default: 400)\n"
-          "  --json PATH       JSON report; empty disables\n"
-          "                    (default: BENCH_cycle.json)\n"
-          "  --trajectory PATH append one JSON line per invocation\n"
-          "                    (default: off)\n"
           "  --suite NAME      run only the named suite (loaded|sparse;\n"
-          "                    default: all)\n"
-          "  --engine NAME     run only one engine (compiled|interpreted;\n"
-          "                    default: both, with speedup ratios)\n",
+          "                    default: all)\n",
           argv[0]);
       std::exit(0);
     } else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg.c_str());
-      std::exit(2);
+      usage_error(argv[0], "unknown flag '" + arg + "'");
     }
   }
   return opt;
@@ -96,11 +98,9 @@ core::ExperimentConfig micro_config(std::int64_t window_ms) {
 
 /// Steady-state workload: long-period statics and an empty dynamic
 /// segment, so most slots and all minislots are idle. The loaded suite
-/// is transmission-bound (the per-frame bookkeeping is identical under
-/// both engines and dominates, so the engine ratio saturates near 1);
-/// this suite is walk-bound and isolates the overhead the compiled
-/// engine removes — per-slot virtual dispatch, per-minislot event-queue
-/// probing, idle-minislot stepping.
+/// is transmission-bound (per-frame bookkeeping dominates); this suite
+/// is walk-bound and isolates the walk's own overhead — chunked
+/// decisions, event-queue probing, idle-minislot skipping.
 core::ExperimentConfig sparse_config(std::int64_t window_ms) {
   core::ExperimentConfig config;
   config.cluster = core::paper_cluster_dynamic_suite(50);
@@ -139,9 +139,7 @@ constexpr Suite kSuites[] = {
 };
 
 struct CellResult {
-  const char* suite = "loaded";
   core::SchemeKind scheme;
-  flexray::EngineMode engine;
   std::int64_t cycles = 0;
   double median_seconds = 0.0;
   [[nodiscard]] double cycles_per_second() const {
@@ -151,47 +149,29 @@ struct CellResult {
   }
 };
 
-const char* engine_name(flexray::EngineMode engine) {
-  return engine == flexray::EngineMode::kCompiled ? "compiled"
-                                                  : "interpreted";
-}
-
 CellResult run_cell(const MicroOptions& opt, const Suite& suite,
-                    core::SchemeKind scheme, flexray::EngineMode engine) {
-  core::ExperimentConfig config = suite.config(opt.window_ms);
-  config.engine = engine;
-  CellResult cell{suite.name, scheme, engine, 0, 0.0};
+                    core::SchemeKind scheme) {
+  const core::ExperimentConfig config = suite.config(opt.window_ms);
+  CellResult cell{scheme, 0, 0.0};
   std::vector<double> seconds;
   seconds.reserve(static_cast<std::size_t>(opt.reps));
   double miss_ratio = 0.0;
   for (int rep = 0; rep < opt.reps; ++rep) {
     const core::ExperimentResult result = core::run_experiment(config, scheme);
     // Time only the cycle walk: scheduler construction and plan solving
-    // are engine-independent setup and would dilute the engine ratio.
+    // are setup and would dilute the walk's number.
     seconds.push_back(result.walk_seconds);
-    if (engine == flexray::EngineMode::kCompiled &&
-        result.compiled_cycles != result.cycles_run) {
-      std::fprintf(stderr,
-                   "micro_cycle: %s compiled run fell back to interpreted "
-                   "(%lld/%lld cycles compiled) — not measuring the fast "
-                   "path, refusing to report\n",
-                   core::to_string(scheme),
-                   static_cast<long long>(result.compiled_cycles),
-                   static_cast<long long>(result.cycles_run));
-      std::exit(1);
-    }
-    // Deterministic workload: every repetition (and both engines) must
-    // replay the exact same simulation, or the throughput comparison
-    // is measuring different work.
-    if (rep == 0 && cell.cycles == 0) {
+    // Deterministic workload: every repetition must replay the exact
+    // same simulation, or the medians are measuring different work.
+    if (rep == 0) {
       cell.cycles = result.cycles_run;
       miss_ratio = result.run.overall_miss_ratio();
     } else if (result.cycles_run != cell.cycles ||
                result.run.overall_miss_ratio() != miss_ratio) {
       std::fprintf(stderr,
                    "micro_cycle: %s/%s repetition diverged (cycles %lld vs "
-                   "%lld) — engine bug, refusing to report\n",
-                   core::to_string(scheme), engine_name(engine),
+                   "%lld) — walk bug, refusing to report\n",
+                   suite.name, core::to_string(scheme),
                    static_cast<long long>(result.cycles_run),
                    static_cast<long long>(cell.cycles));
       std::exit(1);
@@ -199,36 +179,6 @@ CellResult run_cell(const MicroOptions& opt, const Suite& suite,
   }
   cell.median_seconds = median_of(seconds);
   return cell;
-}
-
-void write_json(const MicroOptions& opt, const std::vector<CellResult>& cells,
-                const std::string& path, bool append) {
-  std::ofstream out(path, append ? std::ios::app : std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "micro_cycle: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  char buf[256];
-  std::string body;
-  body += "{\"bench\":\"micro_cycle\",";
-  std::snprintf(buf, sizeof buf, "\"window_ms\":%lld,\"repetitions\":%d,",
-                static_cast<long long>(opt.window_ms), opt.reps);
-  body += buf;
-  body += "\"results\":[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    if (i != 0) body += ',';
-    std::snprintf(buf, sizeof buf,
-                  "{\"suite\":\"%s\",\"scheme\":\"%s\",\"engine\":\"%s\","
-                  "\"cycles\":%lld,\"median_seconds\":%.6f,"
-                  "\"cycles_per_second\":%.1f}",
-                  c.suite, core::to_string(c.scheme), engine_name(c.engine),
-                  static_cast<long long>(c.cycles), c.median_seconds,
-                  c.cycles_per_second());
-    body += buf;
-  }
-  body += "]}";
-  out << body << '\n';
 }
 
 }  // namespace
@@ -241,60 +191,22 @@ int main(int argc, char** argv) {
   constexpr coeff::core::SchemeKind kSchemes[] = {
       coeff::core::SchemeKind::kCoEfficient, coeff::core::SchemeKind::kFspec,
       coeff::core::SchemeKind::kHosa};
-  constexpr coeff::flexray::EngineMode kEngines[] = {
-      coeff::flexray::EngineMode::kCompiled,
-      coeff::flexray::EngineMode::kInterpreted};
 
-  std::vector<CellResult> cells;
   std::printf("micro_cycle — cycle-walk throughput, %lld ms window, "
               "median of %d\n",
               static_cast<long long>(opt.window_ms), opt.reps);
   for (const Suite& suite : kSuites) {
     if (!opt.suite.empty() && opt.suite != suite.name) continue;
-    const std::size_t first = cells.size();
-    bool both_engines = true;
-    for (const auto scheme : kSchemes) {
-      for (const auto engine : kEngines) {
-        if (!opt.engine.empty() && opt.engine != engine_name(engine)) {
-          both_engines = false;
-          continue;
-        }
-        cells.push_back(run_cell(opt, suite, scheme, engine));
-      }
-    }
     print_header(suite.title);
-    std::printf("%-12s %-12s | %9s %12s %14s\n", "scheme", "engine", "cycles",
-                "median[s]", "cycles/s");
-    for (std::size_t i = first; i < cells.size(); ++i) {
-      const CellResult& c = cells[i];
-      std::printf("%-12s %-12s | %9lld %12.4f %14.0f\n",
-                  coeff::core::to_string(c.scheme), engine_name(c.engine),
+    std::printf("%-12s | %9s %12s %14s\n", "scheme", "cycles", "median[s]",
+                "cycles/s");
+    for (const auto scheme : kSchemes) {
+      const CellResult c = run_cell(opt, suite, scheme);
+      std::printf("%-12s | %9lld %12.4f %14.0f\n",
+                  coeff::core::to_string(c.scheme),
                   static_cast<long long>(c.cycles), c.median_seconds,
                   c.cycles_per_second());
     }
-    if (!both_engines) continue;  // ratios need both sides
-    std::printf("\nspeedup (compiled / interpreted), %s:\n", suite.name);
-    for (std::size_t i = first; i + 1 < cells.size(); i += 2) {
-      const CellResult& compiled = cells[i];
-      const CellResult& interpreted = cells[i + 1];
-      // Same workload must mean same cycle count across engines; a
-      // mismatch would make cycles/s incomparable.
-      if (compiled.cycles != interpreted.cycles) {
-        std::fprintf(stderr, "micro_cycle: %s cycle count differs by engine\n",
-                     coeff::core::to_string(compiled.scheme));
-        return 1;
-      }
-      std::printf("  %-12s %.2fx\n", coeff::core::to_string(compiled.scheme),
-                  interpreted.cycles_per_second() > 0.0
-                      ? compiled.cycles_per_second() /
-                            interpreted.cycles_per_second()
-                      : 0.0);
-    }
-  }
-
-  if (!opt.json.empty()) write_json(opt, cells, opt.json, /*append=*/false);
-  if (!opt.trajectory.empty()) {
-    write_json(opt, cells, opt.trajectory, /*append=*/true);
   }
   return 0;
 }

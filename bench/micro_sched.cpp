@@ -8,7 +8,6 @@
 #include "sched/periodic_schedule.hpp"
 #include "sched/rta.hpp"
 #include "sched/schedule_table.hpp"
-#include "sched/slack_stealer.hpp"
 #include "sched/slack_table.hpp"
 #include "sim/random.hpp"
 
@@ -75,18 +74,6 @@ void BM_SlackQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlackQuery)->Arg(10)->Arg(50)->Arg(200);
-
-void BM_SlackStealerGrant(benchmark::State& state) {
-  const auto set = make_task_set(50, 11);
-  sched::SlackStealer stealer(set);
-  std::int64_t t_us = 0;
-  for (auto _ : state) {
-    t_us += 40;
-    benchmark::DoNotOptimize(
-        stealer.try_steal(sim::micros(t_us), sim::micros(5)));
-  }
-}
-BENCHMARK(BM_SlackStealerGrant);
 
 void BM_DifferentiatedSolver(benchmark::State& state) {
   const auto set = make_statics(static_cast<std::size_t>(state.range(0)));

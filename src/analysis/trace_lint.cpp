@@ -91,8 +91,8 @@ Report lint_trace(const TraceLintInput& input) {
   const auto& records = input.trace->records();
 
   // engine.template-invalidation is gated on the trace actually carrying
-  // rebuild markers: interpreted-only policies (or pre-template traces)
-  // never emit kTemplateRebuild and are exempt.
+  // rebuild markers: policies without a cycle template (or pre-template
+  // traces) never emit kTemplateRebuild and are exempt.
   bool has_rebuild_markers = false;
   for (const auto& r : records) {
     if (r.kind == sim::TraceKind::kTemplateRebuild) {

@@ -330,7 +330,6 @@ core::ExperimentConfig ScenarioGenerator::config(
 
   config.seed = spec.seed;
   config.batch_window = sim::millis(spec.window_ms);
-  config.engine = flexray::EngineMode::kCompiled;
   return config;
 }
 

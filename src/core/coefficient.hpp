@@ -140,10 +140,11 @@ class CoEfficientScheduler : public SchedulerBase {
   std::optional<flexray::TxRequest> static_slot(flexray::ChannelId channel,
                                                 units::CycleIndex cycle,
                                                 units::SlotId slot) override;
-  /// Compiled-walk batch decide: same decisions as per-slot static_slot
-  /// calls, but the slack peek is served from a version-stamped cache
-  /// (DESIGN.md §12). The interpreted walk keeps the naive per-slot
-  /// scan — it is the differential-testing oracle.
+  /// Batched decide for the Cluster's walk: same decisions as per-slot
+  /// static_slot calls, but the slack peek is served from a
+  /// version-stamped cache (DESIGN.md §12). static_slot keeps the naive
+  /// per-slot scan — it is the policy half of the slot-by-slot reference
+  /// walk (tests/support/reference_cluster.*).
   void decide_static_chunk(units::CycleIndex cycle, std::int64_t slot_begin,
                            std::int64_t slot_end,
                            flexray::TransmissionPolicy::StaticChunkSink& sink)
@@ -196,7 +197,7 @@ class CoEfficientScheduler : public SchedulerBase {
   [[nodiscard]] std::optional<flexray::PendingMessage> peek_dynamic_for_slack(
       std::int64_t capacity_bits, sim::Time slot_start) const;
 
-  /// Memoized peek_dynamic_for_slack for the compiled walk. Caches the
+  /// Memoized peek_dynamic_for_slack for the batched decide. Caches the
   /// best *fitting* entry (ignoring the waited-a-cycle filter) keyed by
   /// the sum of the per-queue version counters; the filter is applied at
   /// query time. Exact: the cached best has the minimum release among
@@ -207,7 +208,8 @@ class CoEfficientScheduler : public SchedulerBase {
       std::int64_t capacity_bits, sim::Time slot_start) const;
 
   /// Body of static_slot; `use_slack_cache` selects the memoized peek
-  /// (compiled chunk walk) or the naive scan (interpreted oracle).
+  /// (decide_static_chunk) or the naive scan (static_slot, the
+  /// reference walk's path).
   std::optional<flexray::TxRequest> decide_static(flexray::ChannelId channel,
                                                   units::CycleIndex cycle,
                                                   units::SlotId slot,
@@ -262,7 +264,7 @@ class CoEfficientScheduler : public SchedulerBase {
   std::int64_t cycle_tx_bits_ = 0;     ///< wire bits this cycle (outcome side)
   std::int64_t last_idle_counter_ = 0; ///< idle_slot_counter_ at last cycle end
 
-  // Slack-peek cache (compiled walk only; see peek_dynamic_cached).
+  // Slack-peek cache (decide_static_chunk only; see peek_dynamic_cached).
   mutable std::uint64_t slack_peek_stamp_ = 0;
   mutable bool slack_peek_valid_ = false;
   mutable std::optional<flexray::PendingMessage> slack_peek_best_;

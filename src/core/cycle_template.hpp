@@ -5,11 +5,12 @@
 // the slot's occupant list and testing cycle phases; the MessageSet
 // answers "what is message id?" through a linear find; the active
 // retransmission plan answers "how many copies?" through a hash lookup.
-// The interpreted walk pays all three on every slot of every cycle.
-// This template precomputes the composition once per (table, plan) pair
-// into flat arrays over [cycle-in-period × slot] — SoA: message ref,
-// owner node, payload bits, retransmission-budget class — so the
-// steady-state walk is one index computation and contiguous loads.
+// A walk that asked them directly would pay all three on every slot of
+// every cycle. This template precomputes the composition once per
+// (table, plan) pair into flat arrays over [cycle-in-period × slot] —
+// SoA: message ref, owner node, payload bits, retransmission-budget
+// class — so the steady-state walk is one index computation and
+// contiguous loads.
 //
 // The template is a pure cache: it must be rebuilt (rebuild()) whenever
 // any input changes — a plan swap, a membership change, or failover

@@ -12,7 +12,6 @@
 #include "fault/fault_model.hpp"
 #include "fault/iec61508.hpp"
 #include "fault/structural.hpp"
-#include "flexray/cluster.hpp"
 #include "flexray/config.hpp"
 #include "flexray/power.hpp"
 #include "net/workloads.hpp"
@@ -57,11 +56,6 @@ struct ExperimentConfig {
   bool ablation_uniform_plan = false;
   bool ablation_no_slack = false;
   bool ablation_single_channel = false;
-
-  /// Cycle-walk engine (DESIGN.md §12). Compiled is the default fast
-  /// path; interpreted is the slot-by-slot reference for differential
-  /// testing. Results are byte-identical either way.
-  flexray::EngineMode engine = flexray::EngineMode::kCompiled;
 
   net::ArrivalOptions arrivals;
   std::uint64_t seed = 42;
@@ -123,17 +117,22 @@ struct ExperimentResult {
   /// from the initial plan when the monitor re-planned online.
   fault::RetransmissionPlan final_plan;
   std::int64_t cycles_run = 0;
-  /// Cycles executed by the compiled engine (0 when interpreted; less
-  /// than cycles_run when structural faults forced fallbacks).
+  /// The Cluster has one cycle walk, so this always equals cycles_run.
+  /// It is kept because perfbench reads it (perfbench/loaded_run.cpp
+  /// checks it, perfbench/layers.cpp reports flexray.compiled_share from
+  /// it): drop it at the next change to perfbench/.
   std::int64_t compiled_cycles = 0;
   /// Wall-clock seconds spent in the cycle walk (window + drain), i.e.
   /// excluding scheduler construction, plan solving and finalization.
-  /// cycles_run / walk_seconds is the engine-throughput figure
+  /// cycles_run / walk_seconds is the walk-throughput figure
   /// bench/micro_cycle reports.
   double walk_seconds = 0.0;
   bool drained = true;           ///< false if the drain cap was hit
 };
 
+/// Build the scheduler, fault model, arrivals and flexray::Cluster that
+/// `config` describes, run the batch and return its metrics. The body is
+/// core/run_experiment_with.hpp.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               SchemeKind scheme);
 

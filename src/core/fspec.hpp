@@ -51,7 +51,7 @@ class FspecScheduler : public SchedulerBase {
   std::optional<flexray::TxRequest> static_slot(flexray::ChannelId channel,
                                                 units::CycleIndex cycle,
                                                 units::SlotId slot) override;
-  /// Batched decision path for the compiled walk: one pass over the
+  /// Batched decision path for the Cluster's walk: one pass over the
   /// chunk staging the A/B round pair per armed exclusive slot. Stages
   /// exactly what the default per-slot loop would (equivalence note in
   /// the implementation).

@@ -25,7 +25,7 @@ class HosaScheduler : public SchedulerBase {
   std::optional<flexray::TxRequest> static_slot(flexray::ChannelId channel,
                                                 units::CycleIndex cycle,
                                                 units::SlotId slot) override;
-  /// Batched decision path for the compiled walk: one template-row scan
+  /// Batched decision path for the Cluster's walk: one template-row scan
   /// staging the A/B mirror pair per ready occupant. Stages exactly what
   /// the default per-slot loop would (see the equivalence note in the
   /// implementation).

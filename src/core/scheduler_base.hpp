@@ -75,11 +75,10 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   [[nodiscard]] const CycleTemplate& cycle_template() const { return tpl_; }
 
   // --- TransmissionPolicy (shared parts) -------------------------------
-  /// All SchedulerBase schemes satisfy the compiled-walk contract: slot
-  /// decisions read only decide-side state (CHI buffers, queues, plans)
-  /// and never state written by same-cycle on_tx_complete calls, which
-  /// do pure outcome accounting read at cycle boundaries.
-  [[nodiscard]] bool compiled_capable() const override { return true; }
+  // Every SchedulerBase scheme keeps the decide_static_chunk rule: slot
+  // decisions read only decide-side state (CHI buffers, queues, plans)
+  // and never state written by same-cycle on_tx_complete calls, which
+  // do pure outcome accounting read at cycle boundaries.
   void on_cycle_start(units::CycleIndex cycle, sim::Time at) override;
   void on_cycle_end(units::CycleIndex cycle, sim::Time at) override;
   void on_dynamic_declined(flexray::ChannelId channel, units::CycleIndex cycle,

@@ -65,7 +65,7 @@ class FaultModel {
   /// must outlive the returned callable.
   [[nodiscard]] flexray::CorruptionFn as_corruption_fn();
 
-  /// Batched verdicts for the compiled cycle engine: one verdict per
+  /// Batched verdicts for the Cluster's static segment: one verdict per
   /// query, written to `out`. Implemented as a sequential walk over
   /// corrupted() in query order, so as long as the caller passes the
   /// queries in exact wire order the resulting verdict stream is
@@ -184,7 +184,7 @@ class CommonModeModel : public FaultModel {
 /// verdict is a pure function of (seed, transmission start, frame id,
 /// channel) through Philox4x32 — no sequential stream to replay. The
 /// start time encodes cycle and slot, so the key space matches the
-/// "seed/cycle/slot/channel" contract of the compiled engine and any
+/// "seed/cycle/slot/channel" contract of the batched verdicts and any
 /// subset of verdicts can be drawn in any order (or in parallel)
 /// without perturbing the rest. Statistically equivalent to the iid
 /// model, not stream-identical to it (different generator).

@@ -297,16 +297,6 @@ bool NodeFaultModel::node_out_of_sync(units::NodeId node, sim::Time at) const {
   return false;
 }
 
-bool NodeFaultModel::wire_faults_possible(sim::Time begin, sim::Time end) const {
-  for (const BabbleWindow& w : config_.babbles) {
-    if (w.at < end && begin < w.until) return true;
-  }
-  for (const DriftWindow& w : config_.drifts) {
-    if (w.at < end && begin < w.until) return true;
-  }
-  return false;
-}
-
 std::string NodeFaultModel::describe() const {
   return fault::describe(config_) + " (" + std::to_string(events_.size()) +
          " transitions)";

@@ -115,11 +115,6 @@ class NodeFaultModel : public flexray::StructuralFaultProvider {
                                  sim::Time at) const override;
   [[nodiscard]] bool node_out_of_sync(units::NodeId node,
                                       sim::Time at) const override;
-  /// Overlap test over the precomputed babble/drift windows: exact, so
-  /// the compiled cycle walk only pays the interpreted fallback in
-  /// cycles a wire-level fault can actually touch.
-  [[nodiscard]] bool wire_faults_possible(sim::Time begin,
-                                          sim::Time end) const override;
 
   /// The full precomputed transition schedule, sorted by fire time
   /// (introspection: tests, run headers).

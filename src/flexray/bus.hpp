@@ -60,7 +60,7 @@ struct TxOutcome {
 using CorruptionFn =
     std::function<bool(const TxRequest&, ChannelId, sim::Time start)>;
 
-/// One pending fault verdict in a batched draw (compiled cycle engine).
+/// One pending fault verdict in a batched draw (static segment).
 /// `request` stays owned by the caller for the duration of the call.
 struct VerdictQuery {
   const TxRequest* request = nullptr;
@@ -100,11 +100,10 @@ class Channel {
                      Segment segment, bool force_corrupt = false);
 
   /// Clock a frame whose fault verdict was already drawn (batched
-  /// verdicts, compiled cycle engine). Identical accounting to
-  /// transmit(), but the corruption hook is NOT consulted — the caller
-  /// drew this frame's verdict from the same model via a
-  /// BatchCorruptionFn, and drawing twice would desynchronise the
-  /// verdict stream.
+  /// verdicts). transmit() is this after one hook call; here the
+  /// corruption hook is NOT consulted — the caller drew this frame's
+  /// verdict from the same model via a BatchCorruptionFn, and drawing
+  /// twice would desynchronise the verdict stream.
   TxOutcome transmit_with_verdict(const TxRequest& req, sim::Time start,
                                   sim::Time duration, units::CycleIndex cycle,
                                   units::SlotId slot, Segment segment,

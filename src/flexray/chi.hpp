@@ -99,7 +99,7 @@ class DynamicQueue {
 
   /// Monotonic mutation counter: bumped whenever the queued contents
   /// change. Lets scan results over contents() be memoized exactly (the
-  /// compiled cycle walk's slack peek) — equal versions guarantee equal
+  /// batched static decide's slack peek) — equal versions guarantee equal
   /// contents.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 

@@ -29,19 +29,6 @@ void Cluster::run_until(sim::Time t) {
   }
 }
 
-bool Cluster::compiled_cycle_allowed(sim::Time start, sim::Time end) const {
-  if (mode_ != EngineMode::kCompiled) return false;
-  if (!policy_.compiled_capable()) return false;
-  // The phased walk never computes per-slot structural corruption, so
-  // it only runs through cycles where no babble/drift window can touch
-  // the wire; availability (dark channels) changes only at cycle
-  // boundaries and is handled by both walks identically.
-  if (faults_ != nullptr && faults_->wire_faults_possible(start, end)) {
-    return false;
-  }
-  return true;
-}
-
 void Cluster::execute_cycle(units::CycleIndex cycle) {
   const sim::Time start = timing_.cycle_start(cycle);
   engine_.run_until(start);  // deliver arrivals due before this cycle
@@ -49,19 +36,12 @@ void Cluster::execute_cycle(units::CycleIndex cycle) {
   policy_.on_cycle_start(cycle, start);
   apply_topology_events(cycle, start);
 
-  const sim::Time end = timing_.cycle_start(cycle + 1);
-  if (compiled_cycle_allowed(start, end)) {
-    ++compiled_cycles_;
-    arena_.reset();
-    execute_static_segment_compiled(cycle);
-    execute_dynamic_segment_compiled(cycle, ChannelId::kA);
-    execute_dynamic_segment_compiled(cycle, ChannelId::kB);
-  } else {
-    execute_static_segment(cycle);
-    execute_dynamic_segment(cycle, ChannelId::kA);
-    execute_dynamic_segment(cycle, ChannelId::kB);
-  }
+  arena_.reset();
+  execute_static_segment(cycle);
+  execute_dynamic_segment(cycle, ChannelId::kA);
+  execute_dynamic_segment(cycle, ChannelId::kB);
 
+  const sim::Time end = timing_.cycle_start(cycle + 1);
   engine_.run_until(end);
   policy_.on_cycle_end(cycle, end);
 }
@@ -108,140 +88,27 @@ bool Cluster::structural_corruption(const TxRequest& req, units::SlotId slot,
          faults_->node_out_of_sync(req.sender, at);
 }
 
-void Cluster::execute_static_segment(units::CycleIndex cycle) {
-  const ClusterConfig& cfg = config();
-  for (units::SlotId slot{1};
-       slot.value() <= cfg.g_number_of_static_slots; ++slot) {
-    const sim::Time slot_start = timing_.static_slot_start(cycle, slot);
-    engine_.run_until(slot_start);
-    for (auto& channel : channels_) {
-      auto req = policy_.static_slot(channel.id(), cycle, slot);
-      if (!req) continue;
-      if (req->frame_id != units::to_frame_id(slot)) {
-        throw std::logic_error(
-            "Cluster: static frame id " +
-            std::to_string(req->frame_id.value()) + " does not match slot " +
-            std::to_string(slot.value()));
-      }
-      if (req->payload_bits > cfg.static_slot_capacity_bits()) {
-        throw std::logic_error("Cluster: static payload exceeds slot capacity");
-      }
-      if (!channel.available()) {
-        // Blackout: the frame never reaches the wire. The outcome is
-        // still reported so the scheduler settles the copy instead of
-        // waiting forever for a channel that cannot answer; nothing is
-        // traced (receivers observe silence, not a corrupted frame).
-        policy_.on_tx_complete(channel.lose(*req, slot_start,
-                                            cfg.static_slot_duration(), cycle,
-                                            slot, Segment::kStatic));
-        continue;
-      }
-      // A static slot always occupies its full fixed duration on the wire.
-      const TxOutcome out =
-          channel.transmit(*req, slot_start, cfg.static_slot_duration(), cycle,
-                           slot, Segment::kStatic,
-                           structural_corruption(*req, slot, channel.id(),
-                                                 slot_start));
-      if (trace_) {
-        trace_->emit(slot_start,
-                     out.corrupted ? sim::TraceKind::kTxCorrupted
-                                   : sim::TraceKind::kTxSuccess,
-                     req->sender.value(), req->frame_id.value(),
-                     static_cast<std::int64_t>(channel.id()),
-                     req->payload_bits, req->retransmission ? "retx" : "");
-        if (req->failover) {
-          trace_->emit(slot_start, sim::TraceKind::kFailover,
-                       req->sender.value(), slot.value(),
-                       static_cast<std::int64_t>(channel.id()),
-                       req->payload_bits);
-        }
-      }
-      policy_.on_tx_complete(out);
-    }
-  }
-}
-
-void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
-  const ClusterConfig& cfg = config();
-  Channel& channel = channels_[static_cast<std::size_t>(cid)];
-  units::MinislotId minislot{0};
-  units::SlotId slot_counter{cfg.g_number_of_static_slots + 1};
-
-  while (minislot.value() < cfg.g_number_of_minislots) {
-    const sim::Time at = timing_.minislot_start(cycle, minislot);
-    engine_.run_until(at);
-    const std::int64_t remaining =
-        cfg.g_number_of_minislots - minislot.value();
-    auto req =
-        policy_.dynamic_slot(cid, cycle, slot_counter, minislot, remaining);
-    bool sent = false;
-    if (req) {
-      const std::int64_t need = cfg.minislots_for(req->payload_bits);
-      // FTDMA rule: a transmission may start only at or before pLatestTx
-      // and must complete within the dynamic segment.
-      const bool starts_in_time = minislot + 1 <= cfg.latest_tx_minislot();
-      if (starts_in_time && need <= remaining) {
-        const sim::Time tx_start =
-            at + units::to_time(cfg.gd_minislot_action_point_offset,
-                                cfg.gd_macrotick);
-        if (!channel.available()) {
-          // Blackout: the sender clocks its frame into a dark wire —
-          // FTDMA timing advances exactly as for a real send, but the
-          // frame is lost and nothing is traced or charged to stats.
-          policy_.on_tx_complete(
-              channel.lose(*req, tx_start,
-                           cfg.transmission_time(req->payload_bits), cycle,
-                           slot_counter, Segment::kDynamic));
-          minislot = minislot + need;
-          sent = true;
-          ++slot_counter;
-          continue;
-        }
-        const TxOutcome out =
-            channel.transmit(*req, tx_start,
-                             cfg.transmission_time(req->payload_bits), cycle,
-                             slot_counter, Segment::kDynamic,
-                             structural_corruption(*req, slot_counter,
-                                                   channel.id(), tx_start));
-        channel.account_minislots(need);
-        if (trace_) {
-          trace_->emit(tx_start,
-                       out.corrupted ? sim::TraceKind::kTxCorrupted
-                                     : sim::TraceKind::kTxSuccess,
-                       req->sender.value(), req->frame_id.value(),
-                       static_cast<std::int64_t>(cid), req->payload_bits,
-                       req->retransmission ? "retx" : "");
-        }
-        policy_.on_tx_complete(out);
-        minislot = minislot + need;
-        sent = true;
-      } else {
-        policy_.on_dynamic_declined(cid, cycle, *req);
-      }
-    }
-    if (!sent) {
-      ++minislot;  // empty dynamic slot consumes exactly one minislot
-    }
-    ++slot_counter;
-  }
-}
-
-// --- Compiled cycle walk (DESIGN.md §12) --------------------------------
+// --- The cycle walk (DESIGN.md §12) --------------------------------------
 //
-// Equivalence argument, in brief: a compiled_capable() policy promises
-// its slot decisions never read state written by same-cycle
-// on_tx_complete calls, so a run of static-slot decisions can be taken
-// before any of their outcomes commit as long as (a) decisions keep the
-// interpreted call order (slot-major, channel A before B), (b) commits
-// keep that same order, and (c) no engine event fires inside the run —
-// events (dynamic arrivals) do mutate decision state, so a pending
-// event bounds the chunk and fires at exactly the sequence point the
-// interpreted walk would fire it (between the previous slot's commit
-// and the next slot's decision). Verdicts are drawn per chunk in wire
-// order through the batch hook, which walks the same model the
-// CorruptionFn wraps — an identical verdict stream.
+// Equivalence with the slot-by-slot reference walk
+// (tests/support/reference_cluster.cpp), in brief: every policy's slot
+// decisions never read state written by same-cycle on_tx_complete calls
+// (TransmissionPolicy::decide_static_chunk), so a run of static-slot
+// decisions can be taken before any of their outcomes commit as long as
+// (a) decisions keep the reference call order (slot-major, channel A
+// before B), (b) commits keep that same order, and (c) no engine event
+// fires inside the run — events (dynamic arrivals) do mutate decision
+// state, so a pending event bounds the chunk and fires at exactly the
+// sequence point the reference would fire it (between the previous
+// slot's commit and the next slot's decision). Verdicts are drawn per
+// chunk in wire order through the batch hook, which walks the same model
+// the CorruptionFn wraps — an identical verdict stream. Structural
+// corruption (babble, drift) only overrides a drawn verdict, and its
+// queries are answered from state that changes only at poll(), so
+// asking them at commit with the reference's (slot, channel, start)
+// gives the reference's answers.
 
-void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
+void Cluster::execute_static_segment(units::CycleIndex cycle) {
   const ClusterConfig& cfg = config();
   const std::int64_t nslots = cfg.g_number_of_static_slots;
   const sim::Time slot_duration = cfg.static_slot_duration();
@@ -270,7 +137,7 @@ void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
   while (slot <= nslots) {
     // Chunk = maximal run of slots strictly before the next engine
     // event; an event due at or before this slot's start fires first,
-    // exactly as the interpreted walk's per-slot run_until would.
+    // exactly as the reference walk's per-slot run_until would.
     const sim::Time slot_start = seg_base + slot_duration * (slot - 1);
     if (next_event <= slot_start) {
       engine_.run_until(slot_start);
@@ -283,9 +150,9 @@ void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
         1 + ((next_event - seg_base).ns() - 1) / slot_duration.ns();
     if (chunk_end > nslots) chunk_end = nslots;
 
-    // Decide phase: interpreted call order, no commits yet. The policy
+    // Decide phase: reference call order, no commits yet. The policy
     // may serve the whole chunk from its batched fast path; the sink
-    // re-applies the per-request validation the interpreted walk does.
+    // applies the per-request validation.
     struct DecisionSink final : TransmissionPolicy::StaticChunkSink {
       Cluster* cluster;
       units::CycleIndex cycle;
@@ -347,7 +214,7 @@ void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
     }
 
     // Commit phase: same order as the decisions; traces and policy
-    // callbacks land exactly where the interpreted walk puts them.
+    // callbacks land exactly where the reference walk puts them.
     std::size_t vi = 0;
     for (std::size_t i = 0; i < n_decisions; ++i) {
       const Decision& d = decisions[i];
@@ -358,15 +225,17 @@ void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
                                             Segment::kStatic));
         continue;
       }
-      // No structural corruption here: the compiled walk only runs
-      // through wire-fault-quiescent cycles (compiled_cycle_allowed).
+      const units::SlotId slot_id{d.slot};
+      const bool forced =
+          structural_corruption(d.req, slot_id, channel.id(), d.slot_start);
       const TxOutcome out =
           verdicts != nullptr
-              ? channel.transmit_with_verdict(
-                    d.req, d.slot_start, slot_duration, cycle,
-                    units::SlotId{d.slot}, Segment::kStatic, verdicts[vi++])
+              ? channel.transmit_with_verdict(d.req, d.slot_start,
+                                              slot_duration, cycle, slot_id,
+                                              Segment::kStatic, verdicts[vi++],
+                                              forced)
               : channel.transmit(d.req, d.slot_start, slot_duration, cycle,
-                                 units::SlotId{d.slot}, Segment::kStatic);
+                                 slot_id, Segment::kStatic, forced);
       if (trace_) {
         trace_->emit(d.slot_start,
                      out.corrupted ? sim::TraceKind::kTxCorrupted
@@ -388,8 +257,7 @@ void Cluster::execute_static_segment_compiled(units::CycleIndex cycle) {
   }
 }
 
-void Cluster::execute_dynamic_segment_compiled(units::CycleIndex cycle,
-                                               ChannelId cid) {
+void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
   const ClusterConfig& cfg = config();
   Channel& channel = channels_[static_cast<std::size_t>(cid)];
   const std::int64_t nminislots = cfg.g_number_of_minislots;
@@ -429,7 +297,8 @@ void Cluster::execute_dynamic_segment_compiled(units::CycleIndex cycle,
         }
         const TxOutcome out = channel.transmit(
             *req, tx_start, cfg.transmission_time(req->payload_bits), cycle,
-            slot_counter, Segment::kDynamic);
+            slot_counter, Segment::kDynamic,
+            structural_corruption(*req, slot_counter, cid, tx_start));
         channel.account_minislots(need);
         if (trace_) {
           trace_->emit(tx_start,

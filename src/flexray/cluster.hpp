@@ -3,9 +3,13 @@
 // The Cluster owns the two channels and the cycle walk; scheduling
 // decisions are delegated to the installed TransmissionPolicy and fault
 // verdicts to the CorruptionFn. Slot-level timing is computed
-// arithmetically (CycleTiming); the simulation engine is advanced to
-// each slot boundary so that policy- or workload-scheduled events (e.g.
-// aperiodic arrivals) are delivered in order.
+// arithmetically (CycleTiming). The walk is phased (DESIGN.md §12):
+// static slots are decided in event-free chunks, their verdicts drawn
+// per chunk and their outcomes committed in slot order, so policy- or
+// workload-scheduled engine events (e.g. aperiodic arrivals) land
+// between the same slots as in a slot-by-slot walk. That slot-by-slot
+// walk lives in tests/support/reference_cluster.* as the executable
+// reference the differential suite compares against.
 #pragma once
 
 #include <array>
@@ -20,34 +24,6 @@
 #include "sim/trace.hpp"
 
 namespace coeff::flexray {
-
-/// How the Cluster walks a cycle. Both engines produce byte-identical
-/// traces, outcomes, and fault-verdict streams (DESIGN.md §12); the
-/// compiled engine is the default and the interpreted one is kept as
-/// the reference for differential testing.
-enum class EngineMode : std::uint8_t {
-  /// Slot-by-slot reference walk: one engine run_until and one policy
-  /// callback round-trip per slot/minislot.
-  kInterpreted,
-  /// Phased walk: static-slot decisions are batched into event-free
-  /// chunks, fault verdicts drawn per chunk (BatchCorruptionFn), idle
-  /// dynamic minislots skipped in one jump, and engine run_until calls
-  /// elided while no event is pending. Requires the policy to report
-  /// compiled_capable(); falls back to the interpreted walk per cycle
-  /// when it does not, or when the structural fault provider reports
-  /// possible wire-level faults in the cycle's window.
-  kCompiled,
-};
-
-[[nodiscard]] constexpr const char* to_string(EngineMode m) {
-  switch (m) {
-    case EngineMode::kInterpreted:
-      return "interpreted";
-    case EngineMode::kCompiled:
-      return "compiled";
-  }
-  return "unknown";
-}
 
 class Cluster {
  public:
@@ -67,27 +43,13 @@ class Cluster {
     return faults_;
   }
 
-  /// Select the cycle walk (default: compiled). The interpreted walk is
-  /// the differential-testing reference; both produce identical results.
-  void set_engine_mode(EngineMode mode) { mode_ = mode; }
-  [[nodiscard]] EngineMode engine_mode() const { return mode_; }
-
-  /// Install the batched-verdict hook used by the compiled walk's
-  /// static segment. Must draw from the same underlying model as the
-  /// per-frame CorruptionFn (fault::FaultModel::as_batch_fn does), or
-  /// the two verdict streams desynchronise. Optional: without it the
-  /// compiled walk draws per frame through the CorruptionFn.
+  /// Install the batched-verdict hook used by the static segment. Must
+  /// draw from the same underlying model as the per-frame CorruptionFn
+  /// (fault::FaultModel::as_batch_fn does), or the two verdict streams
+  /// desynchronise. Optional: without it the walk draws per frame
+  /// through the CorruptionFn.
   void set_batch_corruption(BatchCorruptionFn fn) {
     batch_corruption_ = std::move(fn);
-  }
-
-  /// Cycles executed by the compiled fast path vs. interpreted (either
-  /// by mode, by policy capability, or by structural-fault fallback).
-  [[nodiscard]] std::int64_t compiled_cycles() const {
-    return compiled_cycles_;
-  }
-  [[nodiscard]] std::int64_t interpreted_cycles() const {
-    return next_cycle_.value() - compiled_cycles_;
   }
 
   /// Execute the next `n` communication cycles.
@@ -120,19 +82,12 @@ class Cluster {
  private:
   void execute_cycle(units::CycleIndex cycle);
   void apply_topology_events(units::CycleIndex cycle, sim::Time at);
-  void execute_static_segment(units::CycleIndex cycle);
-  void execute_dynamic_segment(units::CycleIndex cycle, ChannelId channel);
   /// Phased static walk: decide → batched verdicts → commit, chunked at
   /// pending engine events so arrivals land between the same slots as
-  /// in the interpreted walk.
-  void execute_static_segment_compiled(units::CycleIndex cycle);
+  /// in the slot-by-slot reference walk.
+  void execute_static_segment(units::CycleIndex cycle);
   /// Dynamic walk with run_until elision and idle-minislot skipping.
-  void execute_dynamic_segment_compiled(units::CycleIndex cycle,
-                                        ChannelId channel);
-  /// True when this cycle may run the compiled walk (mode, policy
-  /// capability, structural-fault quiescence over [start, end)).
-  [[nodiscard]] bool compiled_cycle_allowed(sim::Time start,
-                                            sim::Time end) const;
+  void execute_dynamic_segment(units::CycleIndex cycle, ChannelId channel);
 
   /// Forced-corruption verdict for a frame that did reach the wire:
   /// babbling-idiot collision in its slot or an out-of-sync sender.
@@ -148,10 +103,8 @@ class Cluster {
   sim::Trace* trace_;
   StructuralFaultProvider* faults_ = nullptr;
   units::CycleIndex next_cycle_{0};
-  EngineMode mode_ = EngineMode::kCompiled;
   BatchCorruptionFn batch_corruption_;
   sim::Arena arena_;  ///< per-cycle transients (decisions, verdicts)
-  std::int64_t compiled_cycles_ = 0;
 };
 
 }  // namespace coeff::flexray

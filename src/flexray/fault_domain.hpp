@@ -57,6 +57,10 @@ struct TopologyEvent {
 
 /// What the Cluster polls. Implementations must be deterministic given
 /// their seed: the same poll()/query sequence yields the same answers.
+/// Between two polls, slot_jammed() and node_out_of_sync() must give the
+/// same answer for the same arguments, however often and in whatever
+/// order they are asked: the Cluster asks them when it commits a frame,
+/// which may come after later slots were already decided.
 class StructuralFaultProvider {
  public:
   virtual ~StructuralFaultProvider() = default;
@@ -80,20 +84,6 @@ class StructuralFaultProvider {
   /// its transmissions miss the action point and are unreceivable.
   [[nodiscard]] virtual bool node_out_of_sync(units::NodeId node,
                                               sim::Time at) const = 0;
-
-  /// May any slot_jammed()/node_out_of_sync() query answer true inside
-  /// [begin, end)? The Cluster's compiled cycle walk runs only through
-  /// cycles where the answer is false (wire-level structural faults are
-  /// per-slot state the phased walk does not model) and falls back to
-  /// the interpreted walk otherwise. The conservative default keeps
-  /// every provider correct; implementations with precomputed windows
-  /// override it with an overlap test.
-  [[nodiscard]] virtual bool wire_faults_possible(sim::Time begin,
-                                                  sim::Time end) const {
-    (void)begin;
-    (void)end;
-    return true;
-  }
 };
 
 }  // namespace coeff::flexray

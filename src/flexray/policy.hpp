@@ -26,7 +26,7 @@ class TransmissionPolicy {
   virtual ~TransmissionPolicy() = default;
 
   /// Receives the honoured static-slot requests of decide_static_chunk,
-  /// in the interpreted call order (slot-major, channel A before B).
+  /// in slot-major order, channel A before B.
   class StaticChunkSink {
    public:
     virtual ~StaticChunkSink() = default;
@@ -35,12 +35,14 @@ class TransmissionPolicy {
   };
 
   /// Decide every static slot in [slot_begin, slot_end] (both channels)
-  /// and stage the honoured requests into `sink`. The compiled cycle
-  /// walk calls this once per event-free run of slots; an override may
-  /// batch or memoize its internal lookups, but MUST stage exactly the
-  /// requests the equivalent per-slot static_slot calls would, in the
-  /// same order, with the same side effects. Default: that per-slot
-  /// loop itself.
+  /// and stage the honoured requests into `sink`. The Cluster calls this
+  /// once per event-free run of slots and commits the outcomes only
+  /// afterwards, so every policy must obey one rule: its decisions never
+  /// read state written by same-cycle on_tx_complete calls (DESIGN.md
+  /// §12). An override may batch or memoize its internal lookups, but
+  /// MUST stage exactly the requests the equivalent per-slot static_slot
+  /// calls would, in the same order, with the same side effects.
+  /// Default: that per-slot loop itself.
   virtual void decide_static_chunk(units::CycleIndex cycle,
                                    std::int64_t slot_begin,
                                    std::int64_t slot_end,
@@ -54,19 +56,10 @@ class TransmissionPolicy {
     }
   }
 
-  /// Opt-in to the Cluster's compiled cycle walk. A policy may return
-  /// true only when its slot decisions never read state written by
-  /// same-cycle on_tx_complete calls (DESIGN.md §12): the compiled walk
-  /// phases a run of static-slot decisions ahead of their outcome
-  /// commits and batches the fault verdicts in between. Default: false
-  /// (the Cluster then uses the interpreted slot-by-slot walk whatever
-  /// the engine mode).
-  [[nodiscard]] virtual bool compiled_capable() const { return false; }
-
   /// Smallest dynamic frame id >= `min_frame` for which dynamic_slot
   /// might return a transmission on `channel` this cycle, assuming no
   /// further arrivals; kNoDynamicFrame when the rest of the segment is
-  /// certainly idle. The compiled walk uses this to skip idle minislots
+  /// certainly idle. The Cluster uses this to skip idle minislots
   /// in one jump; every skipped call must be side-effect-free and would
   /// have returned nullopt. The conservative default (min_frame itself)
   /// disables skipping.

@@ -1,6 +1,6 @@
 // Bump allocator for per-cycle transients.
 //
-// The compiled cycle walk stages transmission decisions and verdict
+// The Cluster's cycle walk stages transmission decisions and verdict
 // buffers that live for exactly one communication cycle. A bump arena
 // hands out trivially-destructible storage with a pointer increment
 // and reclaims everything with a single reset at the cycle boundary,

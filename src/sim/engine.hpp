@@ -41,7 +41,7 @@ class Engine {
 
   /// Timestamp of the earliest pending event, or `fallback` when the
   /// queue is empty. Lets callers skip `run_until` calls that would
-  /// only advance the clock (the compiled cycle walk elides per-slot
+  /// only advance the clock (the Cluster's cycle walk elides per-slot
   /// run_until when no event fires inside the slot).
   [[nodiscard]] Time next_event_time(Time fallback = Time::max()) const {
     return queue_.empty() ? fallback : queue_.next_time();

@@ -66,7 +66,7 @@ class Rng {
 ///
 /// Unlike the sequential generators above, output depends only on the
 /// (key, counter) pair, so any point in the stream can be evaluated in
-/// any order — the property the compiled cycle engine needs to batch
+/// any order — the property the Cluster's cycle walk needs to batch
 /// fault verdicts keyed by (seed, cycle, slot, channel) without
 /// replaying every earlier draw. Stateless and cheap to construct.
 class Philox4x32 {

@@ -352,7 +352,7 @@ TEST(TraceLintTest, RebuildBeforeNextTxIsClean) {
 
 TEST(TraceLintTest, TracesWithoutRebuildMarkersAreExempt) {
   Fixture f;
-  // Pre-template trace (or an interpreted-only policy): plan swap then
+  // Pre-template trace (or a policy without a template): plan swap then
   // tx, no markers anywhere — the rule must stay silent.
   f.trace.emit(sim::millis(1), TraceKind::kPlanSwap, 1, 4, 0);
   f.trace.emit(sim::millis(1), TraceKind::kTxSuccess, 0, 1, 0, 64);

@@ -251,7 +251,7 @@ TEST(FaultModelTest, DescribeMentionsTheModel) {
   EXPECT_NE(describe(config).find("iid"), std::string::npos);
 }
 
-// --- Batched verdicts (compiled cycle engine) ---------------------------
+// --- Batched verdicts (the Cluster's static segment) --------------------
 
 namespace {
 
@@ -276,7 +276,7 @@ std::vector<flexray::TxRequest> make_requests(int n) {
 // draw_batch must replay corrupted() in query order, so for every model
 // — including the stateful Gilbert–Elliott chains and a scheduled BER
 // step landing mid-batch — the verdict stream matches per-frame draws
-// bit for bit. This is the determinism contract the compiled engine's
+// bit for bit. This is the determinism contract the cycle walk's
 // differential tests lean on.
 TEST(FaultModelTest, DrawBatchMatchesSequentialDrawsForEveryModel) {
   for (const auto kind :

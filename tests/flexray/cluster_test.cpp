@@ -281,6 +281,75 @@ TEST(ClusterTest, RunUntilCoversWholeCycles) {
   EXPECT_EQ(cluster.cycles_run(), 2);
 }
 
+/// Jams static slot 2 on channel A during [0, 2 ms) and drifts node 1
+/// out of sync during cycle 1 (the config's cycles are 1 ms long).
+class StubFaults : public StructuralFaultProvider {
+ public:
+  std::vector<TopologyEvent> poll(sim::Time) override { return {}; }
+  [[nodiscard]] bool node_down(units::NodeId) const override { return false; }
+  [[nodiscard]] bool channel_down(ChannelId) const override { return false; }
+  [[nodiscard]] bool slot_jammed(SlotId slot, ChannelId channel,
+                                 sim::Time at) const override {
+    return slot == SlotId{2} && channel == ChannelId::kA &&
+           at < sim::millis(2);
+  }
+  [[nodiscard]] bool node_out_of_sync(units::NodeId node,
+                                      sim::Time at) const override {
+    return node == units::NodeId{1} && at >= sim::millis(1) &&
+           at < sim::millis(2);
+  }
+};
+
+TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
+  sim::Engine engine;
+  ScriptedPolicy policy;
+  policy.on_static = [](ChannelId channel, CycleIndex,
+                        SlotId slot) -> std::optional<TxRequest> {
+    if (channel == ChannelId::kA && slot == SlotId{2}) {
+      return req(FrameId{2}, 100);
+    }
+    return std::nullopt;
+  };
+  policy.on_dynamic = [](ChannelId channel, CycleIndex, SlotId counter,
+                         MinislotId, std::int64_t) -> std::optional<TxRequest> {
+    if (channel != ChannelId::kA || counter != SlotId{5}) return std::nullopt;
+    TxRequest r = req(FrameId{5}, 80, /*instance=*/2);
+    r.sender = units::NodeId{1};
+    return r;
+  };
+  int per_frame_static = 0;
+  int per_frame_dynamic = 0;
+  auto count_verdicts = [&](const TxRequest& r, ChannelId, sim::Time) {
+    ++(r.frame_id == FrameId{2} ? per_frame_static : per_frame_dynamic);
+    return false;
+  };
+  Cluster cluster(engine, small_config(), policy, count_verdicts);
+  int batch_calls = 0;
+  cluster.set_batch_corruption(
+      [&](const VerdictQuery*, std::size_t n, bool* out) {
+        ++batch_calls;
+        for (std::size_t i = 0; i < n; ++i) out[i] = false;  // clean
+      });
+  StubFaults faults;
+  cluster.set_fault_provider(&faults);
+  cluster.run_cycles(3);
+
+  EXPECT_EQ(batch_calls, 3);  // the batched walk ran in every cycle
+  EXPECT_EQ(per_frame_static, 0);
+  EXPECT_EQ(per_frame_dynamic, 3);
+  std::vector<bool> static_corrupted;
+  std::vector<bool> dynamic_corrupted;
+  for (const TxOutcome& out : policy.outcomes) {
+    (out.segment == Segment::kStatic ? static_corrupted : dynamic_corrupted)
+        .push_back(out.corrupted);
+  }
+  EXPECT_EQ(static_corrupted, (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(dynamic_corrupted, (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(cluster.channel(ChannelId::kA).stats().frames, 6);
+  EXPECT_EQ(cluster.channel(ChannelId::kA).stats().corrupted_frames, 3);
+  EXPECT_EQ(cluster.channel(ChannelId::kB).stats().frames, 0);
+}
+
 TEST(ClusterTest, ElapsedCapacityCounters) {
   sim::Engine engine;
   ScriptedPolicy policy;

@@ -1,5 +1,6 @@
-// Differential acceptance for the compiled cycle engine (DESIGN.md §12):
-// the compiled and interpreted walks must be observationally identical —
+// Differential acceptance for the cycle walk (DESIGN.md §12): the
+// production flexray::Cluster and the slot-by-slot reference walk
+// (tests/support/reference_cluster.*) must be observationally identical —
 // byte-identical trace CSVs and RunStats — across schemes, fault
 // models, structural faults, the online monitor, and sweep parallelism.
 // Speed is allowed to differ; behaviour is not.
@@ -14,49 +15,10 @@
 #include "fault/structural.hpp"
 #include "net/workloads.hpp"
 #include "sim/trace.hpp"
+#include "support/differential.hpp"
 
 namespace coeff::core {
 namespace {
-
-/// Render a trace as CSV. Differential assertions compare these
-/// strings wholesale, so any drift in record order, timestamps, tags or
-/// notes between the two engines fails loudly with a real diff.
-std::string trace_csv(const sim::Trace& trace) {
-  std::string out = "at_ns,kind,a,b,c,d,note\n";
-  for (const auto& r : trace.records()) {
-    out += std::to_string(r.at.ns());
-    out += ',';
-    out += sim::to_string(r.kind);
-    out += ',';
-    out += std::to_string(r.a);
-    out += ',';
-    out += std::to_string(r.b);
-    out += ',';
-    out += std::to_string(r.c);
-    out += ',';
-    out += std::to_string(r.d);
-    out += ',';
-    out += r.note;
-    out += '\n';
-  }
-  return out;
-}
-
-struct EngineRun {
-  ExperimentResult result;
-  std::string csv;
-};
-
-EngineRun run_with_engine(ExperimentConfig config, SchemeKind scheme,
-                          flexray::EngineMode engine) {
-  sim::Trace trace;
-  config.engine = engine;
-  config.trace = &trace;
-  EngineRun run;
-  run.result = run_experiment(config, scheme);
-  run.csv = trace_csv(trace);
-  return run;
-}
 
 /// The workload shared by the grid: BBW statics + SAE aperiodics on the
 /// 1 ms application cluster, hot enough BER that fault verdicts matter.
@@ -76,28 +38,29 @@ ExperimentConfig grid_config() {
   return config;
 }
 
-void expect_identical(const EngineRun& compiled, const EngineRun& interpreted) {
+void expect_identical(const WalkRun& production, const WalkRun& reference) {
   // Byte-identical trace CSV is the strongest check: every wire event,
   // verdict, failover and rebuild at the same timestamp with the same
   // tags.
-  EXPECT_EQ(compiled.csv, interpreted.csv);
-  const ExperimentResult& c = compiled.result;
-  const ExperimentResult& i = interpreted.result;
-  EXPECT_EQ(c.run.summary(), i.run.summary());
-  EXPECT_EQ(c.run.overall_miss_ratio(), i.run.overall_miss_ratio());
-  EXPECT_EQ(c.run.statics.copies_corrupted, i.run.statics.copies_corrupted);
-  EXPECT_EQ(c.run.retransmission_copies_sent, i.run.retransmission_copies_sent);
-  EXPECT_EQ(c.run.slack_slots_stolen, i.run.slack_slots_stolen);
-  EXPECT_EQ(c.run.plan_swaps, i.run.plan_swaps);
-  EXPECT_EQ(c.run.failovers, i.run.failovers);
-  EXPECT_EQ(c.run.frames_lost, i.run.frames_lost);
-  EXPECT_EQ(c.run.running_time.ns(), i.run.running_time.ns());
-  EXPECT_EQ(c.cycles_run, i.cycles_run);
-  EXPECT_EQ(c.drained, i.drained);
-  EXPECT_EQ(c.final_plan.copies, i.final_plan.copies);
-  // And the comparison must not be vacuous.
-  EXPECT_GT(c.compiled_cycles, 0);
-  EXPECT_EQ(i.compiled_cycles, 0);
+  EXPECT_EQ(production.csv, reference.csv);
+  const ExperimentResult& p = production.result;
+  const ExperimentResult& r = reference.result;
+  EXPECT_EQ(p.run.summary(), r.run.summary());
+  EXPECT_EQ(p.run.overall_miss_ratio(), r.run.overall_miss_ratio());
+  EXPECT_EQ(p.run.statics.copies_corrupted, r.run.statics.copies_corrupted);
+  EXPECT_EQ(p.run.retransmission_copies_sent, r.run.retransmission_copies_sent);
+  EXPECT_EQ(p.run.slack_slots_stolen, r.run.slack_slots_stolen);
+  EXPECT_EQ(p.run.plan_swaps, r.run.plan_swaps);
+  EXPECT_EQ(p.run.failovers, r.run.failovers);
+  EXPECT_EQ(p.run.frames_lost, r.run.frames_lost);
+  EXPECT_EQ(p.run.membership_replans, r.run.membership_replans);
+  EXPECT_EQ(p.run.running_time.ns(), r.run.running_time.ns());
+  EXPECT_EQ(p.cycles_run, r.cycles_run);
+  EXPECT_EQ(p.drained, r.drained);
+  EXPECT_EQ(p.final_plan.copies, r.final_plan.copies);
+  // And the comparison must not be vacuous: the reference really walked
+  // slot by slot.
+  EXPECT_GT(reference.static_slot_calls, 0);
 }
 
 TEST(EngineDifferentialTest, SchemeByFaultModelGridIsByteIdentical) {
@@ -113,14 +76,8 @@ TEST(EngineDifferentialTest, SchemeByFaultModelGridIsByteIdentical) {
       config.fault_model.kind = kind;
       config.fault_model.common_fraction = 0.5;
       config.fault_model.gilbert_elliott.p_good_to_bad = 0.02;
-      const auto compiled =
-          run_with_engine(config, scheme, flexray::EngineMode::kCompiled);
-      const auto interpreted =
-          run_with_engine(config, scheme, flexray::EngineMode::kInterpreted);
-      expect_identical(compiled, interpreted);
-      // Clean topology: every cycle took the compiled path.
-      EXPECT_EQ(compiled.result.compiled_cycles,
-                compiled.result.cycles_run);
+      expect_identical(run_production(config, scheme),
+                       run_reference(config, scheme));
     }
   }
 }
@@ -135,22 +92,41 @@ TEST(EngineDifferentialTest, MonitorAndBerStepStayIdentical) {
   config.monitor.window_cycles = 50;
   config.monitor.min_window_frames = 200;
   config.monitor.cooldown_cycles = 50;
-  const auto compiled = run_with_engine(config, SchemeKind::kCoEfficient,
-                                        flexray::EngineMode::kCompiled);
-  const auto interpreted = run_with_engine(config, SchemeKind::kCoEfficient,
-                                           flexray::EngineMode::kInterpreted);
-  expect_identical(compiled, interpreted);
+  const auto production = run_production(config, SchemeKind::kCoEfficient);
+  expect_identical(production,
+                   run_reference(config, SchemeKind::kCoEfficient));
   // The scenario actually re-planned, so the kPlanSwap -> template
   // rebuild path was exercised, not just the steady state.
-  EXPECT_GT(compiled.result.run.plan_swaps, 0);
+  EXPECT_GT(production.result.run.plan_swaps, 0);
 }
 
-// Structural faults force the compiled engine back onto the interpreted
-// path in exactly the cycles a wire-level fault could touch; the
-// failover/voting semantics of the fault-domain layer must survive the
-// mode switches byte for byte.
-TEST(EngineDifferentialTest, StructuralFaultFallbackStaysIdentical) {
-  for (const auto scheme : {SchemeKind::kCoEfficient, SchemeKind::kFspec}) {
+/// Corrupted transmissions in `run` that match `pred(record)`.
+template <class Pred>
+std::int64_t corrupted_where(const WalkRun& run, Pred pred) {
+  std::int64_t n = 0;
+  for (const auto& r : run.trace.records()) {
+    if (r.kind == sim::TraceKind::kTxCorrupted && pred(r)) ++n;
+  }
+  return n;
+}
+
+// Every structural fault class at once, overlapping: a blackout, a
+// crash, a babbling idiot jamming a static slot and a drifting sender
+// whose dynamic frames miss the action point. The production walk
+// applies babble and drift as per-frame overrides at commit; the
+// reference asks the same questions slot by slot.
+TEST(EngineDifferentialTest, StructuralFaultsMatchReference) {
+  // Channel A is dark over the babble window, so every scheme carries
+  // slot 8 on channel B there.
+  constexpr units::SlotId kJammedSlot{8};
+  constexpr auto kJammedChannel = flexray::ChannelId::kB;
+  const sim::Time babble_at = sim::millis(8);
+  const sim::Time babble_until = sim::millis(12);
+  constexpr units::NodeId kDrifter{3};
+  const sim::Time drift_at = sim::millis(6);
+  const sim::Time drift_until = sim::millis(24);
+  for (const auto scheme :
+       {SchemeKind::kCoEfficient, SchemeKind::kFspec, SchemeKind::kHosa}) {
     SCOPED_TRACE(to_string(scheme));
     ExperimentConfig config = grid_config();
     config.ber = 1e-6;
@@ -160,62 +136,77 @@ TEST(EngineDifferentialTest, StructuralFaultFallbackStaysIdentical) {
         {units::NodeId{1}, sim::millis(10), sim::millis(30)});
     fault::BabbleWindow babble;
     babble.babbler = units::NodeId{2};
-    babble.slot = units::SlotId{2};
-    babble.channel = flexray::ChannelId::kB;
-    babble.at = sim::millis(8);
-    babble.until = sim::millis(12);
+    babble.slot = kJammedSlot;
+    babble.channel = kJammedChannel;
+    babble.at = babble_at;
+    babble.until = babble_until;
     config.structural.babbles.push_back(babble);
+    fault::DriftWindow drift;
+    drift.node = kDrifter;
+    drift.at = drift_at;
+    drift.until = drift_until;
+    config.structural.drifts.push_back(drift);
     config.vote_replicas = scheme == SchemeKind::kCoEfficient ? 3 : 0;
-    const auto compiled =
-        run_with_engine(config, scheme, flexray::EngineMode::kCompiled);
-    const auto interpreted =
-        run_with_engine(config, scheme, flexray::EngineMode::kInterpreted);
-    EXPECT_EQ(compiled.csv, interpreted.csv);
-    EXPECT_EQ(compiled.result.run.summary(), interpreted.result.run.summary());
-    EXPECT_EQ(compiled.result.run.failovers, interpreted.result.run.failovers);
-    EXPECT_EQ(compiled.result.run.membership_replans,
-              interpreted.result.run.membership_replans);
-    EXPECT_EQ(compiled.result.cycles_run, interpreted.result.cycles_run);
-    // Babble window inside [8,12) ms: those cycles must have fallen
-    // back, the rest must have compiled.
-    EXPECT_GT(compiled.result.compiled_cycles, 0);
-    EXPECT_LT(compiled.result.compiled_cycles, compiled.result.cycles_run);
+
+    const auto production = run_production(config, scheme);
+    const auto reference = run_reference(config, scheme);
+    expect_identical(production, reference);
+
+    // The scenario must exercise both wire-level faults in both walks:
+    // frames in the jammed (slot, channel) inside the babble window, and
+    // dynamic frames of the drifting sender inside the drift window.
+    const std::int64_t static_slots = config.cluster.g_number_of_static_slots;
+    for (const WalkRun* run : {&production, &reference}) {
+      EXPECT_GT(corrupted_where(*run,
+                                [&](const sim::TraceRecord& r) {
+                                  return r.b == kJammedSlot.value() &&
+                                         r.c == static_cast<std::int64_t>(
+                                                    kJammedChannel) &&
+                                         r.at >= babble_at &&
+                                         r.at < babble_until;
+                                }),
+                0);
+      EXPECT_GT(corrupted_where(*run,
+                                [&](const sim::TraceRecord& r) {
+                                  return r.a == kDrifter.value() &&
+                                         r.b > static_slots &&
+                                         r.at >= drift_at &&
+                                         r.at < drift_until;
+                                }),
+                0);
+    }
   }
 }
 
-// Sweep parallelism on top of the compiled engine: jobs=1 and jobs=4
-// must agree with each other and with the interpreted engine.
+// Sweep parallelism on top of the production walk: jobs=1 and jobs=4
+// must agree with each other and with the reference walk run serially.
 TEST(EngineDifferentialTest, SweepJobsOneVsFourMatchAcrossEngines) {
-  std::vector<SweepCell> compiled_cells;
-  std::vector<SweepCell> interpreted_cells;
+  std::vector<SweepCell> cells;
   for (const auto scheme : {SchemeKind::kCoEfficient, SchemeKind::kFspec}) {
     for (const std::uint64_t seed : {11ULL, 29ULL}) {
       ExperimentConfig config = grid_config();
       config.seed = seed;
-      const std::string label =
-          std::string(to_string(scheme)) + "/seed=" + std::to_string(seed);
-      config.engine = flexray::EngineMode::kCompiled;
-      compiled_cells.push_back({config, scheme, label});
-      config.engine = flexray::EngineMode::kInterpreted;
-      interpreted_cells.push_back({config, scheme, label});
+      cells.push_back({config, scheme,
+                       std::string(to_string(scheme)) +
+                           "/seed=" + std::to_string(seed)});
     }
   }
-  const SweepReport serial = SweepRunner(1).run(compiled_cells);
-  const SweepReport parallel = SweepRunner(4).run(compiled_cells);
-  const SweepReport reference = SweepRunner(4).run(interpreted_cells);
-  ASSERT_EQ(serial.cells.size(), compiled_cells.size());
-  for (std::size_t i = 0; i < compiled_cells.size(); ++i) {
-    SCOPED_TRACE(compiled_cells[i].label);
+  const SweepReport serial = SweepRunner(1).run(cells);
+  const SweepReport parallel = SweepRunner(4).run(cells);
+  ASSERT_EQ(serial.cells.size(), cells.size());
+  ASSERT_EQ(parallel.cells.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(cells[i].label);
+    const WalkRun reference = run_reference(cells[i].config, cells[i].scheme);
     const ExperimentResult& a = serial.cells[i].result;
     const ExperimentResult& b = parallel.cells[i].result;
-    const ExperimentResult& r = reference.cells[i].result;
+    const ExperimentResult& r = reference.result;
     EXPECT_EQ(a.run.summary(), b.run.summary());
     EXPECT_EQ(a.run.summary(), r.run.summary());
     EXPECT_EQ(a.cycles_run, b.cycles_run);
     EXPECT_EQ(a.cycles_run, r.cycles_run);
     EXPECT_EQ(a.run.overall_miss_ratio(), r.run.overall_miss_ratio());
-    EXPECT_GT(a.compiled_cycles, 0);
-    EXPECT_EQ(r.compiled_cycles, 0);
+    EXPECT_GT(reference.static_slot_calls, 0);
   }
 }
 

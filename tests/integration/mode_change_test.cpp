@@ -4,9 +4,9 @@
 // dynamics are shed at cycle boundaries while the safety statics keep
 // their slots, and once the wire calms down the protocol returns to
 // NORMAL and matches up the shed backlog in bounded bursts. The whole
-// trajectory must be byte-identical across the compiled and interpreted
-// engines, and the recorded trace must survive the mode-protocol linter
-// rules.
+// trajectory must be byte-identical between the production walk and the
+// slot-by-slot reference walk, and the recorded trace must survive the
+// mode-protocol linter rules.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -19,6 +19,7 @@
 #include "sched/criticality.hpp"
 #include "sim/random.hpp"
 #include "sim/trace.hpp"
+#include "support/differential.hpp"
 
 namespace coeff::core {
 namespace {
@@ -58,27 +59,6 @@ std::set<int> dynamic_ids(const ExperimentConfig& config) {
   std::set<int> ids;
   for (const auto& m : config.dynamics.messages()) ids.insert(m.id);
   return ids;
-}
-
-std::string trace_csv(const sim::Trace& trace) {
-  std::string out = "at_ns,kind,a,b,c,d,note\n";
-  for (const auto& r : trace.records()) {
-    out += std::to_string(r.at.ns());
-    out += ',';
-    out += sim::to_string(r.kind);
-    out += ',';
-    out += std::to_string(r.a);
-    out += ',';
-    out += std::to_string(r.b);
-    out += ',';
-    out += std::to_string(r.c);
-    out += ',';
-    out += std::to_string(r.d);
-    out += ',';
-    out += r.note;
-    out += '\n';
-  }
-  return out;
 }
 
 TEST(ModeChangeTest, BurstDegradesShedsAndMatchesUp) {
@@ -171,26 +151,19 @@ TEST(ModeChangeTest, MediumCriticalityRidesOutL1) {
 }
 
 TEST(ModeChangeTest, TrajectoryIsByteIdenticalAcrossEngines) {
-  sim::Trace compiled_trace;
-  auto compiled_config = burst_config(&compiled_trace);
-  compiled_config.engine = flexray::EngineMode::kCompiled;
-  const auto compiled =
-      run_experiment(compiled_config, SchemeKind::kCoEfficient);
+  const auto config = burst_config(nullptr);
+  const auto production = run_production(config, SchemeKind::kCoEfficient);
+  const auto reference = run_reference(config, SchemeKind::kCoEfficient);
 
-  sim::Trace interpreted_trace;
-  auto interpreted_config = burst_config(&interpreted_trace);
-  interpreted_config.engine = flexray::EngineMode::kInterpreted;
-  const auto interpreted =
-      run_experiment(interpreted_config, SchemeKind::kCoEfficient);
-
-  EXPECT_EQ(trace_csv(compiled_trace), trace_csv(interpreted_trace));
-  EXPECT_EQ(compiled.run.summary(), interpreted.run.summary());
-  EXPECT_EQ(compiled.run.mode_changes, interpreted.run.mode_changes);
-  EXPECT_EQ(compiled.run.mode_sheds, interpreted.run.mode_sheds);
-  EXPECT_EQ(compiled.run.matchups, interpreted.run.matchups);
-  EXPECT_EQ(compiled.run.energy_total_uj, interpreted.run.energy_total_uj);
-  EXPECT_GT(compiled.compiled_cycles, 0);
-  EXPECT_EQ(interpreted.compiled_cycles, 0);
+  EXPECT_EQ(production.csv, reference.csv);
+  const ExperimentResult& p = production.result;
+  const ExperimentResult& r = reference.result;
+  EXPECT_EQ(p.run.summary(), r.run.summary());
+  EXPECT_EQ(p.run.mode_changes, r.run.mode_changes);
+  EXPECT_EQ(p.run.mode_sheds, r.run.mode_sheds);
+  EXPECT_EQ(p.run.matchups, r.run.matchups);
+  EXPECT_EQ(p.run.energy_total_uj, r.run.energy_total_uj);
+  EXPECT_GT(reference.static_slot_calls, 0);
 }
 
 TEST(ModeChangeTest, RecordedTraceSurvivesTheModeLinterRules) {

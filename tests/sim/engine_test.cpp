@@ -124,7 +124,7 @@ TEST(EngineTest, NextEventTimeTracksQueueHead) {
   EXPECT_EQ(e.next_event_time(), Time::max());
 }
 
-// The compiled walk elides run_until whenever next_event_time lies past
+// The cycle walk elides run_until whenever next_event_time lies past
 // the chunk; that is only sound if a queue-empty engine reports a time
 // no event can beat and scheduling from inside a callback updates the
 // head immediately.

@@ -177,7 +177,7 @@ TEST(PhiloxTest, MatchesReferenceKnownAnswers) {
   }
 }
 
-// The compiled engine's whole premise: a verdict is a pure function of
+// The batched verdicts' whole premise: a verdict is a pure function of
 // (key, counter) — same inputs, same output, in any evaluation order.
 TEST(PhiloxTest, CounterDrawsAreOrderIndependent) {
   const Philox4x32 philox(42);

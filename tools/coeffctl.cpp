@@ -58,7 +58,6 @@ struct CliOptions {
   int burst = 1;
   bool drain = false;
   bool no_dynamics = false;
-  flexray::EngineMode engine = flexray::EngineMode::kCompiled;
   int jobs = 1;                // sweep workers (single cell → serial anyway)
   std::string sweep_json;      // empty = no timing report
   fault::FaultModelConfig fault_model;
@@ -107,9 +106,6 @@ void usage() {
       "  --burst N                         aperiodic burst size; 1 = periodic (default)\n"
       "  --drain                           running-time mode (drain the whole batch)\n"
       "  --no-dynamics                     statics only\n"
-      "  --engine compiled|interpreted     cycle-walk engine (default: compiled;\n"
-      "                                    interpreted is the slot-by-slot reference,\n"
-      "                                    results are byte-identical either way)\n"
       "  --fault-model iid|gilbert-elliott|common-mode|iid-counter\n"
       "                                    channel fault physics (default: iid at --ber;\n"
       "                                    iid-counter = counter-based Philox draws,\n"
@@ -344,16 +340,6 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       opt.drain = true;
     } else if (arg == "--no-dynamics") {
       opt.no_dynamics = true;
-    } else if (arg == "--engine") {
-      const std::string name = next("--engine");
-      if (name == "compiled") {
-        opt.engine = flexray::EngineMode::kCompiled;
-      } else if (name == "interpreted") {
-        opt.engine = flexray::EngineMode::kInterpreted;
-      } else {
-        std::fprintf(stderr, "coeffctl: unknown engine '%s'\n", name.c_str());
-        std::exit(2);
-      }
     } else if (arg == "--jobs") {
       opt.jobs = std::atoi(next("--jobs"));
     } else if (arg == "--sweep-json") {
@@ -497,7 +483,6 @@ bool build_config(const CliOptions& opt, core::ExperimentConfig& config) {
     config.batch_window = sim::millis(opt.window_ms);
     config.seed = opt.seed;
     config.drain_batch = opt.drain;
-    config.engine = opt.engine;
     config.fault_model = opt.fault_model;
     if (opt.ber_step_ms > 0 && opt.ber_step >= 0.0) {
       config.ber_step_at = sim::millis(opt.ber_step_ms);
