@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "net/workloads.hpp"
@@ -85,64 +85,26 @@ inline double median_of(std::vector<double> samples) {
              : 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
-/// Command-line options shared by every figure binary. Figure rows on
-/// stdout are byte-identical for any `--jobs` value; timing lives on
-/// stderr and in the JSON report.
-struct BenchOptions {
-  int jobs = 0;  // 0 = COEFF_JOBS env var, else hardware concurrency
-  std::string sweep_json = "BENCH_sweep.json";
-};
-
-inline BenchOptions parse_bench_args(int argc, char** argv) {
-  BenchOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--jobs" || arg == "-j") {
-      opt.jobs = std::atoi(next("--jobs"));
-    } else if (arg == "--sweep-json") {
-      opt.sweep_json = next("--sweep-json");
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--jobs N] [--sweep-json PATH]\n"
-          "  --jobs N          parallel sweep workers (default: COEFF_JOBS\n"
-          "                    env var, else hardware concurrency)\n"
-          "  --sweep-json PATH per-cell wall-time report; empty string\n"
-          "                    disables it (default: BENCH_sweep.json)\n",
-          argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg.c_str());
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
-/// Run the cell grid through SweepRunner, emit the timing JSON, and
-/// print a one-line summary to stderr.
+/// Run the cell grid through SweepRunner on `jobs` workers (0 =
+/// COEFF_JOBS, else hardware threads), write the timing JSON to
+/// `sweep_json` unless it is empty, and print a one-line summary to
+/// stderr.
 inline core::SweepReport run_sweep(const std::string& suite,
                                    const std::vector<core::SweepCell>& cells,
-                                   const BenchOptions& opt) {
-  const core::SweepRunner runner(opt.jobs);
+                                   int jobs, const std::string& sweep_json) {
+  const core::SweepRunner runner(jobs);
   core::SweepReport report = runner.run(cells);
-  if (!opt.sweep_json.empty()) {
+  if (!sweep_json.empty()) {
     // A bad report path must not discard a finished sweep: warn and
     // still print the figure.
     try {
-      core::write_sweep_json(report, suite, opt.sweep_json);
+      core::write_sweep_json(report, suite, sweep_json);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "[sweep] warning: %s\n", e.what());
     }
   }
   const std::string sink =
-      opt.sweep_json.empty() ? std::string() : " -> " + opt.sweep_json;
+      sweep_json.empty() ? std::string() : " -> " + sweep_json;
   std::fprintf(stderr,
                "[sweep] %s: %zu cells, jobs=%d, wall=%.3fs, serial=%.3fs "
                "(%.2fx)%s\n",
@@ -152,15 +114,25 @@ inline core::SweepReport run_sweep(const std::string& suite,
   return report;
 }
 
-/// Shared prologue of every figure binary: parse the common flags, run
-/// the grid through the sweep reporter, and print the figure banner.
-/// Keeps the six binaries down to "build cells, format rows".
+/// Shared prologue of every figure binary: parse the common flags (exit
+/// 2 on a bad one), run the grid through the sweep reporter, and print
+/// the figure banner. Keeps the six binaries down to "build cells,
+/// format rows". Figure rows on stdout are byte-identical for any
+/// --jobs; timing lives on stderr and in the JSON report.
 inline core::SweepReport run_figure(int argc, char** argv,
                                     const std::string& suite,
                                     const std::string& title,
                                     const std::vector<core::SweepCell>& cells) {
-  const BenchOptions opt = parse_bench_args(argc, argv);
-  core::SweepReport report = run_sweep(suite, cells, opt);
+  int jobs = 0;
+  std::string sweep_json = "BENCH_sweep.json";
+  const cli::Table table{std::string(argv[0]) + " [options]",
+                         "Regenerates " + title + ".",
+                         cli::sweep_rows(jobs, sweep_json)};
+  if (const auto code = cli::early_exit(
+          table, argv[0], std::vector<std::string>(argv + 1, argv + argc))) {
+    std::exit(*code);
+  }
+  core::SweepReport report = run_sweep(suite, cells, jobs, sweep_json);
   std::printf("%s\n", title.c_str());
   return report;
 }

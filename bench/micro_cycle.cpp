@@ -11,78 +11,12 @@
 // refuses to report when a repetition diverges from the first. This is
 // a local tool for before/after comparisons on one machine; the
 // benchmark of record is perfbench/ (BENCHMARK.json).
-#include <charconv>
+#include <cstdint>
 
 #include "bench_common.hpp"
 
 namespace coeff::bench {
 namespace {
-
-struct MicroOptions {
-  int reps = 5;
-  std::int64_t window_ms = 400;
-  std::string suite;  // empty = all suites
-};
-
-[[noreturn]] void usage_error(const char* prog, const std::string& message) {
-  std::fprintf(stderr, "%s: %s\n", prog, message.c_str());
-  std::exit(2);
-}
-
-/// The whole of `text` as an integer in [1, max]; exits 2 otherwise.
-std::int64_t parse_positive(const char* prog, const char* flag,
-                            const std::string& text, std::int64_t max) {
-  std::int64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < 1 || value > max) {
-    usage_error(prog, std::string(flag) + " needs an integer in [1, " +
-                          std::to_string(max) + "], got '" + text + "'");
-  }
-  return value;
-}
-
-MicroOptions parse_micro_args(int argc, char** argv) {
-  MicroOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) {
-        usage_error(argv[0], std::string(what) + " needs a value");
-      }
-      return argv[++i];
-    };
-    if (arg == "--reps") {
-      opt.reps = static_cast<int>(
-          parse_positive(argv[0], "--reps", next("--reps"), 1000));
-    } else if (arg == "--window-ms") {
-      // One simulated hour; far past any useful window, and well inside
-      // the nanosecond clock's range.
-      opt.window_ms = parse_positive(argv[0], "--window-ms",
-                                     next("--window-ms"), 3'600'000);
-    } else if (arg == "--suite") {
-      opt.suite = next("--suite");
-      if (opt.suite != "loaded" && opt.suite != "sparse") {
-        usage_error(argv[0], "unknown suite '" + opt.suite +
-                                 "' (expected loaded|sparse)");
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--reps N] [--window-ms W] [--suite NAME]\n"
-          "  --reps N          repetitions per cell; the median is\n"
-          "                    reported (default: 5)\n"
-          "  --window-ms W     release window; fixes the cycle count\n"
-          "                    per run (default: 400)\n"
-          "  --suite NAME      run only the named suite (loaded|sparse;\n"
-          "                    default: all)\n",
-          argv[0]);
-      std::exit(0);
-    } else {
-      usage_error(argv[0], "unknown flag '" + arg + "'");
-    }
-  }
-  return opt;
-}
 
 /// The baseline_comparison workload, with the batch window overridden
 /// so the run length (and hence the benchmarked cycle count) is a
@@ -138,6 +72,12 @@ constexpr Suite kSuites[] = {
      sparse_config},
 };
 
+struct MicroOptions {
+  int reps = 5;
+  std::int64_t window_ms = 400;
+  const Suite* only = nullptr;  // nullptr = all suites
+};
+
 struct CellResult {
   core::SchemeKind scheme;
   std::int64_t cycles = 0;
@@ -186,7 +126,26 @@ CellResult run_cell(const MicroOptions& opt, const Suite& suite,
 
 int main(int argc, char** argv) {
   using namespace coeff::bench;
-  const MicroOptions opt = parse_micro_args(argc, argv);
+  namespace cli = coeff::cli;
+  MicroOptions opt;
+  const cli::Table table{
+      "micro_cycle [options]",
+      "Cycle-walk throughput (cycles/s) of each scheme; compare two builds\n"
+      "on the same machine.",
+      {cli::number("--reps", "N",
+                    "repetitions per cell; the median is reported", opt.reps,
+                    1, 1000),
+       // One simulated hour: far past any useful window, and well inside
+       // the nanosecond clock's range.
+       cli::number("--window-ms", "MS",
+                    "release window; fixes the cycle count per run",
+                    opt.window_ms, std::int64_t{1}, std::int64_t{3'600'000}),
+       cli::choice("--suite", "NAME", "run only the named suite", opt.only,
+                   {{"loaded", &kSuites[0]}, {"sparse", &kSuites[1]}})}};
+  if (const auto code = cli::early_exit(
+          table, argv[0], std::vector<std::string>(argv + 1, argv + argc))) {
+    return *code;
+  }
 
   constexpr coeff::core::SchemeKind kSchemes[] = {
       coeff::core::SchemeKind::kCoEfficient, coeff::core::SchemeKind::kFspec,
@@ -196,7 +155,7 @@ int main(int argc, char** argv) {
               "median of %d\n",
               static_cast<long long>(opt.window_ms), opt.reps);
   for (const Suite& suite : kSuites) {
-    if (!opt.suite.empty() && opt.suite != suite.name) continue;
+    if (opt.only != nullptr && opt.only != &suite) continue;
     print_header(suite.title);
     std::printf("%-12s | %9s %12s %14s\n", "scheme", "cycles", "median[s]",
                 "cycles/s");

@@ -12,11 +12,14 @@
 //       --ge-p-gb 1e-3 --ge-p-bg 0.1 --ge-ber-good 1e-7 --ge-ber-bad 1e-4
 //   ./build/examples/fault_injection --fault-model common-mode
 //       --common-fraction 0.5 --seed 7
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "cli/commands.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/reliability.hpp"
@@ -26,44 +29,19 @@ int main(int argc, char** argv) {
 
   fault::FaultModelConfig fault_model;
   std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "fault_injection: %s needs a value\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--fault-model") {
-      const char* name = next("--fault-model");
-      const auto kind = fault::parse_fault_model_kind(name);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "fault_injection: unknown fault model '%s'\n",
-                     name);
-        return 2;
-      }
-      fault_model.kind = *kind;
-    } else if (arg == "--ge-p-gb") {
-      fault_model.gilbert_elliott.p_good_to_bad = std::atof(next(arg.c_str()));
-    } else if (arg == "--ge-p-bg") {
-      fault_model.gilbert_elliott.p_bad_to_good = std::atof(next(arg.c_str()));
-    } else if (arg == "--ge-ber-good") {
-      fault_model.gilbert_elliott.ber_good = std::atof(next(arg.c_str()));
-    } else if (arg == "--ge-ber-bad") {
-      fault_model.gilbert_elliott.ber_bad = std::atof(next(arg.c_str()));
-    } else if (arg == "--common-fraction") {
-      fault_model.common_fraction = std::atof(next(arg.c_str()));
-    } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    } else {
-      std::fprintf(stderr,
-                   "fault_injection: unknown flag '%s' (supported: "
-                   "--fault-model, --ge-p-gb, --ge-p-bg, --ge-ber-good, "
-                   "--ge-ber-bad, --common-fraction, --seed)\n",
-                   arg.c_str());
-      return 2;
-    }
+  std::vector<cli::Row> rows = cli::fault_model_rows(fault_model);
+  rows.push_back(cli::number("--seed", "N", "RNG seed", seed,
+                              std::uint64_t{0},
+                              std::numeric_limits<std::uint64_t>::max()));
+  const cli::Table table{
+      "fault_injection [options]",
+      "Retransmission copies and measured delivery per IEC 61508 SIL under\n"
+      "the selected channel fault physics.",
+      std::move(rows)};
+  if (const auto code = cli::early_exit(
+          table, "fault_injection",
+          std::vector<std::string>(argv + 1, argv + argc))) {
+    return *code;
   }
 
   const auto statics =

@@ -102,12 +102,7 @@ std::string render_manifest(const CampaignManifest& manifest) {
   kv("max_util", format_double(d.max_util));
   kv("min_log10_ber", format_double(d.min_log10_ber));
   kv("max_log10_ber", format_double(d.max_log10_ber));
-  std::string schemes;
-  for (const core::SchemeKind scheme : d.schemes) {
-    if (!schemes.empty()) schemes += ',';
-    schemes += scheme_tag(scheme);
-  }
-  kv("schemes", schemes);
+  kv("schemes", scheme_list(d.schemes));
   kv("window_ms", std::to_string(d.window_ms));
   // Written only when enabled: manifests of campaigns without the
   // mixed-criticality axis stay byte-identical to older builds.
@@ -220,22 +215,9 @@ ManifestLoad parse_manifest(std::string_view bytes) {
     } else if (key == "max_log10_ber") {
       ok = parse_double(value, d.max_log10_ber);
     } else if (key == "schemes") {
-      d.schemes.clear();
-      std::size_t at = 0;
-      while (at <= value.size()) {
-        auto comma = value.find(',', at);
-        if (comma == std::string::npos) comma = value.size();
-        const auto scheme = parse_scheme_tag(
-            std::string_view(value).substr(at, comma - at));
-        if (!scheme.has_value()) {
-          ok = false;
-          break;
-        }
-        d.schemes.push_back(*scheme);
-        if (comma == value.size()) break;
-        at = comma + 1;
-      }
-      ok = ok && !d.schemes.empty();
+      const auto schemes = parse_scheme_list(value);
+      ok = schemes.has_value();
+      if (ok) d.schemes = *schemes;
     } else if (key == "window_ms") {
       ok = parse_i64_field(value, d.window_ms);
     } else if (key == "criticality") {

@@ -81,6 +81,28 @@ std::optional<core::SchemeKind> parse_scheme_tag(std::string_view name) {
   return std::nullopt;
 }
 
+std::string scheme_list(const std::vector<core::SchemeKind>& schemes) {
+  std::string list;
+  for (const core::SchemeKind scheme : schemes) {
+    if (!list.empty()) list += ',';
+    list += scheme_tag(scheme);
+  }
+  return list;
+}
+
+std::optional<std::vector<core::SchemeKind>> parse_scheme_list(
+    std::string_view text) {
+  std::vector<core::SchemeKind> list;
+  for (;;) {
+    const std::size_t comma = text.find(',');
+    const auto scheme = parse_scheme_tag(text.substr(0, comma));
+    if (!scheme.has_value()) return std::nullopt;
+    list.push_back(*scheme);
+    if (comma == std::string_view::npos) return list;
+    text.remove_prefix(comma + 1);
+  }
+}
+
 void ScenarioDistribution::validate() const {
   auto require = [](bool ok, const char* what) {
     if (!ok) throw std::invalid_argument(std::string("campaign: ") + what);

@@ -112,6 +112,12 @@ class ScenarioGenerator {
 [[nodiscard]] const char* scheme_tag(core::SchemeKind scheme);
 [[nodiscard]] std::optional<core::SchemeKind> parse_scheme_tag(
     std::string_view name);
+/// A comma-separated scheme mix ("coefficient,hosa"), as the manifest and
+/// `campaign run --schemes` spell it; nullopt on an empty or unknown tag.
+[[nodiscard]] std::string scheme_list(
+    const std::vector<core::SchemeKind>& schemes);
+[[nodiscard]] std::optional<std::vector<core::SchemeKind>> parse_scheme_list(
+    std::string_view text);
 [[nodiscard]] std::optional<StructuralKind> parse_structural_tag(
     std::string_view name);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -30,8 +33,12 @@ SweepRunner::SweepRunner(int jobs) : jobs_(resolve_jobs(jobs)) {}
 int SweepRunner::resolve_jobs(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("COEFF_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    // The whole value must be a positive integer: "4x" is not 4 workers.
+    const std::string_view text(env);
+    const char* end = text.data() + text.size();
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec == std::errc() && ptr == end && n > 0) return n;
   }
   return static_cast<int>(runtime::ThreadPool::hardware_threads());
 }

@@ -52,8 +52,9 @@ struct SweepReport {
 
 class SweepRunner {
  public:
-  /// jobs <= 0 resolves through the COEFF_JOBS environment variable,
-  /// then std::thread::hardware_concurrency().
+  /// jobs <= 0 resolves through the COEFF_JOBS environment variable
+  /// when its whole value is a positive integer, else
+  /// std::thread::hardware_concurrency().
   explicit SweepRunner(int jobs = 0);
 
   [[nodiscard]] int jobs() const { return jobs_; }

@@ -101,7 +101,18 @@ TEST(SweepRunnerTest, ResolveJobsPrefersExplicitThenEnvThenHardware) {
   EXPECT_EQ(SweepRunner::resolve_jobs(5), 5);  // explicit wins
   EXPECT_EQ(SweepRunner::resolve_jobs(0), 3);  // env fallback
   ASSERT_EQ(unsetenv("COEFF_JOBS"), 0);
-  EXPECT_GE(SweepRunner::resolve_jobs(0), 1);  // hardware fallback
+  const int hardware = SweepRunner::resolve_jobs(0);
+  EXPECT_GE(hardware, 1);  // hardware fallback
+  // A value that is not a whole positive integer is ignored; the last
+  // input differs from the hardware count, so a prefix parse shows.
+  for (const std::string& bad : {std::string("abc"), std::string("4x"),
+                                 std::string("0"), std::string("-2"),
+                                 std::string(),
+                                 std::to_string(hardware + 1) + "x"}) {
+    ASSERT_EQ(setenv("COEFF_JOBS", bad.c_str(), /*overwrite=*/1), 0);
+    EXPECT_EQ(SweepRunner::resolve_jobs(0), hardware) << "COEFF_JOBS=" << bad;
+  }
+  ASSERT_EQ(unsetenv("COEFF_JOBS"), 0);
 }
 
 TEST(SweepRunnerTest, EmptyGridYieldsEmptyReport) {
