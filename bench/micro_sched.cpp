@@ -63,6 +63,15 @@ void BM_SlackTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SlackTableBuild)->Arg(10)->Arg(50)->Arg(200);
 
+// The same sets' guaranteed idle per 5 ms cycle, without the table.
+void BM_MinIdleInWindow(benchmark::State& state) {
+  const auto set = make_task_set(static_cast<int>(state.range(0)), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched::min_idle_in_window(set, sim::millis(5)));
+  }
+}
+BENCHMARK(BM_MinIdleInWindow)->Arg(10)->Arg(50)->Arg(200);
+
 void BM_SlackQuery(benchmark::State& state) {
   const auto set = make_task_set(static_cast<int>(state.range(0)), 9);
   const sched::SlackTable table(set);

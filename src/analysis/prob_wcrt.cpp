@@ -6,7 +6,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "sched/slack_table.hpp"
+#include "sched/periodic_schedule.hpp"
 #include "sched/task.hpp"
 
 namespace coeff::analysis {
@@ -93,10 +93,11 @@ double indep_fail(fault::AnalyticFailure& af, ProbRetxModel d,
 
 /// Guaranteed stealable wire service per communication cycle: the
 /// static set as a wire-speed fixed-priority processor (the same model
-/// CoEfficient's admission test runs), queried through the slack
-/// table's analytic floor. 0 when the schedule leaves no guaranteed
-/// idle (or the set defeats table construction, e.g. hyperperiod
-/// overflow — pessimistic fallback).
+/// CoEfficient's admission test runs), at its full-schedule idle floor
+/// over any one cycle. 0 when the schedule leaves no guaranteed idle,
+/// or, as a pessimistic fallback, when the set has no exact schedule
+/// (invalid, or a hyperperiod past one hour). Anything else, such as
+/// running out of memory, propagates to the caller.
 sim::Time guaranteed_service(const ProbWcrtInput& input) {
   std::vector<sched::PeriodicTask> tasks;
   for (const auto& m : input.statics->messages()) {
@@ -110,9 +111,11 @@ sim::Time guaranteed_service(const ProbWcrtInput& input) {
   }
   if (tasks.empty()) return input.cluster->cycle_duration();
   try {
-    const auto table = sched::SlackTable::shared(sched::TaskSet{std::move(tasks)});
-    return table->min_idle_in_window(input.cluster->cycle_duration());
-  } catch (const std::exception&) {
+    return sched::min_idle_in_window(sched::TaskSet{std::move(tasks)},
+                                     input.cluster->cycle_duration());
+  } catch (const std::domain_error&) {
+    return sim::Time::zero();
+  } catch (const std::invalid_argument&) {
     return sim::Time::zero();
   }
 }

@@ -12,7 +12,7 @@
 //   * the per-cycle competing-backlog distribution (a convolution of
 //     Bernoulli(q_y) work terms over the other planned messages),
 //     discharged through the schedule's guaranteed idle service per
-//     cycle (sched::SlackTable::min_idle_in_window).
+//     cycle (sched::min_idle_in_window).
 //
 // The result is an *envelope*, not a point estimate: `p_miss_upper`
 // chains attempts at their worst-case (adjacent, maximally bursty)

@@ -5,8 +5,6 @@
 // construction: run_experiment builds its own Engine, scheduler, Rng,
 // and FaultInjector per call, so cells can run on as many OS threads as
 // the host offers while producing results identical to a serial run.
-// The only cross-cell state is the memoized SlackTable cache, which
-// hands out immutable tables behind a mutex (see SlackTable::shared).
 //
 // Output ordering is deterministic: results land in the same order as
 // the input cells regardless of which worker finished first, so figure

@@ -2,9 +2,73 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace coeff::sched {
+
+namespace {
+
+/// The maximal idle intervals of the set's schedule over [0, horizon),
+/// with the idle accumulated before each one.
+struct IdleIntervals {
+  std::vector<sim::Time> start;
+  std::vector<sim::Time> end;
+  std::vector<sim::Time> idle_before;
+
+  /// Idle in [0, t).
+  [[nodiscard]] sim::Time cumulative(sim::Time t) const {
+    const auto it = std::upper_bound(start.begin(), start.end(), t);
+    if (it == start.begin()) return sim::Time::zero();
+    const auto k = static_cast<std::size_t>(it - start.begin()) - 1;
+    return idle_before[k] + std::min(t, end[k]) - start[k];
+  }
+};
+
+/// A work-conserving processor is idle exactly when no released work is
+/// left, and the work left depends only on release times and WCETs, not
+/// on which job runs. So one sweep over the merged release stream (a
+/// min-heap of each task's next release) yields the idle intervals of
+/// simulate_periodic's timeline without simulating priorities.
+IdleIntervals idle_intervals(const TaskSet& set, sim::Time horizon) {
+  const auto& tasks = set.tasks();
+  using Release = std::pair<sim::Time, std::size_t>;  ///< (at, task index)
+  std::priority_queue<Release, std::vector<Release>, std::greater<>> next;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    next.emplace(tasks[i].offset, i);
+  }
+
+  IdleIntervals idle;
+  sim::Time now = sim::Time::zero();
+  sim::Time backlog = sim::Time::zero();
+  sim::Time total = sim::Time::zero();
+  auto run_until = [&](sim::Time t) {
+    if (backlog >= t - now) {
+      backlog -= t - now;
+    } else {
+      const sim::Time from = now + backlog;
+      idle.start.push_back(from);
+      idle.end.push_back(t);
+      idle.idle_before.push_back(total);
+      total += t - from;
+      backlog = sim::Time::zero();
+    }
+    now = t;
+  };
+  while (!next.empty() && next.top().first < horizon) {
+    const auto [at, i] = next.top();
+    next.pop();
+    run_until(at);
+    backlog += tasks[i].wcet;
+    next.emplace(at + tasks[i].period, i);
+  }
+  run_until(horizon);
+  return idle;
+}
+
+}  // namespace
 
 sim::Time ScheduleResult::level_idle(std::size_t level, sim::Time from,
                                      sim::Time to) const {
@@ -164,6 +228,44 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
     }
   }
   return result;
+}
+
+sim::Time min_idle_in_window(const TaskSet& set, sim::Time window) {
+  set.validate();
+  const sim::Time h = set.hyperperiod();
+  if (window <= sim::Time::zero()) return sim::Time::zero();
+  if (set.empty()) return window;  // no tasks: all time is idle
+
+  // SlackTable's horizon, periodic extension and candidate rule, on the
+  // full-schedule idle alone.
+  const sim::Time horizon = h * 3;
+  const IdleIntervals idle = idle_intervals(set, horizon);
+  const sim::Time idle_per_h = idle.cumulative(h * 2) - idle.cumulative(h);
+  auto cumulative = [&](sim::Time t) {
+    if (t <= h * 2) return idle.cumulative(t);
+    const sim::Time folded = h + (t - h) % h;
+    return idle.cumulative(folded) + idle_per_h * ((t - folded) / h);
+  };
+  // Idle in [a, a+window) with a folded into [H, 2H).
+  auto idle_from = [&](sim::Time a) {
+    if (a < h) a += h * ((h - a) / h + 1);
+    a = h + (a - h) % h;
+    return cumulative(a + window) - cumulative(a);
+  };
+
+  // g(a) = idle in [a, a+window) is continuous, H-periodic from H on, and
+  // piecewise linear with breakpoints only where a or a+window crosses an
+  // idle/busy boundary, so its minimum sits at a boundary b or at
+  // b - window (or at H). The busy/busy boundaries the table also tries
+  // are never below that minimum (DESIGN.md §14).
+  sim::Time best = idle_from(h);
+  for (std::size_t k = 0; k < idle.start.size(); ++k) {
+    for (const sim::Time b : {idle.start[k], idle.end[k]}) {
+      if (b < h || b >= horizon) continue;
+      best = std::min({best, idle_from(b), idle_from(b - window)});
+    }
+  }
+  return best;
 }
 
 }  // namespace coeff::sched

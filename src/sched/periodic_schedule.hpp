@@ -6,6 +6,11 @@
 // injects transmissions. The result carries per-job finish times and
 // the execution timeline, from which SlackTable derives the level-i
 // idle curves of §III-B/§III-F and tests obtain an exact oracle.
+//
+// min_idle_in_window answers the one question the probabilistic
+// verifier asks of the full schedule without building it: processor
+// idle does not depend on priorities, so one sweep over the merged
+// release stream finds the same idle intervals.
 #pragma once
 
 #include <cstdint>
@@ -63,5 +68,15 @@ struct ScheduleResult {
 [[nodiscard]] ScheduleResult simulate_periodic(
     const TaskSet& set, sim::Time horizon,
     const std::vector<InsertedBlock>& inserted = {});
+
+/// Guaranteed full-schedule idle inside ANY window of length `window`:
+/// min over start instants a of the idle in [a, a+window), under the
+/// periodic extension SlackTable uses (exact up to 2H, then the idle of
+/// [H, 2H) per wrap). Equal to SlackTable(set).min_idle_in_window(window)
+/// in O(releases over 3H * log n) time and O(idle intervals) memory.
+/// Throws what SlackTable's constructor throws: std::invalid_argument
+/// for an invalid set, std::domain_error for a hyperperiod past one hour.
+[[nodiscard]] sim::Time min_idle_in_window(const TaskSet& set,
+                                           sim::Time window);
 
 }  // namespace coeff::sched

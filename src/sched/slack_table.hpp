@@ -33,10 +33,10 @@ class SlackTable {
   explicit SlackTable(const TaskSet& set);
 
   /// Memoized construction: task sets with identical parameters share
-  /// one immutable table, so sweep cells that reuse a static suite
-  /// (every BER point of a figure) pay the 3x-hyperperiod schedule
-  /// simulation once per process. Thread-safe; the returned table is
-  /// immutable and safe to share across sweep workers.
+  /// one immutable table, so repeated queries on one static suite in a
+  /// process (coeffctl lint's slack tripwires) pay the 3x-hyperperiod
+  /// schedule simulation once. The cache never evicts. Thread-safe; the
+  /// returned table is immutable and safe to share across threads.
   [[nodiscard]] static std::shared_ptr<const SlackTable> shared(
       const TaskSet& set);
 
@@ -65,7 +65,7 @@ class SlackTable {
   [[nodiscard]] sim::Time idle_between(std::size_t level, sim::Time a,
                                        sim::Time b) const;
 
-  // --- Analytic queries (design-time consumers: analysis::ProbWcrt) ----
+  // --- Analytic queries over the steady-state window -------------------
 
   /// Floor of the merged stealable-slack curve min_i S_i(t) over the
   /// steady-state window [H, 2H): the slack guaranteed to be grantable
@@ -77,6 +77,8 @@ class SlackTable {
   /// length `window`: min over start instants a of idle in [a, a+window)
   /// under periodic extension. The lower bound on the service a
   /// backlogged top-priority stealer receives per `window` of waiting.
+  /// sched::min_idle_in_window computes the same value without the
+  /// table; this member is its reference in the tests.
   [[nodiscard]] sim::Time min_idle_in_window(sim::Time window) const;
 
  private:

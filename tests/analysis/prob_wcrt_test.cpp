@@ -11,7 +11,9 @@
 
 #include "core/experiment.hpp"
 #include "net/message.hpp"
+#include "net/workloads.hpp"
 #include "sched/schedule_table.hpp"
+#include "sched/slack_table.hpp"
 
 namespace coeff::analysis {
 namespace {
@@ -180,6 +182,62 @@ TEST(ProbWcrt, OversubscribedCopiesAreNotCredited) {
   }
   const Report report = lint_prob(in, result);
   EXPECT_TRUE(report.has_rule("analysis.kz-contradiction"));
+}
+
+// The guaranteed service per cycle has three sources: a whole cycle
+// for an empty static set, zero when the set has no exact schedule,
+// and otherwise the full-schedule idle floor the slack table also
+// computes.
+TEST(ProbWcrt, EmptyStaticSetGuaranteesOneCycle) {
+  Fixture f;
+  const ProbWcrtResult result = analyze_prob_wcrt(f.input());
+  EXPECT_EQ(result.guaranteed_service_per_cycle, f.cluster.cycle_duration());
+}
+
+TEST(ProbWcrt, HourPlusHyperperiodGuaranteesNoService) {
+  // Pairwise coprime periods: the hyperperiod is ~5.9 hours.
+  Fixture f;
+  int id = 1;
+  for (const int period_ms : {61, 67, 71, 73}) {
+    f.statics.add(static_msg(id, sim::millis(period_ms), 600,
+                             sim::Time::zero(), id));
+    ++id;
+  }
+  f.plan.copies.assign(4, 1);
+  ProbWcrtInput in = f.input();
+  in.plan = &f.plan;
+  const ProbWcrtResult result = analyze_prob_wcrt(in);
+  EXPECT_EQ(result.guaranteed_service_per_cycle, sim::Time::zero());
+  EXPECT_GT(result.copy_demand_per_cycle, sim::Time::zero());
+  EXPECT_FALSE(result.copies_credited);
+}
+
+TEST(ProbWcrt, GuaranteedServiceEqualsSlackTableFloor) {
+  net::MessageSet ten;
+  for (int i = 1; i <= 10; ++i) {
+    ten.add(static_msg(i, sim::millis(1), 600, sim::Time::zero(), i));
+  }
+  for (const net::MessageSet& statics :
+       {net::brake_by_wire(), net::adaptive_cruise(), ten}) {
+    Fixture f;
+    f.statics = statics;
+    const ProbWcrtResult result = analyze_prob_wcrt(f.input());
+    std::vector<sched::PeriodicTask> tasks;
+    for (const net::Message& m : statics.messages()) {
+      sched::PeriodicTask t;
+      t.id = m.id;
+      t.wcet = f.cluster.transmission_time(m.size_bits);
+      t.period = m.period;
+      t.offset = m.offset;
+      t.deadline = m.deadline;
+      tasks.push_back(t);
+    }
+    const sched::SlackTable table{sched::TaskSet(std::move(tasks))};
+    EXPECT_EQ(result.guaranteed_service_per_cycle,
+              table.min_idle_in_window(f.cluster.cycle_duration()))
+        << statics.size() << " messages";
+    EXPECT_GT(result.guaranteed_service_per_cycle, sim::Time::zero());
+  }
 }
 
 TEST(ProbWcrt, MissExceedsTargetFiresOnWeakScheme) {

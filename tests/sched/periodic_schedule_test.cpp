@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "core/experiment.hpp"
+#include "net/workloads.hpp"
+#include "sched/slack_table.hpp"
+#include "sim/random.hpp"
+
 namespace coeff::sched {
 namespace {
 
@@ -143,6 +151,148 @@ TEST(PeriodicScheduleTest, BusyHorizonFullyPacked) {
   EXPECT_EQ(result.level_idle(1, sim::Time::zero(), sim::millis(40)),
             sim::Time::zero());
   EXPECT_FALSE(result.any_deadline_missed);
+}
+
+/// A random set whose hyperperiod divides 120 us, so the reference table
+/// stays small: 1-10 tasks, per-task utilization split from `u`,
+/// deadlines in (0, T] (they only move priorities), offsets in [0, T]
+/// with both ends often hit exactly (an offset of T leaves the first
+/// hyperperiod one release short).
+TaskSet random_set(sim::Rng& rng, double u) {
+  static constexpr std::int64_t kPeriodsUs[] = {2, 3, 4, 5, 6, 8, 10, 12};
+  const int n = static_cast<int>(rng.uniform_int(1, 10));
+  std::vector<double> share(static_cast<std::size_t>(n));
+  double sum = 0.0;
+  for (double& w : share) sum += w = rng.uniform(0.1, 1.0);
+  std::vector<PeriodicTask> tasks;
+  for (int i = 0; i < n; ++i) {
+    PeriodicTask t;
+    t.id = i;
+    t.period = sim::micros(kPeriodsUs[rng.uniform_int(0, 7)]);
+    const auto wcet = static_cast<std::int64_t>(
+        u * share[static_cast<std::size_t>(i)] / sum *
+        static_cast<double>(t.period.ns()));
+    t.wcet = sim::nanos(std::clamp<std::int64_t>(wcet, 1, t.period.ns()));
+    t.deadline = sim::nanos(rng.uniform_int(1, t.period.ns()));
+    const std::int64_t end = rng.uniform_int(0, 3);
+    t.offset = end == 0   ? sim::Time::zero()
+               : end == 1 ? t.period
+                          : sim::nanos(rng.uniform_int(0, t.period.ns()));
+    tasks.push_back(t);
+  }
+  return TaskSet(std::move(tasks));
+}
+
+TEST(PeriodicSchedule, MinIdleInWindowHandComputed) {
+  // 2 ms busy every 10 ms: the worst 5 ms window covers the whole job.
+  const TaskSet set({task(1, 2, 10)});
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(5)), sim::millis(3));
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(10)), sim::millis(8));
+  EXPECT_EQ(min_idle_in_window(set, sim::millis(25)), sim::millis(19));
+}
+
+// The sweep must give exactly the table's value: same horizon, same
+// periodic extension, and a candidate set that differs only by the
+// busy/busy boundaries, which are never a minimum.
+TEST(PeriodicSchedule, MinIdleInWindowMatchesSlackTable) {
+  sim::Rng rng(2026);
+  int with_idle = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    // Half the sets anywhere from light load to overload, half near
+    // U = 1, where the idle pattern is sparsest.
+    const double u = trial % 2 == 0 ? rng.uniform(0.05, 1.3)
+                                    : rng.uniform(0.8, 1.05);
+    const TaskSet set = random_set(rng, u);
+    const SlackTable table(set);
+    const sim::Time h = table.hyperperiod();
+    for (const sim::Time window :
+         {sim::nanos(1), sim::nanos(rng.uniform_int(1, h.ns())), h,
+          h + sim::nanos(rng.uniform_int(1, 2 * h.ns()))}) {
+      const sim::Time got = min_idle_in_window(set, window);
+      ASSERT_EQ(got, table.min_idle_in_window(window))
+          << "trial " << trial << ", window " << window.ns() << " ns";
+      with_idle += got > sim::Time::zero() ? 1 : 0;
+    }
+  }
+  // Guard against a vacuous comparison of zeros.
+  EXPECT_GT(with_idle, 5000);
+}
+
+/// A static set as the wire-speed task set the probabilistic verifier
+/// analyzes.
+TaskSet wire_set(const net::MessageSet& statics,
+                 const flexray::ClusterConfig& cluster) {
+  std::vector<PeriodicTask> tasks;
+  for (const auto& m : statics.messages()) {
+    PeriodicTask t;
+    t.id = m.id;
+    t.wcet = cluster.transmission_time(m.size_bits);
+    t.period = m.period;
+    t.offset = m.offset;
+    t.deadline = m.deadline;
+    tasks.push_back(t);
+  }
+  return TaskSet(std::move(tasks));
+}
+
+TEST(PeriodicSchedule, MinIdleInWindowMatchesSlackTableOnShippedWorkloads) {
+  const flexray::ClusterConfig apps = core::paper_cluster_apps(25);
+  const flexray::ClusterConfig suite = core::paper_cluster_dynamic_suite(50);
+  sim::Rng rng(42);  // coeffctl's default seed for --workload synthetic
+  net::SyntheticStaticOptions synthetic;
+  synthetic.count = 100;
+  const std::vector<std::pair<net::MessageSet, flexray::ClusterConfig>>
+      workloads = {
+          {net::brake_by_wire(), apps},
+          {net::adaptive_cruise(), apps},
+          {net::brake_by_wire().merged_with(net::adaptive_cruise()), apps},
+          {net::synthetic_static(synthetic, rng), suite},
+      };
+  for (const auto& [statics, cluster] : workloads) {
+    const TaskSet set = wire_set(statics, cluster);
+    const SlackTable table(set);
+    const sim::Time cycle = cluster.cycle_duration();
+    for (const sim::Time window :
+         {sim::nanos(1), cluster.static_slot_duration(), cycle, cycle * 7,
+          table.hyperperiod() + cycle}) {
+      EXPECT_EQ(min_idle_in_window(set, window),
+                table.min_idle_in_window(window))
+          << statics.size() << " messages, window " << window.ns() << " ns";
+    }
+  }
+}
+
+TEST(PeriodicSchedule, MinIdleInWindowEdgeCases) {
+  const TaskSet light({task(1, 2, 10)});
+  const TaskSet empty;
+  for (const TaskSet* set : {&light, &empty}) {
+    EXPECT_EQ(min_idle_in_window(*set, sim::Time::zero()), sim::Time::zero());
+    EXPECT_EQ(min_idle_in_window(*set, sim::nanos(-1)), sim::Time::zero());
+    EXPECT_EQ(min_idle_in_window(*set, sim::millis(3)),
+              SlackTable(*set).min_idle_in_window(sim::millis(3)));
+  }
+  // No tasks: every window is all idle.
+  EXPECT_EQ(min_idle_in_window(empty, sim::millis(3)), sim::millis(3));
+
+  // U = 1 with zero offsets: never idle, whatever the window.
+  const TaskSet full({task(1, 1, 2), task(2, 2, 4)});
+  for (const sim::Time window :
+       {sim::nanos(1), sim::millis(3), sim::millis(9)}) {
+    EXPECT_EQ(min_idle_in_window(full, window), sim::Time::zero());
+  }
+
+  // Throws what the table's constructor throws, before the window check.
+  const TaskSet hour_plus(
+      {task(1, 1, 61), task(2, 1, 67), task(3, 1, 71), task(4, 1, 73)});
+  EXPECT_THROW((void)SlackTable(hour_plus), std::domain_error);
+  EXPECT_THROW((void)min_idle_in_window(hour_plus, sim::millis(1)),
+               std::domain_error);
+  EXPECT_THROW((void)min_idle_in_window(hour_plus, sim::Time::zero()),
+               std::domain_error);
+  const TaskSet invalid({task(1, 11, 10)});
+  EXPECT_THROW((void)SlackTable(invalid), std::invalid_argument);
+  EXPECT_THROW((void)min_idle_in_window(invalid, sim::millis(1)),
+               std::invalid_argument);
 }
 
 }  // namespace
