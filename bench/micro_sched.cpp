@@ -3,6 +3,7 @@
 // online decisions run.
 #include <benchmark/benchmark.h>
 
+#include "core/cycle_template.hpp"
 #include "fault/reliability.hpp"
 #include "net/workloads.hpp"
 #include "sched/periodic_schedule.hpp"
@@ -115,6 +116,23 @@ void BM_ScheduleTableBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleTableBuild)->Arg(20)->Arg(100)->Arg(200);
+
+// The per-run set-up the walk pays after the table: one template
+// rebuild over the same table (every run rebuilds at least once).
+void BM_CycleTemplateRebuild(benchmark::State& state) {
+  const auto set = make_statics(static_cast<std::size_t>(state.range(0)));
+  auto cfg = flexray::ClusterConfig::static_suite(80);
+  cfg.bus_bit_rate = 50'000'000;
+  const auto table = sched::StaticScheduleTable::build(set, cfg);
+  core::CycleTemplate tpl;
+  for (auto _ : state) {
+    tpl.rebuild(table, set, nullptr, cfg.g_number_of_static_slots);
+    benchmark::DoNotOptimize(tpl);
+    benchmark::ClobberMemory();
+  }
+  state.counters["cells"] = static_cast<double>(tpl.cells());
+}
+BENCHMARK(BM_CycleTemplateRebuild)->Arg(20)->Arg(100)->Arg(200);
 
 void BM_ReliabilityEvaluation(benchmark::State& state) {
   const auto set = make_statics(static_cast<std::size_t>(state.range(0)));

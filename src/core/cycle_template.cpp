@@ -1,54 +1,74 @@
 #include "core/cycle_template.hpp"
 
+#include <numeric>
+
 namespace coeff::core {
 
 void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
                             const net::MessageSet& statics,
                             const std::unordered_map<int, int>* budget,
                             std::int64_t num_slots) {
-  num_slots_ = num_slots;
-  period_ = table.table_period_cycles();
-  if (period_ < 1) period_ = 1;
-  const auto n = static_cast<std::size_t>(period_ * num_slots_);
-  message_.assign(n, nullptr);
-  message_id_.assign(n, -1);
-  node_.assign(n, -1);
-  payload_bits_.assign(n, 0);
-  budget_.assign(n, 0);
-  first_cycle_.assign(n, 0);
+  // The table indexes a placement only in a slot it has and with a
+  // positive repetition; message_at never answers with the others.
+  const auto indexed = [num_slots](const sched::SlotAssignment& a) {
+    return a.slot.value() >= 1 && a.slot.value() <= num_slots &&
+           a.repetition >= 1;
+  };
+  const auto slot_of = [this](const sched::SlotAssignment& a) -> SlotRows& {
+    return slots_[static_cast<std::size_t>(a.slot.value() - 1)];
+  };
 
-  // Occupancy only becomes periodic once every placement's phase has
-  // started (cycle >= its base). Sample the table at a steady-state
-  // horizon — the first period boundary past the largest base — and
-  // remember each placement's base as the cell's first active cycle.
-  std::int64_t max_base = 0;
+  slots_.assign(static_cast<std::size_t>(num_slots), SlotRows{0, 1});
   for (const auto& a : table.assignments()) {
-    if (a.base_cycle.value() > max_base) max_base = a.base_cycle.value();
+    if (!indexed(a)) continue;
+    std::int64_t& period = slot_of(a).period;
+    period = std::lcm(period, a.repetition);
   }
-  const std::int64_t horizon = (max_base + period_ - 1) / period_ * period_;
+  std::int64_t n = 0;
+  for (auto& s : slots_) {
+    s.row0 = n;
+    n += s.period;
+  }
+  const auto cells = static_cast<std::size_t>(n);
+  message_.assign(cells, nullptr);
+  message_id_.assign(cells, -1);
+  node_.assign(cells, -1);
+  payload_bits_.assign(cells, 0);
+  budget_.assign(cells, 0);
+  first_cycle_.assign(cells, 0);
 
-  for (std::int64_t row = 0; row < period_; ++row) {
-    for (std::int64_t slot = 1; slot <= num_slots_; ++slot) {
-      const auto occupant = table.message_at(units::SlotId{slot},
-                                             units::CycleIndex{horizon + row});
-      if (!occupant.has_value()) continue;
-      // Table entries whose ids are outside the base set (e.g. a
-      // subclass's pre-planned clones) stay idle here; the subclass
-      // resolves them through its own mapping.
-      const net::Message* m = statics.find(*occupant);
-      if (m == nullptr) continue;
-      const std::size_t i =
-          index(units::SlotId{slot}, units::CycleIndex{row});
-      message_[i] = m;
-      message_id_[i] = m->id;
-      node_[i] = m->node;
-      payload_bits_[i] = m->size_bits;
-      const sched::SlotAssignment* a = table.assignment_of(*occupant);
-      first_cycle_[i] = a != nullptr ? a->base_cycle.value() : 0;
+  // Past every base, message_at answers with the first placement, in
+  // assignments() order, whose base ≡ cycle (mod repetition). Each
+  // repetition divides its slot's period, so that answer depends only
+  // on cycle % period. Stamp the placements last to first, so the first
+  // one writes its rows last and wins. A placement whose id is outside
+  // `statics` (e.g. a subclass's pre-planned clones) leaves its rows
+  // idle; the subclass resolves them through its own mapping. A cell's
+  // first active cycle is its occupant's base: warm-up cycles stay idle.
+  const auto& placements = table.assignments();
+  for (auto a = placements.rbegin(); a != placements.rend(); ++a) {
+    if (!indexed(*a)) continue;
+    const net::Message* m = statics.find(a->message_id);
+    std::int64_t first = 0;
+    std::int32_t k = 0;
+    if (m != nullptr) {
+      first = table.assignment_of(a->message_id)->base_cycle.value();
       if (budget != nullptr) {
         auto it = budget->find(m->id);
-        if (it != budget->end()) budget_[i] = it->second;
+        if (it != budget->end()) k = it->second;
       }
+    }
+    const SlotRows& s = slot_of(*a);
+    const std::int64_t rep = a->repetition;
+    for (std::int64_t row = (a->base_cycle.value() % rep + rep) % rep;
+         row < s.period; row += rep) {
+      const auto i = static_cast<std::size_t>(s.row0 + row);
+      message_[i] = m;
+      message_id_[i] = m != nullptr ? m->id : -1;
+      node_[i] = m != nullptr ? m->node : -1;
+      payload_bits_[i] = m != nullptr ? m->size_bits : 0;
+      budget_[i] = k;
+      first_cycle_[i] = first;
     }
   }
   ++version_;

@@ -7,10 +7,17 @@
 // retransmission plan answers "how many copies?" through a hash lookup.
 // A walk that asked them directly would pay all three on every slot of
 // every cycle. This template precomputes the composition once per
-// (table, plan) pair into flat arrays over [cycle-in-period × slot] —
-// SoA: message ref, owner node, payload bits, retransmission-budget
-// class — so the steady-state walk is one index computation and
-// contiguous loads.
+// (table, plan) pair into flat SoA arrays — message ref, owner node,
+// payload bits, retransmission-budget class — so the steady-state walk
+// is one index computation and a few loads.
+//
+// Each slot keeps its own period: the LCM of the repetitions of the
+// placements it hosts (1 when idle), as a FlexRay controller filters
+// each buffer by base cycle and cycle repetition. Slot s owns rows
+// [row0[s], row0[s] + period[s]) and (slot, cycle) reads row
+// row0[s] + cycle % period[s]. Each period divides the table period, so
+// the template never stores more than slots × table-period cells, and
+// usually far fewer (DESIGN.md §12).
 //
 // The template is a pure cache: it must be rebuilt (rebuild()) whenever
 // any input changes — a plan swap, a membership change, or failover
@@ -57,8 +64,9 @@ class CycleTemplate {
  public:
   /// Recompute every array from the current inputs. `budget` maps
   /// message id to its planned retransmission copies (k_z); nullptr or
-  /// a missing id mean 0. Message pointers are borrowed from `statics`,
-  /// which must stay alive and unmodified while the template is in use.
+  /// a missing id mean 0. `num_slots` is the table's static slot count.
+  /// Message pointers are borrowed from `statics`, which must stay alive
+  /// and unmodified while the template is in use.
   void rebuild(const sched::StaticScheduleTable& table,
                const net::MessageSet& statics,
                const std::unordered_map<int, int>* budget,
@@ -100,29 +108,34 @@ class CycleTemplate {
 
   /// Monotonic rebuild counter (trace field b of kTemplateRebuild).
   [[nodiscard]] std::int64_t version() const { return version_; }
-  /// Cycles until the compiled pattern repeats (the table period).
-  [[nodiscard]] std::int64_t period_cycles() const { return period_; }
+  /// Stored (slot, cycle-in-slot-period) cells: the sum of the slot
+  /// periods.
+  [[nodiscard]] std::size_t cells() const { return message_.size(); }
   [[nodiscard]] bool empty() const { return message_.empty(); }
 
  private:
+  struct SlotRows {
+    std::int64_t row0;    ///< first cell of the slot
+    std::int64_t period;  ///< LCM of the slot's repetitions, >= 1
+  };
+
   [[nodiscard]] std::size_t index(units::SlotId slot,
                                   units::CycleIndex cycle) const {
-    const std::int64_t row = cycle.value() % period_;
-    return static_cast<std::size_t>(row * num_slots_ + slot.value() - 1);
+    const SlotRows& s = slots_[static_cast<std::size_t>(slot.value() - 1)];
+    return static_cast<std::size_t>(s.row0 + cycle.value() % s.period);
   }
 
-  // SoA over [cycle-in-period × slot], row-major, slot 1 at column 0.
-  // Occupancy is only eventually periodic: a placement's phase starts
-  // at its base cycle (offset warm-up), so each cell carries the first
-  // cycle at which its steady-state occupant is actually active.
+  // SoA over the cells of every slot, slot 1's rows first. Occupancy is
+  // only eventually periodic: a placement's phase starts at its base
+  // cycle (offset warm-up), so each cell carries the first cycle at
+  // which its steady-state occupant is actually active.
+  std::vector<SlotRows> slots_;
   std::vector<const net::Message*> message_;
   std::vector<int> message_id_;
   std::vector<std::int32_t> node_;
   std::vector<std::int64_t> payload_bits_;
   std::vector<std::int32_t> budget_;
   std::vector<std::int64_t> first_cycle_;
-  std::int64_t num_slots_ = 0;
-  std::int64_t period_ = 1;
   std::int64_t version_ = 0;
 };
 

@@ -7,8 +7,23 @@
 namespace coeff::net {
 
 namespace {
-void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument("MessageSet: " + what);
+[[noreturn]] void reject(const std::string& what) {
+  throw std::invalid_argument("MessageSet: " + what);
+}
+
+/// The first per-message rule `m` breaks, in check order, or nullptr.
+/// Kept as static text so a valid set builds no error strings.
+const char* field_violation(const Message& m) {
+  if (m.period <= sim::Time::zero()) return "period must be positive";
+  if (m.size_bits <= 0) return "size must be positive";
+  if (m.deadline <= sim::Time::zero()) return "deadline must be positive";
+  if (m.deadline > m.period) {
+    return "deadline exceeds period (constrained-deadline model)";
+  }
+  if (m.offset < sim::Time::zero()) return "negative offset";
+  if (m.offset > m.period) return "offset exceeds period";
+  if (m.node < 0) return "negative node";
+  return nullptr;
 }
 }  // namespace
 
@@ -62,27 +77,16 @@ void MessageSet::validate() const {
   std::set<int> ids;
   std::set<int> static_frame_ids;
   for (const auto& m : msgs_) {
-    require(ids.insert(m.id).second,
-            "duplicate message id " + std::to_string(m.id));
-    require(m.period > sim::Time::zero(),
-            "message " + std::to_string(m.id) + ": period must be positive");
-    require(m.size_bits > 0,
-            "message " + std::to_string(m.id) + ": size must be positive");
-    require(m.deadline > sim::Time::zero(),
-            "message " + std::to_string(m.id) + ": deadline must be positive");
-    require(m.deadline <= m.period,
-            "message " + std::to_string(m.id) +
-                ": deadline exceeds period (constrained-deadline model)");
-    require(m.offset >= sim::Time::zero(),
-            "message " + std::to_string(m.id) + ": negative offset");
-    require(m.offset <= m.period,
-            "message " + std::to_string(m.id) + ": offset exceeds period");
-    require(m.node >= 0,
-            "message " + std::to_string(m.id) + ": negative node");
-    if (m.kind == MessageKind::kStatic && m.frame_id != 0) {
-      require(static_frame_ids.insert(m.frame_id).second,
-              "message " + std::to_string(m.id) + ": static frame id " +
-                  std::to_string(m.frame_id) + " already taken");
+    if (!ids.insert(m.id).second) {
+      reject("duplicate message id " + std::to_string(m.id));
+    }
+    if (const char* what = field_violation(m)) {
+      reject("message " + std::to_string(m.id) + ": " + what);
+    }
+    if (m.kind == MessageKind::kStatic && m.frame_id != 0 &&
+        !static_frame_ids.insert(m.frame_id).second) {
+      reject("message " + std::to_string(m.id) + ": static frame id " +
+             std::to_string(m.frame_id) + " already taken");
     }
   }
 }

@@ -180,20 +180,4 @@ std::int64_t StaticScheduleTable::slots_used() const {
   return used;
 }
 
-double StaticScheduleTable::occupancy() const {
-  if (num_slots_ == 0 || table_period_ == 0) return 0.0;
-  std::int64_t occupied = 0;
-  // Count occupied (slot, cycle) pairs over one steady-state table
-  // period, starting past every base cycle.
-  units::CycleIndex start{0};
-  for (const auto& a : assignments_) start = std::max(start, a.base_cycle);
-  for (units::SlotId slot{1}; slot.value() <= num_slots_; ++slot) {
-    for (units::CycleIndex c = start; c < start + table_period_; ++c) {
-      if (message_at(slot, c).has_value()) ++occupied;
-    }
-  }
-  return static_cast<double>(occupied) /
-         static_cast<double>(num_slots_ * table_period_);
-}
-
 }  // namespace coeff::sched

@@ -67,10 +67,6 @@ class StaticScheduleTable {
   [[nodiscard]] std::optional<int> message_at(units::SlotId slot,
                                               units::CycleIndex cycle) const;
 
-  [[nodiscard]] bool is_idle(units::SlotId slot, units::CycleIndex cycle) const {
-    return !message_at(slot, cycle).has_value();
-  }
-
   [[nodiscard]] const std::vector<SlotAssignment>& assignments() const {
     return assignments_;
   }
@@ -85,9 +81,6 @@ class StaticScheduleTable {
 
   /// Number of distinct slots with at least one occupant.
   [[nodiscard]] std::int64_t slots_used() const;
-
-  /// Fraction of (slot, cycle) pairs occupied over one table period.
-  [[nodiscard]] double occupancy() const;
 
   /// LCM of all repetitions: the table repeats with this many cycles.
   [[nodiscard]] std::int64_t table_period_cycles() const {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "net/workloads.hpp"
 #include "sim/trace.hpp"
@@ -360,27 +364,54 @@ TEST(TraceLintTest, TracesWithoutRebuildMarkersAreExempt) {
 }
 
 TEST(TraceLintTest, RecordedStructuralRunPassesTemplateInvalidation) {
-  // A real run with crashes, blackouts and a monitor re-plan: the
-  // scheduler's own rebuild discipline must satisfy the rule.
+  // A real run with a crash, a blackout and a monitor re-plan after a
+  // BER step: each scheme's own rebuild discipline must satisfy the
+  // rule, and each trace must carry the rebuild reasons the scheme has.
   core::ExperimentConfig config;
   config.cluster = core::paper_cluster_apps(25);
-  config.statics = net::brake_by_wire();
+  config.statics = net::brake_by_wire().merged_with(net::adaptive_cruise());
   config.batch_window = sim::millis(100);
   config.structural.blackouts.push_back(
       {flexray::ChannelId::kA, sim::millis(5), sim::millis(20)});
   config.structural.crashes.push_back(
       {units::NodeId{1}, sim::millis(10), sim::millis(30)});
-  sim::Trace trace;
-  config.trace = &trace;
-  (void)core::run_experiment(config, core::SchemeKind::kCoEfficient);
-  ASSERT_GT(trace.count(TraceKind::kTemplateRebuild), 0u);
+  config.ber_step_at = sim::millis(40);
+  config.ber_step = 2e-5;
+  config.enable_monitor = true;
+  using Why = core::TemplateRebuildWhy;
+  const struct {
+    core::SchemeKind scheme;
+    std::vector<Why> reasons;
+  } cases[] = {
+      {core::SchemeKind::kCoEfficient,
+       {Why::kInitial, Why::kPlanSwap, Why::kMembership, Why::kChannel}},
+      {core::SchemeKind::kFspec,
+       {Why::kInitial, Why::kMembership, Why::kChannel}},
+      {core::SchemeKind::kHosa,
+       {Why::kInitial, Why::kMembership, Why::kChannel}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(core::to_string(c.scheme));
+    sim::Trace trace;
+    config.trace = &trace;
+    (void)core::run_experiment(config, c.scheme);
+    std::set<std::string> seen;
+    for (const auto& r : trace.records()) {
+      if (r.kind == TraceKind::kTemplateRebuild) {
+        seen.insert(core::to_string(static_cast<Why>(r.c)));
+      }
+    }
+    std::set<std::string> expected;
+    for (const Why why : c.reasons) expected.insert(core::to_string(why));
+    EXPECT_EQ(seen, expected);
 
-  TraceLintInput input;
-  input.trace = &trace;
-  input.cluster = &config.cluster;
-  const Report report = lint_trace(input);
-  EXPECT_FALSE(report.has_rule("engine.template-invalidation"))
-      << report.render_text();
+    TraceLintInput input;
+    input.trace = &trace;
+    input.cluster = &config.cluster;
+    const Report report = lint_trace(input);
+    EXPECT_FALSE(report.has_rule("engine.template-invalidation"))
+        << report.render_text();
+  }
 }
 
 TEST(TraceLintTest, ModeChangeOffBoundaryIsFlagged) {

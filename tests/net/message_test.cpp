@@ -60,6 +60,52 @@ TEST(MessageSetTest, DuplicateStaticFrameIdsRejected) {
   EXPECT_THROW(MessageSet({a, b}).validate(), std::invalid_argument);
 }
 
+TEST(MessageSetTest, ValidateNamesTheFirstBrokenRule) {
+  const auto message_of = [](const MessageSet& set) -> std::string {
+    try {
+      set.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "valid";
+  };
+  const auto with = [](auto edit) {
+    Message m = make(7, 10, 5, 100);
+    edit(m);
+    return MessageSet({m});
+  };
+  EXPECT_EQ(message_of(MessageSet({make(7, 10, 5, 100), make(7, 20, 5, 100)})),
+            "MessageSet: duplicate message id 7");
+  EXPECT_EQ(message_of(with([](Message& m) { m.period = sim::Time::zero(); })),
+            "MessageSet: message 7: period must be positive");
+  EXPECT_EQ(message_of(with([](Message& m) { m.size_bits = 0; })),
+            "MessageSet: message 7: size must be positive");
+  EXPECT_EQ(message_of(with([](Message& m) { m.deadline = sim::millis(-1); })),
+            "MessageSet: message 7: deadline must be positive");
+  EXPECT_EQ(message_of(with([](Message& m) { m.deadline = sim::millis(11); })),
+            "MessageSet: message 7: deadline exceeds period "
+            "(constrained-deadline model)");
+  EXPECT_EQ(message_of(with([](Message& m) { m.offset = sim::millis(-1); })),
+            "MessageSet: message 7: negative offset");
+  EXPECT_EQ(message_of(with([](Message& m) { m.offset = sim::millis(11); })),
+            "MessageSet: message 7: offset exceeds period");
+  EXPECT_EQ(message_of(with([](Message& m) { m.node = -1; })),
+            "MessageSet: message 7: negative node");
+  Message a = make(7, 10, 5, 100);
+  Message b = make(8, 10, 5, 100);
+  a.frame_id = 3;
+  b.frame_id = 3;
+  EXPECT_EQ(message_of(MessageSet({a, b})),
+            "MessageSet: message 8: static frame id 3 already taken");
+  // Checks run in order: a message breaking several rules names the
+  // first of them.
+  EXPECT_EQ(message_of(with([](Message& m) {
+              m.size_bits = 0;
+              m.node = -1;
+            })),
+            "MessageSet: message 7: size must be positive");
+}
+
 TEST(MessageSetTest, DynamicFrameIdsMayRepeatAcrossKinds) {
   auto a = make(1, 10, 5, 100, MessageKind::kDynamic);
   auto b = make(2, 10, 5, 100, MessageKind::kDynamic);

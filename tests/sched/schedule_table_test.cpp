@@ -44,7 +44,6 @@ TEST(ScheduleTableTest, SingleMessagePlacedInFirstSlot) {
   EXPECT_EQ(a.repetition, 1);
   EXPECT_EQ(table.message_at(units::SlotId{1}, units::CycleIndex{0}), 1);
   EXPECT_EQ(table.message_at(units::SlotId{1}, units::CycleIndex{17}), 1);
-  EXPECT_TRUE(table.is_idle(units::SlotId{2}, units::CycleIndex{0}));
 }
 
 TEST(ScheduleTableTest, PeriodMustBeCycleMultiple) {
@@ -207,13 +206,6 @@ TEST(ScheduleTableTest, RankOptionControlsPlacementOrder) {
   const auto table = StaticScheduleTable::build(set, config_5ms(), options);
   EXPECT_EQ(table.assignment_of(2)->slot, units::SlotId{1});
   EXPECT_EQ(table.assignment_of(1)->slot, units::SlotId{2});
-}
-
-TEST(ScheduleTableTest, OccupancyFractionSane) {
-  const auto table = StaticScheduleTable::build(
-      net::MessageSet({msg(1, 0, 5, 5, 400)}), config_5ms());
-  // One slot of 80 occupied in every cycle.
-  EXPECT_NEAR(table.occupancy(), 1.0 / 80.0, 1e-9);
 }
 
 TEST(ScheduleTableTest, AssignmentLookupByMessage) {
