@@ -93,7 +93,7 @@ void CoEfficientScheduler::rebuild_plan(double ber, bool throw_on_infeasible) {
 void CoEfficientScheduler::on_static_release(Instance& inst,
                                              const net::Message& m) {
   add_copies(inst, 1);  // the primary
-  const sched::SlotAssignment* a = table_.assignment_of(m.id);
+  const sched::SlotAssignment* a = placement_of(m);
   if (a != nullptr) {
     auto& buffers =
         nodes_.at(static_cast<std::size_t>(m.node)).static_buffers();
@@ -152,11 +152,12 @@ void CoEfficientScheduler::on_static_release(Instance& inst,
   job.release = inst.release;
   job.deadline = inst.abs_deadline;
   job.home_slot = a != nullptr ? a->slot : units::SlotId{0};
-  // Keep the queue EDF-ordered.
+  job.copies = kz;
+  // Keep the queue EDF-ordered, FIFO among equal deadlines.
   auto pos = std::upper_bound(
       retx_jobs_.begin(), retx_jobs_.end(), job,
       [](const RetxJob& a, const RetxJob& b) { return a.deadline < b.deadline; });
-  retx_jobs_.insert(pos, static_cast<std::size_t>(kz), job);
+  retx_jobs_.insert(pos, job);
 }
 
 void CoEfficientScheduler::on_dynamic_release(
@@ -271,7 +272,7 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
           trace_->emit(at, sim::TraceKind::kMatchUp, id, entry.node,
                        cycle.value(), static_cast<std::int64_t>(entry.level));
         }
-        add_dynamic_arrival(id, at);
+        on_arrival(id, at);
       }
     }
   }
@@ -288,13 +289,14 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
     }
   }
 
-  // Copies whose deadline passed with no fitting slack are abandoned.
+  // Copies whose deadline passed with no fitting slack are abandoned,
+  // each one cancelled and counted.
   for (auto it = retx_jobs_.begin(); it != retx_jobs_.end();) {
     if (it->deadline < at) {
       if (Instance* inst = instances_.find(it->instance)) {
-        cancel_copies(*inst, 1);
+        cancel_copies(*inst, it->copies);
       }
-      ++stats_.retransmission_copies_dropped;
+      stats_.retransmission_copies_dropped += it->copies;
       it = retx_jobs_.erase(it);
     } else {
       ++it;
@@ -532,15 +534,14 @@ std::optional<flexray::TxRequest> CoEfficientScheduler::decide_static(
       retx_it != retx_jobs_.end() &&
       !(dyn.has_value() && (retx_can_wait || soft_reserved));
   if (retx_wins) {
-    const RetxJob job = *retx_it;
-    retx_jobs_.erase(retx_it);
     ++stats_.slack_slots_stolen;
     flexray::TxRequest req;
-    req.instance = job.instance;
+    req.instance = retx_it->instance;
     req.frame_id = units::to_frame_id(slot);
-    req.sender = units::NodeId{job.node};
-    req.payload_bits = job.bits;
+    req.sender = units::NodeId{retx_it->node};
+    req.payload_bits = retx_it->bits;
     req.retransmission = true;
+    if (--retx_it->copies == 0) retx_jobs_.erase(retx_it);
     return req;
   }
   if (dyn.has_value()) {
@@ -687,10 +688,10 @@ void CoEfficientScheduler::on_node_down(units::NodeId node,
                                         units::CycleIndex cycle, sim::Time at) {
   // The crash settled the node's instances as source-lost and erased
   // them; drop the dangling retransmission copies still queued for
-  // slack (their owed counts were already cancelled).
+  // slack (their owed counts were already cancelled), counting each.
   for (auto it = retx_jobs_.begin(); it != retx_jobs_.end();) {
     if (instances_.find(it->instance) == nullptr) {
-      ++stats_.retransmission_copies_dropped;
+      stats_.retransmission_copies_dropped += it->copies;
       it = retx_jobs_.erase(it);
     } else {
       ++it;

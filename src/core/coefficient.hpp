@@ -173,7 +173,8 @@ class CoEfficientScheduler : public SchedulerBase {
                   sim::Time at) override;
 
  private:
-  /// A planned retransmission copy waiting for slack.
+  /// The planned retransmission copies of one instance waiting for
+  /// slack. Its copies are identical, so one entry carries their count.
   struct RetxJob {
     std::uint64_t instance;
     int node;
@@ -181,6 +182,7 @@ class CoEfficientScheduler : public SchedulerBase {
     sim::Time release;
     sim::Time deadline;
     units::SlotId home_slot{0};  ///< the message's own static slot
+    int copies = 0;              ///< copies still queued, >= 1
   };
 
   /// Earliest-deadline retransmission job that fits `capacity_bits` and
@@ -237,7 +239,8 @@ class CoEfficientScheduler : public SchedulerBase {
   std::int64_t static_capacity_bits_ = 0;
   std::int64_t idle_slot_counter_ = 0;
   std::unordered_map<int, int> copies_by_message_;  ///< k_z by message id
-  std::deque<RetxJob> retx_jobs_;                   ///< EDF-ordered
+  /// EDF-ordered, FIFO among equal deadlines; one entry per instance.
+  std::deque<RetxJob> retx_jobs_;
   std::unique_ptr<fault::ReliabilityMonitor> monitor_;
   std::unique_ptr<fault::SilentNodeDetector> detector_;
   std::vector<char> member_dead_;  ///< excluded from the plan, by node

@@ -25,15 +25,23 @@ FspecScheduler::FspecScheduler(const flexray::ClusterConfig& cfg,
   if (options_.rounds < 1) {
     throw std::invalid_argument("FspecScheduler: rounds must be >= 1");
   }
+  round_state_.assign(statics_.size(), RoundState{});
+}
+
+FspecScheduler::RoundState* FspecScheduler::round_at(units::SlotId slot,
+                                                     units::CycleIndex cycle) {
+  const net::Message* occupant = tpl_.message_at(slot, cycle);
+  return occupant != nullptr ? &round_state_[static_position(*occupant)]
+                             : nullptr;
 }
 
 void FspecScheduler::on_static_release(Instance& inst, const net::Message& m) {
-  if (table_.assignment_of(m.id) == nullptr) {
+  if (placement_of(m) == nullptr) {
     return;  // no exclusive slot left: counted as a miss at the deadline
   }
   add_copies(inst, 2 * options_.rounds);
   stats_.retransmission_copies_planned += 2 * (options_.rounds - 1);
-  RoundState& st = round_state_[m.id];
+  RoundState& st = round_state_[static_position(m)];
   if (st.current == 0) {
     st.current = inst.key;
     st.rounds_done = 0;
@@ -56,28 +64,14 @@ void FspecScheduler::on_dynamic_release(Instance& inst,
   nodes_.at(static_cast<std::size_t>(m.node)).dynamic_queue().push(pending);
 }
 
-void FspecScheduler::on_cycle_start_hook(units::CycleIndex /*cycle*/,
-                                         sim::Time /*at*/) {
-  // The mirror staging map must drain within its cycle; anything left
-  // means channel B never carried the copy (should not happen — both
-  // channels see identical arbitration). Forfeit such copies.
-  for (const auto& [_, req] : dynamic_mirror_) {
-    if (Instance* inst = instances_.find(req.instance)) {
-      cancel_copies(*inst, 1);
-    }
-  }
-  dynamic_mirror_.clear();
-}
-
 std::optional<flexray::TxRequest> FspecScheduler::static_slot(
     flexray::ChannelId channel, units::CycleIndex cycle, units::SlotId slot) {
-  const int occupant = tpl_.message_id_at(slot, cycle);
-  if (occupant < 0) return std::nullopt;  // unreserved slots idle
-  auto it = round_state_.find(occupant);
-  if (it == round_state_.end() || it->second.current == 0) {
+  RoundState* train = round_at(slot, cycle);
+  if (train == nullptr) return std::nullopt;  // unreserved slots idle
+  if (train->current == 0) {
     return std::nullopt;  // reserved but no fresh data: wasted occurrence
   }
-  RoundState& st = it->second;
+  RoundState& st = *train;
   if (channel == flexray::ChannelId::kA && st.staged != 0 &&
       st.rounds_done >= 1) {
     // Best effort: once the old instance has had a shot, fresh data
@@ -123,13 +117,12 @@ void FspecScheduler::decide_static_chunk(
   for (std::int64_t s = slot_begin; s <= slot_end;
        ++s, slot_start = slot_start + slot_duration) {
     const units::SlotId slot{s};
-    const int occupant = tpl_.message_id_at(slot, cycle);
-    if (occupant < 0) continue;  // unreserved slots idle
-    auto it = round_state_.find(occupant);
-    if (it == round_state_.end() || it->second.current == 0) {
+    RoundState* train = round_at(slot, cycle);
+    if (train == nullptr) continue;  // unreserved slots idle
+    if (train->current == 0) {
       continue;  // reserved but no fresh data: wasted occurrence
     }
-    RoundState& st = it->second;
+    RoundState& st = *train;
     if (st.staged != 0 && st.rounds_done >= 1) {
       // Best effort: once the old instance has had a shot, fresh data
       // preempts its remaining retransmission rounds.
@@ -162,11 +155,7 @@ std::optional<flexray::TxRequest> FspecScheduler::dynamic_slot(
     std::int64_t minislots_remaining) {
   if (channel == flexray::ChannelId::kB) {
     // Replay exactly what channel A carried in this dynamic slot.
-    auto it = dynamic_mirror_.find(slot_counter);
-    if (it == dynamic_mirror_.end()) return std::nullopt;
-    flexray::TxRequest req = it->second;
-    dynamic_mirror_.erase(it);
-    return req;
+    return take_mirror(slot_counter);
   }
 
   const net::Message* m =
@@ -189,29 +178,21 @@ std::optional<flexray::TxRequest> FspecScheduler::dynamic_slot(
   req.frame_id = units::to_frame_id(slot_counter);
   req.sender = units::NodeId{m->node};
   req.payload_bits = pending->payload_bits;
-  dynamic_mirror_[slot_counter] = req;  // channel B will replay it
+  stage_mirror(slot_counter, req);  // channel B will replay it
   return req;
 }
 
 std::int64_t FspecScheduler::dynamic_next_frame(flexray::ChannelId channel,
                                                 std::int64_t min_frame) const {
-  if (channel == flexray::ChannelId::kB) {
-    // Channel B only replays what A staged: the mirror map's keys are
-    // the complete set of slot counters B can transmit in.
-    std::int64_t best = flexray::kNoDynamicFrame;
-    for (const auto& [slot_counter, _] : dynamic_mirror_) {
-      const std::int64_t frame = slot_counter.value();
-      if (frame >= min_frame && frame < best) best = frame;
-    }
-    return best;
-  }
+  // Channel B only replays what A staged.
+  if (channel == flexray::ChannelId::kB) return mirror_next_frame(min_frame);
   return queued_dynamic_next_frame(min_frame);
 }
 
 void FspecScheduler::on_node_down(units::NodeId /*node*/,
                                   units::CycleIndex /*cycle*/,
                                   sim::Time /*at*/) {
-  for (auto& [_, st] : round_state_) {
+  for (RoundState& st : round_state_) {
     if (st.staged != 0 && instances_.find(st.staged) == nullptr) {
       st.staged = 0;
     }
@@ -219,13 +200,6 @@ void FspecScheduler::on_node_down(units::NodeId /*node*/,
       st.current = st.staged;
       st.staged = 0;
       st.rounds_done = 0;
-    }
-  }
-  for (auto it = dynamic_mirror_.begin(); it != dynamic_mirror_.end();) {
-    if (instances_.find(it->second.instance) == nullptr) {
-      it = dynamic_mirror_.erase(it);
-    } else {
-      ++it;
     }
   }
 }
@@ -242,7 +216,7 @@ void FspecScheduler::on_tx_complete(const flexray::TxOutcome& outcome) {
   // A mirrored static pair completed: one round done for this message.
   Instance* inst = instances_.find(outcome.request.instance);
   if (inst == nullptr) return;
-  RoundState& st = round_state_[inst->message_id];
+  RoundState& st = round_state_[InstanceStore::position_of(inst->key)];
   if (st.current != inst->key) return;
   if (++st.rounds_done >= options_.rounds) {
     st.current = st.staged;

@@ -25,7 +25,7 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/scheduler_base.hpp"
 
@@ -67,14 +67,13 @@ class FspecScheduler : public SchedulerBase {
   void on_tx_complete(const flexray::TxOutcome& outcome) override;
 
  protected:
-  void on_cycle_start_hook(units::CycleIndex cycle, sim::Time at) override;
   void on_static_release(Instance& inst, const net::Message& m) override;
   void on_dynamic_release(Instance& inst, const net::Message& m,
                           const flexray::PendingMessage& pending) override;
-  /// A crash erased the node's instances; the round trains and mirror
-  /// staging referencing them must be reset or they would dereference
-  /// (and resubmit) dead keys. FSPEC has no further recovery: the
-  /// exclusive slots simply go idle until the node returns.
+  /// A crash erased the node's instances; the round trains referencing
+  /// them must be reset or they would dereference (and resubmit) dead
+  /// keys. FSPEC has no further recovery: the exclusive slots simply go
+  /// idle until the node returns.
   void on_node_down(units::NodeId node, units::CycleIndex cycle,
                     sim::Time at) override;
 
@@ -91,11 +90,13 @@ class FspecScheduler : public SchedulerBase {
     std::uint64_t staged = 0;
   };
 
+  /// The round train of the occupant of (slot, cycle), or nullptr when
+  /// the occurrence is unreserved.
+  [[nodiscard]] RoundState* round_at(units::SlotId slot,
+                                     units::CycleIndex cycle);
+
   FspecOptions options_;
-  std::unordered_map<int, RoundState> round_state_;  ///< by message id
-  /// Channel-B mirror staging for the dynamic segment: what channel A
-  /// sent this cycle per dynamic slot counter.
-  std::unordered_map<units::SlotId, flexray::TxRequest> dynamic_mirror_;
+  std::vector<RoundState> round_state_;  ///< by static position
 };
 
 }  // namespace coeff::core

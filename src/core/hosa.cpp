@@ -9,7 +9,7 @@ HosaScheduler::HosaScheduler(const flexray::ClusterConfig& cfg,
                     batch_window) {}
 
 void HosaScheduler::on_static_release(Instance& inst, const net::Message& m) {
-  const sched::SlotAssignment* a = table_.assignment_of(m.id);
+  const sched::SlotAssignment* a = placement_of(m);
   if (a == nullptr) return;  // unplaced: miss at the deadline
   add_copies(inst, 2);       // one mirrored pair per instance
   auto& buffers = nodes_.at(static_cast<std::size_t>(m.node)).static_buffers();
@@ -31,16 +31,6 @@ void HosaScheduler::on_dynamic_release(Instance& inst, const net::Message& m,
                                        const flexray::PendingMessage& pending) {
   add_copies(inst, 2);  // channel A frame + its channel B mirror
   nodes_.at(static_cast<std::size_t>(m.node)).dynamic_queue().push(pending);
-}
-
-void HosaScheduler::on_cycle_start_hook(units::CycleIndex /*cycle*/,
-                                        sim::Time /*at*/) {
-  for (const auto& [_, req] : dynamic_mirror_) {
-    if (Instance* inst = instances_.find(req.instance)) {
-      cancel_copies(*inst, 1);
-    }
-  }
-  dynamic_mirror_.clear();
 }
 
 std::optional<flexray::TxRequest> HosaScheduler::static_slot(
@@ -106,11 +96,8 @@ std::optional<flexray::TxRequest> HosaScheduler::dynamic_slot(
     units::SlotId slot_counter, units::MinislotId minislot,
     std::int64_t minislots_remaining) {
   if (channel == flexray::ChannelId::kB) {
-    auto it = dynamic_mirror_.find(slot_counter);
-    if (it == dynamic_mirror_.end()) return std::nullopt;
-    flexray::TxRequest req = it->second;
-    req.retransmission = true;
-    dynamic_mirror_.erase(it);
+    auto req = take_mirror(slot_counter);
+    if (req) req->retransmission = true;  // the mirror is the redundant copy
     return req;
   }
   const net::Message* m =
@@ -133,33 +120,14 @@ std::optional<flexray::TxRequest> HosaScheduler::dynamic_slot(
   req.frame_id = units::to_frame_id(slot_counter);
   req.sender = units::NodeId{m->node};
   req.payload_bits = pending->payload_bits;
-  dynamic_mirror_[slot_counter] = req;
+  stage_mirror(slot_counter, req);  // channel B will replay it
   return req;
 }
 
 std::int64_t HosaScheduler::dynamic_next_frame(flexray::ChannelId channel,
                                                std::int64_t min_frame) const {
-  if (channel == flexray::ChannelId::kB) {
-    std::int64_t best = flexray::kNoDynamicFrame;
-    for (const auto& [slot_counter, _] : dynamic_mirror_) {
-      const std::int64_t frame = slot_counter.value();
-      if (frame >= min_frame && frame < best) best = frame;
-    }
-    return best;
-  }
+  if (channel == flexray::ChannelId::kB) return mirror_next_frame(min_frame);
   return queued_dynamic_next_frame(min_frame);
-}
-
-void HosaScheduler::on_node_down(units::NodeId /*node*/,
-                                 units::CycleIndex /*cycle*/,
-                                 sim::Time /*at*/) {
-  for (auto it = dynamic_mirror_.begin(); it != dynamic_mirror_.end();) {
-    if (instances_.find(it->second.instance) == nullptr) {
-      it = dynamic_mirror_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void HosaScheduler::on_tx_complete(const flexray::TxOutcome& outcome) {

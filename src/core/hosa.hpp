@@ -10,7 +10,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "core/scheduler_base.hpp"
 
@@ -41,17 +40,9 @@ class HosaScheduler : public SchedulerBase {
   void on_tx_complete(const flexray::TxOutcome& outcome) override;
 
  protected:
-  void on_cycle_start_hook(units::CycleIndex cycle, sim::Time at) override;
   void on_static_release(Instance& inst, const net::Message& m) override;
   void on_dynamic_release(Instance& inst, const net::Message& m,
                           const flexray::PendingMessage& pending) override;
-  /// Drop mirror-staging entries whose instances the crash erased.
-  void on_node_down(units::NodeId node, units::CycleIndex cycle,
-                    sim::Time at) override;
-
- private:
-  /// Channel-B mirror staging for the dynamic segment.
-  std::unordered_map<units::SlotId, flexray::TxRequest> dynamic_mirror_;
 };
 
 }  // namespace coeff::core

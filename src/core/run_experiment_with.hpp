@@ -6,7 +6,8 @@
 // (tests/support/reference_cluster.hpp), so both walks run the exact same
 // scheduler, fault model, arrivals and accounting. `ClusterT` needs
 // flexray::Cluster's constructor, set_batch_corruption,
-// set_fault_provider, run_until, run_cycles, cycles_run and channel.
+// set_fault_provider, set_arrivals, run_until, run_cycles, cycles_run,
+// now and channel.
 #pragma once
 
 #include <chrono>
@@ -17,7 +18,7 @@
 #include "core/hosa.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/reliability.hpp"
-#include "sim/engine.hpp"
+#include "flexray/policy.hpp"
 #include "sim/random.hpp"
 
 namespace coeff::core {
@@ -97,7 +98,6 @@ template <class ClusterT>
   if (config.drain_batch) sched->set_drop_expired_dynamics(false);
   sched->set_trace(config.trace);
 
-  sim::Engine engine;
   fault::FaultModelConfig fm = config.fault_model;
   fm.ber = config.ber;  // one knob for the planner and the iid/common wire
   const auto fault_model = fault::make_fault_model(fm, config.seed);
@@ -107,8 +107,8 @@ template <class ClusterT>
   if (config.ber_step2 >= 0.0 && config.ber_step2_at > sim::Time::zero()) {
     fault_model->schedule_ber_step(config.ber_step2_at, config.ber_step2);
   }
-  ClusterT cluster(engine, config.cluster, *sched,
-                   fault_model->as_corruption_fn(), config.trace);
+  ClusterT cluster(config.cluster, *sched, fault_model->as_corruption_fn(),
+                   config.trace);
   // Batched verdicts draw from the same model in wire order, so the
   // verdict stream matches per-frame draws bit for bit.
   cluster.set_batch_corruption(fault_model->as_batch_fn());
@@ -122,18 +122,19 @@ template <class ClusterT>
     cluster.set_fault_provider(structural.get());
   }
 
-  // Pre-compute dynamic arrivals over the batch window and inject them
-  // as engine events so they surface mid-cycle like real interrupts.
+  // Pre-compute dynamic arrivals over the batch window. The walk hands
+  // each one to the scheduler at the first slot or minislot boundary at
+  // or after its time, so arrivals surface mid-cycle like real
+  // interrupts.
   sim::Rng arrival_rng(config.seed ^ 0x9E3779B97F4A7C15ULL);
-  SchedulerBase* sched_ptr = sched.get();
+  std::vector<flexray::Arrival> arrivals;
   for (const auto& m : config.dynamics.messages()) {
     for (const sim::Time at :
          net::arrivals(m, config.batch_window, config.arrivals, arrival_rng)) {
-      engine.schedule_at(at, [sched_ptr, id = m.id, at] {
-        sched_ptr->add_dynamic_arrival(id, at);
-      });
+      arrivals.push_back({at, m.id});
     }
   }
+  cluster.set_arrivals(std::move(arrivals));
 
   // Run the batch window, then drain whatever the scheme still owes.
   const auto walk_begin = std::chrono::steady_clock::now();
@@ -148,7 +149,7 @@ template <class ClusterT>
                                     walk_begin)
           .count();
   result.drained = !sched->work_remaining();
-  sched->finalize(engine.now());
+  sched->finalize(cluster.now());
 
   RunStats& stats = sched->stats();
   stats.running_time = sched->last_activity();

@@ -1,5 +1,6 @@
 #include "core/scheduler_base.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -36,40 +37,56 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
     nodes_.at(static_cast<std::size_t>(m->node)).static_buffers().add_slot(
         a.slot);
   }
+  // The frame-id → message table for the FTDMA hot path. Two or more
+  // messages may share a dynamic frame id (§II-B) as long as one node
+  // owns the id: the node's priority queue decides which goes out in
+  // the current cycle.
+  int max_frame_id = 0;
+  for (const auto& m : dynamics_.messages()) {
+    max_frame_id = std::max(max_frame_id, m.frame_id);
+  }
+  dynamic_frame_lut_.assign(static_cast<std::size_t>(max_frame_id) + 1,
+                            nullptr);
   for (const auto& m : dynamics_.messages()) {
     if (m.frame_id <= cfg_.g_number_of_static_slots) {
       throw std::invalid_argument(
           "SchedulerBase: dynamic message " + std::to_string(m.id) +
           " frame id must exceed the static slot count");
     }
-    // Two or more messages may share a dynamic frame id (§II-B) as long
-    // as one node owns the id: the node's priority queue decides which
-    // goes out in the current cycle.
-    auto [it, inserted] = dynamic_by_frame_id_.emplace(m.frame_id, &m);
-    if (!inserted && it->second->node != m.node) {
+    const net::Message*& owner =
+        dynamic_frame_lut_[static_cast<std::size_t>(m.frame_id)];
+    if (owner == nullptr) {
+      owner = &m;
+      nodes_.at(static_cast<std::size_t>(m.node))
+          .add_dynamic_frame_id(
+              flexray::FrameId{static_cast<std::uint16_t>(m.frame_id)});
+    } else if (owner->node != m.node) {
       throw std::invalid_argument(
           "SchedulerBase: dynamic frame id " + std::to_string(m.frame_id) +
           " shared across different nodes");
     }
-    if (inserted) {
-      nodes_.at(static_cast<std::size_t>(m.node))
-          .add_dynamic_frame_id(
-              flexray::FrameId{static_cast<std::uint16_t>(m.frame_id)});
+  }
+
+  // Per-message state lives in arrays indexed by position, but arrivals,
+  // plans and traces name messages by id: one id must name one message.
+  for (std::size_t q = 0; q < dynamics_.size(); ++q) {
+    dynamic_positions_.emplace_back(dynamics_.messages()[q].id, q);
+  }
+  std::sort(dynamic_positions_.begin(), dynamic_positions_.end());
+  for (const auto& m : statics_.messages()) {
+    if (dynamic_position(m.id).has_value()) {
+      throw std::invalid_argument("SchedulerBase: message id " +
+                                  std::to_string(m.id) +
+                                  " is both static and dynamic");
     }
   }
-  for (const auto& m : statics_.messages()) next_static_index_[m.id] = 0;
+  instances_ = InstanceStore(statics_.size() + dynamics_.size());
+  for (const auto& m : statics_.messages()) {
+    placements_.push_back(table_.assignment_of(m.id));
+  }
+  next_static_index_.assign(statics_.size(), 0);
+  next_dynamic_index_.assign(dynamics_.size(), 0);
   node_down_.assign(static_cast<std::size_t>(cfg_.num_nodes), 0);
-
-  // Flatten the frame-id → message map for the FTDMA hot path.
-  int max_frame_id = 0;
-  for (const auto& [frame_id, _] : dynamic_by_frame_id_) {
-    if (frame_id > max_frame_id) max_frame_id = frame_id;
-  }
-  dynamic_frame_lut_.assign(static_cast<std::size_t>(max_frame_id) + 1,
-                            nullptr);
-  for (const auto& [frame_id, m] : dynamic_by_frame_id_) {
-    dynamic_frame_lut_[static_cast<std::size_t>(frame_id)] = m;
-  }
 
   // First template build. Virtual dispatch is still the base's here, so
   // the budget column starts empty; a subclass that plans retransmission
@@ -87,16 +104,69 @@ void SchedulerBase::rebuild_template(TemplateRebuildWhy why,
   }
 }
 
+std::optional<std::size_t> SchedulerBase::dynamic_position(
+    int message_id) const {
+  const auto it = std::lower_bound(
+      dynamic_positions_.begin(), dynamic_positions_.end(), message_id,
+      [](const std::pair<int, std::size_t>& entry, int id) {
+        return entry.first < id;
+      });
+  if (it == dynamic_positions_.end() || it->first != message_id) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 std::int64_t SchedulerBase::queued_dynamic_next_frame(
     std::int64_t min_frame) const {
+  // Every queued entry has priority = frame id (on_arrival), so each
+  // queue is ordered by frame and its first frame >= min_frame is its
+  // smallest one.
   std::int64_t best = flexray::kNoDynamicFrame;
   for (const auto& node : nodes_) {
     for (const auto& pending : node.dynamic_queue().contents()) {
       const std::int64_t frame = pending.frame_id.value();
-      if (frame >= min_frame && frame < best) best = frame;
+      if (frame < min_frame) continue;
+      if (frame < best) best = frame;
+      break;
     }
   }
   return best;
+}
+
+void SchedulerBase::stage_mirror(units::SlotId slot_counter,
+                                 const flexray::TxRequest& request) {
+  mirrors_.emplace_back(slot_counter, request);
+}
+
+std::optional<flexray::TxRequest> SchedulerBase::take_mirror(
+    units::SlotId slot_counter) {
+  const auto it = std::lower_bound(
+      mirrors_.begin(), mirrors_.end(), slot_counter,
+      [](const auto& entry, units::SlotId slot) { return entry.first < slot; });
+  if (it == mirrors_.end() || it->first != slot_counter) return std::nullopt;
+  const flexray::TxRequest request = it->second;
+  mirrors_.erase(it);
+  return request;
+}
+
+std::int64_t SchedulerBase::mirror_next_frame(std::int64_t min_frame) const {
+  for (const auto& [slot_counter, _] : mirrors_) {
+    if (slot_counter.value() >= min_frame) return slot_counter.value();
+  }
+  return flexray::kNoDynamicFrame;
+}
+
+void SchedulerBase::forfeit_mirrors() {
+  // The staging must drain within its cycle; anything left means channel
+  // B never carried the copy (both channels see identical arbitration,
+  // so this should not happen). Forfeit such copies.
+  for (const auto& [_, request] : mirrors_) {
+    if (Instance* inst = instances_.find(request.instance)) {
+      cancel_copies(*inst, 1);
+    }
+  }
+  mirrors_.clear();
 }
 
 bool SchedulerBase::node_alive(int node) const {
@@ -113,15 +183,18 @@ int SchedulerBase::channels_available() const {
 }
 
 void SchedulerBase::settle_source_loss(int node) {
-  for (const std::uint64_t key : instances_.keys()) {
-    Instance* inst = instances_.find(key);
-    if (inst == nullptr || inst->node != node) continue;
-    cancel_copies(*inst, inst->copies_required - inst->copies_sent);
-    if (!inst->delivered && !inst->miss_recorded) {
-      ++segment(inst->kind).source_lost;
+  instances_.erase_if([&](Instance& inst) {
+    if (inst.node != node) return false;
+    cancel_copies(inst, inst.copies_required - inst.copies_sent);
+    if (!inst.delivered && !inst.miss_recorded) {
+      ++segment(inst.kind).source_lost;
     }
-    instances_.erase(key);
-  }
+    return true;
+  });
+  // Staged mirrors of the erased instances will never be carried.
+  std::erase_if(mirrors_, [this](const auto& entry) {
+    return instances_.find(entry.second.instance) == nullptr;
+  });
 }
 
 void SchedulerBase::on_topology_event(const flexray::TopologyEvent& event,
@@ -200,8 +273,9 @@ void SchedulerBase::release_statics_until(sim::Time until) {
   // full scan over the static set.
   if (next_static_release_ >= cap) return;
   sim::Time next_min = sim::Time::max();
-  for (const auto& m : statics_.messages()) {
-    std::int64_t& next = next_static_index_[m.id];
+  for (std::size_t z = 0; z < statics_.size(); ++z) {
+    const net::Message& m = statics_.messages()[z];
+    std::int64_t& next = next_static_index_[z];
     while (true) {
       const sim::Time release = m.offset + m.period * next;
       if (release >= cap) {
@@ -218,7 +292,7 @@ void SchedulerBase::release_statics_until(sim::Time until) {
         ++next;
         continue;
       }
-      Instance& inst = instances_.create(m.id, next);
+      Instance& inst = instances_.create(z, m.id, next);
       inst.kind = net::MessageKind::kStatic;
       inst.node = m.node;
       inst.size_bits = m.size_bits;
@@ -233,20 +307,22 @@ void SchedulerBase::release_statics_until(sim::Time until) {
   next_static_release_ = next_min;
 }
 
-void SchedulerBase::add_dynamic_arrival(int message_id, sim::Time at) {
-  const net::Message* m = dynamics_.find(message_id);
-  if (m == nullptr) {
-    throw std::invalid_argument("add_dynamic_arrival: unknown message " +
+void SchedulerBase::on_arrival(int message_id, sim::Time at) {
+  const std::optional<std::size_t> q = dynamic_position(message_id);
+  if (!q.has_value()) {
+    throw std::invalid_argument("SchedulerBase: unknown dynamic message " +
                                 std::to_string(message_id));
   }
-  std::int64_t& next = next_dynamic_index_[message_id];
+  const net::Message* m = &dynamics_.messages()[*q];
+  std::int64_t& next = next_dynamic_index_[*q];
   if (!node_alive(m->node)) {
     ++next;
     ++segment(net::MessageKind::kDynamic).released;
     ++segment(net::MessageKind::kDynamic).source_lost;
     return;
   }
-  Instance& inst = instances_.create(message_id, next++);
+  Instance& inst =
+      instances_.create(statics_.size() + *q, message_id, next++);
   inst.kind = net::MessageKind::kDynamic;
   inst.node = m->node;
   inst.size_bits = m->size_bits;
@@ -261,7 +337,10 @@ void SchedulerBase::add_dynamic_arrival(int message_id, sim::Time at) {
   pending.payload_bits = m->size_bits;
   pending.release = at;
   pending.deadline = inst.abs_deadline;
-  pending.priority = m->frame_id;  // FTDMA: lower frame id wins
+  // FTDMA: lower frame id wins. Every dynamic queue entry gets priority
+  // = frame id (here and in on_dynamic_declined), so each node's queue is
+  // ordered by frame id; queued_dynamic_next_frame relies on it.
+  pending.priority = m->frame_id;
   on_dynamic_release(inst, *m, pending);
 }
 
@@ -282,6 +361,7 @@ void SchedulerBase::on_cycle_start(units::CycleIndex cycle, sim::Time at) {
   }
   release_statics_until(at + cycle_duration_);
   sweep(at);
+  forfeit_mirrors();
   on_cycle_start_hook(cycle, at);
 }
 
@@ -294,8 +374,9 @@ void SchedulerBase::on_dynamic_declined(flexray::ChannelId /*channel*/,
   // Defensive: put the message back so it can retry in a later cycle.
   Instance* inst = instances_.find(request.instance);
   if (inst == nullptr) return;
-  const net::Message* m = dynamics_.find(inst->message_id);
-  if (m == nullptr) return;
+  const std::size_t position = InstanceStore::position_of(inst->key);
+  if (position < statics_.size()) return;
+  const net::Message* m = &dynamics_.messages()[position - statics_.size()];
   flexray::PendingMessage pending;
   pending.instance = inst->key;
   pending.frame_id = flexray::FrameId{static_cast<std::uint16_t>(m->frame_id)};
@@ -390,39 +471,30 @@ void SchedulerBase::sweep(sim::Time now) {
       }
     }
   }
-  // Direct iterate-and-erase: same traversal order as a keys() snapshot
-  // (erase never rehashes), without the snapshot vector and the
-  // per-key hash lookups.
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    Instance& inst = it->second;
+  // Settle in ascending key order, erasing in place.
+  instances_.erase_if([&](Instance& inst) {
     if (!inst.delivered && !inst.miss_recorded && inst.abs_deadline < now) {
       inst.miss_recorded = true;
       ++segment(inst.kind).missed;
       if (inst.vote_k > 0) settle_vote(inst, false, now);
     }
-    if (inst.copies_sent >= inst.copies_required &&
-        (inst.delivered || inst.miss_recorded)) {
-      it = instances_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+    return inst.copies_sent >= inst.copies_required &&
+           (inst.delivered || inst.miss_recorded);
+  });
 }
 
 void SchedulerBase::finalize(sim::Time now) {
   sweep(now);
-  for (const std::uint64_t key : instances_.keys()) {
-    Instance* inst = instances_.find(key);
-    if (inst == nullptr) continue;
-    if (!inst->delivered && !inst->miss_recorded) {
+  instances_.erase_if([&](Instance& inst) {
+    if (!inst.delivered && !inst.miss_recorded) {
       // Nothing more will be sent for the batch; an undelivered instance
       // is a miss even if its deadline is formally in the future.
-      inst->miss_recorded = true;
-      ++segment(inst->kind).missed;
-      if (inst->vote_k > 0) settle_vote(*inst, false, now);
+      inst.miss_recorded = true;
+      ++segment(inst.kind).missed;
+      if (inst.vote_k > 0) settle_vote(inst, false, now);
     }
-    instances_.erase(key);
-  }
+    return true;
+  });
 }
 
 }  // namespace coeff::core

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/cycle_template.hpp"
@@ -25,7 +26,8 @@ class SchedulerBase : public flexray::TransmissionPolicy {
  public:
   /// `batch_window`: static instances are released for all release times
   /// in [0, batch_window); dynamic arrivals are injected externally
-  /// (add_dynamic_arrival) and should respect the same window.
+  /// (on_arrival) and should respect the same window. Throws
+  /// std::invalid_argument when a message id is both static and dynamic.
   /// `table` lets a subclass install a table built from an expanded set
   /// (FSPEC's pre-planned redundancy); by default the table is built
   /// from `statics` directly.
@@ -38,11 +40,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// still transmitted (running-time experiments drain the full batch);
   /// misses are recorded either way. Default: true (drop expired).
   void set_drop_expired_dynamics(bool drop) { drop_expired_dynamics_ = drop; }
-
-  /// Inject one dynamic arrival (typically from a simulation-engine
-  /// event): creates the instance and enqueues it in the producing
-  /// node's CHI dynamic queue.
-  void add_dynamic_arrival(int message_id, sim::Time at);
 
   /// True while the scheme still owes wire transmissions for the batch.
   [[nodiscard]] bool work_remaining() const { return owed_copies_ > 0; }
@@ -81,13 +78,17 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   // do pure outcome accounting read at cycle boundaries.
   void on_cycle_start(units::CycleIndex cycle, sim::Time at) override;
   void on_cycle_end(units::CycleIndex cycle, sim::Time at) override;
+  /// One dynamic arrival: creates the instance and enqueues it in the
+  /// producing node's CHI dynamic queue.
+  void on_arrival(int message_id, sim::Time at) override;
   void on_dynamic_declined(flexray::ChannelId channel, units::CycleIndex cycle,
                            const flexray::TxRequest& request) override;
   /// Shared topology-state bookkeeping for all schemes: a crash powers
-  /// the node's CHI off and settles its undelivered instances as
+  /// the node's CHI off, settles its undelivered instances as
   /// source-lost (a dead producer is a node failure, not a scheduling
-  /// miss); a restart reintegrates the node with empty buffers; channel
-  /// events track availability. Subclasses refine recovery through the
+  /// miss) and drops their staged mirrors; a restart reintegrates the
+  /// node with empty buffers; channel events track availability.
+  /// Subclasses refine recovery through the
   /// on_node_down/on_node_up/on_channel_down/on_channel_up hooks.
   void on_topology_event(const flexray::TopologyEvent& event,
                          units::CycleIndex cycle, sim::Time at) override;
@@ -110,7 +111,8 @@ class SchedulerBase : public flexray::TransmissionPolicy {
                                units::CycleIndex /*cycle*/, sim::Time /*at*/) {}
   virtual void on_channel_up(flexray::ChannelId /*channel*/,
                              units::CycleIndex /*cycle*/, sim::Time /*at*/) {}
-  /// Subclass hook invoked from on_cycle_start after releases/sweeps.
+  /// Subclass hook invoked from on_cycle_start after releases, sweeps and
+  /// mirror forfeits.
   virtual void on_cycle_start_hook(units::CycleIndex /*cycle*/,
                                    sim::Time /*at*/) {}
 
@@ -156,6 +158,33 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   [[nodiscard]] std::int64_t queued_dynamic_next_frame(
       std::int64_t min_frame) const;
 
+  // --- Channel-B mirror staging (the mirroring schemes, FSPEC and HOSA)
+  /// Channel A sent `request` in dynamic slot `slot_counter`; channel B
+  /// replays it in the same slot. Channel A stages in ascending
+  /// slot-counter order within a cycle. A stage left at the next cycle
+  /// start forfeits its copy.
+  void stage_mirror(units::SlotId slot_counter,
+                    const flexray::TxRequest& request);
+  /// The request staged for `slot_counter`, removed; nullopt if none.
+  [[nodiscard]] std::optional<flexray::TxRequest> take_mirror(
+      units::SlotId slot_counter);
+  /// Smallest staged slot counter >= `min_frame`, or
+  /// flexray::kNoDynamicFrame: the complete set of slots channel B can
+  /// transmit in.
+  [[nodiscard]] std::int64_t mirror_next_frame(std::int64_t min_frame) const;
+
+  /// Position of static message `m` in statics_ (the template's message
+  /// pointers are borrowed from statics_). Statics take positions
+  /// [0, statics_.size()) in the instance store, dynamics the rest.
+  [[nodiscard]] std::size_t static_position(const net::Message& m) const {
+    return static_cast<std::size_t>(&m - statics_.messages().data());
+  }
+  /// table_.assignment_of(m.id) for static message `m`, from an array.
+  [[nodiscard]] const sched::SlotAssignment* placement_of(
+      const net::Message& m) const {
+    return placements_[static_position(m)];
+  }
+
   /// The per-message retransmission budget baked into the template
   /// (k_z by message id), or nullptr when the scheme plans none.
   [[nodiscard]] virtual const std::unordered_map<int, int>*
@@ -181,9 +210,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   std::vector<flexray::Node> nodes_;
   CycleTemplate tpl_;
   std::vector<const net::Message*> dynamic_frame_lut_;  ///< by frame id
-  std::unordered_map<int, const net::Message*> dynamic_by_frame_id_;
-  std::unordered_map<int, std::int64_t> next_static_index_;
-  std::unordered_map<int, std::int64_t> next_dynamic_index_;
   std::int64_t owed_copies_ = 0;
   sim::Time last_activity_;
   bool drop_expired_dynamics_ = true;
@@ -200,8 +226,24 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// always scans; exact thereafter because the static set and the
   /// per-message indices only change inside that function.
   sim::Time next_static_release_;
+  /// (message id, position in dynamics_) of every dynamic message,
+  /// sorted by id.
+  std::vector<std::pair<int, std::size_t>> dynamic_positions_;
+  /// Position of dynamic message `message_id` in dynamics_, or nullopt.
+  [[nodiscard]] std::optional<std::size_t> dynamic_position(
+      int message_id) const;
+  std::vector<const sched::SlotAssignment*> placements_;  ///< by position
+  std::vector<std::int64_t> next_static_index_;   ///< by static position
+  std::vector<std::int64_t> next_dynamic_index_;  ///< by dynamic position
+  /// Staged channel-B mirrors, ascending by slot counter: channel A
+  /// stages in slot-counter order, and the vector empties every cycle.
+  std::vector<std::pair<units::SlotId, flexray::TxRequest>> mirrors_;
+
   void release_statics_until(sim::Time until);
   void sweep(sim::Time now);
+  /// Cycle start: cancel the copy of every mirror channel B never
+  /// carried, and empty the staging.
+  void forfeit_mirrors();
   /// Settle every live instance of a crashed producer as source-lost and
   /// cancel its outstanding copies (its CHI is gone; nothing more will
   /// be sent). Queue entries referencing the erased instances are

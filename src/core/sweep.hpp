@@ -2,7 +2,7 @@
 //
 // The paper's evaluation (§IV) is a grid of independent simulations —
 // scheme x BER x segment size x seed. Each cell is share-nothing by
-// construction: run_experiment builds its own Engine, scheduler, Rng,
+// construction: run_experiment builds its own cluster, scheduler, Rng,
 // and FaultInjector per call, so cells can run on as many OS threads as
 // the host offers while producing results identical to a serial run.
 //

@@ -1,55 +1,57 @@
 #include "flexray/chi.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace coeff::flexray {
 
 void StaticBufferSet::add_slot(units::SlotId slot) {
-  buffers_.emplace(slot, std::nullopt);
+  if (slot.value() < 0) {
+    throw std::invalid_argument("StaticBufferSet::add_slot: negative slot");
+  }
+  const auto idx = static_cast<std::size_t>(slot.value());
+  if (idx >= buffers_.size()) buffers_.resize(idx + 1);
+  buffers_[idx].owned = true;
 }
 
 bool StaticBufferSet::owns(units::SlotId slot) const {
-  return buffers_.contains(slot);
+  return owned(*this, slot) != nullptr;
 }
 
 bool StaticBufferSet::write(units::SlotId slot, PendingMessage msg) {
-  auto it = buffers_.find(slot);
-  if (it == buffers_.end()) {
+  Buffer* buf = owned(*this, slot);
+  if (buf == nullptr) {
     throw std::invalid_argument("StaticBufferSet::write: slot not owned");
   }
-  const bool overwritten = it->second.has_value();
-  it->second = std::move(msg);
+  const bool overwritten = buf->message.has_value();
+  buf->message = std::move(msg);
   return overwritten;
 }
 
 std::optional<PendingMessage> StaticBufferSet::read(units::SlotId slot) const {
-  auto it = buffers_.find(slot);
-  if (it == buffers_.end()) return std::nullopt;
-  return it->second;
+  const Buffer* buf = owned(*this, slot);
+  return buf != nullptr ? buf->message : std::nullopt;
 }
 
 void StaticBufferSet::clear(units::SlotId slot) {
-  auto it = buffers_.find(slot);
-  if (it != buffers_.end()) it->second.reset();
+  if (Buffer* buf = owned(*this, slot)) buf->message.reset();
 }
 
 std::vector<units::SlotId> StaticBufferSet::owned_slots() const {
   std::vector<units::SlotId> slots;
-  slots.reserve(buffers_.size());
-  for (const auto& [slot, _] : buffers_) slots.push_back(slot);
-  std::sort(slots.begin(), slots.end());
+  for (std::size_t i = 0; i < buffers_.size(); ++i) {
+    if (buffers_[i].owned) {
+      slots.push_back(units::SlotId{static_cast<std::int64_t>(i)});
+    }
+  }
   return slots;
 }
 
 std::vector<PendingMessage> StaticBufferSet::clear_all() {
   std::vector<PendingMessage> dropped;
-  // Deterministic order: walk slots sorted, not hash order.
-  for (const units::SlotId slot : owned_slots()) {
-    auto& buf = buffers_.at(slot);
-    if (buf.has_value()) {
-      dropped.push_back(*buf);
-      buf.reset();
+  for (Buffer& buf : buffers_) {  // ascending slot order
+    if (buf.message.has_value()) {
+      dropped.push_back(*buf.message);
+      buf.message.reset();
     }
   }
   return dropped;
@@ -57,14 +59,13 @@ std::vector<PendingMessage> StaticBufferSet::clear_all() {
 
 std::size_t StaticBufferSet::pending_count() const {
   std::size_t n = 0;
-  for (const auto& [_, msg] : buffers_) {
-    if (msg.has_value()) ++n;
+  for (const Buffer& buf : buffers_) {
+    if (buf.message.has_value()) ++n;
   }
   return n;
 }
 
 void DynamicQueue::push(PendingMessage msg) {
-  const std::uint64_t seq = arrival_seq_++;
   // Insert before the first strictly-lower-urgency entry; equal
   // priorities stay FIFO.
   std::size_t pos = queue_.size();
@@ -77,7 +78,6 @@ void DynamicQueue::push(PendingMessage msg) {
   queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(pos),
                 std::move(msg));
   ++version_;
-  seqs_.insert(seqs_.begin() + static_cast<std::ptrdiff_t>(pos), seq);
 }
 
 std::optional<PendingMessage> DynamicQueue::peek(FrameId id) const {
@@ -96,7 +96,6 @@ bool DynamicQueue::pop(std::uint64_t instance) {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     if (queue_[i].instance == instance) {
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      seqs_.erase(seqs_.begin() + static_cast<std::ptrdiff_t>(i));
       ++version_;
       return true;
     }
@@ -116,7 +115,6 @@ std::vector<PendingMessage> DynamicQueue::drop_if(
     if (pred(queue_[i])) {
       dropped.push_back(queue_[i]);
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      seqs_.erase(seqs_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       ++i;
     }

@@ -13,7 +13,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flexray/config.hpp"
@@ -36,7 +35,8 @@ struct PendingMessage {
 /// Single-message buffers, one per static slot owned by the node.
 class StaticBufferSet {
  public:
-  /// Declare ownership of `slot`. Writing to an undeclared slot throws.
+  /// Declare ownership of `slot` (>= 0). Writing to an undeclared slot
+  /// throws.
   void add_slot(units::SlotId slot);
 
   [[nodiscard]] bool owns(units::SlotId slot) const;
@@ -59,7 +59,23 @@ class StaticBufferSet {
   [[nodiscard]] std::size_t pending_count() const;
 
  private:
-  std::unordered_map<units::SlotId, std::optional<PendingMessage>> buffers_;
+  struct Buffer {
+    bool owned = false;
+    std::optional<PendingMessage> message;
+  };
+  /// The buffer of `slot` in `self`, or nullptr when the node does not
+  /// own it.
+  template <class Self>
+  static auto owned(Self& self, units::SlotId slot)
+      -> decltype(&self.buffers_[0]) {
+    const auto idx = static_cast<std::size_t>(slot.value());
+    return slot.value() >= 0 && idx < self.buffers_.size() &&
+                   self.buffers_[idx].owned
+               ? &self.buffers_[idx]
+               : nullptr;
+  }
+
+  std::vector<Buffer> buffers_;  ///< indexed by slot id
 };
 
 /// Fixed-priority queue for dynamic-segment messages.
@@ -107,8 +123,6 @@ class DynamicQueue {
   // Kept sorted by (priority, arrival order). A deque keeps push/pop
   // cheap at the sizes this project uses (tens of messages per node).
   std::deque<PendingMessage> queue_;
-  std::uint64_t arrival_seq_ = 0;
-  std::deque<std::uint64_t> seqs_;  ///< parallel to queue_
   std::uint64_t version_ = 0;
 };
 

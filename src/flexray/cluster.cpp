@@ -5,11 +5,9 @@
 
 namespace coeff::flexray {
 
-Cluster::Cluster(sim::Engine& engine, const ClusterConfig& cfg,
-                 TransmissionPolicy& policy, CorruptionFn corruption,
-                 sim::Trace* trace)
-    : engine_(engine),
-      timing_(cfg),
+Cluster::Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
+                 CorruptionFn corruption, sim::Trace* trace)
+    : timing_(cfg),
       policy_(policy),
       channels_{Channel{ChannelId::kA, corruption},
                 Channel{ChannelId::kB, corruption}},
@@ -31,7 +29,7 @@ void Cluster::run_until(sim::Time t) {
 
 void Cluster::execute_cycle(units::CycleIndex cycle) {
   const sim::Time start = timing_.cycle_start(cycle);
-  engine_.run_until(start);  // deliver arrivals due before this cycle
+  arrivals_.deliver_until(start, policy_);  // arrivals due before this cycle
   if (trace_) trace_->emit(start, sim::TraceKind::kCycleStart, cycle.value());
   policy_.on_cycle_start(cycle, start);
   apply_topology_events(cycle, start);
@@ -42,7 +40,7 @@ void Cluster::execute_cycle(units::CycleIndex cycle) {
   execute_dynamic_segment(cycle, ChannelId::kB);
 
   const sim::Time end = timing_.cycle_start(cycle + 1);
-  engine_.run_until(end);
+  arrivals_.deliver_until(end, policy_);
   policy_.on_cycle_end(cycle, end);
 }
 
@@ -96,11 +94,11 @@ bool Cluster::structural_corruption(const TxRequest& req, units::SlotId slot,
 // (TransmissionPolicy::decide_static_chunk), so a run of static-slot
 // decisions can be taken before any of their outcomes commit as long as
 // (a) decisions keep the reference call order (slot-major, channel A
-// before B), (b) commits keep that same order, and (c) no engine event
-// fires inside the run — events (dynamic arrivals) do mutate decision
-// state, so a pending event bounds the chunk and fires at exactly the
-// sequence point the reference would fire it (between the previous
-// slot's commit and the next slot's decision). Verdicts are drawn per
+// before B), (b) commits keep that same order, and (c) no arrival is
+// delivered inside the run — arrivals do mutate decision state, so the
+// next pending arrival bounds the chunk and is delivered at exactly the
+// sequence point the reference delivers it (between the previous slot's
+// commit and the next slot's decision). Verdicts are drawn per
 // chunk in wire order through the batch hook, which walks the same model
 // the CorruptionFn wraps — an identical verdict stream. Structural
 // corruption (babble, drift) only overrides a drawn verdict, and its
@@ -130,24 +128,17 @@ void Cluster::execute_static_segment(units::CycleIndex cycle) {
   // a per-slot timing call (same value: static_slot_start(c, s) =
   // anchor + duration * (s - 1)).
   const sim::Time seg_base = timing_.static_slot_start(cycle, units::SlotId{1});
-  // The queue head only moves inside run_until (events are scheduled by
-  // event callbacks, never by decide/commit code), so it is re-read only
-  // after running the engine instead of once per slot.
-  sim::Time next_event = engine_.next_event_time();
   while (slot <= nslots) {
-    // Chunk = maximal run of slots strictly before the next engine
-    // event; an event due at or before this slot's start fires first,
-    // exactly as the reference walk's per-slot run_until would.
+    // Chunk = maximal run of slots strictly before the next arrival; an
+    // arrival due at or before this slot's start is delivered first,
+    // exactly as the reference walk delivers it before this slot.
     const sim::Time slot_start = seg_base + slot_duration * (slot - 1);
-    if (next_event <= slot_start) {
-      engine_.run_until(slot_start);
-      next_event = engine_.next_event_time();
-      continue;  // re-read: callbacks may schedule more events
-    }
-    // Largest s with seg_base + duration * (s - 1) < next_event; the
-    // subtraction cannot underflow because slot_start < next_event.
+    arrivals_.deliver_until(slot_start, policy_);
+    const sim::Time next_arrival = arrivals_.next_time();
+    // Largest s with seg_base + duration * (s - 1) < next_arrival; the
+    // subtraction cannot underflow because slot_start < next_arrival.
     std::int64_t chunk_end =
-        1 + ((next_event - seg_base).ns() - 1) / slot_duration.ns();
+        1 + ((next_arrival - seg_base).ns() - 1) / slot_duration.ns();
     if (chunk_end > nslots) chunk_end = nslots;
 
     // Decide phase: reference call order, no commits yet. The policy
@@ -265,15 +256,9 @@ void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
   units::MinislotId minislot{0};
   units::SlotId slot_counter{cfg.g_number_of_static_slots + 1};
 
-  // Same caching as the static walk: the queue head only moves inside
-  // run_until, so one re-read per engine run replaces one per minislot.
-  sim::Time next_event = engine_.next_event_time();
   while (minislot.value() < nminislots) {
     const sim::Time at = timing_.minislot_start(cycle, minislot);
-    if (next_event <= at) {
-      engine_.run_until(at);
-      next_event = engine_.next_event_time();
-    }
+    arrivals_.deliver_until(at, policy_);
     const std::int64_t remaining = nminislots - minislot.value();
     auto req =
         policy_.dynamic_slot(cid, cycle, slot_counter, minislot, remaining);
@@ -319,7 +304,7 @@ void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
       // Idle (or declined) minislot. When the policy can prove the next
       // possible transmission sits at a higher slot counter, skip the
       // idle minislots in one jump — each skipped decision would have
-      // been a side-effect-free nullopt. Events bound the jump: a
+      // been a side-effect-free nullopt. Arrivals bound the jump: a
       // pending arrival may enqueue a frame for any counter, so no
       // minislot at or past its timestamp is skipped.
       std::int64_t extra = 0;
@@ -330,12 +315,13 @@ void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
             next_frame == kNoDynamicFrame
                 ? nminislots - 1 - minislot.value()
                 : next_frame - slot_counter.value() - 1;
-        if (next_event < sim::Time::max()) {
-          // Largest i with minislot_start(minislot + i) < next_event.
-          const std::int64_t gap_ns = (next_event - at).ns() - 1;
-          const std::int64_t by_event =
+        const sim::Time next_arrival = arrivals_.next_time();
+        if (next_arrival < sim::Time::max()) {
+          // Largest i with minislot_start(minislot + i) < next_arrival.
+          const std::int64_t gap_ns = (next_arrival - at).ns() - 1;
+          const std::int64_t by_arrival =
               gap_ns < 0 ? 0 : gap_ns / minislot_duration.ns();
-          if (by_event < by_frame) by_frame = by_event;
+          if (by_arrival < by_frame) by_frame = by_arrival;
         }
         if (by_frame > 0) extra = by_frame;
       }

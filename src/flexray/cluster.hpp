@@ -4,23 +4,22 @@
 // decisions are delegated to the installed TransmissionPolicy and fault
 // verdicts to the CorruptionFn. Slot-level timing is computed
 // arithmetically (CycleTiming). The walk is phased (DESIGN.md §12):
-// static slots are decided in event-free chunks, their verdicts drawn
-// per chunk and their outcomes committed in slot order, so policy- or
-// workload-scheduled engine events (e.g. aperiodic arrivals) land
-// between the same slots as in a slot-by-slot walk. That slot-by-slot
-// walk lives in tests/support/reference_cluster.* as the executable
-// reference the differential suite compares against.
+// static slots are decided in arrival-free chunks, their verdicts drawn
+// per chunk and their outcomes committed in slot order, so dynamic
+// arrivals land between the same slots as in a slot-by-slot walk. That
+// slot-by-slot walk lives in tests/support/reference_cluster.* as the
+// executable reference the differential suite compares against.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "flexray/bus.hpp"
 #include "flexray/fault_domain.hpp"
 #include "flexray/policy.hpp"
 #include "flexray/timing.hpp"
 #include "sim/arena.hpp"
-#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::flexray {
@@ -28,9 +27,16 @@ namespace coeff::flexray {
 class Cluster {
  public:
   /// `trace` may be nullptr to disable tracing.
-  Cluster(sim::Engine& engine, const ClusterConfig& cfg,
-          TransmissionPolicy& policy, CorruptionFn corruption,
-          sim::Trace* trace = nullptr);
+  Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
+          CorruptionFn corruption, sim::Trace* trace = nullptr);
+
+  /// Install the dynamic arrivals the walk hands to the policy
+  /// (TransmissionPolicy::on_arrival), in any order: they are stably
+  /// sorted by time, so equal times keep the order given. Replaces any
+  /// not yet delivered.
+  void set_arrivals(std::vector<Arrival> arrivals) {
+    arrivals_ = ArrivalCursor(std::move(arrivals));
+  }
 
   /// Install a structural fault provider (node/channel topology faults).
   /// Must outlive the cluster; nullptr detaches. Transitions are drained
@@ -59,6 +65,10 @@ class Cluster {
   void run_until(sim::Time t);
 
   [[nodiscard]] std::int64_t cycles_run() const { return next_cycle_.value(); }
+  /// The walk's clock: the end of the last executed cycle.
+  [[nodiscard]] sim::Time now() const {
+    return timing_.cycle_start(next_cycle_);
+  }
   [[nodiscard]] const Channel& channel(ChannelId id) const {
     return channels_[static_cast<std::size_t>(id)];
   }
@@ -66,7 +76,6 @@ class Cluster {
   [[nodiscard]] const ClusterConfig& config() const {
     return timing_.config();
   }
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
 
   /// Total wire capacity of the dynamic segment so far (minislots
   /// elapsed across both channels), for utilization metrics.
@@ -83,10 +92,10 @@ class Cluster {
   void execute_cycle(units::CycleIndex cycle);
   void apply_topology_events(units::CycleIndex cycle, sim::Time at);
   /// Phased static walk: decide → batched verdicts → commit, chunked at
-  /// pending engine events so arrivals land between the same slots as
-  /// in the slot-by-slot reference walk.
+  /// pending arrivals so they land between the same slots as in the
+  /// slot-by-slot reference walk.
   void execute_static_segment(units::CycleIndex cycle);
-  /// Dynamic walk with run_until elision and idle-minislot skipping.
+  /// Dynamic walk with idle-minislot skipping.
   void execute_dynamic_segment(units::CycleIndex cycle, ChannelId channel);
 
   /// Forced-corruption verdict for a frame that did reach the wire:
@@ -96,13 +105,13 @@ class Cluster {
                                            ChannelId channel,
                                            sim::Time at) const;
 
-  sim::Engine& engine_;
   CycleTiming timing_;
   TransmissionPolicy& policy_;
   std::array<Channel, kNumChannels> channels_;
   sim::Trace* trace_;
   StructuralFaultProvider* faults_ = nullptr;
   units::CycleIndex next_cycle_{0};
+  ArrivalCursor arrivals_;
   BatchCorruptionFn batch_corruption_;
   sim::Arena arena_;  ///< per-cycle transients (decisions, verdicts)
 };

@@ -4,11 +4,15 @@
 // installed TransmissionPolicy what to put in each slot; the policy
 // learns what happened through the on_* callbacks. Both CoEfficient and
 // the FSPEC baseline are implementations of this interface (src/core).
+// The walk's only events are dynamic arrivals; it pulls them from an
+// ArrivalCursor and hands each one to the policy (on_arrival).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "flexray/bus.hpp"
 #include "flexray/fault_domain.hpp"
@@ -114,6 +118,52 @@ class TransmissionPolicy {
 
   /// Called at the end of every communication cycle.
   virtual void on_cycle_end(units::CycleIndex cycle, sim::Time at) = 0;
+
+  /// Message `message_id` was produced at `at`. The walk delivers each
+  /// arrival at the first sequence point at or after `at`: before a
+  /// cycle, before a static slot's decision, before a minislot, or at
+  /// cycle end.
+  virtual void on_arrival(int message_id, sim::Time at) = 0;
+};
+
+/// One dynamic arrival: message `message_id` is produced at `at`.
+struct Arrival {
+  sim::Time at;
+  int message_id = 0;
+};
+
+/// The walk's arrivals, sorted by time and pulled front to back. The
+/// sort is stable, so arrivals that share a time keep the order they
+/// were given in.
+class ArrivalCursor {
+ public:
+  ArrivalCursor() = default;
+  explicit ArrivalCursor(std::vector<Arrival> arrivals)
+      : arrivals_(std::move(arrivals)) {
+    std::stable_sort(arrivals_.begin(), arrivals_.end(),
+                     [](const Arrival& a, const Arrival& b) {
+                       return a.at < b.at;
+                     });
+  }
+
+  /// Time of the next undelivered arrival, or Time::max() when none is
+  /// left.
+  [[nodiscard]] sim::Time next_time() const {
+    return next_ < arrivals_.size() ? arrivals_[next_].at : sim::Time::max();
+  }
+
+  /// Hand every undelivered arrival at or before `t` to `policy`, in
+  /// order.
+  void deliver_until(sim::Time t, TransmissionPolicy& policy) {
+    while (next_ < arrivals_.size() && arrivals_[next_].at <= t) {
+      const Arrival& a = arrivals_[next_++];
+      policy.on_arrival(a.message_id, a.at);
+    }
+  }
+
+ private:
+  std::vector<Arrival> arrivals_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace coeff::flexray

@@ -14,6 +14,9 @@ namespace {
 /// The first per-message rule `m` breaks, in check order, or nullptr.
 /// Kept as static text so a valid set builds no error strings.
 const char* field_violation(const Message& m) {
+  // Negative ids are reserved: the cycle template answers -1 for an
+  // idle slot occurrence.
+  if (m.id < 0) return "negative id";
   if (m.period <= sim::Time::zero()) return "period must be positive";
   if (m.size_bits <= 0) return "size must be positive";
   if (m.deadline <= sim::Time::zero()) return "deadline must be positive";

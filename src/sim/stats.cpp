@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace coeff::sim {
 
@@ -43,73 +42,6 @@ void StreamingStats::merge(const StreamingStats& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-void PercentileTracker::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-  moments_.add(x);
-}
-
-double PercentileTracker::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (q < 0.0 || q > 100.0) {
-    throw std::invalid_argument("percentile: q out of [0,100]");
-  }
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  // Nearest-rank method.
-  const auto n = samples_.size();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q / 100.0 * static_cast<double>(n)));
-  return samples_[rank == 0 ? 0 : rank - 1];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: need lo < hi and bins > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                          static_cast<double>(counts_.size()));
-  ++counts_[std::min(i, counts_.size() - 1)];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(counts_[i] * width / peak);
-    std::snprintf(line, sizeof line, "%10.3f | ", bin_lo(i));
-    out += line;
-    out.append(bar, '#');
-    std::snprintf(line, sizeof line, " %llu\n",
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace coeff::sim

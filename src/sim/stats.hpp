@@ -2,9 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -36,67 +33,16 @@ class StreamingStats {
   double max_ = 0.0;
 };
 
-/// Exact percentile tracker: stores all samples; sorts lazily on query.
-/// Suitable for the sample counts in this project's experiments (<1e7).
-class PercentileTracker {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  /// Nearest-rank percentile, q in [0, 100]. Returns 0 when empty.
-  [[nodiscard]] double percentile(double q) const;
-  [[nodiscard]] double median() const { return percentile(50.0); }
-
-  [[nodiscard]] const StreamingStats& moments() const { return moments_; }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-  StreamingStats moments_;
-};
-
-/// Fixed-width histogram over [lo, hi); samples outside the range land in
-/// saturating under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Lower edge of bin i.
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-
-  /// Compact ASCII rendering for logs.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Convenience: accumulate Time samples as milliseconds.
+/// Convenience: accumulate Time samples as milliseconds (moments only).
 class LatencyStats {
  public:
-  void add(Time t) { tracker_.add(t.as_ms()); }
-  [[nodiscard]] double mean_ms() const { return tracker_.moments().mean(); }
-  [[nodiscard]] double max_ms() const { return tracker_.moments().max(); }
-  [[nodiscard]] double p99_ms() const { return tracker_.percentile(99.0); }
-  [[nodiscard]] std::size_t count() const { return tracker_.count(); }
-  [[nodiscard]] const PercentileTracker& tracker() const { return tracker_; }
+  void add(Time t) { moments_.add(t.as_ms()); }
+  [[nodiscard]] double mean_ms() const { return moments_.mean(); }
+  [[nodiscard]] double max_ms() const { return moments_.max(); }
+  [[nodiscard]] std::size_t count() const { return moments_.count(); }
 
  private:
-  PercentileTracker tracker_;
+  StreamingStats moments_;
 };
 
 }  // namespace coeff::sim

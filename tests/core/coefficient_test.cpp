@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/experiment.hpp"
+#include "core/hosa.hpp"
 #include "fault/injector.hpp"
 #include "flexray/cluster.hpp"
 #include "net/workloads.hpp"
-#include "sim/engine.hpp"
 
 namespace coeff::core {
 namespace {
@@ -63,15 +65,13 @@ struct Harness {
                     return opt;
                   }()),
         injector(ber, 1),
-        cluster(engine, small_cluster(), scheduler,
-                injector.as_corruption_fn()) {}
+        cluster(small_cluster(), scheduler, injector.as_corruption_fn()) {}
 
   void run(sim::Time until) {
     cluster.run_until(until);
-    scheduler.finalize(engine.now());
+    scheduler.finalize(cluster.now());
   }
 
-  sim::Engine engine;
   CoEfficientScheduler scheduler;
   fault::FaultInjector injector;
   flexray::Cluster cluster;
@@ -148,12 +148,9 @@ TEST(CoEfficientTest, DualChannelRedundancyDefeatsSingleChannelFaults) {
 TEST(CoEfficientTest, DynamicMessagesServedInDynamicSegment) {
   net::MessageSet dynamics({dynamic_msg(10, 0, 9, 200)});
   Harness h({}, dynamics);
-  // Inject arrivals manually.
-  for (int i = 0; i < 5; ++i) {
-    h.engine.schedule_at(sim::millis(i * 10), [&, i] {
-      h.scheduler.add_dynamic_arrival(10, sim::millis(i * 10));
-    });
-  }
+  std::vector<flexray::Arrival> arrivals;
+  for (int i = 0; i < 5; ++i) arrivals.push_back({sim::millis(i * 10), 10});
+  h.cluster.set_arrivals(std::move(arrivals));
   h.run(sim::millis(60));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.released, 5);
@@ -170,11 +167,9 @@ TEST(CoEfficientTest, StarvedFrameIdRescuedThroughStolenSlack) {
   // (8 static slots + 40 minislots); only slack stealing can carry it.
   net::MessageSet dynamics({dynamic_msg(10, 0, 200, 200, 20)});
   Harness h({}, dynamics);
-  for (int i = 0; i < 4; ++i) {
-    h.engine.schedule_at(sim::millis(i * 20), [&, i] {
-      h.scheduler.add_dynamic_arrival(10, sim::millis(i * 20));
-    });
-  }
+  std::vector<flexray::Arrival> arrivals;
+  for (int i = 0; i < 4; ++i) arrivals.push_back({sim::millis(i * 20), 10});
+  h.cluster.set_arrivals(std::move(arrivals));
   h.run(sim::millis(90));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.delivered, 4);
@@ -203,10 +198,7 @@ TEST(CoEfficientTest, SharedDynamicFrameIdServedByPriorityQueue) {
   net::MessageSet dynamics(
       {dynamic_msg(10, 0, 9, 200), dynamic_msg(11, 0, 9, 400)});
   Harness h({}, dynamics);
-  h.engine.schedule_at(sim::Time::zero(), [&h] {
-    h.scheduler.add_dynamic_arrival(10, sim::Time::zero());
-    h.scheduler.add_dynamic_arrival(11, sim::Time::zero());
-  });
+  h.cluster.set_arrivals({{sim::Time::zero(), 10}, {sim::Time::zero(), 11}});
   h.run(sim::millis(20));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.released, 2);
@@ -219,6 +211,31 @@ TEST(CoEfficientTest, SharedFrameIdAcrossNodesRejected) {
   EXPECT_THROW(
       CoEfficientScheduler(small_cluster(), {}, dynamics, sim::millis(10), {}),
       std::invalid_argument);
+}
+
+TEST(CoEfficientTest, MessageIdBothStaticAndDynamicRejected) {
+  // Arrivals, plans and traces name messages by id, so every scheme
+  // refuses a static and a dynamic message that share one, naming it.
+  const net::MessageSet statics({static_msg(1, 0, 1, 400)});
+  const net::MessageSet dynamics({dynamic_msg(1, 0, 9, 200)});
+  try {
+    CoEfficientScheduler(small_cluster(), statics, dynamics, sim::millis(10),
+                         {});
+    ADD_FAILURE() << "shared id accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "SchedulerBase: message id 1 is both static and dynamic");
+  }
+  EXPECT_THROW(FspecScheduler(small_cluster(), statics, dynamics,
+                              sim::millis(10), {}),
+               std::invalid_argument);
+  EXPECT_THROW(HosaScheduler(small_cluster(), statics, dynamics,
+                             sim::millis(10)),
+               std::invalid_argument);
+  // Distinct ids are fine.
+  EXPECT_NO_THROW(CoEfficientScheduler(
+      small_cluster(), statics, net::MessageSet({dynamic_msg(2, 0, 9, 200)}),
+      sim::millis(10), {}));
 }
 
 TEST(CoEfficientTest, UnplacedDynamicFrameIdThrows) {

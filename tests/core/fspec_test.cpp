@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fault/injector.hpp"
 #include "flexray/cluster.hpp"
-#include "sim/engine.hpp"
 
 namespace coeff::core {
 namespace {
@@ -52,15 +53,13 @@ struct Harness {
       : scheduler(small_cluster(), std::move(statics), std::move(dynamics),
                   window, FspecOptions{rounds}),
         injector(ber, 1),
-        cluster(engine, small_cluster(), scheduler,
-                injector.as_corruption_fn()) {}
+        cluster(small_cluster(), scheduler, injector.as_corruption_fn()) {}
 
   void run(sim::Time until) {
     cluster.run_until(until);
-    scheduler.finalize(engine.now());
+    scheduler.finalize(cluster.now());
   }
 
-  sim::Engine engine;
   FspecScheduler scheduler;
   fault::FaultInjector injector;
   flexray::Cluster cluster;
@@ -156,11 +155,9 @@ TEST(FspecTest, MirrorSurvivesSingleChannelFault) {
 TEST(FspecTest, DynamicTrafficIsMirrored) {
   net::MessageSet dynamics({dynamic_msg(10, 0, 9, 200)});
   Harness h({}, dynamics, 1);
-  for (int i = 0; i < 5; ++i) {
-    h.engine.schedule_at(sim::millis(i * 10), [&h, i] {
-      h.scheduler.add_dynamic_arrival(10, sim::millis(i * 10));
-    });
-  }
+  std::vector<flexray::Arrival> arrivals;
+  for (int i = 0; i < 5; ++i) arrivals.push_back({sim::millis(i * 10), 10});
+  h.cluster.set_arrivals(std::move(arrivals));
   h.run(sim::millis(60));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.released, 5);
@@ -176,11 +173,9 @@ TEST(FspecTest, UnreachableDynamicFrameIdStarves) {
   // slack-stealing rescue: the message is never sent.
   net::MessageSet dynamics({dynamic_msg(10, 0, 200, 200, 20)});
   Harness h({}, dynamics, 1);
-  for (int i = 0; i < 4; ++i) {
-    h.engine.schedule_at(sim::millis(i * 20), [&h, i] {
-      h.scheduler.add_dynamic_arrival(10, sim::millis(i * 20));
-    });
-  }
+  std::vector<flexray::Arrival> arrivals;
+  for (int i = 0; i < 4; ++i) arrivals.push_back({sim::millis(i * 20), 10});
+  h.cluster.set_arrivals(std::move(arrivals));
   h.run(sim::millis(90));
   const auto& d = h.scheduler.stats().dynamics;
   EXPECT_EQ(d.delivered, 0);

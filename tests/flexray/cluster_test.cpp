@@ -25,12 +25,21 @@ class ScriptedPolicy : public TransmissionPolicy {
   std::vector<std::int64_t> cycles_started;
   std::vector<std::int64_t> cycles_ended;
   std::vector<TxRequest> declined;
+  /// (message id, arrival time, static decisions asked before it).
+  struct Delivered {
+    int message_id;
+    sim::Time at;
+    int static_calls_before;
+  };
+  std::vector<Delivered> arrivals;
+  int static_calls = 0;
 
   void on_cycle_start(CycleIndex cycle, sim::Time) override {
     cycles_started.push_back(cycle.value());
   }
   std::optional<TxRequest> static_slot(ChannelId channel, CycleIndex cycle,
                                        SlotId slot) override {
+    ++static_calls;
     return on_static ? on_static(channel, cycle, slot) : std::nullopt;
   }
   std::optional<TxRequest> dynamic_slot(ChannelId channel, CycleIndex cycle,
@@ -48,6 +57,9 @@ class ScriptedPolicy : public TransmissionPolicy {
   }
   void on_cycle_end(CycleIndex cycle, sim::Time) override {
     cycles_ended.push_back(cycle.value());
+  }
+  void on_arrival(int message_id, sim::Time at) override {
+    arrivals.push_back({message_id, at, static_calls});
   }
 };
 
@@ -73,18 +85,16 @@ TxRequest req(FrameId id, std::int64_t bits, std::uint64_t instance = 1) {
 }
 
 TEST(ClusterTest, RunsCycleLifecycle) {
-  sim::Engine engine;
   ScriptedPolicy policy;
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(3);
   EXPECT_EQ(policy.cycles_started, (std::vector<std::int64_t>{0, 1, 2}));
   EXPECT_EQ(policy.cycles_ended, (std::vector<std::int64_t>{0, 1, 2}));
   EXPECT_EQ(cluster.cycles_run(), 3);
-  EXPECT_EQ(engine.now(), sim::millis(3));
+  EXPECT_EQ(cluster.now(), sim::millis(3));
 }
 
 TEST(ClusterTest, StaticSlotTransmissionTimesAndSegments) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId channel, CycleIndex,
                         SlotId slot) -> std::optional<TxRequest> {
@@ -93,7 +103,7 @@ TEST(ClusterTest, StaticSlotTransmissionTimesAndSegments) {
     }
     return std::nullopt;
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(2);
   ASSERT_EQ(policy.outcomes.size(), 2u);
   EXPECT_EQ(policy.outcomes[0].start, sim::micros(40));  // slot 2 of cycle 0
@@ -104,7 +114,6 @@ TEST(ClusterTest, StaticSlotTransmissionTimesAndSegments) {
 }
 
 TEST(ClusterTest, BothChannelsOfferedEachStaticSlot) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   int offers_a = 0, offers_b = 0;
   policy.on_static = [&](ChannelId channel, CycleIndex,
@@ -112,38 +121,35 @@ TEST(ClusterTest, BothChannelsOfferedEachStaticSlot) {
     (channel == ChannelId::kA ? offers_a : offers_b)++;
     return std::nullopt;
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(1);
   EXPECT_EQ(offers_a, 4);
   EXPECT_EQ(offers_b, 4);
 }
 
 TEST(ClusterTest, StaticFrameIdMustMatchSlot) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId, CycleIndex,
                         SlotId) -> std::optional<TxRequest> {
     // Wrong id for every slot except 7 (doesn't exist).
     return req(FrameId{7}, 100);
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   EXPECT_THROW(cluster.run_cycles(1), std::logic_error);
 }
 
 TEST(ClusterTest, StaticPayloadBeyondCapacityRejected) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId, CycleIndex,
                         SlotId slot) -> std::optional<TxRequest> {
     if (slot == SlotId{1}) return req(FrameId{1}, 1'000'000);
     return std::nullopt;
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   EXPECT_THROW(cluster.run_cycles(1), std::logic_error);
 }
 
 TEST(ClusterTest, DynamicSlotCountersStartAfterStaticSlots) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   std::vector<std::int64_t> counters;
   policy.on_dynamic = [&](ChannelId channel, CycleIndex, SlotId counter,
@@ -152,7 +158,7 @@ TEST(ClusterTest, DynamicSlotCountersStartAfterStaticSlots) {
     if (channel == ChannelId::kA) counters.push_back(counter.value());
     return std::nullopt;
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(1);
   // 20 empty minislots -> counters 5..24 on channel A.
   ASSERT_EQ(counters.size(), 20u);
@@ -161,7 +167,6 @@ TEST(ClusterTest, DynamicSlotCountersStartAfterStaticSlots) {
 }
 
 TEST(ClusterTest, DynamicTransmissionConsumesMinislots) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   std::vector<std::int64_t> minislots;
   policy.on_dynamic = [&](ChannelId channel, CycleIndex, SlotId counter,
@@ -175,7 +180,7 @@ TEST(ClusterTest, DynamicTransmissionConsumesMinislots) {
     }
     return std::nullopt;
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(1);
   // First slot consumed 3 minislots, so the second offer is at minislot 3.
   ASSERT_GE(minislots.size(), 2u);
@@ -186,7 +191,6 @@ TEST(ClusterTest, DynamicTransmissionConsumesMinislots) {
 TEST(ClusterTest, DynamicRespectsLatestTx) {
   auto cfg = small_config();
   cfg.p_latest_tx = MinislotId{5};
-  sim::Engine engine;
   ScriptedPolicy policy;
   int granted = 0;
   policy.on_dynamic = [&](ChannelId channel, CycleIndex, SlotId, MinislotId,
@@ -194,7 +198,7 @@ TEST(ClusterTest, DynamicRespectsLatestTx) {
     if (channel != ChannelId::kA) return std::nullopt;
     return req(FrameId{0}, 80);  // frame id irrelevant for dynamic
   };
-  Cluster cluster(engine, cfg, policy, nullptr);
+  Cluster cluster(cfg, policy, nullptr);
   cluster.run_cycles(1);
   granted = static_cast<int>(policy.outcomes.size());
   // Starts allowed only in minislots 0..4 -> with 2-minislot slots at
@@ -204,21 +208,19 @@ TEST(ClusterTest, DynamicRespectsLatestTx) {
 }
 
 TEST(ClusterTest, DynamicTooLargeForRemainderIsDeclined) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_dynamic = [&](ChannelId channel, CycleIndex, SlotId, MinislotId,
                           std::int64_t) -> std::optional<TxRequest> {
     if (channel != ChannelId::kA) return std::nullopt;
     return req(FrameId{0}, 100'000);  // larger than the whole dynamic segment
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(1);
   EXPECT_TRUE(policy.outcomes.empty());
   EXPECT_EQ(policy.declined.size(), 20u);  // every minislot walks past it
 }
 
 TEST(ClusterTest, CorruptionHookControlsOutcomes) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId channel, CycleIndex,
                         SlotId slot) -> std::optional<TxRequest> {
@@ -232,7 +234,7 @@ TEST(ClusterTest, CorruptionHookControlsOutcomes) {
     ++verdicts;
     return true;
   };
-  Cluster cluster(engine, small_config(), policy, corrupt_all);
+  Cluster cluster(small_config(), policy, corrupt_all);
   cluster.run_cycles(2);
   EXPECT_EQ(verdicts, 2);
   for (const auto& out : policy.outcomes) EXPECT_TRUE(out.corrupted);
@@ -240,7 +242,6 @@ TEST(ClusterTest, CorruptionHookControlsOutcomes) {
 }
 
 TEST(ClusterTest, ChannelStatsAccumulate) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId channel, CycleIndex,
                         SlotId slot) -> std::optional<TxRequest> {
@@ -251,7 +252,7 @@ TEST(ClusterTest, ChannelStatsAccumulate) {
     }
     return std::nullopt;
   };
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(5);
   const auto& stats = cluster.channel(ChannelId::kA).stats();
   EXPECT_EQ(stats.frames, 10);
@@ -261,22 +262,29 @@ TEST(ClusterTest, ChannelStatsAccumulate) {
   EXPECT_EQ(cluster.channel(ChannelId::kB).stats().frames, 0);
 }
 
-TEST(ClusterTest, EngineEventsDeliveredAtSlotBoundaries) {
-  sim::Engine engine;
+TEST(ClusterTest, ArrivalsDeliveredAtSlotBoundaries) {
   ScriptedPolicy policy;
-  sim::Time fired_at;
-  // Schedule an "arrival" mid-cycle; it must run before later slots ask
-  // the policy for content.
-  engine.schedule_at(sim::micros(50), [&] { fired_at = engine.now(); });
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
+  // Given out of order; two share 50 us and keep their given order. An
+  // arrival mid-slot 2 (40-80 us) reaches the policy after slot 2's
+  // decisions and before slot 3's.
+  cluster.set_arrivals({{sim::micros(50), 7},
+                        {sim::Time::zero(), 5},
+                        {sim::micros(50), 6}});
   cluster.run_cycles(1);
-  EXPECT_EQ(fired_at, sim::micros(50));
+  ASSERT_EQ(policy.arrivals.size(), 3u);
+  EXPECT_EQ(policy.arrivals[0].message_id, 5);
+  EXPECT_EQ(policy.arrivals[0].static_calls_before, 0);
+  EXPECT_EQ(policy.arrivals[1].message_id, 7);
+  EXPECT_EQ(policy.arrivals[1].at, sim::micros(50));
+  EXPECT_EQ(policy.arrivals[1].static_calls_before, 4);  // slots 1-2, A+B
+  EXPECT_EQ(policy.arrivals[2].message_id, 6);
+  EXPECT_EQ(policy.arrivals[2].static_calls_before, 4);
 }
 
 TEST(ClusterTest, RunUntilCoversWholeCycles) {
-  sim::Engine engine;
   ScriptedPolicy policy;
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_until(sim::micros(1500));  // 1.5 cycles -> runs cycles 0 and 1
   EXPECT_EQ(cluster.cycles_run(), 2);
 }
@@ -301,7 +309,6 @@ class StubFaults : public StructuralFaultProvider {
 };
 
 TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
-  sim::Engine engine;
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId channel, CycleIndex,
                         SlotId slot) -> std::optional<TxRequest> {
@@ -323,7 +330,7 @@ TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
     ++(r.frame_id == FrameId{2} ? per_frame_static : per_frame_dynamic);
     return false;
   };
-  Cluster cluster(engine, small_config(), policy, count_verdicts);
+  Cluster cluster(small_config(), policy, count_verdicts);
   int batch_calls = 0;
   cluster.set_batch_corruption(
       [&](const VerdictQuery*, std::size_t n, bool* out) {
@@ -351,9 +358,8 @@ TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
 }
 
 TEST(ClusterTest, ElapsedCapacityCounters) {
-  sim::Engine engine;
   ScriptedPolicy policy;
-  Cluster cluster(engine, small_config(), policy, nullptr);
+  Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(3);
   EXPECT_EQ(cluster.static_slots_elapsed(), 3 * 4 * 2);
   EXPECT_EQ(cluster.dynamic_minislots_elapsed(), 3 * 20 * 2);

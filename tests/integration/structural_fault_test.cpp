@@ -17,7 +17,6 @@
 #include "fault/fault_model.hpp"
 #include "fault/structural.hpp"
 #include "flexray/cluster.hpp"
-#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::core {
@@ -221,10 +220,9 @@ class SurvivingChannelTest : public ::testing::Test {
   /// blackout over cycles [5, 25), and returns (B verdicts, B faults).
   std::pair<std::int64_t, std::int64_t> run(fault::FaultModel& model,
                                             bool blackout) {
-    sim::Engine engine;
     FspecScheduler sched(four_node_cluster(), four_node_statics(), {},
                          sim::millis(40), {});
-    flexray::Cluster cluster(engine, four_node_cluster(), sched,
+    flexray::Cluster cluster(four_node_cluster(), sched,
                              model.as_corruption_fn(), nullptr);
     fault::StructuralFaultConfig structural;
     std::unique_ptr<fault::NodeFaultModel> provider;

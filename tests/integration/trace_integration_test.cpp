@@ -5,7 +5,6 @@
 #include "core/coefficient.hpp"
 #include "fault/injector.hpp"
 #include "flexray/cluster.hpp"
-#include "sim/engine.hpp"
 
 namespace coeff::core {
 namespace {
@@ -33,12 +32,11 @@ flexray::ClusterConfig tiny_cluster() {
 }
 
 TEST(TraceIntegrationTest, CleanRunTracesCycleAndTxEvents) {
-  sim::Engine engine;
   sim::Trace trace;
   CoEfficientScheduler sched(tiny_cluster(), one_static_message(), {},
                              sim::millis(10), {});
   fault::FaultInjector injector(0.0, 1);
-  flexray::Cluster cluster(engine, tiny_cluster(), sched,
+  flexray::Cluster cluster(tiny_cluster(), sched,
                            injector.as_corruption_fn(), &trace);
   cluster.run_cycles(10);
 
@@ -57,12 +55,11 @@ TEST(TraceIntegrationTest, CleanRunTracesCycleAndTxEvents) {
 }
 
 TEST(TraceIntegrationTest, CorruptedRunTracesFaults) {
-  sim::Engine engine;
   sim::Trace trace;
   CoEfficientScheduler sched(tiny_cluster(), one_static_message(), {},
                              sim::millis(10), {});
   fault::FaultInjector injector(1.0, 1);
-  flexray::Cluster cluster(engine, tiny_cluster(), sched,
+  flexray::Cluster cluster(tiny_cluster(), sched,
                            injector.as_corruption_fn(), &trace);
   cluster.run_cycles(5);
   EXPECT_EQ(trace.count(sim::TraceKind::kTxCorrupted), 5u);
@@ -70,13 +67,12 @@ TEST(TraceIntegrationTest, CorruptedRunTracesFaults) {
 }
 
 TEST(TraceIntegrationTest, DisabledTraceCostsNothing) {
-  sim::Engine engine;
   sim::Trace trace;
   trace.set_enabled(false);
   CoEfficientScheduler sched(tiny_cluster(), one_static_message(), {},
                              sim::millis(10), {});
   fault::FaultInjector injector(0.0, 1);
-  flexray::Cluster cluster(engine, tiny_cluster(), sched,
+  flexray::Cluster cluster(tiny_cluster(), sched,
                            injector.as_corruption_fn(), &trace);
   cluster.run_cycles(5);
   EXPECT_TRUE(trace.records().empty());

@@ -76,6 +76,8 @@ TEST(MessageSetTest, ValidateNamesTheFirstBrokenRule) {
   };
   EXPECT_EQ(message_of(MessageSet({make(7, 10, 5, 100), make(7, 20, 5, 100)})),
             "MessageSet: duplicate message id 7");
+  EXPECT_EQ(message_of(with([](Message& m) { m.id = -5; })),
+            "MessageSet: message -5: negative id");
   EXPECT_EQ(message_of(with([](Message& m) { m.period = sim::Time::zero(); })),
             "MessageSet: message 7: period must be positive");
   EXPECT_EQ(message_of(with([](Message& m) { m.size_bits = 0; })),
@@ -104,6 +106,12 @@ TEST(MessageSetTest, ValidateNamesTheFirstBrokenRule) {
               m.node = -1;
             })),
             "MessageSet: message 7: size must be positive");
+  // The id rule is the first per-message rule.
+  EXPECT_EQ(message_of(with([](Message& m) {
+              m.id = -5;
+              m.period = sim::Time::zero();
+            })),
+            "MessageSet: message -5: negative id");
 }
 
 TEST(MessageSetTest, DynamicFrameIdsMayRepeatAcrossKinds) {

@@ -1,4 +1,4 @@
-#include "sim/engine.hpp"
+#include "support/engine.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "sim/event_queue.hpp"
+#include "support/event_queue.hpp"
 
 #include <gtest/gtest.h>
 

@@ -63,81 +63,6 @@ TEST(StreamingStatsTest, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(d.mean(), 2.0);
 }
 
-TEST(PercentileTrackerTest, NearestRankSemantics) {
-  PercentileTracker t;
-  for (int i = 1; i <= 100; ++i) t.add(i);
-  EXPECT_DOUBLE_EQ(t.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(t.percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(t.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(t.percentile(1), 1.0);
-  EXPECT_DOUBLE_EQ(t.percentile(0), 1.0);
-}
-
-TEST(PercentileTrackerTest, EmptyReturnsZero) {
-  PercentileTracker t;
-  EXPECT_DOUBLE_EQ(t.percentile(50), 0.0);
-}
-
-TEST(PercentileTrackerTest, OutOfRangeThrows) {
-  PercentileTracker t;
-  t.add(1.0);
-  EXPECT_THROW((void)t.percentile(-1), std::invalid_argument);
-  EXPECT_THROW((void)t.percentile(101), std::invalid_argument);
-}
-
-TEST(PercentileTrackerTest, InterleavedAddAndQuery) {
-  PercentileTracker t;
-  t.add(5.0);
-  EXPECT_DOUBLE_EQ(t.median(), 5.0);
-  t.add(1.0);
-  t.add(9.0);
-  EXPECT_DOUBLE_EQ(t.median(), 5.0);
-  t.add(10.0);
-  t.add(11.0);
-  EXPECT_DOUBLE_EQ(t.median(), 9.0);
-}
-
-TEST(HistogramTest, BinsSamplesCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(5.0);   // bin 5
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, UnderAndOverflowBins) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge is exclusive -> overflow
-  h.add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(HistogramTest, RenderProducesOneLinePerBin) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  const std::string out = h.render();
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
-}
-
 TEST(LatencyStatsTest, AccumulatesMilliseconds) {
   LatencyStats s;
   s.add(millis(2));

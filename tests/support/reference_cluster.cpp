@@ -10,16 +10,22 @@ namespace {
 std::atomic<std::int64_t> g_static_slot_calls{0};
 }  // namespace
 
-ReferenceCluster::ReferenceCluster(sim::Engine& engine,
-                                   const ClusterConfig& cfg,
+ReferenceCluster::ReferenceCluster(const ClusterConfig& cfg,
                                    TransmissionPolicy& policy,
                                    CorruptionFn corruption, sim::Trace* trace)
-    : engine_(engine),
-      timing_(cfg),
+    : timing_(cfg),
       policy_(policy),
       channels_{Channel{ChannelId::kA, corruption},
                 Channel{ChannelId::kB, corruption}},
       trace_(trace) {}
+
+void ReferenceCluster::set_arrivals(const std::vector<Arrival>& arrivals) {
+  for (const Arrival& a : arrivals) {
+    engine_.schedule_at(a.at, [&policy = policy_, a] {
+      policy.on_arrival(a.message_id, a.at);
+    });
+  }
+}
 
 std::int64_t ReferenceCluster::static_slot_calls() {
   return g_static_slot_calls.load(std::memory_order_relaxed);
@@ -41,7 +47,7 @@ void ReferenceCluster::run_until(sim::Time t) {
 
 void ReferenceCluster::execute_cycle(units::CycleIndex cycle) {
   const sim::Time start = timing_.cycle_start(cycle);
-  engine_.run_until(start);  // deliver arrivals due before this cycle
+  engine_.run_until(start);  // arrivals due before this cycle
   if (trace_) trace_->emit(start, sim::TraceKind::kCycleStart, cycle.value());
   policy_.on_cycle_start(cycle, start);
   apply_topology_events(cycle, start);

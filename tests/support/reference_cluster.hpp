@@ -10,26 +10,36 @@
 // flexray::Cluster; this walk stays frozen, and the differential tests
 // require byte-identical traces and RunStats from both, through
 // core::run_experiment_with<ReferenceCluster>.
+//
+// Arrivals, too, take the old path: each is one sim::Engine event
+// (support/engine.hpp), scheduled in the order given, where
+// flexray::Cluster pulls them from a stably sorted ArrivalCursor. So
+// the differential tests also check the cursor's order and its
+// delivery points against the engine's (time, sequence) heap.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "flexray/bus.hpp"
 #include "flexray/fault_domain.hpp"
 #include "flexray/policy.hpp"
 #include "flexray/timing.hpp"
-#include "sim/engine.hpp"
 #include "sim/trace.hpp"
+#include "support/engine.hpp"
 
 namespace coeff::flexray {
 
 class ReferenceCluster {
  public:
   /// Same contract as flexray::Cluster's constructor.
-  ReferenceCluster(sim::Engine& engine, const ClusterConfig& cfg,
-                   TransmissionPolicy& policy, CorruptionFn corruption,
-                   sim::Trace* trace = nullptr);
+  ReferenceCluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
+                   CorruptionFn corruption, sim::Trace* trace = nullptr);
+
+  /// Schedules each arrival as one engine event, in the order given.
+  /// Call once, before the walk starts.
+  void set_arrivals(const std::vector<Arrival>& arrivals);
 
   void set_fault_provider(StructuralFaultProvider* provider) {
     faults_ = provider;
@@ -42,6 +52,8 @@ class ReferenceCluster {
   void run_until(sim::Time t);
 
   [[nodiscard]] std::int64_t cycles_run() const { return next_cycle_.value(); }
+  /// The engine's clock, which each cycle runs to its end.
+  [[nodiscard]] sim::Time now() const { return engine_.now(); }
   [[nodiscard]] const Channel& channel(ChannelId id) const {
     return channels_[static_cast<std::size_t>(id)];
   }
@@ -64,13 +76,13 @@ class ReferenceCluster {
                                            ChannelId channel,
                                            sim::Time at) const;
 
-  sim::Engine& engine_;
   CycleTiming timing_;
   TransmissionPolicy& policy_;
   std::array<Channel, kNumChannels> channels_;
   sim::Trace* trace_;
   StructuralFaultProvider* faults_ = nullptr;
   units::CycleIndex next_cycle_{0};
+  sim::Engine engine_;
 };
 
 }  // namespace coeff::flexray
