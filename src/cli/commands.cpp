@@ -236,7 +236,7 @@ std::vector<Row> fault_model_rows(fault::FaultModelConfig& fm) {
   fault::GilbertElliottParams& ge = fm.gilbert_elliott;
   return {
       spec("--fault-model", "NAME", "channel fault physics",
-           "in {iid|gilbert-elliott|ge|common-mode|iid-counter}",
+           "in {iid|gilbert-elliott|ge|common-mode}",
            assign(fm.kind, fault::parse_fault_model_kind),
            [&fm] { return std::string(fault::to_string(fm.kind)); }),
       number("--ge-p-gb", "X", "Gilbert-Elliott burst entry probability",

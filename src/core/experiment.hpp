@@ -59,8 +59,6 @@ struct ExperimentConfig {
 
   net::ArrivalOptions arrivals;
   std::uint64_t seed = 42;
-  /// Safety cap on post-window drain, in multiples of the window.
-  int max_drain_factor = 64;
 
   // --- Fault-resilience layer ------------------------------------------
   /// Channel physics. `fault_model.ber` is overwritten with `ber` above

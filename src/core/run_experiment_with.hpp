@@ -5,9 +5,8 @@
 // tests instantiate it with the slot-by-slot reference walk
 // (tests/support/reference_cluster.hpp), so both walks run the exact same
 // scheduler, fault model, arrivals and accounting. `ClusterT` needs
-// flexray::Cluster's constructor, set_batch_corruption,
-// set_fault_provider, set_arrivals, run_until, run_cycles, cycles_run,
-// now and channel.
+// flexray::Cluster's constructor, set_fault_provider, set_arrivals,
+// run_until, run_cycles, cycles_run, now and channel.
 #pragma once
 
 #include <chrono>
@@ -109,9 +108,6 @@ template <class ClusterT>
   }
   ClusterT cluster(config.cluster, *sched, fault_model->as_corruption_fn(),
                    config.trace);
-  // Batched verdicts draw from the same model in wire order, so the
-  // verdict stream matches per-frame draws bit for bit.
-  cluster.set_batch_corruption(fault_model->as_batch_fn());
 
   // Structural fault domain: the injector must outlive the cluster run.
   std::unique_ptr<fault::NodeFaultModel> structural;
@@ -140,7 +136,9 @@ template <class ClusterT>
   const auto walk_begin = std::chrono::steady_clock::now();
   cluster.run_until(config.batch_window);
   const std::int64_t window_cycles = cluster.cycles_run();
-  const std::int64_t cap = window_cycles * config.max_drain_factor + 64;
+  // Safety cap on the post-window drain, in multiples of the window.
+  constexpr std::int64_t kMaxDrainFactor = 64;
+  const std::int64_t cap = window_cycles * kMaxDrainFactor + 64;
   while (sched->work_remaining() && cluster.cycles_run() < cap) {
     cluster.run_cycles(1);
   }

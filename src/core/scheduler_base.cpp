@@ -40,7 +40,8 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
   // The frame-id → message table for the FTDMA hot path. Two or more
   // messages may share a dynamic frame id (§II-B) as long as one node
   // owns the id: the node's priority queue decides which goes out in
-  // the current cycle.
+  // the current cycle. validate() bounds the ids, and so the table, to
+  // FlexRay's 11-bit frame-id space.
   int max_frame_id = 0;
   for (const auto& m : dynamics_.messages()) {
     max_frame_id = std::max(max_frame_id, m.frame_id);
@@ -58,8 +59,7 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
     if (owner == nullptr) {
       owner = &m;
       nodes_.at(static_cast<std::size_t>(m.node))
-          .add_dynamic_frame_id(
-              flexray::FrameId{static_cast<std::uint16_t>(m.frame_id)});
+          .add_dynamic_frame_id(units::to_frame_id(units::SlotId{m.frame_id}));
     } else if (owner->node != m.node) {
       throw std::invalid_argument(
           "SchedulerBase: dynamic frame id " + std::to_string(m.frame_id) +
@@ -333,7 +333,7 @@ void SchedulerBase::on_arrival(int message_id, sim::Time at) {
 
   flexray::PendingMessage pending;
   pending.instance = inst.key;
-  pending.frame_id = flexray::FrameId{static_cast<std::uint16_t>(m->frame_id)};
+  pending.frame_id = units::to_frame_id(units::SlotId{m->frame_id});
   pending.payload_bits = m->size_bits;
   pending.release = at;
   pending.deadline = inst.abs_deadline;
@@ -379,7 +379,7 @@ void SchedulerBase::on_dynamic_declined(flexray::ChannelId /*channel*/,
   const net::Message* m = &dynamics_.messages()[position - statics_.size()];
   flexray::PendingMessage pending;
   pending.instance = inst->key;
-  pending.frame_id = flexray::FrameId{static_cast<std::uint16_t>(m->frame_id)};
+  pending.frame_id = units::to_frame_id(units::SlotId{m->frame_id});
   pending.payload_bits = m->size_bits;
   pending.release = inst->release;
   pending.deadline = inst->abs_deadline;

@@ -33,8 +33,6 @@ const char* to_string(FaultModelKind k) {
       return "gilbert-elliott";
     case FaultModelKind::kCommonMode:
       return "common-mode";
-    case FaultModelKind::kIidCounter:
-      return "iid-counter";
   }
   return "?";
 }
@@ -45,7 +43,6 @@ std::optional<FaultModelKind> parse_fault_model_kind(std::string_view name) {
     return FaultModelKind::kGilbertElliott;
   }
   if (name == "common-mode") return FaultModelKind::kCommonMode;
-  if (name == "iid-counter") return FaultModelKind::kIidCounter;
   return std::nullopt;
 }
 
@@ -68,19 +65,6 @@ bool FaultModel::corrupted(const flexray::TxRequest& req,
 flexray::CorruptionFn FaultModel::as_corruption_fn() {
   return [this](const flexray::TxRequest& req, flexray::ChannelId channel,
                 sim::Time start) { return corrupted(req, channel, start); };
-}
-
-void FaultModel::draw_batch(const flexray::VerdictQuery* queries,
-                            std::size_t n, bool* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = corrupted(*queries[i].request, queries[i].channel,
-                       queries[i].start);
-  }
-}
-
-flexray::BatchCorruptionFn FaultModel::as_batch_fn() {
-  return [this](const flexray::VerdictQuery* queries, std::size_t n,
-                bool* out) { draw_batch(queries, n, out); };
 }
 
 void FaultModel::schedule_ber_step(sim::Time at, double ber) {
@@ -177,35 +161,6 @@ std::string CommonModeModel::describe() const {
   return buf;
 }
 
-// --- Counter-based iid --------------------------------------------------
-
-CounterIidModel::CounterIidModel(double ber, std::uint64_t seed)
-    : ber_(ber), philox_(seed) {
-  check_probability("ber", ber);
-}
-
-bool CounterIidModel::draw_verdict(const flexray::TxRequest& req,
-                                   flexray::ChannelId channel,
-                                   sim::Time start) {
-  const double p = ber_.p(req.payload_bits);
-  // Counter layout: c0 = transmission start (unique per slot/minislot,
-  // encodes cycle and slot), c1 = frame id and channel. At most one
-  // frame occupies a (start, frame, channel) triple, so every verdict
-  // has its own counter and the draw order is immaterial.
-  const std::uint64_t c1 =
-      (static_cast<std::uint64_t>(req.frame_id.value()) << 1) |
-      static_cast<std::uint64_t>(channel);
-  return philox_.bernoulli(p, static_cast<std::uint64_t>(start.ns()), c1);
-}
-
-void CounterIidModel::apply_ber_step(double ber) { ber_.set_ber(ber); }
-
-std::string CounterIidModel::describe() const {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "iid-counter(ber=%g)", ber_.ber());
-  return buf;
-}
-
 // --- Factory ------------------------------------------------------------
 
 std::string describe(const FaultModelConfig& config) {
@@ -219,8 +174,6 @@ std::string describe(const FaultModelConfig& config) {
       return GilbertElliottModel(config.gilbert_elliott, 0).describe();
     case FaultModelKind::kCommonMode:
       return CommonModeModel(config.ber, config.common_fraction, 0).describe();
-    case FaultModelKind::kIidCounter:
-      return CounterIidModel(config.ber, 0).describe();
   }
   return "?";
 }
@@ -236,8 +189,6 @@ std::unique_ptr<FaultModel> make_fault_model(const FaultModelConfig& config,
     case FaultModelKind::kCommonMode:
       return std::make_unique<CommonModeModel>(config.ber,
                                                config.common_fraction, seed);
-    case FaultModelKind::kIidCounter:
-      return std::make_unique<CounterIidModel>(config.ber, seed);
   }
   throw std::invalid_argument("make_fault_model: unknown kind");
 }
@@ -281,8 +232,8 @@ double AnalyticFailure::mirrored_pair(std::int64_t bits) {
     const double f = config_.common_fraction;
     return f * p + (1.0 - f) * p * p;
   }
-  // iid / iid-counter: independent channel streams. Gilbert–Elliott:
-  // independent per-channel chains, each at its stationary marginal.
+  // iid: independent channel streams. Gilbert–Elliott: independent
+  // per-channel chains, each at its stationary marginal.
   const double p = attempt(bits);
   return p * p;
 }

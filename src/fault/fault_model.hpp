@@ -41,12 +41,11 @@ enum class FaultModelKind : std::uint8_t {
   kIid,
   kGilbertElliott,
   kCommonMode,
-  kIidCounter,
 };
 
 [[nodiscard]] const char* to_string(FaultModelKind k);
-/// Accepts the CLI spellings "iid", "gilbert-elliott", "common-mode"
-/// and "iid-counter".
+/// Accepts the CLI spellings "iid", "gilbert-elliott", "ge" and
+/// "common-mode".
 [[nodiscard]] std::optional<FaultModelKind> parse_fault_model_kind(
     std::string_view name);
 
@@ -64,20 +63,6 @@ class FaultModel {
   /// Adapter usable directly as a Cluster corruption hook. The model
   /// must outlive the returned callable.
   [[nodiscard]] flexray::CorruptionFn as_corruption_fn();
-
-  /// Batched verdicts for the Cluster's static segment: one verdict per
-  /// query, written to `out`. Implemented as a sequential walk over
-  /// corrupted() in query order, so as long as the caller passes the
-  /// queries in exact wire order the resulting verdict stream is
-  /// *identical* to per-frame corrupted() calls — for every model,
-  /// including the stateful Gilbert–Elliott chains. Counters and the
-  /// scheduled BER step advance exactly as in the sequential path.
-  void draw_batch(const flexray::VerdictQuery* queries, std::size_t n,
-                  bool* out);
-
-  /// Adapter usable as a Cluster batch-corruption hook. The model must
-  /// outlive the returned callable.
-  [[nodiscard]] flexray::BatchCorruptionFn as_batch_fn();
 
   /// One-line human-readable description (printed in run headers).
   [[nodiscard]] virtual std::string describe() const = 0;
@@ -180,31 +165,6 @@ class CommonModeModel : public FaultModel {
   std::array<sim::Rng, flexray::kNumChannels> rngs_;
 };
 
-/// Counter-based i.i.d. model: same physics as FaultInjector, but every
-/// verdict is a pure function of (seed, transmission start, frame id,
-/// channel) through Philox4x32 — no sequential stream to replay. The
-/// start time encodes cycle and slot, so the key space matches the
-/// "seed/cycle/slot/channel" contract of the batched verdicts and any
-/// subset of verdicts can be drawn in any order (or in parallel)
-/// without perturbing the rest. Statistically equivalent to the iid
-/// model, not stream-identical to it (different generator).
-class CounterIidModel : public FaultModel {
- public:
-  CounterIidModel(double ber, std::uint64_t seed);
-
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] double ber() const { return ber_.ber(); }
-
- protected:
-  bool draw_verdict(const flexray::TxRequest& req, flexray::ChannelId channel,
-                    sim::Time start) override;
-  void apply_ber_step(double ber) override;
-
- private:
-  BerCache ber_;  ///< per-size failure probability memo
-  sim::Philox4x32 philox_;
-};
-
 /// Declarative model selection (experiment configs, CLI flags).
 struct FaultModelConfig {
   FaultModelKind kind = FaultModelKind::kIid;
@@ -225,7 +185,7 @@ struct FaultModelConfig {
 /// is a closed form over the model parameters, memoized per frame size
 /// through BerCache:
 ///
-///  * iid / iid-counter: attempts are independent at p = 1-(1-BER)^W.
+///  * iid: attempts are independent at p = 1-(1-BER)^W.
 ///  * gilbert-elliott: the per-channel chain is treated at its
 ///    stationary distribution pi = (p_bg, p_gb) / (p_gb + p_bg);
 ///    consecutive_* chains attempts through the exact two-state Markov
@@ -266,7 +226,7 @@ class AnalyticFailure {
 
  private:
   FaultModelConfig config_;
-  BerCache base_;  ///< iid / iid-counter / common-mode at config.ber
+  BerCache base_;  ///< iid / common-mode at config.ber
   BerCache good_;  ///< Gilbert–Elliott good-state memo
   BerCache bad_;   ///< Gilbert–Elliott bad-state memo
   double pi_bad_ = 0.0;

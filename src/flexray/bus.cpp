@@ -10,15 +10,6 @@ TxOutcome Channel::transmit(const TxRequest& req, sim::Time start,
   // per-channel verdict stream advances (keeps the surviving channel's
   // stream independent of jamming on this one).
   const bool corrupted = corruption_ ? corruption_(req, id_, start) : false;
-  return transmit_with_verdict(req, start, duration, cycle, slot, segment,
-                               corrupted, force_corrupt);
-}
-
-TxOutcome Channel::transmit_with_verdict(const TxRequest& req, sim::Time start,
-                                         sim::Time duration,
-                                         units::CycleIndex cycle,
-                                         units::SlotId slot, Segment segment,
-                                         bool corrupted, bool force_corrupt) {
   TxOutcome out;
   out.request = req;
   out.channel = id_;

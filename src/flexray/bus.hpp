@@ -60,21 +60,6 @@ struct TxOutcome {
 using CorruptionFn =
     std::function<bool(const TxRequest&, ChannelId, sim::Time start)>;
 
-/// One pending fault verdict in a batched draw (static segment).
-/// `request` stays owned by the caller for the duration of the call.
-struct VerdictQuery {
-  const TxRequest* request = nullptr;
-  ChannelId channel = ChannelId::kA;
-  sim::Time start;
-};
-
-/// Draws `n` verdicts at once, writing one bool per query to `out`.
-/// Queries arrive in exact wire order, so an implementation that walks
-/// them sequentially produces a verdict stream identical to per-frame
-/// CorruptionFn calls (fault::FaultModel::draw_batch does exactly that).
-using BatchCorruptionFn =
-    std::function<void(const VerdictQuery*, std::size_t, bool* out)>;
-
 struct ChannelStats {
   std::int64_t frames = 0;
   std::int64_t corrupted_frames = 0;
@@ -98,16 +83,6 @@ class Channel {
   TxOutcome transmit(const TxRequest& req, sim::Time start, sim::Time duration,
                      units::CycleIndex cycle, units::SlotId slot,
                      Segment segment, bool force_corrupt = false);
-
-  /// Clock a frame whose fault verdict was already drawn (batched
-  /// verdicts). transmit() is this after one hook call; here the
-  /// corruption hook is NOT consulted — the caller drew this frame's
-  /// verdict from the same model via a BatchCorruptionFn, and drawing
-  /// twice would desynchronise the verdict stream.
-  TxOutcome transmit_with_verdict(const TxRequest& req, sim::Time start,
-                                  sim::Time duration, units::CycleIndex cycle,
-                                  units::SlotId slot, Segment segment,
-                                  bool corrupted, bool force_corrupt = false);
 
   /// Synthesize the outcome of a transmission attempted while the
   /// channel is dark: the frame is lost, nothing touches the wire, no

@@ -11,7 +11,9 @@ Cluster::Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
       policy_(policy),
       channels_{Channel{ChannelId::kA, corruption},
                 Channel{ChannelId::kB, corruption}},
-      trace_(trace) {}
+      trace_(trace),
+      decisions_(2 * static_cast<std::size_t>(
+                         timing_.config().g_number_of_static_slots)) {}
 
 void Cluster::run_cycles(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -34,7 +36,6 @@ void Cluster::execute_cycle(units::CycleIndex cycle) {
   policy_.on_cycle_start(cycle, start);
   apply_topology_events(cycle, start);
 
-  arena_.reset();
   execute_static_segment(cycle);
   execute_dynamic_segment(cycle, ChannelId::kA);
   execute_dynamic_segment(cycle, ChannelId::kB);
@@ -98,30 +99,18 @@ bool Cluster::structural_corruption(const TxRequest& req, units::SlotId slot,
 // delivered inside the run — arrivals do mutate decision state, so the
 // next pending arrival bounds the chunk and is delivered at exactly the
 // sequence point the reference delivers it (between the previous slot's
-// commit and the next slot's decision). Verdicts are drawn per
-// chunk in wire order through the batch hook, which walks the same model
-// the CorruptionFn wraps — an identical verdict stream. Structural
-// corruption (babble, drift) only overrides a drawn verdict, and its
-// queries are answered from state that changes only at poll(), so
-// asking them at commit with the reference's (slot, channel, start)
-// gives the reference's answers.
+// commit and the next slot's decision). Each wire frame's verdict is
+// drawn at its commit through the CorruptionFn, as in the reference, so
+// the verdict stream is the reference's: the fault models read no
+// policy state. Structural corruption (babble, drift) only overrides a
+// drawn verdict, and its queries are answered from state that changes
+// only at poll(), so asking them at commit with the reference's (slot,
+// channel, start) gives the reference's answers.
 
 void Cluster::execute_static_segment(units::CycleIndex cycle) {
   const ClusterConfig& cfg = config();
   const std::int64_t nslots = cfg.g_number_of_static_slots;
   const sim::Time slot_duration = cfg.static_slot_duration();
-
-  /// One honoured static-slot request, staged between decision and
-  /// commit. Trivially destructible: lives in the per-cycle arena.
-  struct Decision {
-    TxRequest req;
-    sim::Time slot_start;
-    std::int64_t slot;
-    std::uint8_t channel;
-    bool lost;  ///< channel dark: lose() instead of transmit()
-  };
-  Decision* decisions =
-      arena_.allocate<Decision>(static_cast<std::size_t>(2 * nslots));
 
   std::int64_t slot = 1;
   // Slot starts form an arithmetic sequence; one anchor lookup replaces
@@ -146,13 +135,10 @@ void Cluster::execute_static_segment(units::CycleIndex cycle) {
     // applies the per-request validation.
     struct DecisionSink final : TransmissionPolicy::StaticChunkSink {
       Cluster* cluster;
-      units::CycleIndex cycle;
       sim::Time seg_base;
       sim::Time slot_duration;
       std::int64_t capacity_bits;
-      Decision* decisions;
       std::size_t n_decisions = 0;
-      std::size_t n_wire = 0;
       void stage(units::SlotId slot, ChannelId channel,
                  const TxRequest& req) override {
         if (req.frame_id != units::to_frame_id(slot)) {
@@ -165,68 +151,36 @@ void Cluster::execute_static_segment(units::CycleIndex cycle) {
           throw std::logic_error(
               "Cluster: static payload exceeds slot capacity");
         }
-        Decision& d = decisions[n_decisions++];
+        Decision& d = cluster->decisions_[n_decisions++];
         d.req = req;
         d.slot_start = seg_base + slot_duration * (slot.value() - 1);
         d.slot = slot.value();
         d.channel = static_cast<std::uint8_t>(channel);
         d.lost = !cluster->channels_[static_cast<std::size_t>(channel)]
                       .available();
-        if (!d.lost) ++n_wire;
       }
     };
     DecisionSink sink;
     sink.cluster = this;
-    sink.cycle = cycle;
     sink.seg_base = seg_base;
     sink.slot_duration = slot_duration;
     sink.capacity_bits = cfg.static_slot_capacity_bits();
-    sink.decisions = decisions;
     policy_.decide_static_chunk(cycle, slot, chunk_end, sink);
-    const std::size_t n_decisions = sink.n_decisions;
-    const std::size_t n_wire = sink.n_wire;
 
-    // Verdict phase: one batched draw over the chunk's wire frames, in
-    // wire order. Falls back to per-frame draws at commit when no batch
-    // hook is installed.
-    bool* verdicts = nullptr;
-    if (batch_corruption_ && n_wire > 0) {
-      VerdictQuery* queries = arena_.allocate<VerdictQuery>(n_wire);
-      verdicts = arena_.allocate<bool>(n_wire);
-      std::size_t qi = 0;
-      for (std::size_t i = 0; i < n_decisions; ++i) {
-        if (decisions[i].lost) continue;
-        queries[qi].request = &decisions[i].req;
-        queries[qi].channel = static_cast<ChannelId>(decisions[i].channel);
-        queries[qi].start = decisions[i].slot_start;
-        ++qi;
-      }
-      batch_corruption_(queries, n_wire, verdicts);
-    }
-
-    // Commit phase: same order as the decisions; traces and policy
-    // callbacks land exactly where the reference walk puts them.
-    std::size_t vi = 0;
-    for (std::size_t i = 0; i < n_decisions; ++i) {
-      const Decision& d = decisions[i];
+    // Commit phase: same order as the decisions; verdicts, traces and
+    // policy callbacks land exactly where the reference walk puts them.
+    for (std::size_t i = 0; i < sink.n_decisions; ++i) {
+      const Decision& d = decisions_[i];
       Channel& channel = channels_[d.channel];
+      const units::SlotId slot_id{d.slot};
       if (d.lost) {
         policy_.on_tx_complete(channel.lose(d.req, d.slot_start, slot_duration,
-                                            cycle, units::SlotId{d.slot},
-                                            Segment::kStatic));
+                                            cycle, slot_id, Segment::kStatic));
         continue;
       }
-      const units::SlotId slot_id{d.slot};
-      const bool forced =
-          structural_corruption(d.req, slot_id, channel.id(), d.slot_start);
-      const TxOutcome out =
-          verdicts != nullptr
-              ? channel.transmit_with_verdict(d.req, d.slot_start,
-                                              slot_duration, cycle, slot_id,
-                                              Segment::kStatic, verdicts[vi++],
-                                              forced)
-              : channel.transmit(d.req, d.slot_start, slot_duration, cycle,
-                                 slot_id, Segment::kStatic, forced);
+      const TxOutcome out = channel.transmit(
+          d.req, d.slot_start, slot_duration, cycle, slot_id, Segment::kStatic,
+          structural_corruption(d.req, slot_id, channel.id(), d.slot_start));
       if (trace_) {
         trace_->emit(d.slot_start,
                      out.corrupted ? sim::TraceKind::kTxCorrupted

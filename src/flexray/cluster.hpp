@@ -4,11 +4,12 @@
 // decisions are delegated to the installed TransmissionPolicy and fault
 // verdicts to the CorruptionFn. Slot-level timing is computed
 // arithmetically (CycleTiming). The walk is phased (DESIGN.md §12):
-// static slots are decided in arrival-free chunks, their verdicts drawn
-// per chunk and their outcomes committed in slot order, so dynamic
-// arrivals land between the same slots as in a slot-by-slot walk. That
-// slot-by-slot walk lives in tests/support/reference_cluster.* as the
-// executable reference the differential suite compares against.
+// static slots are decided in arrival-free chunks, then their outcomes
+// are committed in slot order, each frame's verdict drawn at its
+// commit, so dynamic arrivals land between the same slots as in a
+// slot-by-slot walk. That slot-by-slot walk lives in
+// tests/support/reference_cluster.* as the executable reference the
+// differential suite compares against.
 #pragma once
 
 #include <array>
@@ -19,7 +20,6 @@
 #include "flexray/fault_domain.hpp"
 #include "flexray/policy.hpp"
 #include "flexray/timing.hpp"
-#include "sim/arena.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::flexray {
@@ -47,15 +47,6 @@ class Cluster {
   }
   [[nodiscard]] const StructuralFaultProvider* fault_provider() const {
     return faults_;
-  }
-
-  /// Install the batched-verdict hook used by the static segment. Must
-  /// draw from the same underlying model as the per-frame CorruptionFn
-  /// (fault::FaultModel::as_batch_fn does), or the two verdict streams
-  /// desynchronise. Optional: without it the walk draws per frame
-  /// through the CorruptionFn.
-  void set_batch_corruption(BatchCorruptionFn fn) {
-    batch_corruption_ = std::move(fn);
   }
 
   /// Execute the next `n` communication cycles.
@@ -91,9 +82,9 @@ class Cluster {
  private:
   void execute_cycle(units::CycleIndex cycle);
   void apply_topology_events(units::CycleIndex cycle, sim::Time at);
-  /// Phased static walk: decide → batched verdicts → commit, chunked at
-  /// pending arrivals so they land between the same slots as in the
-  /// slot-by-slot reference walk.
+  /// Phased static walk: decide, then commit with per-frame verdicts,
+  /// chunked at pending arrivals so they land between the same slots as
+  /// in the slot-by-slot reference walk.
   void execute_static_segment(units::CycleIndex cycle);
   /// Dynamic walk with idle-minislot skipping.
   void execute_dynamic_segment(units::CycleIndex cycle, ChannelId channel);
@@ -105,6 +96,16 @@ class Cluster {
                                            ChannelId channel,
                                            sim::Time at) const;
 
+  /// One honoured static-slot request, staged between decision and
+  /// commit.
+  struct Decision {
+    TxRequest req;
+    sim::Time slot_start;
+    std::int64_t slot = 0;
+    std::uint8_t channel = 0;
+    bool lost = false;  ///< channel dark: lose() instead of transmit()
+  };
+
   CycleTiming timing_;
   TransmissionPolicy& policy_;
   std::array<Channel, kNumChannels> channels_;
@@ -112,8 +113,8 @@ class Cluster {
   StructuralFaultProvider* faults_ = nullptr;
   units::CycleIndex next_cycle_{0};
   ArrivalCursor arrivals_;
-  BatchCorruptionFn batch_corruption_;
-  sim::Arena arena_;  ///< per-cycle transients (decisions, verdicts)
+  /// One chunk's decisions: both channels of every static slot at most.
+  std::vector<Decision> decisions_;
 };
 
 }  // namespace coeff::flexray

@@ -26,6 +26,10 @@ const char* field_violation(const Message& m) {
   if (m.offset < sim::Time::zero()) return "negative offset";
   if (m.offset > m.period) return "offset exceeds period";
   if (m.node < 0) return "negative node";
+  // FlexRay frame ids are 11 bits (units::to_frame_id's bound).
+  if (m.frame_id < 0 || m.frame_id > 2047) {
+    return "frame id outside [0, 2047]";
+  }
   return nullptr;
 }
 }  // namespace

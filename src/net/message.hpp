@@ -86,7 +86,8 @@ class MessageSet {
 
   /// Throws std::invalid_argument on: duplicate ids, non-positive
   /// period/size, deadline > period (constrained-deadline model),
-  /// negative offset, offset > period, duplicate static frame ids.
+  /// negative offset, offset > period, a frame id outside FlexRay's
+  /// 11-bit space, duplicate static frame ids.
   void validate() const;
 
   [[nodiscard]] const Message* find(int id) const;

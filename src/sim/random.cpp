@@ -85,41 +85,4 @@ Rng Rng::split() {
   return child;
 }
 
-namespace {
-
-// Multipliers and Weyl constants from the Philox reference
-// implementation (Random123).
-constexpr std::uint32_t kPhiloxM0 = 0xD2511F53U;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57U;
-constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9U;
-constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85U;
-
-}  // namespace
-
-Philox4x32::Block Philox4x32::block(std::uint64_t c0, std::uint64_t c1) const {
-  std::uint32_t x0 = static_cast<std::uint32_t>(c0);
-  std::uint32_t x1 = static_cast<std::uint32_t>(c0 >> 32);
-  std::uint32_t x2 = static_cast<std::uint32_t>(c1);
-  std::uint32_t x3 = static_cast<std::uint32_t>(c1 >> 32);
-  std::uint32_t k0 = k0_;
-  std::uint32_t k1 = k1_;
-  for (int round = 0; round < 10; ++round) {
-    const std::uint64_t p0 = static_cast<std::uint64_t>(kPhiloxM0) * x0;
-    const std::uint64_t p1 = static_cast<std::uint64_t>(kPhiloxM1) * x2;
-    const std::uint32_t y0 =
-        static_cast<std::uint32_t>(p1 >> 32) ^ x1 ^ k0;
-    const std::uint32_t y1 = static_cast<std::uint32_t>(p1);
-    const std::uint32_t y2 =
-        static_cast<std::uint32_t>(p0 >> 32) ^ x3 ^ k1;
-    const std::uint32_t y3 = static_cast<std::uint32_t>(p0);
-    x0 = y0;
-    x1 = y1;
-    x2 = y2;
-    x3 = y3;
-    k0 += kPhiloxW0;
-    k1 += kPhiloxW1;
-  }
-  return Block{x0, x1, x2, x3};
-}
-
 }  // namespace coeff::sim

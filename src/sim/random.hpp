@@ -62,48 +62,4 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
 };
 
-/// Philox4x32-10: counter-based generator (Salmon et al., SC'11).
-///
-/// Unlike the sequential generators above, output depends only on the
-/// (key, counter) pair, so any point in the stream can be evaluated in
-/// any order — the property the Cluster's cycle walk needs to batch
-/// fault verdicts keyed by (seed, cycle, slot, channel) without
-/// replaying every earlier draw. Stateless and cheap to construct.
-class Philox4x32 {
- public:
-  using Block = std::array<std::uint32_t, 4>;
-
-  constexpr explicit Philox4x32(std::uint64_t key)
-      : k0_(static_cast<std::uint32_t>(key)),
-        k1_(static_cast<std::uint32_t>(key >> 32)) {}
-
-  /// The 128-bit block for counter (c0, c1) after 10 rounds.
-  [[nodiscard]] Block block(std::uint64_t c0, std::uint64_t c1) const;
-
-  /// First 64 bits of the block — enough for one verdict draw.
-  [[nodiscard]] std::uint64_t next_u64(std::uint64_t c0,
-                                       std::uint64_t c1) const {
-    const Block b = block(c0, c1);
-    return (static_cast<std::uint64_t>(b[1]) << 32) | b[0];
-  }
-
-  /// Uniform double in [0, 1) with 53 bits, matching Rng::uniform01's
-  /// bit-discipline ((x >> 11) * 2^-53).
-  [[nodiscard]] double uniform01(std::uint64_t c0, std::uint64_t c1) const {
-    return static_cast<double>(next_u64(c0, c1) >> 11) * 0x1.0p-53;
-  }
-
-  /// Bernoulli trial with success probability p (clamped to [0, 1]).
-  [[nodiscard]] bool bernoulli(double p, std::uint64_t c0,
-                               std::uint64_t c1) const {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform01(c0, c1) < p;
-  }
-
- private:
-  std::uint32_t k0_;
-  std::uint32_t k1_;
-};
-
 }  // namespace coeff::sim

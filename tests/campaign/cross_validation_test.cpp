@@ -1,5 +1,5 @@
 // Cross-validation acceptance suite (DESIGN.md §14 + §15): for the full
-// scheme x fault-model cross (3 x 4 = 12 seeded cells), the simulated
+// scheme x fault-model cross (3 x 3 = 9 seeded cells), the simulated
 // static-segment miss ratio must fall inside the analytic P(miss)
 // envelope [lower - slack, upper + slack] — and, with each cell now
 // carrying a 12-message SAE-style dynamic set, the simulated dynamic
@@ -49,17 +49,27 @@ TEST(CrossValidation, SimulatedMissRatioInsideAnalyticEnvelope) {
   const std::vector<core::SchemeKind> schemes = {
       core::SchemeKind::kCoEfficient, core::SchemeKind::kFspec,
       core::SchemeKind::kHosa};
-  const std::vector<fault::FaultModelKind> faults = {
-      fault::FaultModelKind::kIid, fault::FaultModelKind::kIidCounter,
-      fault::FaultModelKind::kGilbertElliott,
-      fault::FaultModelKind::kCommonMode};
+  // Each model keeps its column of the former 3 x 4 grid (column 1 held
+  // the since-removed iid-counter model), so every cell keeps its index
+  // and seed.
+  struct Column {
+    fault::FaultModelKind fault;
+    std::int64_t column;
+  };
+  const std::vector<Column> faults = {
+      {fault::FaultModelKind::kIid, 0},
+      {fault::FaultModelKind::kGilbertElliott, 2},
+      {fault::FaultModelKind::kCommonMode, 3}};
+  constexpr std::int64_t kColumns = 4;
 
   const ScenarioGenerator generator(20260809, ScenarioDistribution{});
   std::vector<analysis::DivergenceSample> samples;
   std::vector<analysis::DivergenceSample> dyn_samples;
-  std::int64_t index = 0;
-  for (const core::SchemeKind scheme : schemes) {
-    for (const fault::FaultModelKind fault : faults) {
+  for (std::size_t row = 0; row < schemes.size(); ++row) {
+    const core::SchemeKind scheme = schemes[row];
+    for (const auto [fault, column] : faults) {
+      const std::int64_t index =
+          static_cast<std::int64_t>(row) * kColumns + column;
       const Cell cell{scheme, fault,
                       0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(
                                                   index + 1)};
@@ -101,11 +111,10 @@ TEST(CrossValidation, SimulatedMissRatioInsideAnalyticEnvelope) {
       dyn_sample.p_lower = dyn_lower;
       dyn_sample.p_upper = dyn_upper;
       dyn_samples.push_back(std::move(dyn_sample));
-      ++index;
     }
   }
-  ASSERT_EQ(samples.size(), 12u);
-  ASSERT_EQ(dyn_samples.size(), 12u);
+  ASSERT_EQ(samples.size(), 9u);
+  ASSERT_EQ(dyn_samples.size(), 9u);
 
   analysis::Report report;
   analysis::check_divergence(samples, report);

@@ -51,6 +51,7 @@ TEST(FaultModelKindTest, ParseAndToStringRoundTrip) {
   }
   EXPECT_EQ(parse_fault_model_kind("ge"), FaultModelKind::kGilbertElliott);
   EXPECT_FALSE(parse_fault_model_kind("markov").has_value());
+  EXPECT_FALSE(parse_fault_model_kind("iid-counter").has_value());
   EXPECT_FALSE(parse_fault_model_kind("").has_value());
 }
 
@@ -249,132 +250,6 @@ TEST(FaultModelTest, DescribeMentionsTheModel) {
   EXPECT_NE(describe(config).find("common-mode"), std::string::npos);
   config.kind = FaultModelKind::kIid;
   EXPECT_NE(describe(config).find("iid"), std::string::npos);
-}
-
-// --- Batched verdicts (the Cluster's static segment) --------------------
-
-namespace {
-
-/// A deterministic pseudo-wire-order stream of queries: mixed frames,
-/// channels, payload sizes and monotone start times.
-std::vector<flexray::TxRequest> make_requests(int n) {
-  std::vector<flexray::TxRequest> reqs;
-  reqs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    flexray::TxRequest req;
-    req.frame_id = flexray::FrameId{static_cast<std::uint16_t>(1 + (i % 40))};
-    req.sender = units::NodeId{i % 4};
-    req.payload_bits = 200 + 16 * (i % 50);
-    req.retransmission = (i % 3) == 0;
-    reqs.push_back(req);
-  }
-  return reqs;
-}
-
-}  // namespace
-
-// draw_batch must replay corrupted() in query order, so for every model
-// — including the stateful Gilbert–Elliott chains and a scheduled BER
-// step landing mid-batch — the verdict stream matches per-frame draws
-// bit for bit. This is the determinism contract the cycle walk's
-// differential tests lean on.
-TEST(FaultModelTest, DrawBatchMatchesSequentialDrawsForEveryModel) {
-  for (const auto kind :
-       {FaultModelKind::kIid, FaultModelKind::kGilbertElliott,
-        FaultModelKind::kCommonMode, FaultModelKind::kIidCounter}) {
-    SCOPED_TRACE(to_string(kind));
-    FaultModelConfig config;
-    config.kind = kind;
-    config.ber = 1e-4;  // high enough that faults actually appear
-    config.gilbert_elliott.p_good_to_bad = 0.05;
-    config.common_fraction = 0.5;
-
-    const auto sequential = make_fault_model(config, 99);
-    const auto batched = make_fault_model(config, 99);
-    sequential->schedule_ber_step(sim::micros(500), 1e-3);
-    batched->schedule_ber_step(sim::micros(500), 1e-3);
-
-    const auto reqs = make_requests(1000);
-    std::vector<flexray::VerdictQuery> queries;
-    std::vector<bool> expected;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const auto channel =
-          (i % 2) == 0 ? flexray::ChannelId::kA : flexray::ChannelId::kB;
-      const sim::Time start = sim::micros(static_cast<std::int64_t>(i));
-      queries.push_back({&reqs[i], channel, start});
-      expected.push_back(sequential->corrupted(reqs[i], channel, start));
-    }
-    std::vector<std::uint8_t> out(queries.size(), 0);
-    // draw in cycle-sized batches, as the cluster does
-    const std::size_t kBatch = 37;
-    for (std::size_t i = 0; i < queries.size(); i += kBatch) {
-      const std::size_t n = std::min(kBatch, queries.size() - i);
-      static_assert(sizeof(bool) == sizeof(std::uint8_t));
-      batched->draw_batch(&queries[i], n,
-                          reinterpret_cast<bool*>(&out[i]));
-    }
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(static_cast<bool>(out[i]), expected[i]) << "query " << i;
-    }
-    EXPECT_EQ(batched->verdicts(), sequential->verdicts());
-    EXPECT_EQ(batched->faults(), sequential->faults());
-  }
-}
-
-TEST(CounterIidModelTest, VerdictIsPureFunctionOfKey) {
-  CounterIidModel model(1e-3, 7);
-  CounterIidModel replay(1e-3, 7);
-  const auto reqs = make_requests(500);
-  // Replay the same (start, frame, channel) keys in reverse order: a
-  // counter-based model must not care about draw order.
-  std::vector<bool> forward;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    forward.push_back(model.corrupted(reqs[i], flexray::ChannelId::kA,
-                                      sim::micros(static_cast<std::int64_t>(i))));
-  }
-  for (std::size_t i = reqs.size(); i-- > 0;) {
-    EXPECT_EQ(replay.corrupted(reqs[i], flexray::ChannelId::kA,
-                               sim::micros(static_cast<std::int64_t>(i))),
-              forward[i]);
-  }
-}
-
-TEST(CounterIidModelTest, FaultRateTracksFrameCorruptionOdds) {
-  // 1000-bit frames at BER 1e-4: P(corrupt) = 1-(1-1e-4)^1000 ~ 9.5%.
-  CounterIidModel model(1e-4, 21);
-  flexray::TxRequest req;
-  req.frame_id = flexray::FrameId{5};
-  req.payload_bits = 1000;
-  const int kDraws = 20000;
-  int faults = 0;
-  for (int i = 0; i < kDraws; ++i) {
-    if (model.corrupted(req, flexray::ChannelId::kA, sim::micros(i))) {
-      ++faults;
-    }
-  }
-  const double rate = static_cast<double>(faults) / kDraws;
-  EXPECT_NEAR(rate, 1.0 - std::pow(1.0 - 1e-4, 1000.0), 0.01);
-  // Channels draw from distinct counter lanes: same key except the
-  // channel bit must give a decorrelated stream, not a mirror.
-  int differ = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const auto at = sim::micros(i);
-    if (model.corrupted(req, flexray::ChannelId::kA, at) !=
-        model.corrupted(req, flexray::ChannelId::kB, at)) {
-      ++differ;
-    }
-  }
-  EXPECT_GT(differ, 0);
-}
-
-TEST(FaultModelTest, ParsesIidCounterSpelling) {
-  const auto kind = parse_fault_model_kind("iid-counter");
-  ASSERT_TRUE(kind.has_value());
-  EXPECT_EQ(*kind, FaultModelKind::kIidCounter);
-  FaultModelConfig config;
-  config.kind = FaultModelKind::kIidCounter;
-  EXPECT_NE(describe(config).find("iid-counter"), std::string::npos);
-  EXPECT_NE(make_fault_model(config, 1), nullptr);
 }
 
 }  // namespace

@@ -308,7 +308,7 @@ class StubFaults : public StructuralFaultProvider {
   }
 };
 
-TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
+TEST(ClusterTest, StructuralCorruptionOverridesPerFrameVerdicts) {
   ScriptedPolicy policy;
   policy.on_static = [](ChannelId channel, CycleIndex,
                         SlotId slot) -> std::optional<TxRequest> {
@@ -328,21 +328,15 @@ TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
   int per_frame_dynamic = 0;
   auto count_verdicts = [&](const TxRequest& r, ChannelId, sim::Time) {
     ++(r.frame_id == FrameId{2} ? per_frame_static : per_frame_dynamic);
-    return false;
+    return false;  // clean: every corruption below is structural
   };
   Cluster cluster(small_config(), policy, count_verdicts);
-  int batch_calls = 0;
-  cluster.set_batch_corruption(
-      [&](const VerdictQuery*, std::size_t n, bool* out) {
-        ++batch_calls;
-        for (std::size_t i = 0; i < n; ++i) out[i] = false;  // clean
-      });
   StubFaults faults;
   cluster.set_fault_provider(&faults);
   cluster.run_cycles(3);
 
-  EXPECT_EQ(batch_calls, 3);  // the batched walk ran in every cycle
-  EXPECT_EQ(per_frame_static, 0);
+  // Forced frames still draw their verdict, so no verdict stream moves.
+  EXPECT_EQ(per_frame_static, 3);
   EXPECT_EQ(per_frame_dynamic, 3);
   std::vector<bool> static_corrupted;
   std::vector<bool> dynamic_corrupted;
@@ -355,6 +349,41 @@ TEST(ClusterTest, StructuralCorruptionRidesTheBatchedWalk) {
   EXPECT_EQ(cluster.channel(ChannelId::kA).stats().frames, 6);
   EXPECT_EQ(cluster.channel(ChannelId::kA).stats().corrupted_frames, 3);
   EXPECT_EQ(cluster.channel(ChannelId::kB).stats().frames, 0);
+}
+
+// With no arrival pending, a cycle's static segment is one chunk, so a
+// policy that fills both channels of every slot stages the most one
+// chunk can hold: 2 x gNumberOfStaticSlots decisions.
+TEST(ClusterTest, FullChunkCommitsInWireOrder) {
+  ScriptedPolicy policy;
+  policy.on_static = [](ChannelId channel, CycleIndex,
+                        SlotId slot) -> std::optional<TxRequest> {
+    return req(units::to_frame_id(slot), 100,
+               static_cast<std::uint64_t>(2 * slot.value()) +
+                   static_cast<std::uint64_t>(channel));
+  };
+  std::vector<std::uint64_t> verdict_order;
+  auto record_verdicts = [&](const TxRequest& r, ChannelId, sim::Time) {
+    verdict_order.push_back(r.instance);
+    return false;
+  };
+  Cluster cluster(small_config(), policy, record_verdicts);
+  cluster.run_cycles(2);
+
+  const std::size_t per_cycle = 2 * 4;
+  ASSERT_EQ(policy.outcomes.size(), 2 * per_cycle);
+  ASSERT_EQ(verdict_order.size(), policy.outcomes.size());
+  for (std::size_t i = 0; i < policy.outcomes.size(); ++i) {
+    const TxOutcome& out = policy.outcomes[i];
+    const std::size_t k = i % per_cycle;
+    EXPECT_EQ(out.cycle, CycleIndex{static_cast<std::int64_t>(i / per_cycle)});
+    EXPECT_EQ(out.slot, SlotId{static_cast<std::int64_t>(1 + k / 2)});
+    EXPECT_EQ(out.channel, k % 2 == 0 ? ChannelId::kA : ChannelId::kB);
+    EXPECT_EQ(out.start, sim::millis(static_cast<std::int64_t>(i / per_cycle)) +
+                             sim::micros(40) * static_cast<std::int64_t>(k / 2));
+    EXPECT_EQ(out.request.instance, 2 * (1 + k / 2) + k % 2);
+    EXPECT_EQ(verdict_order[i], out.request.instance);
+  }
 }
 
 TEST(ClusterTest, ElapsedCapacityCounters) {

@@ -68,8 +68,7 @@ TEST(EngineDifferentialTest, SchemeByFaultModelGridIsByteIdentical) {
        {SchemeKind::kCoEfficient, SchemeKind::kFspec, SchemeKind::kHosa}) {
     for (const auto kind :
          {fault::FaultModelKind::kIid, fault::FaultModelKind::kGilbertElliott,
-          fault::FaultModelKind::kCommonMode,
-          fault::FaultModelKind::kIidCounter}) {
+          fault::FaultModelKind::kCommonMode}) {
       SCOPED_TRACE(std::string(to_string(scheme)) + " x " +
                    fault::to_string(kind));
       ExperimentConfig config = grid_config();

@@ -93,6 +93,13 @@ TEST(MessageSetTest, ValidateNamesTheFirstBrokenRule) {
             "MessageSet: message 7: offset exceeds period");
   EXPECT_EQ(message_of(with([](Message& m) { m.node = -1; })),
             "MessageSet: message 7: negative node");
+  // FlexRay frame ids are 11 bits: [0, 2047] is the whole space.
+  EXPECT_EQ(message_of(with([](Message& m) { m.frame_id = 2047; })), "valid");
+  for (const int id : {-1, 2048, 65617, 2147483647}) {
+    EXPECT_EQ(message_of(with([id](Message& m) { m.frame_id = id; })),
+              "MessageSet: message 7: frame id outside [0, 2047]")
+        << id;
+  }
   Message a = make(7, 10, 5, 100);
   Message b = make(8, 10, 5, 100);
   a.frame_id = 3;

@@ -143,71 +143,5 @@ TEST(RandomTest, UniformRangeScales) {
   }
 }
 
-// --- Philox4x32-10 ------------------------------------------------------
-
-// Known-answer vectors from the Random123 reference distribution
-// (kat_vectors, "philox 4x32 10"). Counter words map little-end first:
-// c0 = (ctr1 << 32) | ctr0, c1 = (ctr3 << 32) | ctr2, key likewise.
-TEST(PhiloxTest, MatchesReferenceKnownAnswers) {
-  {
-    const Philox4x32 philox(0);
-    const auto b = philox.block(0, 0);
-    EXPECT_EQ(b[0], 0x6627e8d5U);
-    EXPECT_EQ(b[1], 0xe169c58dU);
-    EXPECT_EQ(b[2], 0xbc57ac4cU);
-    EXPECT_EQ(b[3], 0x9b00dbd8U);
-  }
-  {
-    const Philox4x32 philox(0xffffffffffffffffULL);
-    const auto b =
-        philox.block(0xffffffffffffffffULL, 0xffffffffffffffffULL);
-    EXPECT_EQ(b[0], 0x408f276dU);
-    EXPECT_EQ(b[1], 0x41c83b0eU);
-    EXPECT_EQ(b[2], 0xa20bc7c6U);
-    EXPECT_EQ(b[3], 0x6d5451fdU);
-  }
-  {
-    const Philox4x32 philox(0x299f31d0a4093822ULL);
-    const auto b =
-        philox.block(0x85a308d3243f6a88ULL, 0x0370734413198a2eULL);
-    EXPECT_EQ(b[0], 0xd16cfe09U);
-    EXPECT_EQ(b[1], 0x94fdccebU);
-    EXPECT_EQ(b[2], 0x5001e420U);
-    EXPECT_EQ(b[3], 0x24126ea1U);
-  }
-}
-
-// The batched verdicts' whole premise: a verdict is a pure function of
-// (key, counter) — same inputs, same output, in any evaluation order.
-TEST(PhiloxTest, CounterDrawsAreOrderIndependent) {
-  const Philox4x32 philox(42);
-  std::array<std::uint64_t, 8> forward{};
-  for (std::uint64_t i = 0; i < forward.size(); ++i) {
-    forward[i] = philox.next_u64(i, 7);
-  }
-  for (std::uint64_t i = forward.size(); i-- > 0;) {
-    EXPECT_EQ(philox.next_u64(i, 7), forward[i]);
-  }
-  // Distinct counters and keys decorrelate.
-  EXPECT_NE(philox.next_u64(0, 7), philox.next_u64(1, 7));
-  EXPECT_NE(philox.next_u64(0, 7), philox.next_u64(0, 8));
-  EXPECT_NE(philox.next_u64(0, 7), Philox4x32(43).next_u64(0, 7));
-}
-
-TEST(PhiloxTest, Uniform01StaysInUnitIntervalAndIsUnbiased) {
-  const Philox4x32 philox(9);
-  double sum = 0.0;
-  constexpr int kDraws = 20000;
-  for (int i = 0; i < kDraws; ++i) {
-    const double x = philox.uniform01(static_cast<std::uint64_t>(i), 0);
-    ASSERT_GE(x, 0.0);
-    ASSERT_LT(x, 1.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kDraws, 0.5, 0.01);
-  EXPECT_FALSE(philox.bernoulli(0.0, 1, 2));
-  EXPECT_TRUE(philox.bernoulli(1.0, 1, 2));
-}
-
 }  // namespace
 }  // namespace coeff::sim

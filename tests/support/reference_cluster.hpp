@@ -5,10 +5,10 @@
 // each channel's decision through static_slot / dynamic_slot, draws that
 // frame's verdict through the CorruptionFn, and commits the outcome
 // before looking at the next slot. It is deliberately naive: it never
-// calls decide_static_chunk or dynamic_next_frame, ignores the batch
-// verdict hook, and skips no minislot. Every optimisation lands in
-// flexray::Cluster; this walk stays frozen, and the differential tests
-// require byte-identical traces and RunStats from both, through
+// calls decide_static_chunk or dynamic_next_frame and skips no
+// minislot. Every optimisation lands in flexray::Cluster; this walk
+// stays frozen, and the differential tests require byte-identical
+// traces and RunStats from both, through
 // core::run_experiment_with<ReferenceCluster>.
 //
 // Arrivals, too, take the old path: each is one sim::Engine event
@@ -44,9 +44,6 @@ class ReferenceCluster {
   void set_fault_provider(StructuralFaultProvider* provider) {
     faults_ = provider;
   }
-  /// Accepted for interface parity and ignored: the reference draws
-  /// every verdict per frame through the CorruptionFn.
-  void set_batch_corruption(const BatchCorruptionFn& /*fn*/) {}
 
   void run_cycles(std::int64_t n);
   void run_until(sim::Time t);
