@@ -6,9 +6,6 @@
 
 namespace coeff::analysis {
 
-namespace {
-
-/// Escape a string for embedding in a JSON string literal.
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -41,6 +38,8 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
+
+namespace {
 
 /// SARIF "level" for a severity ("note" | "warning" | "error").
 const char* sarif_level(Severity s) {
@@ -129,10 +128,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "retransmission plan is degraded: rho unreachable within the copy "
        "bound",
        kHelpSchedule},
-      {"schedule.slack-nonnegative", Severity::kError,
-       "slack table reports negative stealable slack", kHelpSchedule},
-      {"schedule.slack-monotone", Severity::kError,
-       "cumulative idle curve is not non-decreasing", kHelpSchedule},
       {"schedule.slack-infeasible", Severity::kWarning,
        "offline periodic schedule of the static set misses a deadline",
        kHelpSchedule},
@@ -355,6 +350,31 @@ std::string Report::render_sarif() const {
   }
   out += "]}]}";
   return out;
+}
+
+void CappedReport::add(std::string_view rule, std::string message,
+                       Location loc) {
+  Diagnostic d;
+  d.rule = std::string(rule);
+  if (const RuleInfo* info = find_rule(rule)) d.severity = info->severity;
+  d.message = std::move(message);
+  d.loc = loc;
+  add(std::move(d));
+}
+
+void CappedReport::add(Diagnostic d) {
+  const std::size_t n = ++per_rule_[d.rule];
+  if (n > kMaxPerRule) return;
+  if (n < kMaxPerRule) {
+    report_.add(std::move(d));
+    return;
+  }
+  Diagnostic note;
+  note.rule = d.rule;
+  note.severity = Severity::kNote;
+  note.message = "further diagnostics for this rule suppressed";
+  report_.add(std::move(d));
+  report_.add(std::move(note));
 }
 
 }  // namespace coeff::analysis

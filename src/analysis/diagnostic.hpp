@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,6 +80,9 @@ struct RuleInfo {
 [[nodiscard, gnu::format(printf, 1, 2)]] std::string strformat(
     const char* fmt, ...);
 
+/// Escape a string for embedding in a JSON string literal.
+[[nodiscard]] std::string json_escape(std::string_view s);
+
 class Report {
  public:
   void add(Diagnostic d);
@@ -104,6 +108,25 @@ class Report {
 
  private:
   std::vector<Diagnostic> diags_;
+};
+
+/// Per-rule flood guard every linter reports through: a systematically
+/// broken input yields at most kMaxPerRule findings of one rule, the
+/// last followed by one "further diagnostics for this rule suppressed"
+/// note, instead of thousands of identical lines.
+class CappedReport {
+ public:
+  static constexpr std::size_t kMaxPerRule = 8;
+
+  explicit CappedReport(Report& report) : report_(report) {}
+
+  /// Adds with the rule's catalog severity.
+  void add(std::string_view rule, std::string message, Location loc = {});
+  void add(Diagnostic d);
+
+ private:
+  Report& report_;
+  std::map<std::string, std::size_t> per_rule_;
 };
 
 }  // namespace coeff::analysis

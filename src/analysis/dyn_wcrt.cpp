@@ -1,111 +1,11 @@
 #include "analysis/dyn_wcrt.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
 #include <stdexcept>
-#include <string_view>
 
 #include "units/convert.hpp"
 
 namespace coeff::analysis {
-
-namespace {
-
-constexpr std::size_t kMaxPerRule = 8;
-
-/// Same per-rule flood guard as prob_wcrt/trace_lint: a systemically
-/// broken config yields a bounded, readable report.
-class CappedReport {
- public:
-  explicit CappedReport(Report& report) : report_(report) {}
-
-  void add(const char* rule, std::string message, Location loc = {}) {
-    Diagnostic d;
-    d.rule = rule;
-    if (const RuleInfo* info = find_rule(rule)) d.severity = info->severity;
-    d.message = std::move(message);
-    d.loc = loc;
-    add(std::move(d));
-  }
-
-  void add(Diagnostic d) {
-    std::size_t& n = per_rule_[d.rule];
-    ++n;
-    if (n < kMaxPerRule) {
-      report_.add(std::move(d));
-    } else if (n == kMaxPerRule) {
-      const std::string rule = d.rule;
-      report_.add(std::move(d));
-      Diagnostic note;
-      note.rule = rule;
-      note.severity = Severity::kNote;
-      note.message = "further diagnostics for this rule suppressed";
-      report_.add(std::move(note));
-    }
-  }
-
- private:
-  Report& report_;
-  std::map<std::string, std::size_t> per_rule_;
-};
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      out += strformat("\\u%04x", ch);
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
-/// log(1 - p) with the p >= 1 ("certain miss") edge pinned to -inf.
-double log1m(double p) {
-  if (p >= 1.0) return -HUGE_VAL;
-  if (p <= 0.0) return 0.0;
-  return std::log1p(-p);
-}
-
-/// One dynamic instance spends exactly one wire attempt: a single
-/// channel-A transmission under CoEfficient (a popped-and-corrupted
-/// instance settles; `add_copies(inst, 1)`), a mirrored dual-channel
-/// pair under FSPEC/HOSA (channel B replays the dynamic mirror). The
-/// pessimistic edge evaluates that attempt at the fault model's
-/// worst-case burst correlation.
-double chain_fail(fault::AnalyticFailure& af, ProbRetxModel d,
-                  std::int64_t bits) {
-  switch (d) {
-    case ProbRetxModel::kPlannedSerial:
-      return af.consecutive_failures(bits, 1);
-    case ProbRetxModel::kMirroredRounds:
-    case ProbRetxModel::kMirroredSingle:
-      return af.consecutive_pair_failures(bits, 1);
-  }
-  return 1.0;
-}
-
-/// Independence (optimistic) counterpart of chain_fail.
-double indep_fail(fault::AnalyticFailure& af, ProbRetxModel d,
-                  std::int64_t bits) {
-  switch (d) {
-    case ProbRetxModel::kPlannedSerial:
-      return af.independent_failures(bits, 1);
-    case ProbRetxModel::kMirroredRounds:
-    case ProbRetxModel::kMirroredSingle:
-      return af.independent_pair_failures(bits, 1);
-  }
-  return 1.0;
-}
-
-}  // namespace
 
 DynWcrtResult analyze_dyn_wcrt(const DynWcrtInput& input) {
   if (input.cluster == nullptr || input.dynamics == nullptr) {
@@ -160,10 +60,6 @@ DynWcrtResult analyze_dyn_wcrt(const DynWcrtInput& input) {
   double e_mean = 0.0;
   std::int64_t e_max = 0;
 
-  double log_upper = 0.0;
-  double log_lower = 0.0;
-  std::map<char, ClassProb> classes;
-
   for (const net::Message* mp_msg : order) {
     const net::Message& m = *mp_msg;
     DynMessageProb mp;
@@ -182,9 +78,13 @@ DynWcrtResult analyze_dyn_wcrt(const DynWcrtInput& input) {
     mp.slack_minislots = t_pos - mp.baseline_offset;
     const sim::Time tx = cfg.transmission_time(m.size_bits);
 
-    mp.p_attempt = chain_fail(af, input.discipline, m.size_bits);
+    // One dynamic instance spends exactly one wire attempt: a single
+    // channel-A transmission under CoEfficient (a popped-and-corrupted
+    // instance settles; `add_copies(inst, 1)`), a mirrored dual-channel
+    // pair under FSPEC/HOSA (channel B replays the dynamic mirror).
+    mp.p_attempt = chain_fail(af, input.discipline, m.size_bits, 1);
     const double fail_up = mp.p_attempt;
-    const double fail_lo = indep_fail(af, input.discipline, m.size_bits);
+    const double fail_lo = indep_fail(af, input.discipline, m.size_bits, 1);
 
     Pmf response(input.options.quantum, input.options.max_bins);
     mp.nominal_p999 = sim::Time::max();
@@ -295,17 +195,6 @@ DynWcrtResult analyze_dyn_wcrt(const DynWcrtInput& input) {
     mp.response_p999 = response.quantile(0.999);
     mp.response = std::move(response);
 
-    const double occ = static_cast<double>(input.u.ns()) /
-                       static_cast<double>(m.period.ns());
-    log_upper += occ * log1m(mp.p_miss_upper);
-    log_lower += occ * log1m(mp.p_miss_lower);
-
-    ClassProb& c = classes[mp.sae_class];
-    c.sae_class = mp.sae_class;
-    ++c.messages;
-    c.worst_p_miss_upper = std::max(c.worst_p_miss_upper, mp.p_miss_upper);
-    c.worst_p_miss_lower = std::max(c.worst_p_miss_lower, mp.p_miss_lower);
-
     // Fold this frame into the interference seen by lower priorities.
     // A shed or deterministically starved frame never transmits, so it
     // contributes no extra minislots (its idle walk is already in every
@@ -326,9 +215,7 @@ DynWcrtResult analyze_dyn_wcrt(const DynWcrtInput& input) {
     result.messages.push_back(std::move(mp));
   }
 
-  result.log_reliability_upper = log_upper;
-  result.log_reliability_lower = log_lower;
-  for (auto& [cls, cp] : classes) result.classes.push_back(cp);
+  for (const DynMessageProb& mp : result.messages) result.fold(mp, input.u);
   result.interference = std::move(intf);
   return result;
 }
@@ -381,73 +268,31 @@ Report lint_dyn(const DynWcrtInput& input, const DynWcrtResult& result) {
   }
 
   // --- analysis.dyn-miss-exceeds-target ---------------------------------
-  const double log_target =
-      input.plan != nullptr && input.plan->target_log_reliability != 0.0
-          ? input.plan->target_log_reliability
-          : (input.rho > 0.0 ? std::log(input.rho) : 0.0);
-  const bool has_target = log_target != 0.0 || input.rho > 0.0;
-  const double tol = 1e-9 * std::max(1.0, std::fabs(log_target));
-  const bool plan_claims_met = input.plan == nullptr || !input.plan->degraded;
-  if (has_target && plan_claims_met &&
-      result.log_reliability_upper < log_target - tol) {
-    const double share =
-        log_target / std::max<std::size_t>(1, result.messages.size());
-    out.add("analysis.dyn-miss-exceeds-target",
-            strformat("analytic dynamic-segment reliability %.6g misses the "
-                      "target %.6g (log %.4g < %.4g)",
-                      std::exp(result.log_reliability_upper),
-                      std::exp(log_target), result.log_reliability_upper,
-                      log_target));
-    for (const DynMessageProb& mp : result.messages) {
-      const double occ = static_cast<double>(input.u.ns()) /
-                         static_cast<double>(mp.period.ns());
-      const double term = occ * log1m(mp.p_miss_upper);
-      if (term < share - tol) {
-        Location loc;
-        loc.message_id = mp.message_id;
-        out.add("analysis.dyn-miss-exceeds-target",
-                strformat("message %s (frame %d): analytic P(miss) %.4g "
-                          "exceeds its equal-share budget (class %c, blocked "
-                          "bound %.4g)",
-                          mp.name.c_str(), mp.frame_id, mp.p_miss_upper,
-                          mp.sae_class, mp.p_blocked_upper),
-                loc);
-      }
-    }
-  }
+  check_miss_exceeds_target(
+      out, "analysis.dyn-miss-exceeds-target", "dynamic-segment ", input,
+      result, [](const DynMessageProb& mp) {
+        return strformat("message %s (frame %d): analytic P(miss) %.4g "
+                         "exceeds its equal-share budget (class %c, blocked "
+                         "bound %.4g)",
+                         mp.name.c_str(), mp.frame_id, mp.p_miss_upper,
+                         mp.sae_class, mp.p_blocked_upper);
+      });
   return report;
 }
 
 std::vector<ClassProb> merge_class_envelopes(
     const std::vector<ClassProb>& statics,
     const std::vector<ClassProb>& dyns) {
-  std::map<char, ClassProb> merged;
-  const auto fold = [&merged](const ClassProb& c) {
-    ClassProb& t = merged[c.sae_class];
-    t.sae_class = c.sae_class;
-    t.messages += c.messages;
-    t.worst_p_miss_upper = std::max(t.worst_p_miss_upper, c.worst_p_miss_upper);
-    t.worst_p_miss_lower = std::max(t.worst_p_miss_lower, c.worst_p_miss_lower);
-  };
-  for (const ClassProb& c : statics) fold(c);
-  for (const ClassProb& c : dyns) fold(c);
-  std::vector<ClassProb> out;
-  out.reserve(merged.size());
-  for (auto& [cls, cp] : merged) out.push_back(cp);
-  return out;
+  std::vector<ClassProb> merged;
+  for (const ClassProb& c : statics) fold_class(merged, c);
+  for (const ClassProb& c : dyns) fold_class(merged, c);
+  return merged;
 }
 
 std::string render_dyn_text(const DynWcrtInput& input,
                             const DynWcrtResult& result) {
-  std::string out;
-  out += strformat("dynamic-segment probabilistic analysis (%s, %s)\n",
-                   to_string(input.discipline),
-                   fault::describe(input.fault_model).c_str());
-  out += strformat(
-      "  reliability envelope over u=%.0fs: [%.9g, %.9g]  (target %s)\n",
-      input.u.as_seconds(), std::exp(result.log_reliability_upper),
-      std::exp(result.log_reliability_lower),
-      input.rho > 0.0 ? strformat("%.9g", input.rho).c_str() : "none");
+  std::string out = render_envelope_header(
+      "dynamic-segment probabilistic analysis", input, result);
   out += strformat("  %-16s %-3s %-6s %-5s %-6s %-12s %-12s %-10s\n",
                    "message", "cls", "frame", "need", "slack", "P(miss) up",
                    "P(miss) lo", "p999");
@@ -464,29 +309,14 @@ std::string render_dyn_text(const DynWcrtInput& input,
         static_cast<long long>(mp.slack_minislots), mp.p_miss_upper,
         mp.p_miss_lower, p999.c_str(), marker);
   }
-  for (const ClassProb& c : result.classes) {
-    out += strformat(
-        "  class %c: %d message(s), worst P(miss) in [%.4g, %.4g]\n",
-        c.sae_class, c.messages, c.worst_p_miss_lower, c.worst_p_miss_upper);
-  }
-  return out;
+  return out + render_class_text(result.classes);
 }
 
 std::string render_dyn_json(const DynWcrtInput& input,
                             const DynWcrtResult& result) {
-  std::string out = "{";
-  out += strformat("\"discipline\":\"%s\",", to_string(input.discipline));
-  out += strformat("\"fault_model\":\"%s\",",
-                   json_escape(fault::describe(input.fault_model)).c_str());
-  out += strformat("\"rho\":%.17g,\"u_seconds\":%.9g,\"max_slips\":%d,",
-                   input.rho, input.u.as_seconds(), input.max_slips);
-  const auto finite_log = [](double v) {
-    return std::isfinite(v) ? v : -std::numeric_limits<double>::max();
-  };
-  out += strformat("\"log_reliability_upper\":%.17g,",
-                   finite_log(result.log_reliability_upper));
-  out += strformat("\"log_reliability_lower\":%.17g,",
-                   finite_log(result.log_reliability_lower));
+  std::string out = render_json_prelude(input);
+  out += strformat("\"max_slips\":%d,", input.max_slips);
+  out += render_json_reliability(result);
   out += "\"messages\":[";
   bool first = true;
   for (const DynMessageProb& mp : result.messages) {
@@ -511,44 +341,12 @@ std::string render_dyn_json(const DynWcrtInput& input,
         mp.response_p999 == sim::Time::max() ? -1.0 : mp.response_p999.as_us(),
         mp.nominal_p999 == sim::Time::max() ? -1.0 : mp.nominal_p999.as_us());
   }
-  out += "],\"classes\":[";
-  first = true;
-  for (const ClassProb& c : result.classes) {
-    if (!first) out += ',';
-    first = false;
-    out += strformat(
-        "{\"class\":\"%c\",\"messages\":%d,\"worst_p_miss_upper\":%.17g,"
-        "\"worst_p_miss_lower\":%.17g}",
-        c.sae_class, c.messages, c.worst_p_miss_upper, c.worst_p_miss_lower);
-  }
-  out += "]}";
-  return out;
-}
-
-std::string render_end_to_end_json(const std::vector<ClassProb>& classes) {
-  std::string out = "[";
-  bool first = true;
-  for (const ClassProb& c : classes) {
-    if (!first) out += ',';
-    first = false;
-    out += strformat(
-        "{\"class\":\"%c\",\"messages\":%d,\"worst_p_miss_upper\":%.17g,"
-        "\"worst_p_miss_lower\":%.17g}",
-        c.sae_class, c.messages, c.worst_p_miss_upper, c.worst_p_miss_lower);
-  }
-  out += "]";
+  out += "],\"classes\":" + render_class_json(result.classes) + "}";
   return out;
 }
 
 std::string render_end_to_end_text(const std::vector<ClassProb>& classes) {
-  std::string out;
-  for (const ClassProb& c : classes) {
-    out += strformat(
-        "  end-to-end class %c: %d message(s), worst P(miss) in [%.4g, "
-        "%.4g]\n",
-        c.sae_class, c.messages, c.worst_p_miss_lower, c.worst_p_miss_upper);
-  }
-  return out;
+  return render_class_text(classes, "end-to-end ");
 }
 
 }  // namespace coeff::analysis

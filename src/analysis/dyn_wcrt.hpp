@@ -46,32 +46,19 @@
 
 namespace coeff::analysis {
 
-struct DynWcrtInput {
-  const flexray::ClusterConfig* cluster = nullptr;
+struct DynWcrtInput : EnvelopeInput {
   /// Dynamic messages (kind kDynamic, frame_id > gNumberOfStaticSlots).
-  const net::MessageSet* dynamics = nullptr;
-  /// Redundancy discipline of the scheme under analysis. kPlannedSerial
+  /// The shared `discipline` decides the redundancy: kPlannedSerial
   /// (CoEfficient) spends one single-channel attempt per instance and may
   /// rescue a starved frame through stolen static slack; the mirrored
   /// disciplines spend one dual-channel pair and have no rescue path.
-  ProbRetxModel discipline = ProbRetxModel::kPlannedSerial;
-  /// kPlannedSerial only: a degraded plan load-sheds every dynamic
-  /// release at its source, making the miss envelope [1, 1].
-  const fault::RetransmissionPlan* plan = nullptr;
-  fault::FaultModelConfig fault_model;
-  /// Reliability goal over `u` (0 disables the target rule).
-  double rho = 0.0;
-  sim::Time u = sim::seconds(3600);
+  const net::MessageSet* dynamics = nullptr;
   /// Cycle-slip cap of the nominal response model (>= 1).
   int max_slips = 64;
-  ProbWcrtOptions options;
 };
 
-struct DynMessageProb {
-  int message_id = 0;
-  std::string name;
+struct DynMessageProb : MessageEnvelope {
   int frame_id = 0;
-  char sae_class = 'E';
   /// Minislots one transmission consumes (incl. the dynamic-slot idle
   /// phase) and the walk geometry it faces.
   std::int64_t need_minislots = 0;
@@ -87,22 +74,12 @@ struct DynMessageProb {
   /// Independence-model blocked probability from the convolved
   /// interference grid (diagnostic, not an envelope edge).
   double p_blocked_nominal = 0.0;
-  double p_attempt = 0.0;  ///< marginal wire-attempt failure (pair if mirrored)
-  double p_miss_upper = 0.0;
-  double p_miss_lower = 0.0;
-  sim::Time deadline;
-  sim::Time period;
-  sim::Time response_p999;   ///< 99.9% quantile of the upper envelope
   sim::Time nominal_p999;    ///< 99.9% quantile of the nominal model
-  Pmf response{sim::micros(50), 1};  ///< upper-envelope response distribution
 };
 
-struct DynWcrtResult {
+/// The set envelope is the Theorem-1 fold over the dynamic set (§14).
+struct DynWcrtResult : SetEnvelope {
   std::vector<DynMessageProb> messages;
-  std::vector<ClassProb> classes;  ///< only classes with messages, A..E order
-  /// Theorem-1 style aggregates over the dynamic set (see §14).
-  double log_reliability_upper = 0.0;
-  double log_reliability_lower = 0.0;
   /// Full-set higher-priority extra-minislot distribution, convolved on
   /// the minislot-quantum grid (independence model, diagnostic).
   Pmf interference{sim::micros(50), 1};
@@ -130,10 +107,8 @@ struct DynWcrtResult {
 /// JSON object (not a full document) describing the dynamic section.
 [[nodiscard]] std::string render_dyn_json(const DynWcrtInput& input,
                                           const DynWcrtResult& result);
-/// JSON array of merged end-to-end class envelopes.
-[[nodiscard]] std::string render_end_to_end_json(
-    const std::vector<ClassProb>& classes);
-/// Text block for the merged end-to-end class envelopes.
+/// Text block for the merged end-to-end class envelopes (their JSON
+/// array is render_class_json).
 [[nodiscard]] std::string render_end_to_end_text(
     const std::vector<ClassProb>& classes);
 

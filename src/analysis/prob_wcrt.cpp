@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 #include "sched/periodic_schedule.hpp"
@@ -13,82 +12,11 @@ namespace coeff::analysis {
 
 namespace {
 
-constexpr std::size_t kMaxPerRule = 8;
-
-/// Same per-rule flood guard as trace_lint: a systemically broken
-/// config yields a bounded, readable report.
-class CappedReport {
- public:
-  explicit CappedReport(Report& report) : report_(report) {}
-
-  void add(const char* rule, std::string message, Location loc = {}) {
-    std::size_t& n = per_rule_[rule];
-    ++n;
-    if (n < kMaxPerRule) {
-      report_.add(rule, std::move(message), loc);
-    } else if (n == kMaxPerRule) {
-      report_.add(rule, std::move(message), loc);
-      Diagnostic note;
-      note.rule = rule;
-      note.severity = Severity::kNote;
-      note.message = "further diagnostics for this rule suppressed";
-      report_.add(std::move(note));
-    }
-  }
-
- private:
-  Report& report_;
-  std::map<std::string, std::size_t> per_rule_;
-};
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      out += strformat("\\u%04x", ch);
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
-
 /// log(1 - p) with the p >= 1 ("certain miss") edge pinned to -inf.
 double log1m(double p) {
   if (p >= 1.0) return -HUGE_VAL;
   if (p <= 0.0) return 0.0;
   return std::log1p(-p);
-}
-
-/// Probability that the first `n` attempts of `bits` all fail, at the
-/// pessimistic (worst-case burst correlation) edge of the envelope.
-double chain_fail(fault::AnalyticFailure& af, ProbRetxModel d,
-                  std::int64_t bits, int n) {
-  switch (d) {
-    case ProbRetxModel::kPlannedSerial:
-      return af.consecutive_failures(bits, n);
-    case ProbRetxModel::kMirroredRounds:
-    case ProbRetxModel::kMirroredSingle:
-      return af.consecutive_pair_failures(bits, n);
-  }
-  return 1.0;
-}
-
-/// Independence (optimistic) counterpart of chain_fail.
-double indep_fail(fault::AnalyticFailure& af, ProbRetxModel d,
-                  std::int64_t bits, int n) {
-  switch (d) {
-    case ProbRetxModel::kPlannedSerial:
-      return af.independent_failures(bits, n);
-    case ProbRetxModel::kMirroredRounds:
-    case ProbRetxModel::kMirroredSingle:
-      return af.independent_pair_failures(bits, n);
-  }
-  return 1.0;
 }
 
 /// Guaranteed stealable wire service per communication cycle: the
@@ -121,6 +49,65 @@ sim::Time guaranteed_service(const ProbWcrtInput& input) {
 }
 
 }  // namespace
+
+double chain_fail(fault::AnalyticFailure& af, ProbRetxModel d,
+                  std::int64_t bits, int n) {
+  switch (d) {
+    case ProbRetxModel::kPlannedSerial:
+      return af.consecutive_failures(bits, n);
+    case ProbRetxModel::kMirroredRounds:
+    case ProbRetxModel::kMirroredSingle:
+      return af.consecutive_pair_failures(bits, n);
+  }
+  return 1.0;
+}
+
+double indep_fail(fault::AnalyticFailure& af, ProbRetxModel d,
+                  std::int64_t bits, int n) {
+  switch (d) {
+    case ProbRetxModel::kPlannedSerial:
+      return af.independent_failures(bits, n);
+    case ProbRetxModel::kMirroredRounds:
+    case ProbRetxModel::kMirroredSingle:
+      return af.independent_pair_failures(bits, n);
+  }
+  return 1.0;
+}
+
+double theorem1_term(double p_miss, sim::Time period, sim::Time u) {
+  const double occ =
+      static_cast<double>(u.ns()) / static_cast<double>(period.ns());
+  return occ * log1m(p_miss);
+}
+
+ReliabilityTarget::ReliabilityTarget(const EnvelopeInput& input)
+    : log_target(input.plan != nullptr &&
+                         input.plan->target_log_reliability != 0.0
+                     ? input.plan->target_log_reliability
+                     : (input.rho > 0.0 ? std::log(input.rho) : 0.0)),
+      has_target(log_target != 0.0 || input.rho > 0.0),
+      tol(1e-9 * std::max(1.0, std::fabs(log_target))),
+      plan_claims_met(input.plan == nullptr || !input.plan->degraded) {}
+
+void fold_class(std::vector<ClassProb>& classes, const ClassProb& c) {
+  auto it = std::lower_bound(
+      classes.begin(), classes.end(), c.sae_class,
+      [](const ClassProb& a, char cls) { return a.sae_class < cls; });
+  if (it == classes.end() || it->sae_class != c.sae_class) {
+    it = classes.insert(it, ClassProb{c.sae_class});
+  }
+  it->messages += c.messages;
+  it->worst_p_miss_upper =
+      std::max(it->worst_p_miss_upper, c.worst_p_miss_upper);
+  it->worst_p_miss_lower =
+      std::max(it->worst_p_miss_lower, c.worst_p_miss_lower);
+}
+
+void SetEnvelope::fold(const MessageEnvelope& m, sim::Time u) {
+  log_reliability_upper += theorem1_term(m.p_miss_upper, m.period, u);
+  log_reliability_lower += theorem1_term(m.p_miss_lower, m.period, u);
+  fold_class(classes, {m.sae_class, 1, m.p_miss_upper, m.p_miss_lower});
+}
 
 const char* to_string(ProbRetxModel d) {
   switch (d) {
@@ -234,9 +221,6 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
     result.copies_credited = true;
   }
 
-  double log_upper = 0.0;
-  double log_lower = 0.0;
-  std::map<char, ClassProb> classes;
   for (std::size_t z = 0; z < input.statics->size(); ++z) {
     const net::Message& m = (*input.statics)[z];
     MessageProb mp;
@@ -328,23 +312,9 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
     mp.p_miss_lower = std::min(indep, mp.p_miss_upper);
     mp.response_p999 = response.quantile(0.999);
     mp.response = std::move(response);
-
-    const double occ = static_cast<double>(input.u.ns()) /
-                       static_cast<double>(m.period.ns());
-    log_upper += occ * log1m(mp.p_miss_upper);
-    log_lower += occ * log1m(mp.p_miss_lower);
-
-    ClassProb& c = classes[mp.sae_class];
-    c.sae_class = mp.sae_class;
-    ++c.messages;
-    c.worst_p_miss_upper = std::max(c.worst_p_miss_upper, mp.p_miss_upper);
-    c.worst_p_miss_lower = std::max(c.worst_p_miss_lower, mp.p_miss_lower);
-
     result.messages.push_back(std::move(mp));
   }
-  result.log_reliability_upper = log_upper;
-  result.log_reliability_lower = log_lower;
-  for (auto& [cls, cp] : classes) result.classes.push_back(cp);
+  for (const MessageProb& mp : result.messages) result.fold(mp, input.u);
   return result;
 }
 
@@ -357,44 +327,20 @@ Report lint_prob(const ProbWcrtInput& input, const ProbWcrtResult& result) {
                              ? input.cluster->static_slot_duration()
                              : sim::Time::zero();
 
-  const double log_target =
-      input.plan != nullptr && input.plan->target_log_reliability != 0.0
-          ? input.plan->target_log_reliability
-          : (input.rho > 0.0 ? std::log(input.rho) : 0.0);
-  const bool has_target = log_target != 0.0 || input.rho > 0.0;
-  const double tol = 1e-9 * std::max(1.0, std::fabs(log_target));
-  const bool plan_claims_met = input.plan == nullptr || !input.plan->degraded;
+  const ReliabilityTarget target(input);
 
   // --- analysis.prob-miss-exceeds-target --------------------------------
   // The analytic (timing + correlated-loss) reliability misses the
   // configured target while the plan claims the target is met.
-  if (has_target && plan_claims_met &&
-      result.log_reliability_upper < log_target - tol) {
-    const double share =
-        log_target / std::max<std::size_t>(1, result.messages.size());
-    out.add("analysis.prob-miss-exceeds-target",
-            strformat("analytic reliability %.6g misses the target %.6g "
-                      "(log %.4g < %.4g)",
-                      std::exp(result.log_reliability_upper),
-                      std::exp(log_target), result.log_reliability_upper,
-                      log_target));
-    for (const MessageProb& mp : result.messages) {
-      const double occ = static_cast<double>(input.u.ns()) /
-                         static_cast<double>(mp.period.ns());
-      const double term = occ * log1m(mp.p_miss_upper);
-      if (term < share - tol) {
-        Location loc;
-        loc.message_id = mp.message_id;
-        out.add("analysis.prob-miss-exceeds-target",
-                strformat("message %s: analytic P(miss) %.4g exceeds its "
-                          "equal-share budget (class %c, %d/%d timely "
-                          "attempts)",
-                          mp.name.c_str(), mp.p_miss_upper, mp.sae_class,
-                          mp.timely_attempts, mp.planned_attempts),
-                loc);
-      }
-    }
-  }
+  check_miss_exceeds_target(
+      out, "analysis.prob-miss-exceeds-target", "", input, result,
+      [](const MessageProb& mp) {
+        return strformat("message %s: analytic P(miss) %.4g exceeds its "
+                         "equal-share budget (class %c, %d/%d timely "
+                         "attempts)",
+                         mp.name.c_str(), mp.p_miss_upper, mp.sae_class,
+                         mp.timely_attempts, mp.planned_attempts);
+      });
 
   // --- analysis.kz-contradiction ----------------------------------------
   // (0a) The placement's transmitting occurrence falls in the cycle
@@ -417,8 +363,8 @@ Report lint_prob(const ProbWcrtInput& input, const ProbWcrtResult& result) {
   // (0b) The plan's k_z copies demand more stolen wire than the
   // schedule guarantees: the Theorem-1 sizing counts copies the
   // admission test may drop.
-  if (input.discipline == ProbRetxModel::kPlannedSerial && plan_claims_met &&
-      !result.copies_credited &&
+  if (input.discipline == ProbRetxModel::kPlannedSerial &&
+      target.plan_claims_met && !result.copies_credited &&
       result.copy_demand_per_cycle > sim::Time::zero()) {
     out.add("analysis.kz-contradiction",
             strformat("k_z plan demands %.1fus/cycle of stolen slack but "
@@ -459,8 +405,8 @@ Report lint_prob(const ProbWcrtInput& input, const ProbWcrtResult& result) {
   // (b) The memoryless (Theorem-1) accounting meets the target but the
   // correlated chaining of the configured fault model does not: the k_z
   // sizing is contradicted by the channel's burst structure.
-  if (has_target && plan_claims_met && input.cluster != nullptr &&
-      input.statics != nullptr) {
+  if (target.has_target && target.plan_claims_met &&
+      input.cluster != nullptr && input.statics != nullptr) {
     fault::AnalyticFailure af(input.fault_model);
     double chain_log = 0.0;
     double iid_log = 0.0;
@@ -468,26 +414,25 @@ Report lint_prob(const ProbWcrtInput& input, const ProbWcrtResult& result) {
     for (const MessageProb& mp : result.messages) {
       const net::Message* m = input.statics->find(mp.message_id);
       if (m == nullptr) continue;
-      const double occ = static_cast<double>(input.u.ns()) /
-                         static_cast<double>(mp.period.ns());
       const double chained = chain_fail(af, input.discipline, m->size_bits,
                                         mp.planned_attempts);
       const double indep = indep_fail(af, input.discipline, m->size_bits,
                                       mp.planned_attempts);
-      const double chain_term = occ * log1m(chained);
-      const double iid_term = occ * log1m(indep);
+      const double chain_term = theorem1_term(chained, mp.period, input.u);
+      const double iid_term = theorem1_term(indep, mp.period, input.u);
       chain_log += chain_term;
       iid_log += iid_term;
-      if (iid_term - chain_term > tol) {
+      if (iid_term - chain_term > target.tol) {
         gaps.emplace_back(&mp, chained);
       }
     }
-    if (iid_log >= log_target - tol && chain_log < log_target - tol) {
+    if (iid_log >= target.log_target - target.tol &&
+        chain_log < target.log_target - target.tol) {
       out.add("analysis.kz-contradiction",
               strformat("k_z plan meets the target only under the "
                         "memoryless model: correlated-loss reliability "
                         "%.6g < target %.6g (memoryless %.6g)",
-                        std::exp(chain_log), std::exp(log_target),
+                        std::exp(chain_log), std::exp(target.log_target),
                         std::exp(iid_log)));
       for (const auto& [mp, chained] : gaps) {
         Location loc;
@@ -534,17 +479,71 @@ void check_divergence(const std::vector<DivergenceSample>& samples,
   }
 }
 
-std::string render_prob_text(const ProbWcrtInput& input,
-                             const ProbWcrtResult& result) {
-  std::string out;
-  out += strformat("probabilistic WCRT analysis (%s, %s)\n",
-                   to_string(input.discipline),
-                   fault::describe(input.fault_model).c_str());
+std::string render_envelope_header(const char* title,
+                                   const EnvelopeInput& input,
+                                   const SetEnvelope& set) {
+  std::string out = strformat("%s (%s, %s)\n", title,
+                              to_string(input.discipline),
+                              fault::describe(input.fault_model).c_str());
   out += strformat(
       "  reliability envelope over u=%.0fs: [%.9g, %.9g]  (target %s)\n",
-      input.u.as_seconds(), std::exp(result.log_reliability_upper),
-      std::exp(result.log_reliability_lower),
+      input.u.as_seconds(), std::exp(set.log_reliability_upper),
+      std::exp(set.log_reliability_lower),
       input.rho > 0.0 ? strformat("%.9g", input.rho).c_str() : "none");
+  return out;
+}
+
+std::string render_json_prelude(const EnvelopeInput& input) {
+  std::string out = "{";
+  out += strformat("\"discipline\":\"%s\",", to_string(input.discipline));
+  out += strformat("\"fault_model\":\"%s\",",
+                   json_escape(fault::describe(input.fault_model)).c_str());
+  out += strformat("\"rho\":%.17g,\"u_seconds\":%.9g,", input.rho,
+                   input.u.as_seconds());
+  return out;
+}
+
+std::string render_json_reliability(const SetEnvelope& set) {
+  const auto finite_log = [](double v) {
+    return std::isfinite(v) ? v : -std::numeric_limits<double>::max();
+  };
+  std::string out = strformat("\"log_reliability_upper\":%.17g,",
+                              finite_log(set.log_reliability_upper));
+  out += strformat("\"log_reliability_lower\":%.17g,",
+                   finite_log(set.log_reliability_lower));
+  return out;
+}
+
+std::string render_class_text(const std::vector<ClassProb>& classes,
+                              const char* scope) {
+  std::string out;
+  for (const ClassProb& c : classes) {
+    out += strformat(
+        "  %sclass %c: %d message(s), worst P(miss) in [%.4g, %.4g]\n", scope,
+        c.sae_class, c.messages, c.worst_p_miss_lower, c.worst_p_miss_upper);
+  }
+  return out;
+}
+
+std::string render_class_json(const std::vector<ClassProb>& classes) {
+  std::string out = "[";
+  bool first = true;
+  for (const ClassProb& c : classes) {
+    if (!first) out += ',';
+    first = false;
+    out += strformat(
+        "{\"class\":\"%c\",\"messages\":%d,\"worst_p_miss_upper\":%.17g,"
+        "\"worst_p_miss_lower\":%.17g}",
+        c.sae_class, c.messages, c.worst_p_miss_upper, c.worst_p_miss_lower);
+  }
+  out += "]";
+  return out;
+}
+
+std::string render_prob_text(const ProbWcrtInput& input,
+                             const ProbWcrtResult& result) {
+  std::string out =
+      render_envelope_header("probabilistic WCRT analysis", input, result);
   out += strformat("  guaranteed stealable service per cycle: %.1fus\n",
                    result.guaranteed_service_per_cycle.as_us());
   if (input.discipline == ProbRetxModel::kPlannedSerial) {
@@ -567,37 +566,19 @@ std::string render_prob_text(const ProbWcrtInput& input,
                      mp.timely_attempts, mp.p_miss_upper, mp.p_miss_lower,
                      p999.c_str(), mp.primary_live ? "" : " [primary-dead]");
   }
-  for (const ClassProb& c : result.classes) {
-    out += strformat(
-        "  class %c: %d message(s), worst P(miss) in [%.4g, %.4g]\n",
-        c.sae_class, c.messages, c.worst_p_miss_lower, c.worst_p_miss_upper);
-  }
-  return out;
+  return out + render_class_text(result.classes);
 }
 
 std::string render_prob_json(const ProbWcrtInput& input,
                              const ProbWcrtResult& result) {
-  std::string out = "{";
-  out += strformat("\"discipline\":\"%s\",", to_string(input.discipline));
-  out += strformat("\"fault_model\":\"%s\",",
-                   json_escape(fault::describe(input.fault_model)).c_str());
-  out += strformat("\"rho\":%.17g,\"u_seconds\":%.9g,", input.rho,
-                   input.u.as_seconds());
+  std::string out = render_json_prelude(input);
   out += strformat("\"quantum_us\":%.3f,", input.options.quantum.as_us());
   out += strformat("\"guaranteed_service_us\":%.3f,",
                    result.guaranteed_service_per_cycle.as_us());
   out += strformat("\"copy_demand_us\":%.3f,\"copies_credited\":%s,",
                    result.copy_demand_per_cycle.as_us(),
                    result.copies_credited ? "true" : "false");
-  // JSON has no -inf: pin "certain miss" to the most negative finite
-  // double (exp() of it is still 0).
-  const auto finite_log = [](double v) {
-    return std::isfinite(v) ? v : -std::numeric_limits<double>::max();
-  };
-  out += strformat("\"log_reliability_upper\":%.17g,",
-                   finite_log(result.log_reliability_upper));
-  out += strformat("\"log_reliability_lower\":%.17g,",
-                   finite_log(result.log_reliability_lower));
+  out += render_json_reliability(result);
   out += "\"messages\":[";
   bool first = true;
   for (const MessageProb& mp : result.messages) {
@@ -615,17 +596,7 @@ std::string render_prob_json(const ProbWcrtInput& input,
         mp.p_miss_lower, mp.deadline.as_us(), mp.period.as_us(),
         mp.response_p999 == sim::Time::max() ? -1.0 : mp.response_p999.as_us());
   }
-  out += "],\"classes\":[";
-  first = true;
-  for (const ClassProb& c : result.classes) {
-    if (!first) out += ',';
-    first = false;
-    out += strformat(
-        "{\"class\":\"%c\",\"messages\":%d,\"worst_p_miss_upper\":%.17g,"
-        "\"worst_p_miss_lower\":%.17g}",
-        c.sae_class, c.messages, c.worst_p_miss_upper, c.worst_p_miss_lower);
-  }
-  out += "]}";
+  out += "],\"classes\":" + render_class_json(result.classes) + "}";
   return out;
 }
 

@@ -21,8 +21,15 @@
 // outside [lower, upper] (plus sampling slack) is evidence of a modeling
 // or implementation bug — that is rule analysis.prob-vs-campaign-
 // divergence.
+//
+// The envelope core in this header serves DynWcrt (§15) as well: the
+// input and per-message record bases (EnvelopeInput, MessageEnvelope),
+// the Theorem-1 fold with its SAE class rollup (SetEnvelope), the
+// miss-exceeds-target rule and the renderers' common lines.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,28 +65,51 @@ struct ProbWcrtOptions {
   std::size_t max_bins = 4096;
 };
 
-struct ProbWcrtInput {
+/// The inputs both verifiers share (this one and DynWcrt, §15).
+struct EnvelopeInput {
   const flexray::ClusterConfig* cluster = nullptr;
-  const net::MessageSet* statics = nullptr;
-  /// Optional: placement latencies (r0). Unplaced/absent messages are
-  /// bounded by one communication cycle.
-  const sched::StaticScheduleTable* table = nullptr;
-  /// kPlannedSerial: the plan's k_z vector (aligned with `statics`).
+  /// kPlannedSerial: the plan's k_z vector (aligned with the static set);
+  /// a degraded plan also sheds every dynamic release at its source.
   const fault::RetransmissionPlan* plan = nullptr;
-  /// kMirroredRounds: dual-channel rounds per instance.
-  int rounds = 1;
-  ProbRetxModel discipline = ProbRetxModel::kPlannedSerial;
   fault::FaultModelConfig fault_model;
   /// Reliability goal over `u` (0 disables the target rules).
   double rho = 0.0;
   sim::Time u = sim::seconds(3600);
   ProbWcrtOptions options;
+  // Last, so ProbWcrtInput's `rounds` packs into the tail padding (see
+  // MessageEnvelope on sizes).
+  ProbRetxModel discipline = ProbRetxModel::kPlannedSerial;
 };
 
-struct MessageProb {
+struct ProbWcrtInput : EnvelopeInput {
+  /// kMirroredRounds: dual-channel rounds per instance.
+  int rounds = 1;
+  const net::MessageSet* statics = nullptr;
+  /// Optional: placement latencies (r0). Unplaced/absent messages are
+  /// bounded by one communication cycle.
+  const sched::StaticScheduleTable* table = nullptr;
+};
+
+/// What both verifiers report per message: the [lower, upper] P(miss)
+/// envelope and the response distribution behind its upper edge.
+struct MessageEnvelope {
+  // Field order keeps the records at their flat-struct sizes: a cold
+  // analysis's timing moves with them (heap layout; DESIGN.md §14).
   int message_id = 0;
-  std::string name;
   char sae_class = 'E';  ///< deadline bucket A(<=5ms) .. E(>50ms)
+  std::string name;
+  /// Marginal failure of one wire attempt (DynWcrt: of the mirrored
+  /// pair under the mirrored disciplines).
+  double p_attempt = 0.0;
+  double p_miss_upper = 0.0;
+  double p_miss_lower = 0.0;
+  sim::Time deadline;
+  sim::Time period;
+  sim::Time response_p999;  ///< 99.9% quantile of the upper-envelope Pmf
+  Pmf response{sim::micros(50), 1};  ///< upper-envelope response distribution
+};
+
+struct MessageProb : MessageEnvelope {
   int planned_attempts = 1;  ///< attempts the scheme pays for
   int timely_attempts = 1;   ///< credited attempts that fit before D
   /// False when the placement's release-to-slot path crosses into the
@@ -87,13 +117,6 @@ struct MessageProb {
   /// can transmit (a deterministic miss the schedule table's latency
   /// check does not see).
   bool primary_live = true;
-  double p_attempt = 0.0;    ///< marginal per-attempt failure
-  double p_miss_upper = 0.0;
-  double p_miss_lower = 0.0;
-  sim::Time deadline;
-  sim::Time period;
-  sim::Time response_p999;  ///< 99.9% quantile of the upper-envelope Pmf
-  Pmf response{sim::micros(50), 1};  ///< upper-envelope response distribution
 };
 
 struct ClassProb {
@@ -103,14 +126,27 @@ struct ClassProb {
   double worst_p_miss_lower = 0.0;
 };
 
-struct ProbWcrtResult {
-  std::vector<MessageProb> messages;
+/// Folds `c` into `classes`, kept in A..E order: message counts add up
+/// and each edge keeps its worst P(miss).
+void fold_class(std::vector<ClassProb>& classes, const ClassProb& c);
+
+/// The set-level half both verifiers share: the paper's Theorem-1
+/// product prod_z (1 - p_miss_z)^(u/T_z) at each envelope edge, kept as
+/// its log, and the worst edges per SAE class.
+struct SetEnvelope {
   std::vector<ClassProb> classes;  ///< only classes with messages, A..E order
-  /// Set-level Theorem-1 style aggregates: sum over z of
-  /// (u/T_z) * log(1 - p_miss), at each envelope edge. -inf when any
-  /// message's upper P(miss) reaches 1.
+  /// Sum over z of (u/T_z) * log(1 - p_miss) at each envelope edge. -inf
+  /// when any message's upper P(miss) reaches 1.
   double log_reliability_upper = 0.0;  ///< from p_miss_upper (pessimistic)
   double log_reliability_lower = 0.0;  ///< from p_miss_lower (optimistic)
+
+  /// Folds one message into both products and into its class; fold in
+  /// report order (floating-point sums are order-sensitive).
+  void fold(const MessageEnvelope& m, sim::Time u);
+};
+
+struct ProbWcrtResult : SetEnvelope {
+  std::vector<MessageProb> messages;
   /// Guaranteed stealable service per communication cycle the
   /// contention model used (0 when the wire schedule has no slack).
   sim::Time guaranteed_service_per_cycle;
@@ -163,5 +199,88 @@ void check_divergence(const std::vector<DivergenceSample>& samples,
                                            const ProbWcrtResult& result);
 [[nodiscard]] std::string render_prob_json(const ProbWcrtInput& input,
                                            const ProbWcrtResult& result);
+
+// --- Envelope core shared with DynWcrt (§15) -----------------------------
+
+/// Probability that the first `n` wire attempts of a `bits`-bit frame
+/// all fail, at the pessimistic (worst-case burst correlation) edge of
+/// the envelope. DynWcrt spends one attempt per instance (n = 1).
+[[nodiscard]] double chain_fail(fault::AnalyticFailure& af, ProbRetxModel d,
+                                std::int64_t bits, int n);
+/// Independence (optimistic) counterpart of chain_fail.
+[[nodiscard]] double indep_fail(fault::AnalyticFailure& af, ProbRetxModel d,
+                                std::int64_t bits, int n);
+
+/// One message's factor of the Theorem-1 product, as its log:
+/// (u/T) * log(1 - p_miss), -inf once p_miss reaches 1.
+[[nodiscard]] double theorem1_term(double p_miss, sim::Time period,
+                                   sim::Time u);
+
+/// The reliability goal the lint passes check, on the log scale: the
+/// plan's Theorem-1 target when it records one, else log(rho).
+struct ReliabilityTarget {
+  explicit ReliabilityTarget(const EnvelopeInput& input);
+
+  /// A configured target the plan claims to meet, which
+  /// `log_reliability` misses.
+  [[nodiscard]] bool missed_by(double log_reliability) const {
+    return has_target && plan_claims_met &&
+           log_reliability < log_target - tol;
+  }
+
+  double log_target = 0.0;
+  bool has_target = false;   ///< a target is configured at all
+  double tol = 0.0;          ///< comparison slack on the log scale
+  bool plan_claims_met = true;  ///< no plan, or one that is not degraded
+};
+
+/// Body of rules analysis.prob-miss-exceeds-target and
+/// analysis.dyn-miss-exceeds-target: when the plan claims the target is
+/// met but the set's pessimistic reliability misses it, report the miss
+/// (`segment` qualifies the reliability, e.g. "dynamic-segment ") and
+/// then every message whose Theorem-1 term overdraws its equal share of
+/// the budget, in the words of `line(message)`.
+template <class Result, class Line>
+void check_miss_exceeds_target(CappedReport& out, const char* rule,
+                               const char* segment,
+                               const EnvelopeInput& input,
+                               const Result& result, Line line) {
+  const ReliabilityTarget target(input);
+  if (!target.missed_by(result.log_reliability_upper)) return;
+  out.add(rule, strformat("analytic %sreliability %.6g misses the target "
+                          "%.6g (log %.4g < %.4g)",
+                          segment, std::exp(result.log_reliability_upper),
+                          std::exp(target.log_target),
+                          result.log_reliability_upper, target.log_target));
+  const double share = target.log_target /
+                       std::max<std::size_t>(1, result.messages.size());
+  for (const auto& m : result.messages) {
+    if (theorem1_term(m.p_miss_upper, m.period, input.u) <
+        share - target.tol) {
+      Location loc;
+      loc.message_id = m.message_id;
+      out.add(rule, line(m), loc);
+    }
+  }
+}
+
+/// Opening text lines: "<title> (<discipline>, <fault model>)" and the
+/// reliability envelope over u against the target.
+[[nodiscard]] std::string render_envelope_header(const char* title,
+                                                 const EnvelopeInput& input,
+                                                 const SetEnvelope& set);
+/// Opening of a JSON object: discipline, fault model, rho and u, each
+/// followed by a comma (the object is left open).
+[[nodiscard]] std::string render_json_prelude(const EnvelopeInput& input);
+/// The log reliability pair, each followed by a comma. JSON has no -inf,
+/// so "certain miss" is pinned to the most negative finite double
+/// (exp() of it is still 0).
+[[nodiscard]] std::string render_json_reliability(const SetEnvelope& set);
+/// One "  <scope>class X: ..." line per class.
+[[nodiscard]] std::string render_class_text(
+    const std::vector<ClassProb>& classes, const char* scope = "");
+/// JSON array with one object per class.
+[[nodiscard]] std::string render_class_json(
+    const std::vector<ClassProb>& classes);
 
 }  // namespace coeff::analysis

@@ -8,8 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sched/periodic_schedule.hpp"
 #include "sched/rta.hpp"
-#include "sched/slack_table.hpp"
 #include "sched/task.hpp"
 
 namespace coeff::analysis {
@@ -339,41 +339,13 @@ void check_slack_and_rta(const ScheduleLintInput& input, Report& report) {
     }
   }
 
-  // Slack-table recheck: the per-level idle curves slack queries read
-  // must be non-negative and cumulatively non-decreasing.
-  const auto table = sched::SlackTable::shared(set);
-  if (!table->schedulable()) {
+  // The offline periodic schedule over three hyperperiods (the window
+  // slack queries fold into) must meet every deadline.
+  if (sched::simulate_periodic(set, set.hyperperiod() * 3)
+          .any_deadline_missed) {
     report.add("schedule.slack-infeasible",
                "offline periodic schedule of the static set misses a "
                "deadline; slack queries are not meaningful");
-    return;
-  }
-  const sim::Time h = table->hyperperiod();
-  const int samples = std::max(2, input.slack_samples);
-  for (int k = 0; k < samples; ++k) {
-    const sim::Time t = sim::Time{2 * h.ns() * k / samples};
-    const sim::Time s = table->slack_at(t);
-    if (s < sim::Time::zero()) {
-      report.add("schedule.slack-nonnegative",
-                 strformat("stealable slack at t=%s is %s",
-                        sim::to_string(t).c_str(),
-                        sim::to_string(s).c_str()));
-      break;  // one witness suffices; the curve is systematically wrong
-    }
-  }
-  for (std::size_t level = 0; level < table->levels(); ++level) {
-    sim::Time prev = sim::Time::zero();
-    for (int k = 0; k < samples; ++k) {
-      const sim::Time t = sim::Time{2 * h.ns() * k / samples};
-      const sim::Time cum = table->cumulative_idle(level, t);
-      if (cum < prev) {
-        report.add("schedule.slack-monotone",
-                   strformat("level-%zu cumulative idle decreases at t=%s",
-                          level, sim::to_string(t).c_str()));
-        return;
-      }
-      prev = cum;
-    }
   }
 }
 

@@ -9,35 +9,6 @@ namespace coeff::analysis {
 
 namespace {
 
-constexpr std::size_t kMaxPerRule = 8;
-
-/// Report wrapper that caps the diagnostics emitted per rule so a
-/// systematically broken trace does not flood CI with thousands of
-/// identical findings.
-class CappedReport {
- public:
-  explicit CappedReport(Report& report) : report_(report) {}
-
-  void add(const char* rule, std::string message, Location loc = {}) {
-    std::size_t& n = per_rule_[rule];
-    ++n;
-    if (n < kMaxPerRule) {
-      report_.add(rule, std::move(message), loc);
-    } else if (n == kMaxPerRule) {
-      report_.add(rule, std::move(message), loc);
-      Diagnostic note;
-      note.rule = rule;
-      note.severity = Severity::kNote;
-      note.message = "further diagnostics for this rule suppressed";
-      report_.add(std::move(note));
-    }
-  }
-
- private:
-  Report& report_;
-  std::map<std::string, std::size_t> per_rule_;
-};
-
 Location record_loc(std::int64_t index) {
   Location loc;
   loc.record = index;

@@ -66,25 +66,22 @@ std::unique_ptr<ProbSetup> make_prob_setup(
   }
   if (!setup->config.dynamics.messages().empty()) {
     setup->has_dynamics = true;
-    analysis::DynWcrtInput& dyn = setup->dyn_input;
-    dyn.cluster = &setup->config.cluster;
-    dyn.dynamics = &setup->config.dynamics;
-    dyn.discipline = in.discipline;
-    dyn.plan = in.plan;
-    dyn.fault_model = in.fault_model;
-    dyn.rho = rho;
-    dyn.u = setup->config.u;
-    dyn.options = options;
+    // The dynamic pass shares every envelope input with the static one.
+    static_cast<analysis::EnvelopeInput&>(setup->dyn_input) = in;
+    setup->dyn_input.dynamics = &setup->config.dynamics;
   }
   return setup;
 }
 
-std::pair<double, double> envelope_miss_ratio(
-    const analysis::ProbWcrtResult& result) {
+namespace {
+
+/// Per-message P(miss) edges weighted by release rate (1/T_z).
+template <class Messages>
+std::pair<double, double> rate_weighted_miss_ratio(const Messages& messages) {
   double weight = 0.0;
   double lower = 0.0;
   double upper = 0.0;
-  for (const analysis::MessageProb& mp : result.messages) {
+  for (const analysis::MessageEnvelope& mp : messages) {
     if (mp.period <= sim::Time::zero()) continue;
     const double w = 1.0 / static_cast<double>(mp.period.ns());
     weight += w;
@@ -95,20 +92,16 @@ std::pair<double, double> envelope_miss_ratio(
   return {lower / weight, upper / weight};
 }
 
+}  // namespace
+
+std::pair<double, double> envelope_miss_ratio(
+    const analysis::ProbWcrtResult& result) {
+  return rate_weighted_miss_ratio(result.messages);
+}
+
 std::pair<double, double> dyn_envelope_miss_ratio(
     const analysis::DynWcrtResult& result) {
-  double weight = 0.0;
-  double lower = 0.0;
-  double upper = 0.0;
-  for (const analysis::DynMessageProb& mp : result.messages) {
-    if (mp.period <= sim::Time::zero()) continue;
-    const double w = 1.0 / static_cast<double>(mp.period.ns());
-    weight += w;
-    lower += w * mp.p_miss_lower;
-    upper += w * mp.p_miss_upper;
-  }
-  if (weight <= 0.0) return {0.0, 0.0};
-  return {lower / weight, upper / weight};
+  return rate_weighted_miss_ratio(result.messages);
 }
 
 CrossCheckSummary cross_check_prob(const CampaignManifest& manifest,

@@ -34,9 +34,10 @@ class SlackTable {
 
   /// Memoized construction: task sets with identical parameters share
   /// one immutable table, so repeated queries on one static suite in a
-  /// process (coeffctl lint's slack tripwires) pay the 3x-hyperperiod
-  /// schedule simulation once. The cache never evicts. Thread-safe; the
-  /// returned table is immutable and safe to share across threads.
+  /// process (perfbench's traced analyze-cold pass) pay the
+  /// 3x-hyperperiod schedule simulation once. The cache never evicts.
+  /// Thread-safe; the returned table is immutable and safe to share
+  /// across threads.
   [[nodiscard]] static std::shared_ptr<const SlackTable> shared(
       const TaskSet& set);
 

@@ -131,6 +131,46 @@ TEST(ReportTest, RenderSarifListsCatalogAndEscapesMessages) {
   }
 }
 
+TEST(CappedReportTest, CapsEachRuleAtEightWithOneNote) {
+  Report report;
+  CappedReport out(report);
+  for (int i = 0; i < 10; ++i) {
+    Location loc;
+    loc.message_id = i;
+    out.add("trace.tx-overlap", strformat("clash %d", i), loc);
+  }
+  out.add("schedule.deadline-risk", "late");
+
+  // Eight findings, then the note, then the second rule on its own count.
+  const std::vector<Diagnostic>& diags = report.diagnostics();
+  ASSERT_EQ(diags.size(), 10u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(diags[i].rule, "trace.tx-overlap");
+    EXPECT_EQ(diags[i].severity, Severity::kError);
+    EXPECT_EQ(diags[i].message, strformat("clash %d", i));
+    EXPECT_EQ(diags[i].loc.message_id, i);
+  }
+  EXPECT_EQ(diags[8].rule, "trace.tx-overlap");
+  EXPECT_EQ(diags[8].severity, Severity::kNote);
+  EXPECT_EQ(diags[8].message, "further diagnostics for this rule suppressed");
+  EXPECT_EQ(diags[9].rule, "schedule.deadline-risk");
+  EXPECT_EQ(diags[9].severity, Severity::kWarning);
+  EXPECT_EQ(report.count_rule("trace.tx-overlap"), 9u);
+  EXPECT_EQ(report.count(Severity::kNote), 1u);
+}
+
+TEST(CappedReportTest, DiagnosticKeepsItsOwnSeverity) {
+  Report report;
+  CappedReport out(report);
+  Diagnostic d;
+  d.rule = "analysis.dyn-starvation";  // an error in the catalog
+  d.severity = Severity::kWarning;
+  d.message = "saturated";
+  out.add(d);
+  ASSERT_EQ(report.diagnostics().size(), 1u);
+  EXPECT_EQ(report.diagnostics()[0].severity, Severity::kWarning);
+}
+
 TEST(StrformatTest, FormatsLikePrintf) {
   EXPECT_EQ(strformat("m %d needs %lld bits", 3, 1024LL),
             "m 3 needs 1024 bits");

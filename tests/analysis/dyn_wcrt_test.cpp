@@ -290,7 +290,7 @@ TEST(DynWcrt, RenderingsCarryTheEnvelopeAndMarkers) {
       merge_class_envelopes({}, result.classes));
   EXPECT_NE(merged.find("end-to-end class"), std::string::npos);
   const std::string merged_json =
-      render_end_to_end_json(merge_class_envelopes({}, result.classes));
+      render_class_json(merge_class_envelopes({}, result.classes));
   EXPECT_EQ(merged_json.front(), '[');
   EXPECT_EQ(merged_json.back(), ']');
 }

@@ -1,9 +1,6 @@
 // Seeded-violation fixtures: one test per ScheduleLint rule, each
 // asserting the exact rule id fires, plus a clean-config test over the
-// shipped paper workloads. The two slack rules (slack-nonnegative,
-// slack-monotone) are regression tripwires over curves the SlackTable
-// clamps by construction; they are covered by the clean tests and the
-// catalog checks rather than a seeded violation.
+// shipped paper workloads.
 #include "analysis/schedule_lint.hpp"
 
 #include <gtest/gtest.h>
@@ -346,6 +343,32 @@ TEST(ScheduleLintTest, RtaDeadlineIsAWarning) {
   const Report report = f.lint();
   EXPECT_TRUE(report.has_rule("schedule.rta-deadline"));
   EXPECT_FALSE(report.has_errors());
+}
+
+TEST(ScheduleLintTest, SlackInfeasibleIsAWarning) {
+  Fixture f;
+  // Three frames release together at t = 0 with deadlines of two wire
+  // times: whichever goes last finishes at three, so the offline
+  // periodic schedule misses a deadline in a set that is otherwise
+  // structurally clean (U is far below 1).
+  const std::int64_t bits = 1200;
+  const sim::Time wire = f.cluster.transmission_time(bits);
+  for (int i = 0; i < 3; ++i) {
+    net::Message m = static_msg(i + 1, sim::millis(1), bits, i);
+    m.deadline = wire * 2;
+    f.statics.add(m);
+  }
+  const Report report = f.lint();
+  ASSERT_EQ(report.count_rule("schedule.slack-infeasible"), 1u)
+      << report.render_text();
+  EXPECT_FALSE(report.has_errors());
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.rule != "schedule.slack-infeasible") continue;
+    EXPECT_EQ(d.severity, Severity::kWarning);
+    EXPECT_EQ(d.message,
+              "offline periodic schedule of the static set misses a "
+              "deadline; slack queries are not meaningful");
+  }
 }
 
 TEST(ScheduleLintTest, SemanticRulesAreGatedOnStructuralErrors) {

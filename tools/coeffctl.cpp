@@ -277,7 +277,7 @@ int analyze_main(const std::vector<std::string>& args) {
         json += ",\"dynamic\":" +
                 analysis::render_dyn_json(setup->dyn_input, dyn_result);
         json += ",\"end_to_end_classes\":" +
-                analysis::render_end_to_end_json(analysis::merge_class_envelopes(
+                analysis::render_class_json(analysis::merge_class_envelopes(
                     result.classes, dyn_result.classes));
         json += '}';
       }
