@@ -4,12 +4,14 @@
 // never throw and never trip a sanitizer on ANY byte sequence — they
 // are fed files that a kill -9 may have torn at an arbitrary byte, or
 // that a sick disk may have scrambled outright. Acceptance has its own
-// invariant: anything parse_manifest accepts must render back to bytes
-// it accepts again (the manifest rewrite on campaign completion depends
-// on that), and an accepted result row must round-trip through
-// render_row/parse_row.
+// invariant: anything parse_manifest accepts must render to bytes that
+// parse back to an equal manifest, field by field (the rewrite on
+// campaign completion and every resume depend on that), and an accepted
+// result row must render to bytes that parse and render again to the
+// same bytes.
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "campaign/checkpoint.hpp"
@@ -22,10 +24,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   const auto manifest = coeff::campaign::parse_manifest(bytes);
   if (manifest.ok) {
-    const std::string rendered =
-        coeff::campaign::render_manifest(manifest.manifest);
-    if (!coeff::campaign::parse_manifest(rendered).ok) {
-      __builtin_trap();  // accepted manifest must re-render acceptably
+    const auto again = coeff::campaign::parse_manifest(
+        coeff::campaign::render_manifest(manifest.manifest));
+    if (!again.ok || !(again.manifest == manifest.manifest)) {
+      __builtin_trap();  // accepted manifest must round-trip exactly
     }
   }
 
@@ -40,10 +42,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto row =
         coeff::campaign::parse_row(bytes.substr(start, newline - start));
     if (row.has_value()) {
-      const auto again =
-          coeff::campaign::parse_row(coeff::campaign::render_row(*row));
-      if (!again.has_value()) {
-        __builtin_trap();  // accepted row must round-trip
+      const std::string rendered = coeff::campaign::render_row(*row);
+      const auto again = coeff::campaign::parse_row(rendered);
+      if (!again.has_value() ||
+          coeff::campaign::render_row(*again) != rendered) {
+        __builtin_trap();  // accepted row must re-render byte for byte
       }
     }
     if (newline == bytes.size()) break;

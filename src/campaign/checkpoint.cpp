@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "units/number.hpp"
+
 namespace coeff::campaign {
 
 namespace {
@@ -46,27 +48,6 @@ void fsync_parent_dir(const std::string& path) {
   }
 }
 
-/// Parse a non-negative integer; false on overflow/garbage/empty.
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
-}
-
-bool parse_i64(std::string_view text, std::int64_t& out) {
-  std::uint64_t value = 0;
-  if (!parse_u64(text, value) || value > INT64_MAX) return false;
-  out = static_cast<std::int64_t>(value);
-  return true;
-}
-
 /// Split on single spaces, no empty fields tolerated.
 std::vector<std::string_view> split_fields(std::string_view payload) {
   std::vector<std::string_view> out;
@@ -97,22 +78,15 @@ bool parse_header_payload(std::string_view payload, CheckpointHeader& header) {
   if (fields.size() != 6 || fields[0] != "coeffcamp-ckpt" || fields[1] != "v1")
     return false;
   std::string_view value;
-  std::uint64_t u = 0;
-  std::int64_t n = 0;
-  if (!field_value(fields[2], "shard", value) || !parse_i64(value, n) ||
-      n < 0 || n > INT32_MAX)
+  if (!field_value(fields[2], "shard", value) ||
+      !units::parse_count(value, header.shard) ||
+      !field_value(fields[3], "shards", value) ||
+      !units::parse_count(value, header.shards) || header.shards == 0 ||
+      !field_value(fields[4], "seed", value) ||
+      !units::parse_number(value, header.campaign_seed) ||
+      !field_value(fields[5], "cells", value) ||
+      !units::parse_count(value, header.cells))
     return false;
-  header.shard = static_cast<int>(n);
-  if (!field_value(fields[3], "shards", value) || !parse_i64(value, n) ||
-      n <= 0 || n > INT32_MAX)
-    return false;
-  header.shards = static_cast<int>(n);
-  if (!field_value(fields[4], "seed", value) || !parse_u64(value, u))
-    return false;
-  header.campaign_seed = u;
-  if (!field_value(fields[5], "cells", value) || !parse_i64(value, n) || n < 0)
-    return false;
-  header.cells = n;
   header.version = 1;
   return header.shard < header.shards;
 }
@@ -122,27 +96,20 @@ bool parse_record_payload(std::string_view payload, CheckpointRecord& record) {
   if (fields.empty()) return false;
   if (fields[0] == "I" && fields.size() == 3) {
     record.kind = CheckpointRecordKind::kIntent;
-    std::int64_t attempt = 0;
-    if (!parse_i64(fields[1], record.cell) ||
-        !parse_i64(fields[2], attempt) || attempt <= 0 || attempt > INT32_MAX)
-      return false;
-    record.attempt = static_cast<int>(attempt);
-    return true;
+    return units::parse_count(fields[1], record.cell) &&
+           units::parse_count(fields[2], record.attempt) &&
+           record.attempt > 0;
   }
   if (fields[0] == "D" && fields.size() == 2) {
     record.kind = CheckpointRecordKind::kDone;
-    return parse_i64(fields[1], record.cell);
+    return units::parse_count(fields[1], record.cell);
   }
   if (fields[0] == "Q" && fields.size() == 4) {
     record.kind = CheckpointRecordKind::kQuarantine;
-    std::int64_t attempts = 0;
-    if (!parse_i64(fields[1], record.cell) ||
-        !parse_i64(fields[2], attempts) || attempts <= 0 ||
-        attempts > INT32_MAX)
-      return false;
-    record.attempt = static_cast<int>(attempts);
     record.reason = std::string(fields[3]);
-    return true;
+    return units::parse_count(fields[1], record.cell) &&
+           units::parse_count(fields[2], record.attempt) &&
+           record.attempt > 0;
   }
   if (fields[0] == "G" && fields.size() == 2) {
     record.kind = CheckpointRecordKind::kDegrade;
@@ -164,33 +131,38 @@ std::uint32_t crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFU;
 }
 
+std::string crc32_hex(std::string_view data) {
+  char buf[9];
+  std::snprintf(buf, sizeof buf, "%08" PRIX32, crc32(data));
+  return buf;
+}
+
 std::string seal_record(std::string_view payload) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "#%08" PRIX32, crc32(payload));
-  return std::string(payload) + buf;
+  return std::string(payload) + "#" + crc32_hex(payload);
 }
 
 std::optional<std::string_view> unseal_record(std::string_view line) {
-  // "#XXXXXXXX" suffix: 9 chars, uppercase hex.
+  // "#XXXXXXXX" suffix: 9 chars; only the CRC's own spelling matches.
   if (line.size() < 10) return std::nullopt;
   const std::size_t hash = line.size() - 9;
-  if (line[hash] != '#') return std::nullopt;
-  std::uint32_t stored = 0;
-  for (std::size_t i = hash + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    std::uint32_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'A' && c <= 'F') {
-      digit = static_cast<std::uint32_t>(c - 'A') + 10;
-    } else {
-      return std::nullopt;
-    }
-    stored = (stored << 4) | digit;
-  }
   const std::string_view payload = line.substr(0, hash);
-  if (crc32(payload) != stored) return std::nullopt;
+  if (line[hash] != '#' || line.substr(hash + 1) != crc32_hex(payload)) {
+    return std::nullopt;
+  }
   return payload;
+}
+
+bool write_all(int fd, std::string_view data) {
+  std::size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 bool atomic_write_file(const std::string& path, std::string_view contents,
@@ -202,18 +174,11 @@ bool atomic_write_file(const std::string& path, std::string_view contents,
     set_error(error, "open " + tmp + ": " + errno_string());
     return false;
   }
-  std::size_t written = 0;
-  while (written < contents.size()) {
-    const ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      set_error(error, "write " + tmp + ": " + errno_string());
-      (void)::close(fd);
-      (void)::unlink(tmp.c_str());
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
+  if (!write_all(fd, contents)) {
+    set_error(error, "write " + tmp + ": " + errno_string());
+    (void)::close(fd);
+    (void)::unlink(tmp.c_str());
+    return false;
   }
   if (::fsync(fd) != 0) {
     set_error(error, "fsync " + tmp + ": " + errno_string());
@@ -403,19 +368,8 @@ bool CheckpointWriter::open(const std::string& path,
 
 bool CheckpointWriter::append(const CheckpointRecord& record) {
   if (fd_ < 0) return false;
-  const std::string line = render_record(record) + "\n";
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + written,
-                              line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (durable_ && ::fsync(fd_) != 0) return false;
-  return true;
+  return write_all(fd_, render_record(record) + "\n") &&
+         (!durable_ || ::fsync(fd_) == 0);
 }
 
 }  // namespace coeff::campaign

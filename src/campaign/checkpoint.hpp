@@ -34,12 +34,20 @@ namespace coeff::campaign {
 /// IEEE CRC-32 (the zlib polynomial) over `data`.
 [[nodiscard]] std::uint32_t crc32(std::string_view data);
 
+/// crc32(data) as the 8 uppercase hex digits that sealed records and the
+/// manifest trailer carry.
+[[nodiscard]] std::string crc32_hex(std::string_view data);
+
 /// Append `#crc32hex` to a record payload (no trailing newline).
 [[nodiscard]] std::string seal_record(std::string_view payload);
 
 /// Verify + strip the `#crc32hex` suffix; nullopt on any mismatch.
 [[nodiscard]] std::optional<std::string_view> unseal_record(
     std::string_view line);
+
+/// Write all of `data` to `fd`, retrying interrupted writes; false on
+/// any other error.
+bool write_all(int fd, std::string_view data);
 
 /// Durably replace `path` with `contents`: write `path.tmp`, fsync,
 /// rename over `path`, fsync the parent directory. Returns false (with

@@ -1,61 +1,12 @@
 #include "campaign/manifest.hpp"
 
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "campaign/checkpoint.hpp"
+#include "units/number.hpp"
 
 namespace coeff::campaign {
-
-namespace {
-
-std::string format_double(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.10g", value);
-  return buf;
-}
-
-/// Strict double parse (whole field must be consumed, finite result).
-bool parse_double(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(value)) return false;
-  out = value;
-  return true;
-}
-
-bool parse_u64_field(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
-}
-
-bool parse_i64_field(const std::string& text, std::int64_t& out) {
-  std::uint64_t wide = 0;
-  if (!parse_u64_field(text, wide) || wide > INT64_MAX) return false;
-  out = static_cast<std::int64_t>(wide);
-  return true;
-}
-
-bool parse_int_field(const std::string& text, int& out) {
-  std::int64_t wide = 0;
-  if (!parse_i64_field(text, wide) || wide > INT32_MAX) return false;
-  out = static_cast<int>(wide);
-  return true;
-}
-
-}  // namespace
 
 const char* to_string(Isolation isolation) {
   return isolation == Isolation::kProcess ? "process" : "thread";
@@ -65,6 +16,9 @@ void CampaignManifest::validate() const {
   auto require = [](bool ok, const char* what) {
     if (!ok) throw std::invalid_argument(std::string("campaign: ") + what);
   };
+  // parse_manifest reads the manifest line by line.
+  require(name.find('\n') == std::string::npos,
+          "name must not contain a newline");
   require(cells > 0, "campaign needs at least one cell");
   require(shards >= 1 && shards <= 4096, "shards must be in [1, 4096]");
   require(watchdog_ms > 0, "watchdog must be positive");
@@ -98,19 +52,18 @@ std::string render_manifest(const CampaignManifest& manifest) {
   kv("min_statics", std::to_string(d.min_statics));
   kv("max_statics", std::to_string(d.max_statics));
   kv("max_dynamics", std::to_string(d.max_dynamics));
-  kv("min_util", format_double(d.min_util));
-  kv("max_util", format_double(d.max_util));
-  kv("min_log10_ber", format_double(d.min_log10_ber));
-  kv("max_log10_ber", format_double(d.max_log10_ber));
+  // Exact: resume regenerates every cell from these values.
+  kv("min_util", units::to_text(d.min_util));
+  kv("max_util", units::to_text(d.max_util));
+  kv("min_log10_ber", units::to_text(d.min_log10_ber));
+  kv("max_log10_ber", units::to_text(d.max_log10_ber));
   kv("schemes", scheme_list(d.schemes));
   kv("window_ms", std::to_string(d.window_ms));
   // Written only when enabled: manifests of campaigns without the
   // mixed-criticality axis stay byte-identical to older builds.
   if (d.criticality) kv("criticality", "on");
   kv("status", manifest.status);
-  char crc_line[24];
-  std::snprintf(crc_line, sizeof crc_line, "#crc32=%08" PRIX32, crc32(body));
-  return body + crc_line + "\n";
+  return body + "#crc32=" + crc32_hex(body) + "\n";
 }
 
 ManifestLoad parse_manifest(std::string_view bytes) {
@@ -125,25 +78,13 @@ ManifestLoad parse_manifest(std::string_view bytes) {
   const std::string_view body = bytes.substr(0, trailer_at);
   std::string_view trailer = bytes.substr(trailer_at);
   if (!trailer.empty() && trailer.back() == '\n') trailer.remove_suffix(1);
-  if (trailer.size() != 15) {
+  if (trailer.size() != 15 ||
+      trailer.find_first_not_of("0123456789ABCDEF", 7) !=
+          std::string_view::npos) {
     load.error = "manifest: malformed crc trailer";
     return load;
   }
-  std::uint32_t stored = 0;
-  for (std::size_t i = 7; i < trailer.size(); ++i) {
-    const char c = trailer[i];
-    std::uint32_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'A' && c <= 'F') {
-      digit = static_cast<std::uint32_t>(c - 'A') + 10;
-    } else {
-      load.error = "manifest: malformed crc trailer";
-      return load;
-    }
-    stored = (stored << 4) | digit;
-  }
-  if (crc32(body) != stored) {
+  if (trailer.substr(7) != crc32_hex(body)) {
     load.error = "manifest: crc mismatch (torn or corrupt)";
     return load;
   }
@@ -177,11 +118,11 @@ ManifestLoad parse_manifest(std::string_view bytes) {
     if (key == "name") {
       m.name = value;
     } else if (key == "seed") {
-      ok = parse_u64_field(value, m.seed);
+      ok = units::parse_count(value, m.seed);
     } else if (key == "cells") {
-      ok = parse_i64_field(value, m.cells);
+      ok = units::parse_count(value, m.cells);
     } else if (key == "shards") {
-      ok = parse_int_field(value, m.shards);
+      ok = units::parse_count(value, m.shards);
     } else if (key == "isolation") {
       if (value == "process") {
         m.isolation = Isolation::kProcess;
@@ -191,35 +132,35 @@ ManifestLoad parse_manifest(std::string_view bytes) {
         ok = false;
       }
     } else if (key == "watchdog_ms") {
-      ok = parse_i64_field(value, m.watchdog_ms);
+      ok = units::parse_count(value, m.watchdog_ms);
     } else if (key == "max_attempts") {
-      ok = parse_int_field(value, m.max_attempts);
+      ok = units::parse_count(value, m.max_attempts);
     } else if (key == "backoff_base_ms") {
-      ok = parse_i64_field(value, m.backoff_base_ms);
+      ok = units::parse_count(value, m.backoff_base_ms);
     } else if (key == "min_nodes") {
-      ok = parse_int_field(value, d.min_nodes);
+      ok = units::parse_count(value, d.min_nodes);
     } else if (key == "max_nodes") {
-      ok = parse_int_field(value, d.max_nodes);
+      ok = units::parse_count(value, d.max_nodes);
     } else if (key == "min_statics") {
-      ok = parse_int_field(value, d.min_statics);
+      ok = units::parse_count(value, d.min_statics);
     } else if (key == "max_statics") {
-      ok = parse_int_field(value, d.max_statics);
+      ok = units::parse_count(value, d.max_statics);
     } else if (key == "max_dynamics") {
-      ok = parse_int_field(value, d.max_dynamics);
+      ok = units::parse_count(value, d.max_dynamics);
     } else if (key == "min_util") {
-      ok = parse_double(value, d.min_util);
+      ok = units::parse_number(value, d.min_util);
     } else if (key == "max_util") {
-      ok = parse_double(value, d.max_util);
+      ok = units::parse_number(value, d.max_util);
     } else if (key == "min_log10_ber") {
-      ok = parse_double(value, d.min_log10_ber);
+      ok = units::parse_number(value, d.min_log10_ber);
     } else if (key == "max_log10_ber") {
-      ok = parse_double(value, d.max_log10_ber);
+      ok = units::parse_number(value, d.max_log10_ber);
     } else if (key == "schemes") {
       const auto schemes = parse_scheme_list(value);
       ok = schemes.has_value();
       if (ok) d.schemes = *schemes;
     } else if (key == "window_ms") {
-      ok = parse_i64_field(value, d.window_ms);
+      ok = units::parse_count(value, d.window_ms);
     } else if (key == "criticality") {
       if (value == "on") {
         d.criticality = true;

@@ -47,6 +47,9 @@ struct CampaignManifest {
 
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const;
+
+  /// Field by field; parse_manifest(render_manifest(m)) == m.
+  bool operator==(const CampaignManifest&) const = default;
 };
 
 [[nodiscard]] std::string render_manifest(const CampaignManifest& manifest);

@@ -1,32 +1,19 @@
 #include "campaign/report.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
+#include "analysis/diagnostic.hpp"
 #include "campaign/checkpoint.hpp"
+#include "units/number.hpp"
 
 namespace coeff::campaign {
 
 namespace {
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }  // control characters are dropped: tags never contain them
-  }
-  return out;
-}
 
 std::string format_double(double value) {
   char buf[48];
@@ -34,79 +21,181 @@ std::string format_double(double value) {
   return buf;
 }
 
-/// Extract the raw value text of `"key":` in a flat JSON object.
-/// Handles string values (returns unescaped content) and bare scalar
-/// tokens; nullopt when absent or malformed.
-std::optional<std::string> json_field(std::string_view line,
-                                      std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  while (i < line.size() && line[i] == ' ') ++i;
-  if (i >= line.size()) return std::nullopt;
-  if (line[i] == '"') {
-    std::string out;
-    for (++i; i < line.size(); ++i) {
-      if (line[i] == '\\') {
-        if (i + 1 >= line.size()) return std::nullopt;
-        out += line[++i];
-      } else if (line[i] == '"') {
-        return out;
-      } else {
-        out += line[i];
+// --- The result row's field table -------------------------------------
+
+/// Row kinds, one bit each: the statuses "ok", "failed" and "shed".
+constexpr unsigned kOk = 1U;
+constexpr unsigned kFailed = 2U;
+constexpr unsigned kShed = 4U;
+constexpr unsigned kRan = kOk | kFailed;  ///< rows that name the scenario
+constexpr unsigned kAll = kRan | kShed;
+
+/// The kind of a row status; 0 for a status no row carries.
+unsigned kind_of(std::string_view status) {
+  return status == "ok"       ? kOk
+         : status == "failed" ? kFailed
+         : status == "shed"   ? kShed
+                              : 0U;
+}
+
+/// Where a key's value lives. The report totals every CellCounters
+/// member, under the member's own key.
+using Member =
+    std::variant<std::int64_t ResultRow::*, std::uint64_t ResultRow::*,
+                 int ResultRow::*, double ResultRow::*, bool ResultRow::*,
+                 std::string ResultRow::*, std::int64_t CellCounters::*,
+                 double CellCounters::*>;
+
+struct Field {
+  std::string_view key;
+  Member member;
+  unsigned kinds;       ///< the row kinds that carry it
+  bool legacy = false;  ///< rows from older schemas may omit it (reads 0)
+  /// A flag's total: the count of ok rows that set it, and its key.
+  std::int64_t CampaignAggregate::*count = nullptr;
+  std::string_view count_key = {};
+};
+
+/// Every key of the result row, in row order.
+const Field kFields[] = {
+    {"cell", &ResultRow::cell, kAll},
+    {"seed", &ResultRow::seed, kAll},
+    {"status", &ResultRow::status, kAll},
+    {"scheme", &ResultRow::scheme, kRan},
+    {"fault", &ResultRow::fault, kRan},
+    {"structural", &ResultRow::structural, kRan},
+    {"nodes", &ResultRow::nodes, kRan},
+    {"statics", &ResultRow::statics, kRan},
+    {"dynamics", &ResultRow::dynamics, kRan},
+    {"util", &ResultRow::util, kRan},
+    {"ber", &ResultRow::ber, kRan},
+    {"attempts", &ResultRow::attempts, kFailed},
+    {"reason", &ResultRow::reason, kFailed},
+    {"released", &CellCounters::released, kOk},
+    {"delivered", &CellCounters::delivered, kOk},
+    {"missed", &CellCounters::missed, kOk},
+    {"source_lost", &CellCounters::source_lost, kOk},
+    {"copies_sent", &CellCounters::copies_sent, kOk},
+    {"cycles", &CellCounters::cycles, kOk},
+    {"miss_ratio", &ResultRow::miss_ratio, kOk},
+    {"degraded", &ResultRow::degraded, kOk, false,
+     &CampaignAggregate::degraded_plans, "degraded_plans"},
+    {"plan_swaps", &CellCounters::plan_swaps, kOk},
+    {"failovers", &CellCounters::failovers, kOk},
+    {"frames_lost", &ResultRow::frames_lost, kOk},
+    // Later schema revisions: the static-segment counts, the DynWcrt
+    // cross-check's d_* and the mode protocol's m_* and e_* (DESIGN.md
+    // §16).
+    {"s_released", &ResultRow::s_released, kOk, true},
+    {"s_missed", &ResultRow::s_missed, kOk, true},
+    {"d_released", &CellCounters::d_released, kOk, true},
+    {"d_missed", &CellCounters::d_missed, kOk, true},
+    {"m_changes", &CellCounters::m_changes, kOk, true},
+    {"m_shed", &CellCounters::m_shed, kOk, true},
+    {"m_matchup", &CellCounters::m_matchup, kOk, true},
+    {"m_dwell_l1", &CellCounters::m_dwell_l1, kOk, true},
+    {"m_dwell_l2", &CellCounters::m_dwell_l2, kOk, true},
+    {"e_total_uj", &CellCounters::e_total_uj, kOk, true},
+    {"e_sleep_uj", &CellCounters::e_sleep_uj, kOk, true},
+};
+
+/// True for the members the report totals under their own key.
+template <class M>
+constexpr bool kTotaled = std::is_same_v<M, std::int64_t CellCounters::*> ||
+                          std::is_same_v<M, double CellCounters::*>;
+
+/// `"key":`, after a comma unless it opens an object.
+void write_key(std::string& out, std::string_view key) {
+  out += out.back() == '{' ? "\"" : ",\"";
+  out += key;
+  out += "\":";
+}
+
+template <class T>
+void write_value(std::string& out, const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out += '"' + analysis::json_escape(value) + '"';
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += value ? "true" : "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out += format_double(value);
+  } else {
+    out += units::to_text(value);
+  }
+}
+
+/// Reads the JSON string whose opening quote is line[at] into `out`;
+/// returns the index after its closing quote, or npos on a raw control
+/// character or an escape json_escape never writes.
+std::size_t read_string(std::string_view line, std::size_t at,
+                        std::string& out) {
+  if (at >= line.size() || line[at] != '"') return std::string::npos;
+  std::size_t i = at + 1;
+  while (i < line.size() && line[i] != '"') {
+    if (static_cast<unsigned char>(line[i]) < 0x20) return std::string::npos;
+    if (line[i] != '\\') {
+      out += line[i++];
+      continue;
+    }
+    // The one character whose escape this is.
+    std::size_t length = 0;
+    for (int c = 0; c < 0x80 && length == 0; ++c) {
+      const char ch = static_cast<char>(c);
+      const std::string escape = analysis::json_escape({&ch, 1});
+      if (escape.size() > 1 && line.substr(i).starts_with(escape)) {
+        out += ch;
+        length = escape.size();
       }
     }
-    return std::nullopt;  // unterminated string
+    if (length == 0) return std::string::npos;
+    i += length;
   }
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ' ') {
-    ++end;
-  }
-  if (end == i) return std::nullopt;
-  return std::string(line.substr(i, end - i));
+  return i < line.size() ? i + 1 : std::string::npos;
 }
 
-bool to_i64(const std::optional<std::string>& text, std::int64_t& out) {
-  if (!text.has_value() || text->empty() || text->size() > 20) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text->c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  out = value;
-  return true;
-}
-
-bool to_u64(const std::optional<std::string>& text, std::uint64_t& out) {
-  if (!text.has_value() || text->empty() || text->size() > 20 ||
-      (*text)[0] == '-') {
-    return false;
+/// Reads one scanned value: a whole JSON string, true/false or a number.
+template <class T>
+bool read_value(std::string_view text, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out.clear();
+    return read_string(text, 0, out) == text.size();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = text == "true";
+    return out || text == "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    // Near the largest double, %.10g rounds up past it: such a value
+    // could not be read back once written.
+    double written = 0.0;
+    return units::parse_number(text, out) &&
+           units::parse_number(format_double(out), written);
+  } else {
+    return units::parse_number(text, out);
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text->c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  out = value;
-  return true;
 }
 
-bool to_double(const std::optional<std::string>& text, double& out) {
-  if (!text.has_value() || text->empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text->c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(value)) return false;
-  out = value;
-  return true;
-}
+/// (key, raw value) pairs of a flat JSON object without whitespace.
+using Pairs = std::vector<std::pair<std::string_view, std::string_view>>;
 
-bool to_int(const std::optional<std::string>& text, int& out) {
-  std::int64_t wide = 0;
-  if (!to_i64(text, wide) || wide < INT32_MIN || wide > INT32_MAX) {
-    return false;
+std::optional<Pairs> scan_object(std::string_view line) {
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}') {
+    return std::nullopt;
   }
-  out = static_cast<int>(wide);
-  return true;
+  Pairs pairs;
+  std::string unused;
+  for (std::size_t i = 1; i < line.size(); ++i) {  // at a key's quote
+    const std::size_t colon = read_string(line, i, unused);
+    if (colon >= line.size() || line[colon] != ':') return std::nullopt;
+    const std::size_t at = colon + 1;
+    const std::size_t end = line[at] == '"' ? read_string(line, at, unused)
+                                            : line.find_first_of(",}", at);
+    if (end >= line.size()) return std::nullopt;
+    pairs.emplace_back(line.substr(i + 1, colon - i - 2),
+                       line.substr(at, end - at));
+    if (end + 1 == line.size()) return pairs;  // the closing brace
+    if (line[end] != ',') return std::nullopt;
+    i = end;
+  }
+  return std::nullopt;
 }
 
 void fold_group(std::map<std::string, GroupStat>& groups,
@@ -116,6 +205,12 @@ void fold_group(std::map<std::string, GroupStat>& groups,
   stat.released += row.released;
   stat.missed += row.missed;
   stat.miss_ratio_sum += row.miss_ratio;
+}
+
+double mean_miss(const GroupStat& stat) {
+  return stat.cells > 0
+             ? stat.miss_ratio_sum / static_cast<double>(stat.cells)
+             : 0.0;
 }
 
 void render_groups(std::string& out, const char* title,
@@ -129,46 +224,31 @@ void render_groups(std::string& out, const char* title,
                   "  %-24s cells=%-6" PRId64 " released=%-9" PRId64
                   " missed=%-7" PRId64 " mean_miss=%s\n",
                   key.c_str(), stat.cells, stat.released, stat.missed,
-                  format_double(stat.cells > 0
-                                    ? stat.miss_ratio_sum /
-                                          static_cast<double>(stat.cells)
-                                    : 0.0)
-                      .c_str());
+                  format_double(mean_miss(stat)).c_str());
     out += buf;
   }
 }
 
-void render_groups_json(std::string& out, const char* key,
+void render_groups_json(std::string& out, std::string_view key,
                         const std::map<std::string, GroupStat>& groups) {
-  out += "\"";
-  out += key;
-  out += "\":{";
-  bool first = true;
+  write_key(out, key);
+  out += '{';
   for (const auto& [name, stat] : groups) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":{\"cells\":" + std::to_string(stat.cells);
+    write_key(out, analysis::json_escape(name));
+    out += "{\"cells\":" + std::to_string(stat.cells);
     out += ",\"released\":" + std::to_string(stat.released);
     out += ",\"missed\":" + std::to_string(stat.missed);
-    out += ",\"mean_miss\":" +
-           format_double(stat.cells > 0 ? stat.miss_ratio_sum /
-                                              static_cast<double>(stat.cells)
-                                        : 0.0);
-    out += '}';
+    out += ",\"mean_miss\":" + format_double(mean_miss(stat)) + "}";
   }
   out += '}';
 }
 
-}  // namespace
-
-ResultRow make_row(const ScenarioSpec& spec,
-                   const core::ExperimentResult& result) {
+/// A row of `status` that names `spec`'s cell and scenario.
+ResultRow identity_row(const ScenarioSpec& spec, std::string status) {
   ResultRow row;
   row.cell = spec.cell;
   row.seed = spec.seed;
-  row.status = "ok";
+  row.status = std::move(status);
   row.scheme = scheme_tag(spec.scheme);
   row.fault = fault::to_string(spec.fault_model.kind);
   row.structural = to_string(spec.structural);
@@ -177,6 +257,14 @@ ResultRow make_row(const ScenarioSpec& spec,
   row.dynamics = spec.num_dynamics;
   row.util = spec.utilization;
   row.ber = spec.fault_model.ber;
+  return row;
+}
+
+}  // namespace
+
+ResultRow make_row(const ScenarioSpec& spec,
+                   const core::ExperimentResult& result) {
+  ResultRow row = identity_row(spec, "ok");
   const core::RunStats& run = result.run;
   row.released = run.statics.released + run.dynamics.released;
   row.delivered = run.statics.delivered + run.dynamics.delivered;
@@ -205,189 +293,55 @@ ResultRow make_row(const ScenarioSpec& spec,
 
 ResultRow make_failed_row(const ScenarioSpec& spec, int attempts,
                           const std::string& reason) {
-  ResultRow row;
-  row.cell = spec.cell;
-  row.seed = spec.seed;
-  row.status = "failed";
-  row.scheme = scheme_tag(spec.scheme);
-  row.fault = fault::to_string(spec.fault_model.kind);
-  row.structural = to_string(spec.structural);
-  row.nodes = spec.nodes;
-  row.statics = spec.num_statics;
-  row.dynamics = spec.num_dynamics;
-  row.util = spec.utilization;
-  row.ber = spec.fault_model.ber;
+  ResultRow row = identity_row(spec, "failed");
   row.attempts = attempts;
   row.reason = reason;
   return row;
 }
 
 ResultRow make_shed_row(const ScenarioSpec& spec) {
-  ResultRow row;
-  row.cell = spec.cell;
-  row.seed = spec.seed;
-  row.status = "shed";
-  return row;
+  // Degraded-path minimal row: its kind carries identity only, so it
+  // never lies about detail.
+  return identity_row(spec, "shed");
 }
 
 std::string render_row(const ResultRow& row) {
-  std::string out = "{\"cell\":" + std::to_string(row.cell);
-  out += ",\"seed\":" + std::to_string(row.seed);
-  out += ",\"status\":\"" + json_escape(row.status) + "\"";
-  if (row.status == "shed") {
-    // Degraded-path minimal row: identity only, never lies about detail.
-    out += '}';
-    return out;
+  const unsigned status = kind_of(row.status);
+  const unsigned kind = status != 0 ? status : kOk;
+  std::string out = "{";
+  for (const Field& field : kFields) {
+    if ((field.kinds & kind) == 0) continue;
+    write_key(out, field.key);
+    std::visit([&](const auto& m) { write_value(out, row.*m); },
+               field.member);
   }
-  out += ",\"scheme\":\"" + json_escape(row.scheme) + "\"";
-  out += ",\"fault\":\"" + json_escape(row.fault) + "\"";
-  out += ",\"structural\":\"" + json_escape(row.structural) + "\"";
-  out += ",\"nodes\":" + std::to_string(row.nodes);
-  out += ",\"statics\":" + std::to_string(row.statics);
-  out += ",\"dynamics\":" + std::to_string(row.dynamics);
-  out += ",\"util\":" + format_double(row.util);
-  out += ",\"ber\":" + format_double(row.ber);
-  if (row.status == "failed") {
-    out += ",\"attempts\":" + std::to_string(row.attempts);
-    out += ",\"reason\":\"" + json_escape(row.reason) + "\"";
-    out += '}';
-    return out;
-  }
-  out += ",\"released\":" + std::to_string(row.released);
-  out += ",\"delivered\":" + std::to_string(row.delivered);
-  out += ",\"missed\":" + std::to_string(row.missed);
-  out += ",\"source_lost\":" + std::to_string(row.source_lost);
-  out += ",\"copies_sent\":" + std::to_string(row.copies_sent);
-  out += ",\"cycles\":" + std::to_string(row.cycles);
-  out += ",\"miss_ratio\":" + format_double(row.miss_ratio);
-  out += ",\"degraded\":" + std::string(row.degraded ? "true" : "false");
-  out += ",\"plan_swaps\":" + std::to_string(row.plan_swaps);
-  out += ",\"failovers\":" + std::to_string(row.failovers);
-  out += ",\"frames_lost\":" + std::to_string(row.frames_lost);
-  out += ",\"s_released\":" + std::to_string(row.s_released);
-  out += ",\"s_missed\":" + std::to_string(row.s_missed);
-  out += ",\"d_released\":" + std::to_string(row.d_released);
-  out += ",\"d_missed\":" + std::to_string(row.d_missed);
-  out += ",\"m_changes\":" + std::to_string(row.m_changes);
-  out += ",\"m_shed\":" + std::to_string(row.m_shed);
-  out += ",\"m_matchup\":" + std::to_string(row.m_matchup);
-  out += ",\"m_dwell_l1\":" + std::to_string(row.m_dwell_l1);
-  out += ",\"m_dwell_l2\":" + std::to_string(row.m_dwell_l2);
-  out += ",\"e_total_uj\":" + format_double(row.e_total_uj);
-  out += ",\"e_sleep_uj\":" + format_double(row.e_sleep_uj);
   out += '}';
   return out;
 }
 
 std::optional<ResultRow> parse_row(std::string_view line) {
-  if (line.size() < 2 || line.front() != '{' || line.back() != '}') {
-    return std::nullopt;
-  }
+  const auto pairs = scan_object(line);
+  if (!pairs.has_value()) return std::nullopt;
   ResultRow row;
-  if (!to_i64(json_field(line, "cell"), row.cell) || row.cell < 0) {
-    return std::nullopt;
+  for (const Field& field : kFields) {
+    // `status` precedes every key that only some row kinds carry.
+    const unsigned kind = kind_of(row.status);
+    if (kind == 0) return std::nullopt;
+    if ((field.kinds & kind) == 0) continue;
+    const auto pair = std::find_if(
+        pairs->begin(), pairs->end(),
+        [&field](const auto& p) { return p.first == field.key; });
+    const bool ok =
+        pair == pairs->end()
+            ? field.legacy
+            : std::visit(
+                  [&](const auto& m) {
+                    return read_value(pair->second, row.*m);
+                  },
+                  field.member);
+    if (!ok) return std::nullopt;
   }
-  if (!to_u64(json_field(line, "seed"), row.seed)) return std::nullopt;
-  const auto status = json_field(line, "status");
-  if (!status.has_value() ||
-      (*status != "ok" && *status != "failed" && *status != "shed")) {
-    return std::nullopt;
-  }
-  row.status = *status;
-  if (row.status == "shed") return row;
-
-  const auto scheme = json_field(line, "scheme");
-  const auto fault = json_field(line, "fault");
-  const auto structural = json_field(line, "structural");
-  if (!scheme.has_value() || !fault.has_value() || !structural.has_value()) {
-    return std::nullopt;
-  }
-  row.scheme = *scheme;
-  row.fault = *fault;
-  row.structural = *structural;
-  if (!to_int(json_field(line, "nodes"), row.nodes) ||
-      !to_int(json_field(line, "statics"), row.statics) ||
-      !to_int(json_field(line, "dynamics"), row.dynamics) ||
-      !to_double(json_field(line, "util"), row.util) ||
-      !to_double(json_field(line, "ber"), row.ber)) {
-    return std::nullopt;
-  }
-  if (row.status == "failed") {
-    const auto reason = json_field(line, "reason");
-    if (!to_int(json_field(line, "attempts"), row.attempts) ||
-        !reason.has_value()) {
-      return std::nullopt;
-    }
-    row.reason = *reason;
-    return row;
-  }
-  const auto degraded = json_field(line, "degraded");
-  if (!to_i64(json_field(line, "released"), row.released) ||
-      !to_i64(json_field(line, "delivered"), row.delivered) ||
-      !to_i64(json_field(line, "missed"), row.missed) ||
-      !to_i64(json_field(line, "source_lost"), row.source_lost) ||
-      !to_i64(json_field(line, "copies_sent"), row.copies_sent) ||
-      !to_i64(json_field(line, "cycles"), row.cycles) ||
-      !to_double(json_field(line, "miss_ratio"), row.miss_ratio) ||
-      !degraded.has_value() ||
-      (*degraded != "true" && *degraded != "false") ||
-      !to_i64(json_field(line, "plan_swaps"), row.plan_swaps) ||
-      !to_i64(json_field(line, "failovers"), row.failovers) ||
-      !to_i64(json_field(line, "frames_lost"), row.frames_lost)) {
-    return std::nullopt;
-  }
-  row.degraded = *degraded == "true";
-  // Static-segment counts arrived in a later schema revision: absent on
-  // old rows (default 0), rejected only when present-but-garbled.
-  const auto s_released = json_field(line, "s_released");
-  if (s_released.has_value() && !to_i64(s_released, row.s_released)) {
-    return std::nullopt;
-  }
-  const auto s_missed = json_field(line, "s_missed");
-  if (s_missed.has_value() && !to_i64(s_missed, row.s_missed)) {
-    return std::nullopt;
-  }
-  // Dynamic-segment counts arrived with the DynWcrt cross-check: same
-  // tolerant treatment (absent = 0, the dynamic cross-check skips rows
-  // with d_released == 0 rather than miscounting them).
-  const auto d_released = json_field(line, "d_released");
-  if (d_released.has_value() && !to_i64(d_released, row.d_released)) {
-    return std::nullopt;
-  }
-  const auto d_missed = json_field(line, "d_missed");
-  if (d_missed.has_value() && !to_i64(d_missed, row.d_missed)) {
-    return std::nullopt;
-  }
-  // Mode/energy counters arrived with the mixed-criticality protocol
-  // (DESIGN.md §16): absent = 0, rejected only when present-but-garbled.
-  const auto m_changes = json_field(line, "m_changes");
-  if (m_changes.has_value() && !to_i64(m_changes, row.m_changes)) {
-    return std::nullopt;
-  }
-  const auto m_shed = json_field(line, "m_shed");
-  if (m_shed.has_value() && !to_i64(m_shed, row.m_shed)) {
-    return std::nullopt;
-  }
-  const auto m_matchup = json_field(line, "m_matchup");
-  if (m_matchup.has_value() && !to_i64(m_matchup, row.m_matchup)) {
-    return std::nullopt;
-  }
-  const auto m_dwell_l1 = json_field(line, "m_dwell_l1");
-  if (m_dwell_l1.has_value() && !to_i64(m_dwell_l1, row.m_dwell_l1)) {
-    return std::nullopt;
-  }
-  const auto m_dwell_l2 = json_field(line, "m_dwell_l2");
-  if (m_dwell_l2.has_value() && !to_i64(m_dwell_l2, row.m_dwell_l2)) {
-    return std::nullopt;
-  }
-  const auto e_total_uj = json_field(line, "e_total_uj");
-  if (e_total_uj.has_value() && !to_double(e_total_uj, row.e_total_uj)) {
-    return std::nullopt;
-  }
-  const auto e_sleep_uj = json_field(line, "e_sleep_uj");
-  if (e_sleep_uj.has_value() && !to_double(e_sleep_uj, row.e_sleep_uj)) {
-    return std::nullopt;
-  }
+  if (row.cell < 0) return std::nullopt;
   return row;
 }
 
@@ -455,24 +409,17 @@ CampaignAggregate aggregate_rows(const std::vector<ResultRow>& rows,
       continue;
     }
     ++agg.ok;
-    agg.released += row.released;
-    agg.delivered += row.delivered;
-    agg.missed += row.missed;
-    agg.source_lost += row.source_lost;
-    agg.copies_sent += row.copies_sent;
-    agg.cycles += row.cycles;
-    agg.plan_swaps += row.plan_swaps;
-    agg.failovers += row.failovers;
-    agg.d_released += row.d_released;
-    agg.d_missed += row.d_missed;
-    agg.m_changes += row.m_changes;
-    agg.m_shed += row.m_shed;
-    agg.m_matchup += row.m_matchup;
-    agg.m_dwell_l1 += row.m_dwell_l1;
-    agg.m_dwell_l2 += row.m_dwell_l2;
-    agg.e_total_uj += row.e_total_uj;
-    agg.e_sleep_uj += row.e_sleep_uj;
-    if (row.degraded) ++agg.degraded_plans;
+    for (const Field& field : kFields) {
+      std::visit(
+          [&](const auto& m) {
+            using M = std::decay_t<decltype(m)>;
+            if constexpr (kTotaled<M>) agg.*m += row.*m;
+            if constexpr (std::is_same_v<M, bool ResultRow::*>) {
+              agg.*field.count += row.*m ? 1 : 0;
+            }
+          },
+          field.member);
+    }
     agg.miss_ratio_mean += row.miss_ratio;
     agg.miss_ratio_max = std::max(agg.miss_ratio_max, row.miss_ratio);
     fold_group(agg.by_scheme, row.scheme, row);
@@ -566,44 +513,38 @@ std::string render_report_text(const CampaignAggregate& agg,
 
 std::string render_report_json(const CampaignAggregate& agg,
                                const CampaignManifest& manifest) {
-  std::string out = "{\"campaign\":\"" + json_escape(manifest.name) + "\"";
+  std::string out =
+      "{\"campaign\":\"" + analysis::json_escape(manifest.name) + "\"";
   out += ",\"seed\":" + std::to_string(manifest.seed);
   out += ",\"cells\":" + std::to_string(manifest.cells);
   out += ",\"ok\":" + std::to_string(agg.ok);
   out += ",\"failed\":" + std::to_string(agg.failed);
   out += ",\"shed\":" + std::to_string(agg.shed);
   out += ",\"missing\":" + std::to_string(agg.missing);
-  out += ",\"released\":" + std::to_string(agg.released);
-  out += ",\"delivered\":" + std::to_string(agg.delivered);
-  out += ",\"missed\":" + std::to_string(agg.missed);
-  out += ",\"source_lost\":" + std::to_string(agg.source_lost);
-  out += ",\"copies_sent\":" + std::to_string(agg.copies_sent);
-  out += ",\"cycles\":" + std::to_string(agg.cycles);
-  out += ",\"degraded_plans\":" + std::to_string(agg.degraded_plans);
-  out += ",\"plan_swaps\":" + std::to_string(agg.plan_swaps);
-  out += ",\"failovers\":" + std::to_string(agg.failovers);
-  out += ",\"d_released\":" + std::to_string(agg.d_released);
-  out += ",\"d_missed\":" + std::to_string(agg.d_missed);
-  out += ",\"m_changes\":" + std::to_string(agg.m_changes);
-  out += ",\"m_shed\":" + std::to_string(agg.m_shed);
-  out += ",\"m_matchup\":" + std::to_string(agg.m_matchup);
-  out += ",\"m_dwell_l1\":" + std::to_string(agg.m_dwell_l1);
-  out += ",\"m_dwell_l2\":" + std::to_string(agg.m_dwell_l2);
-  out += ",\"e_total_uj\":" + format_double(agg.e_total_uj);
-  out += ",\"e_sleep_uj\":" + format_double(agg.e_sleep_uj);
+  // The ok rows' totals, in row order.
+  for (const Field& field : kFields) {
+    std::visit(
+        [&](const auto& m) {
+          using M = std::decay_t<decltype(m)>;
+          if constexpr (kTotaled<M>) {
+            write_key(out, field.key);
+            write_value(out, agg.*m);
+          }
+          if constexpr (std::is_same_v<M, bool ResultRow::*>) {
+            write_key(out, field.count_key);
+            write_value(out, agg.*field.count);
+          }
+        },
+        field.member);
+  }
   out += ",\"miss_ratio_mean\":" + format_double(agg.miss_ratio_mean);
   out += ",\"miss_ratio_max\":" + format_double(agg.miss_ratio_max);
-  out += ',';
   render_groups_json(out, "by_scheme", agg.by_scheme);
-  out += ',';
   render_groups_json(out, "by_fault", agg.by_fault);
-  out += ',';
   render_groups_json(out, "by_structural", agg.by_structural);
   out += ",\"quarantined\":[";
-  bool first = true;
   for (const ResultRow& row : agg.quarantined) {
-    if (!first) out += ',';
-    first = false;
+    if (out.back() != '[') out += ',';
     out += render_row(row);
   }
   out += "]}";

@@ -22,10 +22,41 @@
 
 namespace coeff::campaign {
 
+/// The per-cell counters a report totals over the ok rows: a row holds
+/// one cell's, the aggregate their sums. The d_*, m_* and e_* counters
+/// are 0 on rows from older campaigns (and m_*/e_* on cells with the
+/// mode protocol or power model off).
+struct CellCounters {
+  std::int64_t released = 0;
+  std::int64_t delivered = 0;
+  std::int64_t missed = 0;
+  std::int64_t source_lost = 0;
+  std::int64_t copies_sent = 0;
+  std::int64_t cycles = 0;
+  std::int64_t plan_swaps = 0;
+  std::int64_t failovers = 0;
+  /// Dynamic-segment instance counts (the population the analytic
+  /// DynWcrt envelope speaks about); the dynamic cross-check skips rows
+  /// without them.
+  std::int64_t d_released = 0;
+  std::int64_t d_missed = 0;
+  /// Mixed-criticality mode protocol counters (DESIGN.md §16).
+  std::int64_t m_changes = 0;
+  std::int64_t m_shed = 0;
+  std::int64_t m_matchup = 0;
+  std::int64_t m_dwell_l1 = 0;  ///< cycles dwelt in DEGRADED-L1
+  std::int64_t m_dwell_l2 = 0;  ///< cycles dwelt in DEGRADED-L2
+  /// Energy axis (flexray::EnergyMeter totals, microjoules).
+  double e_total_uj = 0.0;
+  double e_sleep_uj = 0.0;  ///< energy saved by transceiver sleep
+};
+
 /// One result line. `status` is "ok" (full detail), "failed"
 /// (quarantined poison cell: repro seed + reason, no metrics) or
 /// "shed" (cell ran but result detail was dropped on write failure).
-struct ResultRow {
+/// Its keys, their order and which rows carry them are one table in
+/// report.cpp.
+struct ResultRow : CellCounters {
   std::int64_t cell = -1;
   std::uint64_t seed = 0;
   std::string status = "ok";
@@ -39,37 +70,13 @@ struct ResultRow {
   double ber = 0.0;
   int attempts = 1;
   std::string reason;  ///< failed rows: watchdog-timeout | crash | ...
-  std::int64_t released = 0;
-  std::int64_t delivered = 0;
-  std::int64_t missed = 0;
-  std::int64_t source_lost = 0;
-  std::int64_t copies_sent = 0;
-  std::int64_t cycles = 0;
   double miss_ratio = 0.0;
   bool degraded = false;
-  std::int64_t plan_swaps = 0;
-  std::int64_t failovers = 0;
   std::int64_t frames_lost = 0;
   /// Static-segment-only instance counts (the population the analytic
   /// ProbWcrt envelope speaks about). 0 on rows from older campaigns.
   std::int64_t s_released = 0;
   std::int64_t s_missed = 0;
-  /// Dynamic-segment instance counts (the population the analytic
-  /// DynWcrt envelope speaks about). 0 on rows from older campaigns,
-  /// which the dynamic cross-check therefore skips.
-  std::int64_t d_released = 0;
-  std::int64_t d_missed = 0;
-  /// Mixed-criticality mode protocol counters (DESIGN.md §16). 0 on
-  /// rows from older campaigns and on cells with the protocol off.
-  std::int64_t m_changes = 0;
-  std::int64_t m_shed = 0;
-  std::int64_t m_matchup = 0;
-  std::int64_t m_dwell_l1 = 0;  ///< cycles dwelt in DEGRADED-L1
-  std::int64_t m_dwell_l2 = 0;  ///< cycles dwelt in DEGRADED-L2
-  /// Energy axis (flexray::EnergyMeter totals, microjoules). 0 on rows
-  /// from older campaigns and on cells with the power model off.
-  double e_total_uj = 0.0;
-  double e_sleep_uj = 0.0;  ///< energy saved by transceiver sleep
 };
 
 [[nodiscard]] ResultRow make_row(const ScenarioSpec& spec,
@@ -81,8 +88,11 @@ struct ResultRow {
 
 /// One JSON object, fixed key order, no trailing newline.
 [[nodiscard]] std::string render_row(const ResultRow& row);
-/// Tolerant flat-JSON parse; nullopt on anything unusable. Never
-/// throws (fuzzed).
+/// Reads a rendered row; keys may come in any order, unknown keys are
+/// ignored and a key that older schemas lack may be absent. nullopt on
+/// anything else, including whitespace, a raw control character or an
+/// escape render_row never writes, so render(parse(render(x))) is
+/// byte-stable. Never throws (fuzzed).
 [[nodiscard]] std::optional<ResultRow> parse_row(std::string_view line);
 
 /// Everything read back from the shard result files.
@@ -104,34 +114,15 @@ struct GroupStat {
   double miss_ratio_sum = 0.0;
 };
 
-struct CampaignAggregate {
+/// The ok rows' counters summed, plus the row census and groupings.
+struct CampaignAggregate : CellCounters {
   std::int64_t expected = 0;
   std::int64_t ok = 0;
   std::int64_t failed = 0;
   std::int64_t shed = 0;
   std::int64_t missing = 0;
-  std::int64_t released = 0;
-  std::int64_t delivered = 0;
-  std::int64_t missed = 0;
-  std::int64_t source_lost = 0;
-  std::int64_t copies_sent = 0;
-  std::int64_t cycles = 0;
-  std::int64_t degraded_plans = 0;
-  std::int64_t plan_swaps = 0;
-  std::int64_t failovers = 0;
-  /// Dynamic-segment instance totals (0 on campaigns from older row
-  /// schemas, whose rows carry no d_* counters).
-  std::int64_t d_released = 0;
-  std::int64_t d_missed = 0;
-  /// Mode/energy totals (0 on campaigns from older row schemas).
-  std::int64_t m_changes = 0;
-  std::int64_t m_shed = 0;
-  std::int64_t m_matchup = 0;
-  std::int64_t m_dwell_l1 = 0;
-  std::int64_t m_dwell_l2 = 0;
-  double e_total_uj = 0.0;
-  double e_sleep_uj = 0.0;
-  double miss_ratio_mean = 0.0;  ///< mean of per-cell ratios (ok cells)
+  std::int64_t degraded_plans = 0;  ///< ok rows with `degraded` set
+  double miss_ratio_mean = 0.0;     ///< mean of per-cell ratios (ok cells)
   double miss_ratio_max = 0.0;
   std::map<std::string, GroupStat> by_scheme;
   std::map<std::string, GroupStat> by_fault;

@@ -15,7 +15,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
@@ -24,6 +23,7 @@
 #include "campaign/checkpoint.hpp"
 #include "campaign/report.hpp"
 #include "runtime/thread_pool.hpp"
+#include "units/number.hpp"
 
 namespace coeff::campaign {
 
@@ -104,20 +104,6 @@ int open_results_append(const std::string& path, bool create) {
   }
   const int flags = O_WRONLY | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0);
   return ::open(path.c_str(), flags, 0644);
-}
-
-bool write_all(int fd, std::string_view data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written,
-                              data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Truncate a checkpoint's torn tail (if any) so appended records
@@ -668,20 +654,19 @@ CampaignOutcome CampaignRunner::resume(const std::string& dir,
   return execute(overrides);
 }
 
-std::vector<std::int64_t> CampaignRunner::parse_cell_list(const char* text) {
+std::optional<std::vector<std::int64_t>> CampaignRunner::parse_cell_list(
+    const char* text) {
   std::vector<std::int64_t> cells;
-  if (text == nullptr) return cells;
-  const char* p = text;
-  while (*p != '\0') {
-    char* end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(p, &end, 10);
-    if (end == p || errno != 0) break;
-    if (value >= 0) cells.push_back(value);
-    p = end;
-    if (*p == ',') ++p;
+  if (text == nullptr || *text == '\0') return cells;
+  std::string_view rest = text;
+  while (true) {
+    const auto comma = rest.find(',');
+    std::int64_t cell = 0;
+    if (!units::parse_count(rest.substr(0, comma), cell)) return std::nullopt;
+    cells.push_back(cell);
+    if (comma == std::string_view::npos) return cells;
+    rest.remove_prefix(comma + 1);
   }
-  return cells;
 }
 
 }  // namespace coeff::campaign

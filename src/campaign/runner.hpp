@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,7 @@ struct CampaignOptions {
   // --- Deterministic failure injection (tests + CI smoke only) ---------
   /// Cells whose worker blocks forever after writing the intent record
   /// (exercises the watchdog). Also read from COEFF_CAMPAIGN_HANG_CELLS
-  /// ("3,17") by coeffctl.
+  /// ("3,17") by coeffctl, which exits 2 on a malformed list.
   std::vector<std::int64_t> hang_cells;
   /// Cells whose worker _exit(42)s after writing the intent record
   /// (exercises crash retry + poison quarantine). Env:
@@ -76,9 +77,10 @@ class CampaignRunner {
   [[nodiscard]] static CampaignOutcome resume(const std::string& dir,
                                               CampaignOptions overrides = {});
 
-  /// Parse "3,17,99" (the env-hook format); invalid entries dropped.
-  [[nodiscard]] static std::vector<std::int64_t> parse_cell_list(
-      const char* text);
+  /// Parse "3,17,99" (the env-hook format): comma-separated cell
+  /// indices; unset or empty is no cell, anything else nullopt.
+  [[nodiscard]] static std::optional<std::vector<std::int64_t>>
+  parse_cell_list(const char* text);
 };
 
 }  // namespace coeff::campaign

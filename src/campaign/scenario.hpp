@@ -60,6 +60,8 @@ struct ScenarioDistribution {
 
   /// Throws std::invalid_argument naming the first violated constraint.
   void validate() const;
+
+  bool operator==(const ScenarioDistribution&) const = default;
 };
 
 /// One fully drawn cell. Everything run_cell needs, plus the repro

@@ -1,6 +1,7 @@
 #include "cli/commands.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <limits>
 
 #include "campaign/scenario.hpp"
@@ -318,7 +319,17 @@ Table campaign_table(CampaignFlags& opt) {
               m.isolation,
               {{"process", campaign::Isolation::kProcess},
                {"thread", campaign::Isolation::kThread}}),
-       text("--name", "S", "run: name recorded in the manifest", m.name),
+       spec("--name", "S", "run: name recorded in the manifest",
+            "(no control characters)",
+            [&m](std::string_view value) {
+              const bool ok =
+                  std::none_of(value.begin(), value.end(), [](char c) {
+                    return std::iscntrl(static_cast<unsigned char>(c)) != 0;
+                  });
+              if (ok) m.name = value;
+              return ok;
+            },
+            [&m] { return m.name; }),
        number("--watchdog-ms", "MS", "run: per-cell budget before a retry",
               m.watchdog_ms, std::int64_t{1}, kI64Max),
        number("--max-attempts", "N", "run: attempts before quarantine",

@@ -6,24 +6,21 @@
 //
 // parse() is total: any token list yields the bound options, a help
 // request or a one-line error; it never prints, exits or throws. Numbers
-// parse the whole token (std::from_chars): "10x", "abc", "", an overflow
-// and a '-' on an unsigned value are errors, not silent zeros.
+// go through units::parse_number: "10x", "abc", "", an overflow and a '-'
+// on an unsigned value are errors, not silent zeros.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "units/number.hpp"
 
 namespace coeff::cli {
 
@@ -62,31 +59,8 @@ struct Parse {
     const Table& table, std::string_view prog,
     const std::vector<std::string>& args);
 
-/// True iff all of `text` is a number that fits `out` (a finite one,
-/// for a real); `out` is untouched otherwise.
-template <class T>
-[[nodiscard]] bool parse_number(std::string_view text, T& out) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;
-  }
-  out = value;
-  return true;
-}
-
-/// The shortest text parse_number reads back as exactly `value`.
-template <class T>
-[[nodiscard]] std::string to_text(T value) {
-  if constexpr (std::is_floating_point_v<T>) {
-    char buf[32];
-    return {buf, std::to_chars(buf, buf + sizeof buf, value).ptr};
-  } else {
-    return std::to_string(value);
-  }
-}
+using units::parse_number;
+using units::to_text;
 
 /// "in [lo, hi]", or "in (lo, hi]" when `lo_open`; hi "inf" is open.
 [[nodiscard]] std::string interval(const std::string& lo,

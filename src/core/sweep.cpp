@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,11 +9,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
+#include "units/number.hpp"
 
 namespace coeff::core {
 
@@ -34,11 +32,8 @@ int SweepRunner::resolve_jobs(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("COEFF_JOBS")) {
     // The whole value must be a positive integer: "4x" is not 4 workers.
-    const std::string_view text(env);
-    const char* end = text.data() + text.size();
     int n = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-    if (ec == std::errc() && ptr == end && n > 0) return n;
+    if (units::parse_number(env, n) && n > 0) return n;
   }
   return static_cast<int>(runtime::ThreadPool::hardware_threads());
 }

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "units/number.hpp"
+
 namespace coeff::net {
 
 namespace {
@@ -40,15 +42,12 @@ std::vector<std::string> split_fields(const std::string& line) {
 
 std::int64_t parse_int(const std::string& field, int line_no,
                        const char* what) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(field, &used);
-    if (used != field.size()) throw std::invalid_argument(field);
-    return value;
-  } catch (const std::exception&) {
+  std::int64_t value = 0;
+  if (!units::parse_number(field, value)) {
     throw std::invalid_argument("csv line " + std::to_string(line_no) +
                                 ": bad " + what + " '" + field + "'");
   }
+  return value;
 }
 
 /// parse_int with an inclusive range check, so downstream casts and

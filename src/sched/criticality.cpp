@@ -1,9 +1,9 @@
 #include "sched/criticality.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+
+#include "units/number.hpp"
 
 namespace coeff::sched {
 
@@ -84,31 +84,15 @@ ModeDecision ModeManager::evaluate(double drift_ratio, bool overloaded) {
 
 namespace {
 
-// strtod/strtol wrappers that reject trailing garbage and empty input.
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty() || s.size() > 64) return false;
-  char buf[65];
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf, &end);
-  if (errno != 0 || end != buf + s.size()) return false;
-  out = v;
-  return true;
-}
+using units::parse_number;
 
+/// A policy integer, capped at +-1e9.
 bool parse_int(std::string_view s, int& out) {
-  if (s.empty() || s.size() > 20) return false;
-  char buf[21];
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(buf, &end, 10);
-  if (errno != 0 || end != buf + s.size()) return false;
-  if (v < -1000000000L || v > 1000000000L) return false;
-  out = static_cast<int>(v);
+  int v = 0;
+  if (!parse_number(s, v) || v < -1'000'000'000 || v > 1'000'000'000) {
+    return false;
+  }
+  out = v;
   return true;
 }
 
@@ -165,11 +149,11 @@ std::optional<ModePolicy> parse_mode_policy(std::string_view spec) {
     const std::string_view key = item.substr(0, eq);
     const std::string_view value = item.substr(eq + 1);
     if (key == "enter-l1") {
-      if (!parse_double(value, policy.enter_l1_factor)) return std::nullopt;
+      if (!parse_number(value, policy.enter_l1_factor)) return std::nullopt;
     } else if (key == "enter-l2") {
-      if (!parse_double(value, policy.enter_l2_factor)) return std::nullopt;
+      if (!parse_number(value, policy.enter_l2_factor)) return std::nullopt;
     } else if (key == "exit") {
-      if (!parse_double(value, policy.exit_factor)) return std::nullopt;
+      if (!parse_number(value, policy.exit_factor)) return std::nullopt;
     } else if (key == "dwell") {
       if (!parse_int(value, policy.min_dwell_cycles)) return std::nullopt;
     } else if (key == "recovery") {

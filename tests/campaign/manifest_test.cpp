@@ -55,6 +55,24 @@ TEST(Manifest, RendersAndParsesRoundTrip) {
   EXPECT_EQ(render_manifest(m), render_manifest(original));
 }
 
+TEST(Manifest, DoublesRoundTripExactly) {
+  // resume regenerates every cell from the stored distribution, so a
+  // rounded double would draw a different population.
+  CampaignManifest original = sample();
+  original.distribution.min_util = 0.123456789012345;
+  original.distribution.max_util = 0.678901234567891;
+  original.distribution.min_log10_ber = -7.12345678901234;
+  original.distribution.max_log10_ber = -4.98765432109876;
+  const ManifestLoad load = parse_manifest(render_manifest(original));
+  ASSERT_TRUE(load.ok) << load.error;
+  const ScenarioDistribution& d = load.manifest.distribution;
+  EXPECT_EQ(d.min_util, original.distribution.min_util);
+  EXPECT_EQ(d.max_util, original.distribution.max_util);
+  EXPECT_EQ(d.min_log10_ber, original.distribution.min_log10_ber);
+  EXPECT_EQ(d.max_log10_ber, original.distribution.max_log10_ber);
+  EXPECT_TRUE(load.manifest == original);
+}
+
 TEST(Manifest, RejectsBitFlipAnywhere) {
   const std::string bytes = render_manifest(sample());
   // Every sampled flip lands in either the CRC-protected body or the
@@ -101,6 +119,9 @@ TEST(Manifest, ValidateRejectsNonsense) {
   EXPECT_THROW(manifest.validate(), std::invalid_argument);
   manifest = sample();
   manifest.distribution.min_util = 0.9;  // > max_util
+  EXPECT_THROW(manifest.validate(), std::invalid_argument);
+  manifest = sample();
+  manifest.name = "a\nb";  // parse_manifest reads line by line
   EXPECT_THROW(manifest.validate(), std::invalid_argument);
 }
 

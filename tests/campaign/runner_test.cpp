@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/lint.hpp"
@@ -212,13 +214,15 @@ TEST(CampaignRunner, DiskFullShedsDetailButNeverCorruptsState) {
 }
 
 TEST(CampaignRunner, ParseCellList) {
-  EXPECT_TRUE(CampaignRunner::parse_cell_list(nullptr).empty());
-  EXPECT_TRUE(CampaignRunner::parse_cell_list("").empty());
-  const auto cells = CampaignRunner::parse_cell_list("3,17,99");
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[0], 3);
-  EXPECT_EQ(cells[1], 17);
-  EXPECT_EQ(cells[2], 99);
+  using Cells = std::vector<std::int64_t>;
+  EXPECT_EQ(CampaignRunner::parse_cell_list(nullptr), Cells{});
+  EXPECT_EQ(CampaignRunner::parse_cell_list(""), Cells{});
+  EXPECT_EQ(CampaignRunner::parse_cell_list("3,17,99"), (Cells{3, 17, 99}));
+  // Anything but comma-separated cell indices is an error, not a
+  // silently shorter list.
+  EXPECT_EQ(CampaignRunner::parse_cell_list("x1"), std::nullopt);
+  EXPECT_EQ(CampaignRunner::parse_cell_list("-3"), std::nullopt);
+  EXPECT_EQ(CampaignRunner::parse_cell_list("1;2"), std::nullopt);
 }
 
 }  // namespace

@@ -66,6 +66,13 @@ TEST(CsvTest, BadNumberRejected) {
                std::invalid_argument);
   EXPECT_THROW((void)from_csv("1,x,0,static,100x,0,100,10,0\n"),
                std::invalid_argument);
+  // One strict grammar for every number: no '+'.
+  try {
+    (void)from_csv("+1,x,0,static,100,0,100,10,0\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "csv line 1: bad id '+1'");
+  }
 }
 
 TEST(CsvTest, BadKindRejected) {

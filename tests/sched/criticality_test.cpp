@@ -166,6 +166,12 @@ TEST(ModePolicyParseTest, RejectsGarbageTotally) {
   EXPECT_FALSE(parse_mode_policy("enter-l1=1.0").has_value());  // validate()
   EXPECT_FALSE(parse_mode_policy("exit=9").has_value());  // > enter_l1
   EXPECT_FALSE(parse_mode_policy(",,").has_value());
+  // Numbers take the one strict grammar: no '+', whitespace, hex or
+  // infinity.
+  EXPECT_FALSE(parse_mode_policy("aggressive,dwell=+5").has_value());
+  EXPECT_FALSE(parse_mode_policy("enter-l1= 4").has_value());
+  EXPECT_FALSE(parse_mode_policy("enter-l2=0x1p4").has_value());
+  EXPECT_FALSE(parse_mode_policy("enter-l2=inf").has_value());
 }
 
 TEST(CriticalitySpecTest, ParseAndApply) {

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/prob_wcrt.hpp"
@@ -339,7 +340,10 @@ int analyze_main(const std::vector<std::string>& args) {
 
 // --- campaign subcommand -------------------------------------------------
 
-campaign::CampaignOptions campaign_options(const cli::CampaignFlags& flags) {
+/// The options of `campaign run`/`resume`; nullopt after printing which
+/// failure-injection variable is malformed.
+std::optional<campaign::CampaignOptions> campaign_options(
+    const cli::CampaignFlags& flags) {
   campaign::CampaignOptions options;
   options.dir = flags.dir;
   options.manifest = flags.manifest;
@@ -348,10 +352,21 @@ campaign::CampaignOptions campaign_options(const cli::CampaignFlags& flags) {
     std::fprintf(stderr, "%s\n", line.c_str());
   };
   // Deterministic failure-injection hooks for tests and the CI smoke.
-  options.hang_cells = campaign::CampaignRunner::parse_cell_list(
-      std::getenv("COEFF_CAMPAIGN_HANG_CELLS"));
-  options.crash_cells = campaign::CampaignRunner::parse_cell_list(
-      std::getenv("COEFF_CAMPAIGN_CRASH_CELLS"));
+  const auto hook = [](const char* name, std::vector<std::int64_t>& cells) {
+    auto list = campaign::CampaignRunner::parse_cell_list(std::getenv(name));
+    if (!list.has_value()) {
+      std::fprintf(stderr,
+                   "coeffctl: %s: expected comma-separated cell indices\n",
+                   name);
+      return false;
+    }
+    cells = std::move(*list);
+    return true;
+  };
+  if (!hook("COEFF_CAMPAIGN_HANG_CELLS", options.hang_cells) ||
+      !hook("COEFF_CAMPAIGN_CRASH_CELLS", options.crash_cells)) {
+    return std::nullopt;
+  }
   return options;
 }
 
@@ -453,12 +468,13 @@ int campaign_main(const std::vector<std::string>& args) {
   if (flags.verb == cli::CampaignVerb::kReport) {
     return campaign_report_main(flags);
   }
+  const auto options = campaign_options(flags);
+  if (!options.has_value()) return 2;
   if (flags.verb == cli::CampaignVerb::kRun) {
-    return campaign_outcome_main(
-        campaign::CampaignRunner::run(campaign_options(flags)));
+    return campaign_outcome_main(campaign::CampaignRunner::run(*options));
   }
   return campaign_outcome_main(
-      campaign::CampaignRunner::resume(flags.dir, campaign_options(flags)));
+      campaign::CampaignRunner::resume(flags.dir, *options));
 }
 
 /// Plain `coeffctl [options]`: one experiment, metrics on stdout.
