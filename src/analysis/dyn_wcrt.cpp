@@ -193,7 +193,6 @@ DynWcrtResult analyze_dyn_wcrt(const DynWcrtInput& input) {
     }
 
     mp.response_p999 = response.quantile(0.999);
-    mp.response = std::move(response);
 
     // Fold this frame into the interference seen by lower priorities.
     // A shed or deterministically starved frame never transmits, so it

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace coeff::analysis {
 
@@ -48,15 +49,24 @@ Pmf Pmf::convolve(const Pmf& other) const {
   }
   const std::size_t n = std::max(bins_.size(), other.bins_.size());
   Pmf out(quantum_, n);
-  double in_a = 0.0;
+  // Only nonzero bins contribute, so other's are collected once. Each
+  // output bin, the overflow and in_b take their additions in (i, j)
+  // ascending order, so the result is bit for bit that of a double loop
+  // over every bin: the zeros that loop adds are +0.0, which moves no sum.
+  std::vector<std::pair<std::size_t, double>> loaded;
   double in_b = 0.0;
+  for (std::size_t j = 0; j < other.bins_.size(); ++j) {
+    const double b = other.bins_[j];
+    if (b == 0.0) continue;
+    loaded.emplace_back(j, b);
+    in_b += b;
+  }
+  double in_a = 0.0;
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     const double a = bins_[i];
     if (a == 0.0) continue;
     in_a += a;
-    for (std::size_t j = 0; j < other.bins_.size(); ++j) {
-      const double b = other.bins_[j];
-      if (b == 0.0) continue;
+    for (const auto& [j, b] : loaded) {
       const std::size_t k = i + j;
       if (k >= n) {
         out.overflow_ += a * b;
@@ -65,7 +75,6 @@ Pmf Pmf::convolve(const Pmf& other) const {
       }
     }
   }
-  for (const double b : other.bins_) in_b += b;
   // Overflow is absorbing: an overflowed operand overflows the sum no
   // matter what the other contributes.
   out.overflow_ += overflow_ * (in_b + other.overflow_) + other.overflow_ * in_a;
@@ -84,20 +93,33 @@ void Pmf::accumulate(const Pmf& other, double weight) {
   overflow_ += weight * other.overflow_;
 }
 
-Pmf Pmf::shifted(sim::Time dt) const {
+void Pmf::accumulate_shifted(const Pmf& other, sim::Time dt, double weight) {
+  if (quantum_ != other.quantum_) {
+    throw std::invalid_argument("Pmf: accumulate quantum mismatch");
+  }
   const std::size_t shift = bin_of(dt);
-  Pmf out(quantum_, bins_.size());
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    if (bins_[i] == 0.0) continue;
+  // The delayed copy lives on other's grid: its bins past that grid join
+  // its overflow, summed in bin order before other's own overflow.
+  const std::size_t kept =
+      other.bins_.size() - std::min(other.bins_.size(), shift);
+  double moved_overflow = 0.0;
+  for (std::size_t i = kept; i < other.bins_.size(); ++i) {
+    moved_overflow += other.bins_[i];
+  }
+  moved_overflow += other.overflow_;
+  // Bin i of other lands at i + shift: here while that is on this grid,
+  // in this overflow past it. Bins the copy leaves zero would add +0.0.
+  for (std::size_t i = 0; i < kept; ++i) {
+    const double m = other.bins_[i];
+    if (m == 0.0) continue;
     const std::size_t k = i + shift;
-    if (k >= out.bins_.size()) {
-      out.overflow_ += bins_[i];
+    if (k < bins_.size()) {
+      bins_[k] += weight * m;
     } else {
-      out.bins_[k] = bins_[i];
+      overflow_ += weight * m;
     }
   }
-  out.overflow_ += overflow_;
-  return out;
+  overflow_ += weight * moved_overflow;
 }
 
 double Pmf::tail_above(sim::Time t) const {
@@ -154,7 +176,7 @@ Pmf with_cycle_slips(const Pmf& first_opportunity, double p_slip,
   for (int j = 0; j <= max_slips; ++j) {
     const double weight = (1.0 - p_slip) * p_pow;
     if (weight > 0.0) {
-      out.accumulate(first_opportunity.shifted(cycle * j), weight);
+      out.accumulate_shifted(first_opportunity, cycle * j, weight);
     }
     p_pow *= p_slip;
     if (p_pow == 0.0 && j < max_slips) break;

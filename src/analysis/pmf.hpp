@@ -42,14 +42,20 @@ class Pmf {
   /// Sum of independent delays: discrete convolution. Quanta must
   /// match. Overflow composes absorbingly: any term with an overflowed
   /// operand, and any in-range product landing beyond the grid, lands
-  /// in the result's overflow bucket.
+  /// in the result's overflow bucket. Costs O(nonzero bins of this *
+  /// nonzero bins of other) plus one pass over each grid.
   [[nodiscard]] Pmf convolve(const Pmf& other) const;
 
   /// Mixture accumulation: this += weight * other (same quantum).
   void accumulate(const Pmf& other, double weight);
 
-  /// The distribution of X + dt (dt >= 0, rounded up to the grid).
-  [[nodiscard]] Pmf shifted(sim::Time dt) const;
+  /// Delayed mixture accumulation: this += weight * (other's X + dt),
+  /// with dt >= 0 rounded up to the grid. The delayed copy keeps other's
+  /// grid, so its mass pushed past that grid lands in this overflow
+  /// bucket. Bit for bit what accumulating a materialized shifted copy
+  /// gives, without the copy: it visits only other's nonzero bins.
+  /// Throws std::invalid_argument on a quantum mismatch or negative dt.
+  void accumulate_shifted(const Pmf& other, sim::Time dt, double weight);
 
   /// P(X > t): mass in bins whose grid value exceeds `t`, plus the
   /// overflow bucket. Because quantization rounded up, this upper-bounds
@@ -83,7 +89,7 @@ class Pmf {
 /// cycle and retries. Given the first-opportunity delay distribution and
 /// a per-cycle slip probability, returns
 ///
-///   sum_{j=0..max_slips} (1-p_slip) * p_slip^j * first.shifted(j*cycle)
+///   sum_{j=0..max_slips} (1-p_slip) * p_slip^j * (first delayed j*cycle)
 ///   + p_slip^(max_slips+1) * total_mass(first)  -> overflow bucket
 ///
 /// The truncated geometric tail goes to the overflow bucket, never

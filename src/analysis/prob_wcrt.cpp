@@ -280,7 +280,7 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
       const double f_next = chain_fail(af, input.discipline, m.size_bits, wire);
       const double mass = std::max(0.0, f_prev - f_next);
       if (contended) {
-        response.accumulate(delay.shifted(base), mass);
+        response.accumulate_shifted(delay, base, mass);
       } else {
         response.add_mass(base, mass);
       }
@@ -311,7 +311,6 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
     // probability the smaller one.
     mp.p_miss_lower = std::min(indep, mp.p_miss_upper);
     mp.response_p999 = response.quantile(0.999);
-    mp.response = std::move(response);
     result.messages.push_back(std::move(mp));
   }
   for (const MessageProb& mp : result.messages) result.fold(mp, input.u);

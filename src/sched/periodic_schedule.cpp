@@ -1,6 +1,7 @@
 #include "sched/periodic_schedule.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <queue>
@@ -17,27 +18,71 @@ struct IdleIntervals {
   std::vector<sim::Time> start;
   std::vector<sim::Time> end;
   std::vector<sim::Time> idle_before;
+};
 
-  /// Idle in [0, t).
-  [[nodiscard]] sim::Time cumulative(sim::Time t) const {
-    const auto it = std::upper_bound(start.begin(), start.end(), t);
-    if (it == start.begin()) return sim::Time::zero();
-    const auto k = static_cast<std::size_t>(it - start.begin()) - 1;
-    return idle_before[k] + std::min(t, end[k]) - start[k];
+/// Idle in [0, t), read for one stream of queries. The cursor walks
+/// forward from its last answer and binary-searches only when a query
+/// steps back, so a stream that mostly ascends costs O(intervals) in
+/// all. It lands on the same interval as a fresh search, so it returns
+/// the same value.
+class IdleCursor {
+ public:
+  explicit IdleCursor(const IdleIntervals& idle) : idle_(&idle) {}
+
+  sim::Time operator()(sim::Time t) {
+    const std::vector<sim::Time>& start = idle_->start;
+    if (next_ > 0 && t < start[next_ - 1]) {
+      next_ = static_cast<std::size_t>(
+          std::upper_bound(start.begin(),
+                           start.begin() + static_cast<std::ptrdiff_t>(next_),
+                           t) -
+          start.begin());
+    } else {
+      while (next_ < start.size() && start[next_] <= t) ++next_;
+    }
+    if (next_ == 0) return sim::Time::zero();
+    const std::size_t k = next_ - 1;
+    return idle_->idle_before[k] + std::min(t, idle_->end[k]) - start[k];
   }
+
+ private:
+  const IdleIntervals* idle_;
+  std::size_t next_ = 0;  ///< intervals starting at or before the last query
 };
 
 /// A work-conserving processor is idle exactly when no released work is
 /// left, and the work left depends only on release times and WCETs, not
-/// on which job runs. So one sweep over the merged release stream (a
-/// min-heap of each task's next release) yields the idle intervals of
-/// simulate_periodic's timeline without simulating priorities.
+/// on which job runs. So one sweep over the merged release stream yields
+/// the idle intervals of simulate_periodic's timeline without simulating
+/// priorities. A valid task's offset lies in [0, period], so the tasks
+/// that share a period release in offset order once per period: each
+/// distinct period is one sorted lane, and the heap merges lane heads.
+/// Releases at one instant only add to the backlog, so the order among
+/// them does not matter.
 IdleIntervals idle_intervals(const TaskSet& set, sim::Time horizon) {
-  const auto& tasks = set.tasks();
-  using Release = std::pair<sim::Time, std::size_t>;  ///< (at, task index)
-  std::priority_queue<Release, std::vector<Release>, std::greater<>> next;
+  std::vector<PeriodicTask> tasks = set.tasks();
+  std::sort(tasks.begin(), tasks.end(),
+            [](const PeriodicTask& a, const PeriodicTask& b) {
+              return std::pair(a.period, a.offset) <
+                     std::pair(b.period, b.offset);
+            });
+  struct Lane {
+    std::size_t first;  ///< the lane's tasks are tasks[first, last)
+    std::size_t last;
+    std::size_t next;   ///< the task that releases next
+    sim::Time base;     ///< start of the period `next` releases in
+  };
+  std::vector<Lane> lanes;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    next.emplace(tasks[i].offset, i);
+    if (lanes.empty() || tasks[i].period != tasks[lanes.back().first].period) {
+      lanes.push_back({i, i, i, sim::Time::zero()});
+    }
+    lanes.back().last = i + 1;
+  }
+  using Head = std::pair<sim::Time, std::size_t>;  ///< (at, lane index)
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> next;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    next.emplace(tasks[lanes[l].first].offset, l);
   }
 
   IdleIntervals idle;
@@ -58,11 +103,16 @@ IdleIntervals idle_intervals(const TaskSet& set, sim::Time horizon) {
     now = t;
   };
   while (!next.empty() && next.top().first < horizon) {
-    const auto [at, i] = next.top();
+    const auto [at, l] = next.top();
     next.pop();
     run_until(at);
-    backlog += tasks[i].wcet;
-    next.emplace(at + tasks[i].period, i);
+    Lane& lane = lanes[l];
+    backlog += tasks[lane.next].wcet;
+    if (++lane.next == lane.last) {
+      lane.next = lane.first;
+      lane.base += tasks[lane.first].period;
+    }
+    next.emplace(lane.base + tasks[lane.next].offset, l);
   }
   run_until(horizon);
   return idle;
@@ -240,29 +290,40 @@ sim::Time min_idle_in_window(const TaskSet& set, sim::Time window) {
   // full-schedule idle alone.
   const sim::Time horizon = h * 3;
   const IdleIntervals idle = idle_intervals(set, horizon);
-  const sim::Time idle_per_h = idle.cumulative(h * 2) - idle.cumulative(h);
-  auto cumulative = [&](sim::Time t) {
-    if (t <= h * 2) return idle.cumulative(t);
+  IdleCursor whole(idle);
+  const sim::Time idle_per_h = whole(h * 2) - whole(h);
+  // Idle in [0, t), read through `cursor`.
+  auto cumulative = [&](IdleCursor& cursor, sim::Time t) {
+    if (t <= h * 2) return cursor(t);
     const sim::Time folded = h + (t - h) % h;
-    return idle.cumulative(folded) + idle_per_h * ((t - folded) / h);
+    return cursor(folded) + idle_per_h * ((t - folded) / h);
   };
-  // Idle in [a, a+window) with a folded into [H, 2H).
-  auto idle_from = [&](sim::Time a) {
+  // Idle in [a, a+window) with a folded into [H, 2H); `from` reads the
+  // idle before a, `to` the idle before a + window.
+  auto idle_from = [&](sim::Time a, IdleCursor& from, IdleCursor& to) {
     if (a < h) a += h * ((h - a) / h + 1);
     a = h + (a - h) % h;
-    return cumulative(a + window) - cumulative(a);
+    return cumulative(to, a + window) - cumulative(from, a);
   };
 
   // g(a) = idle in [a, a+window) is continuous, H-periodic from H on, and
   // piecewise linear with breakpoints only where a or a+window crosses an
   // idle/busy boundary, so its minimum sits at a boundary b or at
   // b - window (or at H). The busy/busy boundaries the table also tries
-  // are never below that minimum (DESIGN.md §14).
-  sim::Time best = idle_from(h);
+  // are never below that minimum (DESIGN.md §14). The boundaries ascend,
+  // so each of the four query streams (a and a + window, for b and for
+  // b - window) ascends too, but for the few steps back where it folds
+  // over a hyperperiod: each has its own cursor.
+  IdleCursor at_b(idle);
+  IdleCursor past_b(idle);
+  IdleCursor before_b(idle);
+  IdleCursor past_before_b(idle);
+  sim::Time best = idle_from(h, at_b, past_b);
   for (std::size_t k = 0; k < idle.start.size(); ++k) {
     for (const sim::Time b : {idle.start[k], idle.end[k]}) {
       if (b < h || b >= horizon) continue;
-      best = std::min({best, idle_from(b), idle_from(b - window)});
+      best = std::min({best, idle_from(b, at_b, past_b),
+                       idle_from(b - window, before_b, past_before_b)});
     }
   }
   return best;

@@ -10,7 +10,8 @@
 // min_idle_in_window answers the one question the probabilistic
 // verifier asks of the full schedule without building it: processor
 // idle does not depend on priorities, so one sweep over the merged
-// release stream finds the same idle intervals.
+// release stream (one lane per distinct period) finds the same idle
+// intervals.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,11 @@ struct ScheduleResult {
 /// min over start instants a of the idle in [a, a+window), under the
 /// periodic extension SlackTable uses (exact up to 2H, then the idle of
 /// [H, 2H) per wrap). Equal to SlackTable(set).min_idle_in_window(window)
-/// in O(releases over 3H * log n) time and O(idle intervals) memory.
+/// in O(releases over 3H * log distinct periods + idle intervals) time:
+/// the release sweep merges one lane per distinct period, and the
+/// candidate windows read the idle intervals through cursors that
+/// search only when a query steps back over a hyperperiod fold. Memory
+/// is O(n + idle intervals).
 /// Throws what SlackTable's constructor throws: std::invalid_argument
 /// for an invalid set, std::domain_error for a hyperperiod past one hour.
 [[nodiscard]] sim::Time min_idle_in_window(const TaskSet& set,

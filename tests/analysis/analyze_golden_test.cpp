@@ -3,7 +3,9 @@
 // default SAE dynamic mix, these tests compare the FNV-1a digests of the
 // static renders (render_prob_text + render_prob_json), the dynamic
 // renders, the end-to-end class renders and the text of the two lint
-// reports against values recorded from a known-good build. A digest that
+// reports against values recorded from a known-good build. ColdSets pins
+// the same renders, plus the bits of both interference distributions, on
+// fresh synthetic sets of every size a cold analysis sees. A digest that
 // moves means the verifiers' output moved; re-record only with a
 // line-by-line argument for why.
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <string>
 
 #include "analysis/dyn_wcrt.hpp"
+#include "analysis/pmf.hpp"
 #include "analysis/prob_wcrt.hpp"
 #include "campaign/cross_check.hpp"
 #include "core/experiment.hpp"
@@ -165,6 +168,73 @@ TEST(AnalyzeGoldenTest, AccDegradedPlan) {
                   "9c366c560f65300d"},
                  {"8709f5b56e6f4673", "37bc7b7a692df57b", "c1e9606e5c7dbd45",
                   "062e83083b4218be"}});
+}
+
+/// A fresh synthetic set as a cold analysis sees one: `statics` random
+/// statics, 30 SAE dynamics, the 50-minislot cluster, BER 1e-7, SIL 3.
+core::ExperimentConfig cold_config(std::uint64_t seed, std::size_t statics) {
+  core::ExperimentConfig config;
+  config.cluster = core::paper_cluster_dynamic_suite(50);
+  sim::Rng rng(seed);
+  net::SyntheticStaticOptions opt;
+  opt.count = statics;
+  config.statics = net::synthetic_static(opt, rng);
+  sim::Rng dyn_rng(seed ^ 0x5DEECE66DULL);
+  net::SaeAperiodicOptions sae;
+  sae.static_slots = static_cast<int>(config.cluster.g_number_of_static_slots);
+  config.dynamics = net::sae_aperiodic(sae, dyn_rng);
+  config.ber = 1e-7;
+  config.sil = fault::Sil::kSil3;
+  return config;
+}
+
+/// Every bin and the overflow of `pmf`, in %a (exact bits).
+std::string bits(const Pmf& pmf) {
+  std::string text;
+  char buf[40];
+  for (const double m : pmf.bins()) {
+    std::snprintf(buf, sizeof buf, "%a,", m);
+    text += buf;
+  }
+  std::snprintf(buf, sizeof buf, "overflow %a;", pmf.overflow());
+  return text + buf;
+}
+
+// The five set sizes of a cold analysis, and one set on a fine, wide grid
+// (7 us quantum, 65,536 bins), under CoEfficient: both renders and both
+// interference distributions, bit for bit.
+TEST(AnalyzeGoldenTest, ColdSets) {
+  ProbWcrtOptions fine;
+  fine.quantum = sim::micros(7);
+  fine.max_bins = 65536;
+  const struct {
+    std::uint64_t seed;
+    std::size_t statics;
+    ProbWcrtOptions options;
+    const char* digest;
+  } cells[] = {
+      {101, 20, ProbWcrtOptions{}, "85813e04f6cb8d42"},
+      {102, 40, ProbWcrtOptions{}, "b11490d2f033b613"},
+      {103, 60, ProbWcrtOptions{}, "eca84c024694fec3"},
+      {104, 80, ProbWcrtOptions{}, "89f31d6a479cd49f"},
+      {105, 100, ProbWcrtOptions{}, "c3a44d6d0f1305a9"},
+      {106, 100, fine, "e98517f498ea8e27"},
+  };
+  for (const auto& cell : cells) {
+    SCOPED_TRACE("seed " + std::to_string(cell.seed));
+    const auto setup =
+        campaign::make_prob_setup(cold_config(cell.seed, cell.statics),
+                                  core::SchemeKind::kCoEfficient, cell.options);
+    ASSERT_TRUE(setup->has_dynamics);
+    const ProbWcrtResult prob = analyze_prob_wcrt(setup->input);
+    const DynWcrtResult dyn = analyze_dyn_wcrt(setup->dyn_input);
+    EXPECT_EQ(digest(render_prob_text(setup->input, prob) +
+                     render_prob_json(setup->input, prob) +
+                     render_dyn_text(setup->dyn_input, dyn) +
+                     render_dyn_json(setup->dyn_input, dyn) +
+                     bits(prob.interference) + bits(dyn.interference)),
+              cell.digest);
+  }
 }
 
 }  // namespace

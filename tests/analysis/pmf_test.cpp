@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "fault/fault_model.hpp"
+#include "sim/random.hpp"
 
 namespace coeff::analysis {
 namespace {
@@ -145,6 +149,174 @@ TEST(PmfEdge, ConvolveAndAccumulateRejectQuantumMismatch) {
   b.add_mass(sim::Time::zero(), 1.0);
   EXPECT_THROW((void)a.convolve(b), std::invalid_argument);
   EXPECT_THROW(a.accumulate(b, 0.5), std::invalid_argument);
+  EXPECT_THROW(a.accumulate_shifted(b, sim::Time::zero(), 0.5),
+               std::invalid_argument);
+}
+
+// --- The kernels against dense references, bit for bit -----------------
+//
+// convolve and accumulate_shifted visit only nonzero bins. These dense
+// copies visit every bin, in the order the verifiers' outputs were first
+// recorded with; the kernels must reproduce their bins and overflow to
+// the last bit, not within a tolerance.
+
+/// Bins and overflow a dense reference computed.
+struct Dense {
+  std::vector<double> bins;
+  double overflow = 0.0;
+};
+
+/// Discrete convolution over every bin pair, (i ascending, j ascending).
+Dense dense_convolve(const Pmf& a, const Pmf& b) {
+  const std::vector<double>& x = a.bins();
+  const std::vector<double>& y = b.bins();
+  Dense out{std::vector<double>(std::max(x.size(), y.size()), 0.0)};
+  const std::size_t n = out.bins.size();
+  double in_a = 0.0;
+  double in_b = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 0.0) continue;
+    in_a += x[i];
+    for (std::size_t j = 0; j < y.size(); ++j) {
+      if (y[j] == 0.0) continue;
+      const std::size_t k = i + j;
+      if (k >= n) {
+        out.overflow += x[i] * y[j];
+      } else {
+        out.bins[k] += x[i] * y[j];
+      }
+    }
+  }
+  for (const double m : y) in_b += m;
+  out.overflow += a.overflow() * (in_b + b.overflow()) + b.overflow() * in_a;
+  return out;
+}
+
+/// `into` plus weight * (other delayed by `shift` bins): the delayed copy
+/// built as a whole grid of other's size first, then added bin by bin.
+Dense dense_accumulate_shifted(const Pmf& into, const Pmf& other,
+                               std::size_t shift, double weight) {
+  const std::vector<double>& y = other.bins();
+  std::vector<double> moved(y.size(), 0.0);
+  double moved_overflow = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (y[i] == 0.0) continue;
+    if (i + shift >= moved.size()) {
+      moved_overflow += y[i];
+    } else {
+      moved[i + shift] = y[i];
+    }
+  }
+  moved_overflow += other.overflow();
+
+  Dense out{into.bins(), into.overflow()};
+  const std::size_t n = std::min(out.bins.size(), moved.size());
+  for (std::size_t i = 0; i < n; ++i) out.bins[i] += weight * moved[i];
+  for (std::size_t i = n; i < moved.size(); ++i) {
+    out.overflow += weight * moved[i];
+  }
+  out.overflow += weight * moved_overflow;
+  return out;
+}
+
+/// True when `got` holds exactly the bits of `want`.
+bool same_bits(const Dense& want, const Pmf& got) {
+  const double overflow = got.overflow();
+  return want.bins.size() == got.bins().size() &&
+         std::memcmp(want.bins.data(), got.bins().data(),
+                     want.bins.size() * sizeof(double)) == 0 &&
+         std::memcmp(&want.overflow, &overflow, sizeof overflow) == 0;
+}
+
+constexpr sim::Time kQuantum = sim::micros(50);
+
+/// A seeded operand with `bins` bins: dense (each bin loaded with a
+/// random probability), or two-point like the verifiers' Bernoulli work
+/// terms (its second point may lie past the grid), with or without
+/// overflow mass of its own.
+Pmf random_operand(sim::Rng& rng, std::size_t bins, bool two_point,
+                   bool with_overflow) {
+  Pmf pmf(kQuantum, bins);
+  if (two_point) {
+    const double q = rng.uniform(0.0, 1.0);
+    pmf.add_mass(sim::Time::zero(), 1.0 - q);
+    const std::int64_t past = static_cast<std::int64_t>(bins) + 1;
+    pmf.add_mass(kQuantum * rng.uniform_int(1, past), q);
+  } else {
+    const double density = rng.uniform(0.05, 1.0);
+    for (std::size_t i = 0; i < bins; ++i) {
+      if (rng.bernoulli(density)) {
+        pmf.add_mass(kQuantum * static_cast<std::int64_t>(i), rng.uniform01());
+      }
+    }
+  }
+  if (with_overflow) pmf.add_overflow(rng.uniform01());
+  return pmf;
+}
+
+TEST(PmfKernel, ConvolveMatchesTheDenseKernelBitForBit) {
+  sim::Rng rng(22);
+  int unequal[2] = {0, 0};  // left operand shorter, right operand shorter
+  for (const bool a_two : {false, true}) {
+    for (const bool b_two : {false, true}) {
+      for (const bool a_over : {false, true}) {
+        for (const bool b_over : {false, true}) {
+          for (int rep = 0; rep < 40; ++rep) {
+            const auto na = static_cast<std::size_t>(rng.uniform_int(1, 48));
+            const auto nb = static_cast<std::size_t>(rng.uniform_int(1, 48));
+            const Pmf a = random_operand(rng, na, a_two, a_over);
+            const Pmf b = random_operand(rng, nb, b_two, b_over);
+            ASSERT_TRUE(same_bits(dense_convolve(a, b), a.convolve(b)))
+                << "bins " << na << " * " << nb << ", two-point " << a_two
+                << "/" << b_two << ", overflow " << a_over << "/" << b_over;
+            if (na != nb) ++unequal[na < nb ? 0 : 1];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unequal[0], 100);
+  EXPECT_GT(unequal[1], 100);
+}
+
+TEST(PmfKernel, AccumulateShiftedMatchesShiftThenAccumulateBitForBit) {
+  sim::Rng rng(2022);
+  int past_grid = 0;  // shifts that pushed loaded bins off the grid
+  for (const bool into_over : {false, true}) {
+    for (const bool other_two : {false, true}) {
+      for (const bool other_over : {false, true}) {
+        for (int rep = 0; rep < 60; ++rep) {
+          const auto ni = static_cast<std::size_t>(rng.uniform_int(1, 48));
+          const auto no = static_cast<std::size_t>(rng.uniform_int(1, 48));
+          Pmf into = random_operand(rng, ni, /*two_point=*/false, into_over);
+          const Pmf other = random_operand(rng, no, other_two, other_over);
+          // A delay that rounds up onto `shift` bins, up to past the grid.
+          const auto shift = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(no) + 2));
+          const sim::Time early =
+              sim::nanos(rng.uniform_int(0, kQuantum.ns() - 1));
+          const sim::Time dt =
+              shift == 0 ? sim::Time::zero()
+                         : kQuantum * static_cast<std::int64_t>(shift) - early;
+          const double weight = 1.0 - rng.uniform01();  // (0, 1]
+          const Dense want =
+              dense_accumulate_shifted(into, other, shift, weight);
+          into.accumulate_shifted(other, dt, weight);
+          ASSERT_TRUE(same_bits(want, into))
+              << "bins " << ni << " += " << no << " shifted " << shift
+              << ", weight " << weight;
+          const auto& y = other.bins();
+          const auto kept =
+              static_cast<std::ptrdiff_t>(no - std::min(no, shift));
+          if (std::any_of(y.begin() + kept, y.end(),
+                          [](double m) { return m != 0.0; })) {
+            ++past_grid;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(past_grid, 100);
 }
 
 // --- with_cycle_slips (DESIGN.md §15: geometric cycle-slip operator) ---
@@ -203,9 +375,10 @@ TEST(CycleSlips, TruncationResidualLandsInOverflowAtTheSlipCap) {
 }
 
 TEST(CycleSlips, GridExhaustionAtTheCutoffStillConserves) {
-  // The shifted copies march off a deliberately tiny grid: shifted()
-  // moves the late mass into overflow, and the operator's own residual
-  // joins it — total mass stays 1 whatever the cap.
+  // The delayed copies march off a deliberately tiny grid:
+  // accumulate_shifted moves the late mass into overflow, and the
+  // operator's own residual joins it — total mass stays 1 whatever the
+  // cap.
   const Pmf first = unit_at(sim::micros(100), sim::micros(50), 8);
   const Pmf out = with_cycle_slips(first, 0.5, sim::millis(5), 64);
   EXPECT_NEAR(out.total_mass(), 1.0, 1e-9);

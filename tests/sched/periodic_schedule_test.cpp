@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "net/workloads.hpp"
@@ -153,14 +154,27 @@ TEST(PeriodicScheduleTest, BusyHorizonFullyPacked) {
   EXPECT_FALSE(result.any_deadline_missed);
 }
 
+/// How random_set draws periods: independently per task, one period
+/// for every task, or a different period for each task (at most 8).
+/// The last two are the release sweep's extremes: one per-period lane
+/// holding every task, and one lane per task.
+enum class Periods { kMixed, kOne, kDistinct };
+
 /// A random set whose hyperperiod divides 120 us, so the reference table
 /// stays small: 1-10 tasks, per-task utilization split from `u`,
 /// deadlines in (0, T] (they only move priorities), offsets in [0, T]
 /// with both ends often hit exactly (an offset of T leaves the first
 /// hyperperiod one release short).
-TaskSet random_set(sim::Rng& rng, double u) {
-  static constexpr std::int64_t kPeriodsUs[] = {2, 3, 4, 5, 6, 8, 10, 12};
-  const int n = static_cast<int>(rng.uniform_int(1, 10));
+TaskSet random_set(sim::Rng& rng, double u,
+                   Periods periods = Periods::kMixed) {
+  std::int64_t periods_us[] = {2, 3, 4, 5, 6, 8, 10, 12};
+  int n = static_cast<int>(rng.uniform_int(1, 10));
+  if (periods != Periods::kMixed) {
+    for (std::int64_t i = 7; i > 0; --i) {
+      std::swap(periods_us[i], periods_us[rng.uniform_int(0, i)]);
+    }
+  }
+  if (periods == Periods::kDistinct) n = std::min(n, 8);
   std::vector<double> share(static_cast<std::size_t>(n));
   double sum = 0.0;
   for (double& w : share) sum += w = rng.uniform(0.1, 1.0);
@@ -168,7 +182,10 @@ TaskSet random_set(sim::Rng& rng, double u) {
   for (int i = 0; i < n; ++i) {
     PeriodicTask t;
     t.id = i;
-    t.period = sim::micros(kPeriodsUs[rng.uniform_int(0, 7)]);
+    t.period = sim::micros(
+        periods == Periods::kMixed ? periods_us[rng.uniform_int(0, 7)]
+        : periods == Periods::kOne ? periods_us[0]
+                                   : periods_us[i]);
     const auto wcet = static_cast<std::int64_t>(
         u * share[static_cast<std::size_t>(i)] / sum *
         static_cast<double>(t.period.ns()));
@@ -193,16 +210,21 @@ TEST(PeriodicSchedule, MinIdleInWindowHandComputed) {
 
 // The sweep must give exactly the table's value: same horizon, same
 // periodic extension, and a candidate set that differs only by the
-// busy/busy boundaries, which are never a minimum.
+// busy/busy boundaries, which are never a minimum. The first 5,000 sets
+// draw periods per task; the last 2,000 alternate between one period
+// for the whole set and a different period for every task.
 TEST(PeriodicSchedule, MinIdleInWindowMatchesSlackTable) {
   sim::Rng rng(2026);
   int with_idle = 0;
-  for (int trial = 0; trial < 5000; ++trial) {
+  for (int trial = 0; trial < 7000; ++trial) {
     // Half the sets anywhere from light load to overload, half near
     // U = 1, where the idle pattern is sparsest.
     const double u = trial % 2 == 0 ? rng.uniform(0.05, 1.3)
                                     : rng.uniform(0.8, 1.05);
-    const TaskSet set = random_set(rng, u);
+    const Periods periods = trial < 5000        ? Periods::kMixed
+                            : trial / 2 % 2 == 0 ? Periods::kOne
+                                                 : Periods::kDistinct;
+    const TaskSet set = random_set(rng, u, periods);
     const SlackTable table(set);
     const sim::Time h = table.hyperperiod();
     for (const sim::Time window :
