@@ -83,7 +83,8 @@ void check_macrotick_roundtrip(const flexray::ClusterConfig& cfg,
   }
 }
 
-void check_message_set(const net::MessageSet& set, const char* which,
+void check_message_set(const flexray::ClusterConfig& cfg,
+                       const net::MessageSet& set, const char* which,
                        Report& report) {
   try {
     set.validate();
@@ -92,6 +93,14 @@ void check_message_set(const net::MessageSet& set, const char* which,
                strformat("%s set: %s", which, e.what()));
   }
   for (const auto& m : set.messages()) {
+    // The run refuses the same message (SchedulerBase's constructor).
+    if (m.node >= cfg.num_nodes) {
+      report.add("schedule.message-set-valid",
+                 strformat("%s set: message %d: node %d outside the "
+                           "cluster's %d nodes",
+                           which, m.id, m.node, cfg.num_nodes),
+                 msg_loc(m.id));
+    }
     if (m.period <= sim::Time::zero()) continue;  // message-set-valid fired
     if (m.deadline <= sim::Time::zero() || m.deadline > m.period) {
       report.add("schedule.deadline-period",
@@ -361,12 +370,12 @@ Report lint_schedule(const ScheduleLintInput& input) {
   check_config(*input.cluster, report);
   check_macrotick_roundtrip(*input.cluster, report);
   if (input.statics != nullptr) {
-    check_message_set(*input.statics, "static", report);
+    check_message_set(*input.cluster, *input.statics, "static", report);
     check_hyperperiod(*input.statics, report);
     check_static_capacity(*input.cluster, *input.statics, report);
   }
   if (input.dynamics != nullptr) {
-    check_message_set(*input.dynamics, "dynamic", report);
+    check_message_set(*input.cluster, *input.dynamics, "dynamic", report);
     check_minislot_budget(*input.cluster, *input.dynamics, report);
   }
   if (input.table != nullptr) {

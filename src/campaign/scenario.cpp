@@ -312,7 +312,7 @@ core::ExperimentConfig ScenarioGenerator::config(
       case StructuralKind::kNone:
         break;
     }
-    config.structural.validate();
+    config.structural.validate(config.cluster.num_nodes);
   }
 
   // --- Mixed-criticality / energy axis (DESIGN.md §16) -----------------

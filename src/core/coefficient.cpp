@@ -26,7 +26,7 @@ CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
         cfg_.num_nodes, options_.silent_cycle_threshold);
   }
   if (options_.rho > 0.0) {
-    rebuild_plan(options_.ber, options_.throw_on_infeasible);
+    rebuild_plan(options_.ber);
     // Bake the fresh budget into the template (the base constructor
     // built it before the plan existed). No trace is attached yet, so
     // this stays silent; the first cycle start announces the result.
@@ -57,13 +57,12 @@ CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
   }
 }
 
-void CoEfficientScheduler::rebuild_plan(double ber, bool throw_on_infeasible) {
+void CoEfficientScheduler::rebuild_plan(double ber) {
   fault::SolverOptions solver;
   solver.ber = ber;
   solver.rho = options_.rho;
   solver.u = options_.u;
   solver.max_copies_per_message = options_.max_copies_per_message;
-  solver.throw_on_infeasible = throw_on_infeasible;
   // Dead members produce nothing: solving over their messages would
   // spend the copy budget on traffic that cannot exist. Their messages
   // simply get no copies_by_message_ entry (k_z = 0).
@@ -210,7 +209,7 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
       trace_->emit(at, sim::TraceKind::kBerDrift, cycle.value(), -1, -1, -1,
                    note);
     }
-    rebuild_plan(estimated, /*throw_on_infeasible=*/false);
+    rebuild_plan(estimated);
     monitor_->note_replanned(estimated);
     ++stats_.plan_swaps;
     if (trace_ != nullptr) {
@@ -282,9 +281,10 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
   // nothing when no channel can carry a frame.
   if (detector_ != nullptr && channels_available() > 0) {
     for (std::int64_t s = 1; s <= cfg_.g_number_of_static_slots; ++s) {
-      const std::int32_t node = tpl_.node_at(units::SlotId{s}, cycle);
-      if (node >= 0 && member_dead_[static_cast<std::size_t>(node)] == 0) {
-        detector_->note_expected(units::NodeId{node});
+      const net::Message* m = tpl_.message_at(units::SlotId{s}, cycle);
+      if (m != nullptr &&
+          member_dead_[static_cast<std::size_t>(m->node)] == 0) {
+        detector_->note_expected(units::NodeId{m->node});
       }
     }
   }
@@ -572,28 +572,7 @@ std::optional<flexray::TxRequest> CoEfficientScheduler::dynamic_slot(
   if (!channel_available(channel)) {
     return std::nullopt;  // dark wire: keep the queue for live capacity
   }
-  const net::Message* m =
-      dynamic_message_for_frame(static_cast<int>(slot_counter.value()));
-  if (m == nullptr) return std::nullopt;
-  auto& queue = nodes_.at(static_cast<std::size_t>(m->node)).dynamic_queue();
-  const auto pending = queue.peek(units::to_frame_id(slot_counter));
-  if (!pending.has_value()) return std::nullopt;
-  const sim::Time at = cycle_duration_ * cycle.value() +
-                       cfg_.static_segment_duration() +
-                       cfg_.minislot_duration() * minislot.value();
-  if (pending->release > at) return std::nullopt;
-  // FTDMA feasibility: fits the remaining minislots and starts in time.
-  if (cfg_.minislots_for(pending->payload_bits) > minislots_remaining) {
-    return std::nullopt;
-  }
-  if (minislot + 1 > cfg_.latest_tx_minislot()) return std::nullopt;
-  queue.pop(pending->instance);
-  flexray::TxRequest req;
-  req.instance = pending->instance;
-  req.frame_id = units::to_frame_id(slot_counter);
-  req.sender = units::NodeId{m->node};
-  req.payload_bits = pending->payload_bits;
-  return req;
+  return take_dynamic(cycle, slot_counter, minislot, minislots_remaining);
 }
 
 std::int64_t CoEfficientScheduler::dynamic_next_frame(
@@ -609,14 +588,11 @@ std::int64_t CoEfficientScheduler::dynamic_next_frame(
 }
 
 void CoEfficientScheduler::on_tx_complete(const flexray::TxOutcome& outcome) {
-  account_outcome(outcome);
+  SchedulerBase::on_tx_complete(outcome);
   // Energy: the driver paid for every bit it clocked out — corrupted
   // and dark-channel copies included. Outcome-side accumulator, read
   // only at the cycle boundary (compiled-walk contract).
   cycle_tx_bits_ += outcome.request.payload_bits;
-  if (outcome.request.retransmission) {
-    ++stats_.retransmission_copies_sent;
-  }
   if (outcome.lost) {
     // Dark-channel loss: no receiver saw the frame, so neither the BER
     // monitor (no verdict exists) nor the silent-node detector (no
@@ -674,7 +650,7 @@ void CoEfficientScheduler::replan_membership(units::CycleIndex cycle,
   if (options_.rho <= 0.0) return;  // no retransmission plan to rebuild
   const double ber =
       monitor_ != nullptr ? monitor_->planned_ber() : options_.ber;
-  rebuild_plan(ber, /*throw_on_infeasible=*/false);
+  rebuild_plan(ber);
   if (trace_ != nullptr) {
     trace_->emit(at, sim::TraceKind::kPlanSwap, cycle.value(),
                  plan_.total_copies(), plan_.degraded ? 1 : 0);

@@ -38,9 +38,6 @@ struct CoEfficientOptions {
   double rho = 0.0;
   sim::Time u = sim::seconds(3600);
   int max_copies_per_message = 8;
-  /// Throw instead of degrading when rho is unreachable at
-  /// max_copies_per_message (forwarded to the solver).
-  bool throw_on_infeasible = false;
 
   // --- Runtime reliability monitoring ----------------------------------
   /// Track the observed corruption rate and re-plan online when it
@@ -101,40 +98,6 @@ class CoEfficientScheduler : public SchedulerBase {
                        const CoEfficientOptions& options);
 
   [[nodiscard]] const fault::RetransmissionPlan& plan() const { return plan_; }
-  /// Nullptr unless enable_monitor (and rho > 0).
-  [[nodiscard]] const fault::ReliabilityMonitor* monitor() const {
-    return monitor_.get();
-  }
-  /// True while the active plan cannot meet rho at its solve-time BER;
-  /// dynamic-segment load is shed to keep slack free for hard copies.
-  [[nodiscard]] bool degraded_mode() const { return degraded_mode_; }
-  /// Current criticality mode (kNormal when the mode protocol is off).
-  [[nodiscard]] sched::CriticalityMode mode() const {
-    return mode_mgr_ != nullptr ? mode_mgr_->mode()
-                                : sched::CriticalityMode::kNormal;
-  }
-  /// Nullptr unless mode_policy.enabled.
-  [[nodiscard]] const sched::ModeManager* mode_manager() const {
-    return mode_mgr_.get();
-  }
-  /// Nullptr unless power.enabled.
-  [[nodiscard]] const flexray::EnergyMeter* energy_meter() const {
-    return energy_.get();
-  }
-  /// Messages shed by mode still awaiting match-up.
-  [[nodiscard]] std::size_t shed_backlog_size() const {
-    return shed_backlog_.size();
-  }
-  /// Nullptr unless silent_node_detection.
-  [[nodiscard]] const fault::SilentNodeDetector* detector() const {
-    return detector_.get();
-  }
-  /// True while `node` is excluded from the retransmission plan (crashed,
-  /// or flagged silent by the detector) and its slots are stealable.
-  [[nodiscard]] bool member_dead(int node) const {
-    const auto idx = static_cast<std::size_t>(node);
-    return idx < member_dead_.size() && member_dead_[idx] != 0;
-  }
 
   // --- TransmissionPolicy ----------------------------------------------
   std::optional<flexray::TxRequest> static_slot(flexray::ChannelId channel,
@@ -149,6 +112,8 @@ class CoEfficientScheduler : public SchedulerBase {
                            std::int64_t slot_end,
                            flexray::TransmissionPolicy::StaticChunkSink& sink)
       override;
+  /// The shared FTDMA dispatch (take_dynamic) on both channels, except
+  /// channel B under single_channel_dynamics and any dark channel.
   std::optional<flexray::TxRequest> dynamic_slot(
       flexray::ChannelId channel, units::CycleIndex cycle,
       units::SlotId slot_counter, units::MinislotId minislot,
@@ -224,9 +189,10 @@ class CoEfficientScheduler : public SchedulerBase {
   /// (Re)solve the retransmission plan at `ber` and install it: future
   /// static releases use the new k_z (in-flight copies are untouched,
   /// so a swap takes effect at the calling cycle boundary). Messages of
-  /// dead members are excluded from the solve. Updates the degraded
-  /// flag and the resilience metrics.
-  void rebuild_plan(double ber, bool throw_on_infeasible);
+  /// dead members are excluded from the solve. An unreachable rho yields
+  /// the solver's best plan, flagged degraded. Updates the degraded flag
+  /// and the resilience metrics.
+  void rebuild_plan(double ber);
 
   /// Re-solve after a membership change (crash detected / reintegration)
   /// and record it (membership_replans counter, kPlanSwap trace).
@@ -243,7 +209,12 @@ class CoEfficientScheduler : public SchedulerBase {
   std::deque<RetxJob> retx_jobs_;
   std::unique_ptr<fault::ReliabilityMonitor> monitor_;
   std::unique_ptr<fault::SilentNodeDetector> detector_;
-  std::vector<char> member_dead_;  ///< excluded from the plan, by node
+  /// By node: 1 while the node is excluded from the retransmission plan
+  /// (crashed, or flagged silent by the detector) and its slots are
+  /// stealable.
+  std::vector<char> member_dead_;
+  /// True while the active plan cannot meet rho at its solve-time BER;
+  /// dynamic-segment load is shed to keep slack free for hard copies.
   bool degraded_mode_ = false;
 
   // --- Mixed-criticality mode protocol (DESIGN.md §16) -----------------

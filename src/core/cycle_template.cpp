@@ -31,9 +31,6 @@ void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
   }
   const auto cells = static_cast<std::size_t>(n);
   message_.assign(cells, nullptr);
-  message_id_.assign(cells, -1);
-  node_.assign(cells, -1);
-  payload_bits_.assign(cells, 0);
   budget_.assign(cells, 0);
   first_cycle_.assign(cells, 0);
 
@@ -64,9 +61,6 @@ void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
          row < s.period; row += rep) {
       const auto i = static_cast<std::size_t>(s.row0 + row);
       message_[i] = m;
-      message_id_[i] = m != nullptr ? m->id : -1;
-      node_[i] = m != nullptr ? m->node : -1;
-      payload_bits_[i] = m != nullptr ? m->size_bits : 0;
       budget_[i] = k;
       first_cycle_[i] = first;
     }

@@ -7,9 +7,9 @@
 // retransmission plan answers "how many copies?" through a hash lookup.
 // A walk that asked them directly would pay all three on every slot of
 // every cycle. This template precomputes the composition once per
-// (table, plan) pair into flat SoA arrays — message ref, owner node,
-// payload bits, retransmission-budget class — so the steady-state walk
-// is one index computation and a few loads.
+// (table, plan) pair into flat SoA arrays — message ref, first active
+// cycle, retransmission-budget class — so the steady-state walk is one
+// index computation and a few loads.
 //
 // Each slot keeps its own period: the LCM of the repetitions of the
 // placements it hosts (1 when idle), as a FlexRay controller filters
@@ -80,24 +80,6 @@ class CycleTemplate {
     const std::size_t i = index(slot, cycle);
     return cycle.value() >= first_cycle_[i] ? message_[i] : nullptr;
   }
-  /// Message id at (slot, cycle), or -1 when idle.
-  [[nodiscard]] int message_id_at(units::SlotId slot,
-                                  units::CycleIndex cycle) const {
-    const std::size_t i = index(slot, cycle);
-    return cycle.value() >= first_cycle_[i] ? message_id_[i] : -1;
-  }
-  /// Owning node at (slot, cycle), or -1 when idle.
-  [[nodiscard]] std::int32_t node_at(units::SlotId slot,
-                                     units::CycleIndex cycle) const {
-    const std::size_t i = index(slot, cycle);
-    return cycle.value() >= first_cycle_[i] ? node_[i] : -1;
-  }
-  /// Payload bits staged for (slot, cycle); 0 when idle.
-  [[nodiscard]] std::int64_t payload_bits_at(units::SlotId slot,
-                                             units::CycleIndex cycle) const {
-    const std::size_t i = index(slot, cycle);
-    return cycle.value() >= first_cycle_[i] ? payload_bits_[i] : 0;
-  }
   /// Retransmission-budget class (planned copies k_z) of the occupant
   /// of (slot, cycle); 0 when idle or unbudgeted.
   [[nodiscard]] std::int32_t budget_at(units::SlotId slot,
@@ -131,9 +113,6 @@ class CycleTemplate {
   // which its steady-state occupant is actually active.
   std::vector<SlotRows> slots_;
   std::vector<const net::Message*> message_;
-  std::vector<int> message_id_;
-  std::vector<std::int32_t> node_;
-  std::vector<std::int64_t> payload_bits_;
   std::vector<std::int32_t> budget_;
   std::vector<std::int64_t> first_cycle_;
   std::int64_t version_ = 0;

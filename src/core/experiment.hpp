@@ -76,8 +76,6 @@ struct ExperimentConfig {
   /// Runtime reliability monitoring + online re-planning (CoEfficient).
   bool enable_monitor = false;
   fault::ReliabilityMonitorOptions monitor;
-  /// Throw instead of degrading when rho is unreachable.
-  bool throw_on_infeasible = false;
 
   // --- Structural fault domain (node/channel failures) -----------------
   /// ECU crash/restart windows, channel blackouts, babbling-idiot slots

@@ -153,32 +153,10 @@ std::optional<flexray::TxRequest> FspecScheduler::dynamic_slot(
     flexray::ChannelId channel, units::CycleIndex cycle,
     units::SlotId slot_counter, units::MinislotId minislot,
     std::int64_t minislots_remaining) {
-  if (channel == flexray::ChannelId::kB) {
-    // Replay exactly what channel A carried in this dynamic slot.
-    return take_mirror(slot_counter);
-  }
-
-  const net::Message* m =
-      dynamic_message_for_frame(static_cast<int>(slot_counter.value()));
-  if (m == nullptr) return std::nullopt;
-  auto& queue = nodes_.at(static_cast<std::size_t>(m->node)).dynamic_queue();
-  const auto pending = queue.peek(units::to_frame_id(slot_counter));
-  if (!pending.has_value()) return std::nullopt;
-  const sim::Time at = cycle_duration_ * cycle.value() +
-                       cfg_.static_segment_duration() +
-                       cfg_.minislot_duration() * minislot.value();
-  if (pending->release > at) return std::nullopt;
-  if (cfg_.minislots_for(pending->payload_bits) > minislots_remaining) {
-    return std::nullopt;
-  }
-  if (minislot + 1 > cfg_.latest_tx_minislot()) return std::nullopt;
-  queue.pop(pending->instance);
-  flexray::TxRequest req;
-  req.instance = pending->instance;
-  req.frame_id = units::to_frame_id(slot_counter);
-  req.sender = units::NodeId{m->node};
-  req.payload_bits = pending->payload_bits;
-  stage_mirror(slot_counter, req);  // channel B will replay it
+  // Channel B replays exactly what channel A carried in this slot.
+  if (channel == flexray::ChannelId::kB) return take_mirror(slot_counter);
+  auto req = take_dynamic(cycle, slot_counter, minislot, minislots_remaining);
+  if (req) stage_mirror(slot_counter, *req);
   return req;
 }
 
@@ -205,10 +183,7 @@ void FspecScheduler::on_node_down(units::NodeId /*node*/,
 }
 
 void FspecScheduler::on_tx_complete(const flexray::TxOutcome& outcome) {
-  account_outcome(outcome);
-  if (outcome.request.retransmission) {
-    ++stats_.retransmission_copies_sent;
-  }
+  SchedulerBase::on_tx_complete(outcome);
   if (outcome.segment != flexray::Segment::kStatic ||
       outcome.channel != flexray::ChannelId::kB) {
     return;

@@ -45,8 +45,6 @@ class FspecScheduler : public SchedulerBase {
                  net::MessageSet dynamics, sim::Time batch_window,
                  const FspecOptions& options);
 
-  [[nodiscard]] int rounds() const { return options_.rounds; }
-
   // --- TransmissionPolicy ----------------------------------------------
   std::optional<flexray::TxRequest> static_slot(flexray::ChannelId channel,
                                                 units::CycleIndex cycle,
@@ -58,6 +56,8 @@ class FspecScheduler : public SchedulerBase {
   void decide_static_chunk(units::CycleIndex cycle, std::int64_t slot_begin,
                            std::int64_t slot_end,
                            StaticChunkSink& sink) override;
+  /// Channel A: the shared FTDMA dispatch (take_dynamic), staging each
+  /// frame as its channel-B mirror; channel B replays the mirror.
   std::optional<flexray::TxRequest> dynamic_slot(
       flexray::ChannelId channel, units::CycleIndex cycle,
       units::SlotId slot_counter, units::MinislotId minislot,

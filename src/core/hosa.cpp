@@ -95,32 +95,13 @@ std::optional<flexray::TxRequest> HosaScheduler::dynamic_slot(
     flexray::ChannelId channel, units::CycleIndex cycle,
     units::SlotId slot_counter, units::MinislotId minislot,
     std::int64_t minislots_remaining) {
-  if (channel == flexray::ChannelId::kB) {
-    auto req = take_mirror(slot_counter);
-    if (req) req->retransmission = true;  // the mirror is the redundant copy
-    return req;
+  if (channel == flexray::ChannelId::kB) return take_mirror(slot_counter);
+  auto req = take_dynamic(cycle, slot_counter, minislot, minislots_remaining);
+  if (req) {
+    flexray::TxRequest mirror = *req;
+    mirror.retransmission = true;  // the mirror is the redundant copy
+    stage_mirror(slot_counter, mirror);
   }
-  const net::Message* m =
-      dynamic_message_for_frame(static_cast<int>(slot_counter.value()));
-  if (m == nullptr) return std::nullopt;
-  auto& queue = nodes_.at(static_cast<std::size_t>(m->node)).dynamic_queue();
-  const auto pending = queue.peek(units::to_frame_id(slot_counter));
-  if (!pending.has_value()) return std::nullopt;
-  const sim::Time at = cycle_duration_ * cycle.value() +
-                       cfg_.static_segment_duration() +
-                       cfg_.minislot_duration() * minislot.value();
-  if (pending->release > at) return std::nullopt;
-  if (cfg_.minislots_for(pending->payload_bits) > minislots_remaining) {
-    return std::nullopt;
-  }
-  if (minislot + 1 > cfg_.latest_tx_minislot()) return std::nullopt;
-  queue.pop(pending->instance);
-  flexray::TxRequest req;
-  req.instance = pending->instance;
-  req.frame_id = units::to_frame_id(slot_counter);
-  req.sender = units::NodeId{m->node};
-  req.payload_bits = pending->payload_bits;
-  stage_mirror(slot_counter, req);  // channel B will replay it
   return req;
 }
 
@@ -128,13 +109,6 @@ std::int64_t HosaScheduler::dynamic_next_frame(flexray::ChannelId channel,
                                                std::int64_t min_frame) const {
   if (channel == flexray::ChannelId::kB) return mirror_next_frame(min_frame);
   return queued_dynamic_next_frame(min_frame);
-}
-
-void HosaScheduler::on_tx_complete(const flexray::TxOutcome& outcome) {
-  account_outcome(outcome);
-  if (outcome.request.retransmission) {
-    ++stats_.retransmission_copies_sent;
-  }
 }
 
 }  // namespace coeff::core

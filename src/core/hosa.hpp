@@ -31,13 +31,14 @@ class HosaScheduler : public SchedulerBase {
   void decide_static_chunk(units::CycleIndex cycle, std::int64_t slot_begin,
                            std::int64_t slot_end,
                            StaticChunkSink& sink) override;
+  /// Channel A: the shared FTDMA dispatch (take_dynamic), staging each
+  /// frame's mirror, the redundant copy, for channel B to replay.
   std::optional<flexray::TxRequest> dynamic_slot(
       flexray::ChannelId channel, units::CycleIndex cycle,
       units::SlotId slot_counter, units::MinislotId minislot,
       std::int64_t minislots_remaining) override;
   [[nodiscard]] std::int64_t dynamic_next_frame(
       flexray::ChannelId channel, std::int64_t min_frame) const override;
-  void on_tx_complete(const flexray::TxOutcome& outcome) override;
 
  protected:
   void on_static_release(Instance& inst, const net::Message& m) override;

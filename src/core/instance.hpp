@@ -27,7 +27,6 @@ struct Instance {
   int copies_required = 1;
   int copies_sent = 0;
   bool delivered = false;       ///< an uncorrupted copy landed in time
-  sim::Time delivered_at;
   bool miss_recorded = false;   ///< deadline passed undelivered (counted)
   // --- NMR replica voting (0 = plain first-success acceptance) ---------
   /// Number of replicas in the vote; delivery requires a strict majority

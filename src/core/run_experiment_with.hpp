@@ -48,7 +48,6 @@ template <class ClusterT>
     opt.rho = rho;
     opt.u = config.u;
     opt.max_copies_per_message = config.max_copies;
-    opt.throw_on_infeasible = config.throw_on_infeasible;
     opt.enable_monitor = config.enable_monitor;
     opt.monitor = config.monitor;
     opt.use_uniform_plan = config.ablation_uniform_plan;
@@ -112,9 +111,8 @@ template <class ClusterT>
   // Structural fault domain: the injector must outlive the cluster run.
   std::unique_ptr<fault::NodeFaultModel> structural;
   if (!config.structural.empty()) {
-    config.structural.validate();
-    structural = std::make_unique<fault::NodeFaultModel>(config.structural,
-                                                         config.seed);
+    structural = std::make_unique<fault::NodeFaultModel>(
+        config.structural, config.cluster.num_nodes, config.seed);
     cluster.set_fault_provider(structural.get());
   }
 

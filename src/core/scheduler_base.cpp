@@ -6,6 +6,26 @@
 
 namespace coeff::core {
 
+namespace {
+
+/// The CHI queue entry of dynamic instance `inst` of `m`. FTDMA: lower
+/// frame id wins, so every entry gets priority = frame id and each
+/// node's queue is ordered by frame id; queued_dynamic_next_frame relies
+/// on it.
+flexray::PendingMessage dynamic_pending(const Instance& inst,
+                                        const net::Message& m) {
+  flexray::PendingMessage pending;
+  pending.instance = inst.key;
+  pending.frame_id = units::to_frame_id(units::SlotId{m.frame_id});
+  pending.payload_bits = m.size_bits;
+  pending.release = inst.release;
+  pending.deadline = inst.abs_deadline;
+  pending.priority = m.frame_id;
+  return pending;
+}
+
+}  // namespace
+
 SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
                              net::MessageSet statics, net::MessageSet dynamics,
                              sim::Time batch_window,
@@ -25,10 +45,19 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
   }
   stats_.bus_bit_rate = static_cast<double>(cfg_.bus_bit_rate);
 
-  nodes_.reserve(static_cast<std::size_t>(cfg_.num_nodes));
-  for (int i = 0; i < cfg_.num_nodes; ++i) {
-    nodes_.emplace_back(units::NodeId{i}, "ecu" + std::to_string(i));
+  // Every per-node array is sized by the cluster, so a message must name
+  // one of its nodes (validate() already refused negative ones).
+  for (const net::MessageSet* set : {&statics_, &dynamics_}) {
+    for (const auto& m : set->messages()) {
+      if (m.node >= cfg_.num_nodes) {
+        throw std::invalid_argument(
+            "SchedulerBase: message " + std::to_string(m.id) + ": node " +
+            std::to_string(m.node) + " outside the cluster's " +
+            std::to_string(cfg_.num_nodes) + " nodes");
+      }
+    }
   }
+  nodes_.resize(static_cast<std::size_t>(cfg_.num_nodes));
   for (const auto& a : table_.assignments()) {
     // Assignments for ids not in the base set (e.g. FSPEC's redundant
     // clones) are registered by the subclass, which knows the mapping.
@@ -58,8 +87,6 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
         dynamic_frame_lut_[static_cast<std::size_t>(m.frame_id)];
     if (owner == nullptr) {
       owner = &m;
-      nodes_.at(static_cast<std::size_t>(m.node))
-          .add_dynamic_frame_id(units::to_frame_id(units::SlotId{m.frame_id}));
     } else if (owner->node != m.node) {
       throw std::invalid_argument(
           "SchedulerBase: dynamic frame id " + std::to_string(m.frame_id) +
@@ -115,6 +142,32 @@ std::optional<std::size_t> SchedulerBase::dynamic_position(
     return std::nullopt;
   }
   return it->second;
+}
+
+std::optional<flexray::TxRequest> SchedulerBase::take_dynamic(
+    units::CycleIndex cycle, units::SlotId slot_counter,
+    units::MinislotId minislot, std::int64_t minislots_remaining) {
+  const net::Message* m =
+      dynamic_message_for_frame(static_cast<int>(slot_counter.value()));
+  if (m == nullptr) return std::nullopt;
+  auto& queue = nodes_[static_cast<std::size_t>(m->node)].dynamic_queue();
+  const auto pending = queue.peek(units::to_frame_id(slot_counter));
+  if (!pending.has_value()) return std::nullopt;
+  const sim::Time at = cycle_duration_ * cycle.value() +
+                       cfg_.static_segment_duration() +
+                       cfg_.minislot_duration() * minislot.value();
+  if (pending->release > at) return std::nullopt;
+  if (cfg_.minislots_for(pending->payload_bits) > minislots_remaining) {
+    return std::nullopt;
+  }
+  if (minislot + 1 > cfg_.latest_tx_minislot()) return std::nullopt;
+  queue.pop(pending->instance);
+  flexray::TxRequest req;
+  req.instance = pending->instance;
+  req.frame_id = units::to_frame_id(slot_counter);
+  req.sender = units::NodeId{m->node};
+  req.payload_bits = pending->payload_bits;
+  return req;
 }
 
 std::int64_t SchedulerBase::queued_dynamic_next_frame(
@@ -215,18 +268,15 @@ void SchedulerBase::on_topology_event(const flexray::TopologyEvent& event,
       const auto idx = static_cast<std::size_t>(event.node.value());
       if (idx < node_down_.size()) node_down_[idx] = 0;
       ++stats_.node_restarts;
-      if (idx < nodes_.size()) nodes_[idx].restart();
       on_node_up(event.node, cycle, at);
       break;
     }
     case flexray::TopologyEventKind::kChannelDown:
       channel_down_[static_cast<std::size_t>(event.channel)] = true;
       ++stats_.channel_outages;
-      on_channel_down(event.channel, cycle, at);
       break;
     case flexray::TopologyEventKind::kChannelUp:
       channel_down_[static_cast<std::size_t>(event.channel)] = false;
-      on_channel_up(event.channel, cycle, at);
       break;
   }
   // Every topology event can re-home traffic or change the budget a
@@ -330,18 +380,7 @@ void SchedulerBase::on_arrival(int message_id, sim::Time at) {
   inst.abs_deadline = at + m->deadline;
   inst.copies_required = 0;
   ++segment(net::MessageKind::kDynamic).released;
-
-  flexray::PendingMessage pending;
-  pending.instance = inst.key;
-  pending.frame_id = units::to_frame_id(units::SlotId{m->frame_id});
-  pending.payload_bits = m->size_bits;
-  pending.release = at;
-  pending.deadline = inst.abs_deadline;
-  // FTDMA: lower frame id wins. Every dynamic queue entry gets priority
-  // = frame id (here and in on_dynamic_declined), so each node's queue is
-  // ordered by frame id; queued_dynamic_next_frame relies on it.
-  pending.priority = m->frame_id;
-  on_dynamic_release(inst, *m, pending);
+  on_dynamic_release(inst, *m, dynamic_pending(inst, *m));
 }
 
 void SchedulerBase::on_cycle_start(units::CycleIndex cycle, sim::Time at) {
@@ -376,21 +415,15 @@ void SchedulerBase::on_dynamic_declined(flexray::ChannelId /*channel*/,
   if (inst == nullptr) return;
   const std::size_t position = InstanceStore::position_of(inst->key);
   if (position < statics_.size()) return;
-  const net::Message* m = &dynamics_.messages()[position - statics_.size()];
-  flexray::PendingMessage pending;
-  pending.instance = inst->key;
-  pending.frame_id = units::to_frame_id(units::SlotId{m->frame_id});
-  pending.payload_bits = m->size_bits;
-  pending.release = inst->release;
-  pending.deadline = inst->abs_deadline;
-  pending.priority = m->frame_id;
-  nodes_.at(static_cast<std::size_t>(m->node)).dynamic_queue().push(pending);
+  const net::Message& m = dynamics_.messages()[position - statics_.size()];
+  nodes_[static_cast<std::size_t>(m.node)].dynamic_queue().push(
+      dynamic_pending(*inst, m));
 }
 
-void SchedulerBase::account_outcome(const flexray::TxOutcome& outcome) {
+void SchedulerBase::on_tx_complete(const flexray::TxOutcome& outcome) {
   Instance* inst = instances_.find(outcome.request.instance);
   if (inst == nullptr) {
-    throw std::logic_error("account_outcome: unknown instance");
+    throw std::logic_error("on_tx_complete: unknown instance");
   }
   ++inst->copies_sent;
   --owed_copies_;
@@ -400,6 +433,7 @@ void SchedulerBase::account_outcome(const flexray::TxOutcome& outcome) {
   if (outcome.corrupted) ++seg.copies_corrupted;
   if (outcome.lost) ++stats_.frames_lost;
   if (outcome.request.failover && !outcome.lost) ++stats_.failovers;
+  if (outcome.request.retransmission) ++stats_.retransmission_copies_sent;
 
   // Acceptance: plain schemes deliver on the first uncorrupted copy; a
   // voted instance delivers when a strict majority of its replicas
@@ -422,7 +456,6 @@ void SchedulerBase::account_outcome(const flexray::TxOutcome& outcome) {
 
   if (accepted_now) {
     inst->delivered = true;
-    inst->delivered_at = outcome.end;
     seg.useful_payload_bits += inst->size_bits;
     if (outcome.segment == flexray::Segment::kStatic) {
       stats_.useful_bits_static_wire += inst->size_bits;

@@ -1,7 +1,8 @@
-// Shared machinery for the CoEfficient and FSPEC transmission policies:
-// instance release, CHI plumbing, deadline bookkeeping, and metric
-// accumulation. The derived classes implement only what differs — how
-// slots are filled and how redundant copies are produced.
+// Shared machinery for the three transmission policies (CoEfficient,
+// FSPEC, HOSA): instance release, CHI plumbing, the FTDMA dispatch of
+// the dynamic segment, deadline bookkeeping, and the outcome tally. The
+// derived classes implement only what differs — how static slots are
+// filled and how redundant copies are produced (DESIGN.md §12).
 #pragma once
 
 #include <array>
@@ -27,7 +28,8 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// `batch_window`: static instances are released for all release times
   /// in [0, batch_window); dynamic arrivals are injected externally
   /// (on_arrival) and should respect the same window. Throws
-  /// std::invalid_argument when a message id is both static and dynamic.
+  /// std::invalid_argument when a message id is both static and dynamic,
+  /// or when a message names a node outside [0, cfg.num_nodes).
   /// `table` lets a subclass install a table built from an expanded set
   /// (FSPEC's pre-planned redundancy); by default the table is built
   /// from `statics` directly.
@@ -58,18 +60,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// swaps, load shedding). May be nullptr; the trace must outlive the
   /// scheduler. Typically the same Trace the Cluster records into.
   void set_trace(sim::Trace* trace) { trace_ = trace; }
-  [[nodiscard]] const sched::StaticScheduleTable& table() const {
-    return table_;
-  }
-  [[nodiscard]] const net::MessageSet& static_messages() const {
-    return statics_;
-  }
-  [[nodiscard]] const net::MessageSet& dynamic_messages() const {
-    return dynamics_;
-  }
-
-  /// The compiled (table × plan) lookup the hot paths read from.
-  [[nodiscard]] const CycleTemplate& cycle_template() const { return tpl_; }
 
   // --- TransmissionPolicy (shared parts) -------------------------------
   // Every SchedulerBase scheme keeps the decide_static_chunk rule: slot
@@ -83,13 +73,17 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   void on_arrival(int message_id, sim::Time at) override;
   void on_dynamic_declined(flexray::ChannelId channel, units::CycleIndex cycle,
                            const flexray::TxRequest& request) override;
+  /// The outcome tally: records a wire transmission against its
+  /// instance (copy counts, delivery or vote, latency, owed work) and
+  /// counts the retransmission copies sent. Overrides call it first.
+  void on_tx_complete(const flexray::TxOutcome& outcome) override;
   /// Shared topology-state bookkeeping for all schemes: a crash powers
   /// the node's CHI off, settles its undelivered instances as
   /// source-lost (a dead producer is a node failure, not a scheduling
-  /// miss) and drops their staged mirrors; a restart reintegrates the
-  /// node with empty buffers; channel events track availability.
-  /// Subclasses refine recovery through the
-  /// on_node_down/on_node_up/on_channel_down/on_channel_up hooks.
+  /// miss) and drops their staged mirrors; a restart brings the node
+  /// back with the empty buffers the crash left; channel events track
+  /// availability. Subclasses refine recovery through the
+  /// on_node_down/on_node_up hooks.
   void on_topology_event(const flexray::TopologyEvent& event,
                          units::CycleIndex cycle, sim::Time at) override;
 
@@ -107,10 +101,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
                             sim::Time /*at*/) {}
   virtual void on_node_up(units::NodeId /*node*/, units::CycleIndex /*cycle*/,
                           sim::Time /*at*/) {}
-  virtual void on_channel_down(flexray::ChannelId /*channel*/,
-                               units::CycleIndex /*cycle*/, sim::Time /*at*/) {}
-  virtual void on_channel_up(flexray::ChannelId /*channel*/,
-                             units::CycleIndex /*cycle*/, sim::Time /*at*/) {}
   /// Subclass hook invoked from on_cycle_start after releases, sweeps and
   /// mirror forfeits.
   virtual void on_cycle_start_hook(units::CycleIndex /*cycle*/,
@@ -125,10 +115,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// copies and enqueue `pending` where its dispatch logic will find it.
   virtual void on_dynamic_release(Instance& inst, const net::Message& m,
                                   const flexray::PendingMessage& pending) = 0;
-
-  /// Record a wire transmission outcome against its instance: updates
-  /// copy counts, delivery state, latency, and owed-work accounting.
-  void account_outcome(const flexray::TxOutcome& outcome);
 
   /// Reduce an instance's owed copies (cancelled retransmission or
   /// expired queue entry) keeping the global owed counter consistent.
@@ -152,9 +138,20 @@ class SchedulerBase : public flexray::TransmissionPolicy {
                : nullptr;
   }
 
+  /// The FTDMA rule of the dynamic segment (§II-B), the same for every
+  /// scheme: dynamic slot `slot_counter` carries the head of its owning
+  /// node's queue for that frame id, if it was released by the
+  /// minislot's start, fits in `minislots_remaining` minislots and
+  /// starts by pLatestTx. The entry is popped and its request returned;
+  /// nullopt lets one minislot pass.
+  [[nodiscard]] std::optional<flexray::TxRequest> take_dynamic(
+      units::CycleIndex cycle, units::SlotId slot_counter,
+      units::MinislotId minislot, std::int64_t minislots_remaining);
+
   /// Smallest frame id >= `min_frame` queued in any node's CHI dynamic
-  /// queue, or flexray::kNoDynamicFrame. Shared building block for the
-  /// schemes' dynamic_next_frame overrides (channel-A semantics).
+  /// queue, or flexray::kNoDynamicFrame: the complete set of slots
+  /// take_dynamic can fill. Shared building block for the schemes'
+  /// dynamic_next_frame overrides (channel-A semantics).
   [[nodiscard]] std::int64_t queued_dynamic_next_frame(
       std::int64_t min_frame) const;
 

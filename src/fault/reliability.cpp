@@ -123,11 +123,6 @@ RetransmissionPlan solve_differentiated(const net::MessageSet& set,
       }
     }
     if (best == n) {
-      if (opt.throw_on_infeasible) {
-        throw std::runtime_error(
-            "solve_differentiated: reliability goal unreachable within the "
-            "per-message copy bound");
-      }
       // Graceful degradation: every message is at its bound (or gains
       // nothing); hand back the best achievable plan, flagged.
       plan.degraded = true;
@@ -148,11 +143,12 @@ RetransmissionPlan solve_uniform(const net::MessageSet& set,
   check_options(opt);
   const std::size_t n = set.size();
   const double target = opt.rho > 0.0 ? std::log(opt.rho) : -1e300;
-  for (int k = 0; k <= opt.max_copies_per_message; ++k) {
+  // check_options bounds the copy bound below by 0, so the loop returns
+  // at k = max_copies_per_message at the latest (degraded).
+  for (int k = 0;; ++k) {
     std::vector<int> copies(n, k);
     const double log_r = log_set_reliability(set, copies, opt.ber, opt.u);
-    const bool last = k == opt.max_copies_per_message;
-    if (log_r >= target || (last && !opt.throw_on_infeasible)) {
+    if (log_r >= target || k == opt.max_copies_per_message) {
       RetransmissionPlan plan;
       plan.copies = std::move(copies);
       plan.log_reliability = log_r;
@@ -165,8 +161,6 @@ RetransmissionPlan solve_uniform(const net::MessageSet& set,
       return plan;
     }
   }
-  throw std::runtime_error(
-      "solve_uniform: reliability goal unreachable within the copy bound");
 }
 
 int solve_uniform_rounds(const net::MessageSet& set, const SolverOptions& opt,
@@ -187,10 +181,7 @@ int solve_uniform_rounds(const net::MessageSet& set, const SolverOptions& opt,
     }
     last_rounds = rounds;
   }
-  if (!opt.throw_on_infeasible) return last_rounds;  // best within the bound
-  throw std::runtime_error(
-      "solve_uniform_rounds: reliability goal unreachable within the copy "
-      "bound");
+  return last_rounds;  // best within the bound
 }
 
 }  // namespace coeff::fault

@@ -49,18 +49,13 @@ struct SolverOptions {
   double rho = 0.0;          ///< target reliability over `u`
   sim::Time u = sim::seconds(3600);
   int max_copies_per_message = 8;  ///< per-message copy bound
-  /// When true, an unreachable rho throws std::runtime_error (the
-  /// pre-degradation behaviour); by default the solvers return the best
-  /// achievable plan flagged `degraded` instead.
-  bool throw_on_infeasible = false;
 };
 
 /// Differentiated solver: greedy marginal-gain-per-added-load ascent.
 /// Starts at k = 0 and, while log R < log rho, increments the k_z with
 /// the best (delta log R) / (added load) ratio. If the goal is
 /// unreachable within max_copies_per_message, returns the best
-/// achievable plan flagged `degraded` (or throws std::runtime_error
-/// under throw_on_infeasible). Invalid options (ber outside [0,1],
+/// achievable plan flagged `degraded`. Invalid options (ber outside [0,1],
 /// rho >= 1, non-positive u, negative copy bound) always throw
 /// std::invalid_argument naming the offending option and value.
 [[nodiscard]] RetransmissionPlan solve_differentiated(
@@ -68,7 +63,7 @@ struct SolverOptions {
 
 /// Uniform baseline (ablation): the smallest single k applied to every
 /// message that achieves rho; degrades to k = max_copies_per_message
-/// when rho is unreachable (same throw_on_infeasible contract).
+/// when rho is unreachable.
 [[nodiscard]] RetransmissionPlan solve_uniform(const net::MessageSet& set,
                                                const SolverOptions& opt);
 
@@ -77,7 +72,7 @@ struct SolverOptions {
 /// mirror: 2 copies per round): smallest R >= 1 such that
 ///   prod_z (1 - p_z^{R * copies_per_round})^{u/T_z} >= rho.
 /// Degrades to the largest round count within the copy bound when rho
-/// is unreachable (same throw_on_infeasible contract).
+/// is unreachable.
 [[nodiscard]] int solve_uniform_rounds(const net::MessageSet& set,
                                        const SolverOptions& opt,
                                        int copies_per_round);

@@ -16,6 +16,16 @@ void require(bool ok, const char* what) {
   }
 }
 
+/// Throws unless `node` is one of the cluster's `num_nodes` nodes.
+void require_node(units::NodeId node, int num_nodes, const char* role) {
+  if (node.value() < 0 || node.value() >= num_nodes) {
+    throw std::invalid_argument(
+        std::string("StructuralFaultConfig: ") + role + " node " +
+        std::to_string(node.value()) + " outside the cluster's " +
+        std::to_string(num_nodes) + " nodes");
+  }
+}
+
 /// Merge overlapping/adjacent [at, until) windows per key so the event
 /// schedule never emits a crash for an already-crashed node (the trace
 /// linter treats double-down as a causality violation).
@@ -46,27 +56,28 @@ bool StructuralFaultConfig::empty() const {
          stochastic_blackouts.outages_per_second <= 0.0;
 }
 
-void StructuralFaultConfig::validate() const {
+void StructuralFaultConfig::validate(int num_nodes) const {
   for (const NodeCrashWindow& w : crashes) {
-    require(w.node.value() >= 0, "crash node must be >= 0");
+    require_node(w.node, num_nodes, "crash");
     require(w.restart > w.at, "crash window must end after it starts");
   }
   for (const ChannelBlackoutWindow& w : blackouts) {
     require(w.until > w.at, "blackout window must end after it starts");
   }
   for (const BabbleWindow& w : babbles) {
-    require(w.babbler.value() >= 0, "babbler node must be >= 0");
+    require_node(w.babbler, num_nodes, "babbler");
     require(w.slot.value() >= 1, "babble slot must be >= 1");
     require(w.until > w.at, "babble window must end after it starts");
   }
   for (const DriftWindow& w : drifts) {
-    require(w.node.value() >= 0, "drift node must be >= 0");
+    require_node(w.node, num_nodes, "drift");
     require(w.until > w.at, "drift window must end after it starts");
     require(w.excess_ppm > 0.0, "drift excess_ppm must be > 0");
   }
   if (stochastic_crashes.crashes_per_second > 0.0) {
-    require(stochastic_crashes.num_nodes > 0,
-            "stochastic crashes need num_nodes > 0");
+    require(stochastic_crashes.num_nodes > 0 &&
+                stochastic_crashes.num_nodes <= num_nodes,
+            "stochastic crashes need num_nodes in [1, the cluster's nodes]");
     require(stochastic_crashes.horizon > sim::Time::zero(),
             "stochastic crashes need a horizon");
     require(stochastic_crashes.mean_time_to_repair > sim::Time::zero(),
@@ -98,9 +109,9 @@ std::string describe(const StructuralFaultConfig& config) {
 }
 
 NodeFaultModel::NodeFaultModel(const StructuralFaultConfig& config,
-                               std::uint64_t seed)
+                               int num_nodes, std::uint64_t seed)
     : config_(config) {
-  config_.validate();
+  config_.validate(num_nodes);
 
   // Expand stochastic generators into explicit windows. Child streams
   // per node/channel keep components independent of each other's draw

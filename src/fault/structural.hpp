@@ -96,8 +96,9 @@ struct StructuralFaultConfig {
   /// True when no fault source is configured at all.
   [[nodiscard]] bool empty() const;
   /// Throws std::invalid_argument naming the first violated constraint
-  /// (negative ids, empty/backwards windows, bad stochastic params).
-  void validate() const;
+  /// on a cluster of `num_nodes` nodes (a node id outside [0,
+  /// num_nodes), an empty/backwards window, bad stochastic params).
+  void validate(int num_nodes) const;
 };
 
 [[nodiscard]] std::string describe(const StructuralFaultConfig& config);
@@ -106,7 +107,11 @@ struct StructuralFaultConfig {
 /// transitions are precomputed at construction; poll() replays them.
 class NodeFaultModel : public flexray::StructuralFaultProvider {
  public:
-  NodeFaultModel(const StructuralFaultConfig& config, std::uint64_t seed);
+  /// Throws std::invalid_argument unless `config` is valid on the
+  /// cluster of `num_nodes` nodes the model drives
+  /// (StructuralFaultConfig::validate).
+  NodeFaultModel(const StructuralFaultConfig& config, int num_nodes,
+                 std::uint64_t seed);
 
   std::vector<flexray::TopologyEvent> poll(sim::Time at) override;
   [[nodiscard]] bool node_down(units::NodeId node) const override;

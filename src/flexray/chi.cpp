@@ -13,18 +13,12 @@ void StaticBufferSet::add_slot(units::SlotId slot) {
   buffers_[idx].owned = true;
 }
 
-bool StaticBufferSet::owns(units::SlotId slot) const {
-  return owned(*this, slot) != nullptr;
-}
-
-bool StaticBufferSet::write(units::SlotId slot, PendingMessage msg) {
+void StaticBufferSet::write(units::SlotId slot, PendingMessage msg) {
   Buffer* buf = owned(*this, slot);
   if (buf == nullptr) {
     throw std::invalid_argument("StaticBufferSet::write: slot not owned");
   }
-  const bool overwritten = buf->message.has_value();
   buf->message = std::move(msg);
-  return overwritten;
 }
 
 std::optional<PendingMessage> StaticBufferSet::read(units::SlotId slot) const {
@@ -36,33 +30,8 @@ void StaticBufferSet::clear(units::SlotId slot) {
   if (Buffer* buf = owned(*this, slot)) buf->message.reset();
 }
 
-std::vector<units::SlotId> StaticBufferSet::owned_slots() const {
-  std::vector<units::SlotId> slots;
-  for (std::size_t i = 0; i < buffers_.size(); ++i) {
-    if (buffers_[i].owned) {
-      slots.push_back(units::SlotId{static_cast<std::int64_t>(i)});
-    }
-  }
-  return slots;
-}
-
-std::vector<PendingMessage> StaticBufferSet::clear_all() {
-  std::vector<PendingMessage> dropped;
-  for (Buffer& buf : buffers_) {  // ascending slot order
-    if (buf.message.has_value()) {
-      dropped.push_back(*buf.message);
-      buf.message.reset();
-    }
-  }
-  return dropped;
-}
-
-std::size_t StaticBufferSet::pending_count() const {
-  std::size_t n = 0;
-  for (const Buffer& buf : buffers_) {
-    if (buf.message.has_value()) ++n;
-  }
-  return n;
+void StaticBufferSet::clear_all() {
+  for (Buffer& buf : buffers_) buf.message.reset();
 }
 
 void DynamicQueue::push(PendingMessage msg) {
@@ -85,11 +54,6 @@ std::optional<PendingMessage> DynamicQueue::peek(FrameId id) const {
     if (msg.frame_id == id) return msg;
   }
   return std::nullopt;
-}
-
-std::optional<PendingMessage> DynamicQueue::peek_head() const {
-  if (queue_.empty()) return std::nullopt;
-  return queue_.front();
 }
 
 bool DynamicQueue::pop(std::uint64_t instance) {
@@ -123,13 +87,10 @@ std::vector<PendingMessage> DynamicQueue::drop_if(
   return dropped;
 }
 
-std::vector<PendingMessage> Node::shutdown() {
-  up_ = false;
-  std::vector<PendingMessage> dropped = static_buffers_.clear_all();
-  std::vector<PendingMessage> dyn =
-      dynamic_queue_.drop_if([](const PendingMessage&) { return true; });
-  dropped.insert(dropped.end(), dyn.begin(), dyn.end());
-  return dropped;
+void DynamicQueue::clear() {
+  if (queue_.empty()) return;
+  queue_.clear();
+  ++version_;
 }
 
 }  // namespace coeff::flexray

@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "flexray/config.hpp"
@@ -29,7 +28,6 @@ struct PendingMessage {
   sim::Time release;                   ///< when the host produced it
   sim::Time deadline = sim::Time::max();  ///< absolute; max() = soft
   int priority = 0;                    ///< lower value = more urgent
-  bool retransmission = false;
 };
 
 /// Single-message buffers, one per static slot owned by the node.
@@ -39,11 +37,10 @@ class StaticBufferSet {
   /// throws.
   void add_slot(units::SlotId slot);
 
-  [[nodiscard]] bool owns(units::SlotId slot) const;
-
-  /// Host side: deposit (or overwrite) the message for `slot`. Returns
-  /// true if a previous, never-transmitted message was overwritten.
-  bool write(units::SlotId slot, PendingMessage msg);
+  /// Host side: deposit (or overwrite) the message for `slot`. A
+  /// previous, never-transmitted message is lost; read() it first to
+  /// account for it.
+  void write(units::SlotId slot, PendingMessage msg);
 
   /// Controller side: peek the message for `slot`, if any.
   [[nodiscard]] std::optional<PendingMessage> read(units::SlotId slot) const;
@@ -52,11 +49,8 @@ class StaticBufferSet {
   void clear(units::SlotId slot);
 
   /// Drop every buffered message (host power-off); slot ownership is
-  /// retained. Returns the dropped messages for upstream accounting.
-  std::vector<PendingMessage> clear_all();
-
-  [[nodiscard]] std::vector<units::SlotId> owned_slots() const;
-  [[nodiscard]] std::size_t pending_count() const;
+  /// retained.
+  void clear_all();
 
  private:
   struct Buffer {
@@ -90,9 +84,6 @@ class DynamicQueue {
   /// Head message with the given frame id, if any (does not remove).
   [[nodiscard]] std::optional<PendingMessage> peek(FrameId id) const;
 
-  /// Highest-priority message overall, if any.
-  [[nodiscard]] std::optional<PendingMessage> peek_head() const;
-
   /// Remove the specific instance (after a successful transmission).
   /// Returns false if it is no longer queued.
   bool pop(std::uint64_t instance);
@@ -104,6 +95,9 @@ class DynamicQueue {
   /// Drop all messages matching `pred`; returns the dropped instances.
   std::vector<PendingMessage> drop_if(
       const std::function<bool(const PendingMessage&)>& pred);
+
+  /// Drop every message (host power-off).
+  void clear();
 
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
@@ -126,15 +120,9 @@ class DynamicQueue {
   std::uint64_t version_ = 0;
 };
 
-/// One ECU node: identity, slot/frame-ID ownership, and its CHI buffers.
+/// One ECU node's CHI buffers.
 class Node {
  public:
-  Node(units::NodeId id, std::string name)
-      : id_(id), name_(std::move(name)) {}
-
-  [[nodiscard]] units::NodeId id() const { return id_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-
   StaticBufferSet& static_buffers() { return static_buffers_; }
   [[nodiscard]] const StaticBufferSet& static_buffers() const {
     return static_buffers_;
@@ -144,32 +132,16 @@ class Node {
     return dynamic_queue_;
   }
 
-  /// Dynamic frame IDs this node may transmit in.
-  void add_dynamic_frame_id(FrameId id) { dynamic_ids_.push_back(id); }
-  [[nodiscard]] const std::vector<FrameId>& dynamic_frame_ids() const {
-    return dynamic_ids_;
+  /// Power the host off (structural fault domain): a crashed ECU loses
+  /// its volatile CHI contents and rejoins with empty buffers.
+  void shutdown() {
+    static_buffers_.clear_all();
+    dynamic_queue_.clear();
   }
 
-  // --- Lifecycle (structural fault domain) -------------------------------
-  // A crashed ECU stops producing and loses its volatile CHI contents;
-  // on restart it rejoins with empty buffers at a cycle boundary.
-
-  [[nodiscard]] bool is_up() const { return up_; }
-
-  /// Power the host off: drop all buffered messages (returned for
-  /// upstream accounting) and refuse writes until restart().
-  std::vector<PendingMessage> shutdown();
-
-  /// Power the host back on with empty buffers.
-  void restart() { up_ = true; }
-
  private:
-  units::NodeId id_;
-  std::string name_;
   StaticBufferSet static_buffers_;
   DynamicQueue dynamic_queue_;
-  std::vector<FrameId> dynamic_ids_;
-  bool up_ = true;
 };
 
 }  // namespace coeff::flexray

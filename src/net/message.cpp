@@ -14,8 +14,8 @@ namespace {
 /// The first per-message rule `m` breaks, in check order, or nullptr.
 /// Kept as static text so a valid set builds no error strings.
 const char* field_violation(const Message& m) {
-  // Negative ids are reserved: the cycle template answers -1 for an
-  // idle slot occurrence.
+  // Negative ids are reserved: -1 is an absent tag in a trace record,
+  // whose tags carry message ids.
   if (m.id < 0) return "negative id";
   if (m.period <= sim::Time::zero()) return "period must be positive";
   if (m.size_bits <= 0) return "size must be positive";

@@ -8,24 +8,12 @@ const char* to_string(TraceKind k) {
   switch (k) {
     case TraceKind::kCycleStart:
       return "cycle_start";
-    case TraceKind::kSlotStart:
-      return "slot_start";
-    case TraceKind::kTxStart:
-      return "tx_start";
     case TraceKind::kTxSuccess:
       return "tx_success";
     case TraceKind::kTxCorrupted:
       return "tx_corrupted";
     case TraceKind::kRetransmissionScheduled:
       return "retx_scheduled";
-    case TraceKind::kSlackStolen:
-      return "slack_stolen";
-    case TraceKind::kDeadlineMiss:
-      return "deadline_miss";
-    case TraceKind::kDeadlineMet:
-      return "deadline_met";
-    case TraceKind::kQueueDrop:
-      return "queue_drop";
     case TraceKind::kBerDrift:
       return "ber_drift";
     case TraceKind::kPlanSwap:
@@ -60,7 +48,6 @@ const char* to_string(TraceKind k) {
 
 void Trace::emit(Time at, TraceKind kind, std::int64_t a, std::int64_t b,
                  std::int64_t c, std::int64_t d, std::string note) {
-  if (!enabled_) return;
   records_.push_back(TraceRecord{at, kind, a, b, c, d, std::move(note)});
 }
 

@@ -1,10 +1,10 @@
 // Structured trace recorder.
 //
-// Components emit typed records (transmission start/end, fault, slack
-// steal, deadline miss, ...) tagged with the simulated timestamp. Tests
-// and benches filter the log to assert on protocol-level behaviour
-// without coupling to component internals. Recording can be disabled
-// for long benchmark runs.
+// Components emit typed records (cycle start, transmission outcome,
+// plan swap, node crash, ...) tagged with the simulated timestamp. Tests
+// and the trace linter filter the log to assert on protocol-level
+// behaviour without coupling to component internals. A run that records
+// nothing passes a null Trace pointer instead.
 #pragma once
 
 #include <cstdint>
@@ -17,15 +17,9 @@ namespace coeff::sim {
 
 enum class TraceKind : std::uint8_t {
   kCycleStart,
-  kSlotStart,
-  kTxStart,
   kTxSuccess,
   kTxCorrupted,
   kRetransmissionScheduled,
-  kSlackStolen,
-  kDeadlineMiss,
-  kDeadlineMet,
-  kQueueDrop,
   kBerDrift,   ///< monitor detected BER drift; a=cycle, note carries estimate
   kPlanSwap,   ///< online re-plan swapped in; a=cycle, b=total copies, c=degraded
   kLoadShed,   ///< degraded mode shed a dynamic frame; a=message id, b=node
@@ -78,10 +72,6 @@ struct TraceRecord {
 
 class Trace {
  public:
-  /// Recording defaults to on; long benchmark runs disable it.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   void emit(Time at, TraceKind kind, std::int64_t a = -1, std::int64_t b = -1,
             std::int64_t c = -1, std::int64_t d = -1, std::string note = {});
 
@@ -96,7 +86,6 @@ class Trace {
 
  private:
   std::vector<TraceRecord> records_;
-  bool enabled_ = true;
 };
 
 }  // namespace coeff::sim

@@ -116,6 +116,23 @@ TEST(ScheduleLintTest, MessageSetValid) {
   EXPECT_TRUE(f.lint().has_rule("schedule.message-set-valid"));
 }
 
+// A message on node 12 of a 10-node cluster: the run refuses it
+// (SchedulerBase's constructor), so lint reports it as an error.
+TEST(ScheduleLintTest, MessageNodeOutsideTheCluster) {
+  Fixture f;
+  ASSERT_EQ(f.cluster.num_nodes, 10);
+  f.statics.add(static_msg(1, sim::millis(1), 64, /*node=*/9));
+  EXPECT_FALSE(f.lint().has_errors());
+  f.statics.add(static_msg(2, sim::millis(1), 64, /*node=*/12));
+  const Report report = f.lint();
+  EXPECT_TRUE(report.has_rule("schedule.message-set-valid"));
+  EXPECT_TRUE(report.has_errors());
+  EXPECT_NE(report.render_text().find(
+                "static set: message 2: node 12 outside the cluster's 10 "
+                "nodes"),
+            std::string::npos);
+}
+
 TEST(ScheduleLintTest, DeadlinePeriod) {
   Fixture f;
   net::Message m = static_msg(1, sim::millis(2), 64);
@@ -336,9 +353,10 @@ TEST(ScheduleLintTest, RtaDeadlineIsAWarning) {
   Fixture f;
   // 45 frames x 24 us wire time demand 1.08 ms per 1 ms period: the
   // response-time recurrence cannot fit the lowest-priority frames
-  // before their deadlines.
+  // before their deadlines. The frames spread over the cluster's nodes.
   for (int i = 0; i < 45; ++i) {
-    f.statics.add(static_msg(i + 1, sim::millis(1), 1200, i));
+    f.statics.add(
+        static_msg(i + 1, sim::millis(1), 1200, i % f.cluster.num_nodes));
   }
   const Report report = f.lint();
   EXPECT_TRUE(report.has_rule("schedule.rta-deadline"));

@@ -101,7 +101,8 @@ TEST(ScenarioGenerator, MaterializedConfigsAreValid) {
     EXPECT_NO_THROW(config.cluster.validate()) << "cell " << cell;
     EXPECT_NO_THROW(config.statics.validate()) << "cell " << cell;
     EXPECT_NO_THROW(config.dynamics.validate()) << "cell " << cell;
-    EXPECT_NO_THROW(config.structural.validate()) << "cell " << cell;
+    EXPECT_NO_THROW(config.structural.validate(config.cluster.num_nodes))
+        << "cell " << cell;
     EXPECT_EQ(config.seed, spec.seed);
     EXPECT_EQ(static_cast<int>(config.cluster.num_nodes), spec.nodes);
   }

@@ -289,7 +289,7 @@ TEST(CoeffctlTables, StructuralSpecsParseEveryFieldAndAccumulate) {
   EXPECT_FALSE(s.babbles[1].channel.has_value());
   ASSERT_EQ(s.drifts.size(), 1u);
   EXPECT_EQ(s.drifts[0].excess_ppm, 5000.0);
-  EXPECT_NO_THROW(s.validate());
+  EXPECT_NO_THROW(s.validate(opt.config.cluster.num_nodes));
 
   for (const Args& bad : std::vector<Args>{
            {"--crash", "1:abc:30"}, {"--crash", "1:10"},

@@ -182,11 +182,5 @@ TEST(FspecTest, UnreachableDynamicFrameIdStarves) {
   EXPECT_EQ(d.missed, 4);
 }
 
-TEST(FspecTest, RoundsAccessor) {
-  FspecScheduler sched(small_cluster(), {}, {}, sim::millis(10),
-                       FspecOptions{3});
-  EXPECT_EQ(sched.rounds(), 3);
-}
-
 }  // namespace
 }  // namespace coeff::core

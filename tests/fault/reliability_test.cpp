@@ -108,18 +108,6 @@ TEST(SolverTest, ZeroGoalNeedsNoCopies) {
   EXPECT_EQ(plan.total_copies(), 0);
 }
 
-TEST(SolverTest, UnreachableGoalThrowsWhenOptedIn) {
-  const auto set = two_messages();
-  SolverOptions opt;
-  opt.ber = 0.01;  // huge BER: 1500-bit frames nearly always fail
-  opt.rho = 1.0 - 1e-9;
-  opt.u = sim::seconds(3600);
-  opt.max_copies_per_message = 2;
-  opt.throw_on_infeasible = true;
-  EXPECT_THROW((void)solve_differentiated(set, opt), std::runtime_error);
-  EXPECT_THROW((void)solve_uniform(set, opt), std::runtime_error);
-}
-
 TEST(SolverTest, UnreachableGoalDegradesByDefault) {
   const auto set = two_messages();
   SolverOptions opt;

@@ -10,6 +10,9 @@ namespace {
 using flexray::ChannelId;
 using flexray::TopologyEventKind;
 
+/// The node count of the cluster the models below drive.
+constexpr int kNodes = 10;
+
 TEST(StructuralConfigTest, EmptyDetectsNoFaultSources) {
   StructuralFaultConfig config;
   EXPECT_TRUE(config.empty());
@@ -21,29 +24,71 @@ TEST(StructuralConfigTest, EmptyDetectsNoFaultSources) {
 TEST(StructuralConfigTest, ValidateRejectsBackwardsAndNegative) {
   StructuralFaultConfig config;
   config.crashes.push_back({units::NodeId{-1}, sim::millis(1)});
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(config.validate(kNodes), std::invalid_argument);
 
   config = {};
   config.crashes.push_back(
       {units::NodeId{0}, sim::millis(5), sim::millis(3)});  // restart < crash
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(config.validate(kNodes), std::invalid_argument);
 
   config = {};
   config.blackouts.push_back(
       {ChannelId::kB, sim::millis(4), sim::millis(4)});  // empty window
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(config.validate(kNodes), std::invalid_argument);
 
   config = {};
   config.stochastic_crashes.crashes_per_second = 1.0;
   config.stochastic_crashes.num_nodes = 0;  // rate with no nodes
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(config.validate(kNodes), std::invalid_argument);
+}
+
+// Every node id names one of the cluster's nodes: node 99 on a 10-node
+// cluster is refused (it would index per-node arrays out of range), and
+// so is a stochastic generator over more nodes than the cluster has.
+TEST(StructuralConfigTest, ValidateRejectsNodesOutsideTheCluster) {
+  StructuralFaultConfig config;
+  config.crashes.push_back({units::NodeId{9}, sim::millis(1)});
+  EXPECT_NO_THROW(config.validate(10));
+  config.crashes.push_back(
+      {units::NodeId{99}, sim::millis(10), sim::millis(20)});
+  try {
+    config.validate(10);
+    ADD_FAILURE() << "crash node 99 accepted on a 10-node cluster";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "StructuralFaultConfig: crash node 99 outside the "
+                 "cluster's 10 nodes");
+  }
+
+  config = {};
+  BabbleWindow babble;
+  babble.babbler = units::NodeId{10};
+  babble.slot = units::SlotId{1};
+  babble.at = sim::millis(1);
+  config.babbles.push_back(babble);
+  EXPECT_THROW(config.validate(10), std::invalid_argument);
+
+  config = {};
+  DriftWindow drift;
+  drift.node = units::NodeId{10};
+  drift.at = sim::millis(1);
+  config.drifts.push_back(drift);
+  EXPECT_THROW(config.validate(10), std::invalid_argument);
+
+  config = {};
+  config.stochastic_crashes.crashes_per_second = 1.0;
+  config.stochastic_crashes.horizon = sim::millis(100);
+  config.stochastic_crashes.num_nodes = 11;
+  EXPECT_THROW(config.validate(10), std::invalid_argument);
+  config.stochastic_crashes.num_nodes = 10;
+  EXPECT_NO_THROW(config.validate(10));
 }
 
 TEST(NodeFaultModelTest, ScheduledCrashReplaysInOrder) {
   StructuralFaultConfig config;
   config.crashes.push_back(
       {units::NodeId{1}, sim::millis(5), sim::millis(20)});
-  NodeFaultModel model(config, 1);
+  NodeFaultModel model(config, kNodes, 1);
 
   ASSERT_EQ(model.schedule().size(), 2u);
   EXPECT_EQ(model.schedule()[0].kind, TopologyEventKind::kNodeCrash);
@@ -67,7 +112,7 @@ TEST(NodeFaultModelTest, ScheduledCrashReplaysInOrder) {
 TEST(NodeFaultModelTest, BlackoutFlipsChannelState) {
   StructuralFaultConfig config;
   config.blackouts.push_back({ChannelId::kA, sim::millis(2), sim::millis(6)});
-  NodeFaultModel model(config, 1);
+  NodeFaultModel model(config, kNodes, 1);
 
   (void)model.poll(sim::millis(2));
   EXPECT_TRUE(model.channel_down(ChannelId::kA));
@@ -85,7 +130,7 @@ TEST(NodeFaultModelTest, OverlappingWindowsCoalesce) {
       {units::NodeId{0}, sim::millis(1), sim::millis(10)});
   config.crashes.push_back(
       {units::NodeId{0}, sim::millis(5), sim::millis(15)});
-  NodeFaultModel model(config, 1);
+  NodeFaultModel model(config, kNodes, 1);
 
   ASSERT_EQ(model.schedule().size(), 2u);
   EXPECT_EQ(model.schedule()[0].kind, TopologyEventKind::kNodeCrash);
@@ -103,7 +148,7 @@ TEST(NodeFaultModelTest, BabbleJamsSlotOnConfiguredChannels) {
   babble.at = sim::millis(1);
   babble.until = sim::millis(4);
   config.babbles.push_back(babble);
-  NodeFaultModel model(config, 1);
+  NodeFaultModel model(config, kNodes, 1);
 
   EXPECT_TRUE(model.slot_jammed(units::SlotId{3}, ChannelId::kA,
                                 sim::millis(2)));
@@ -116,7 +161,7 @@ TEST(NodeFaultModelTest, BabbleJamsSlotOnConfiguredChannels) {
 
   // No channel set: the babbler drives both branches.
   config.babbles[0].channel.reset();
-  NodeFaultModel both(config, 1);
+  NodeFaultModel both(config, kNodes, 1);
   EXPECT_TRUE(both.slot_jammed(units::SlotId{3}, ChannelId::kA,
                                sim::millis(2)));
   EXPECT_TRUE(both.slot_jammed(units::SlotId{3}, ChannelId::kB,
@@ -127,7 +172,7 @@ TEST(NodeFaultModelTest, DriftWindowMarksNodeOutOfSync) {
   StructuralFaultConfig config;
   config.drifts.push_back(
       {units::NodeId{1}, sim::millis(3), sim::millis(7), 1500.0});
-  NodeFaultModel model(config, 1);
+  NodeFaultModel model(config, kNodes, 1);
 
   EXPECT_FALSE(model.node_out_of_sync(units::NodeId{1}, sim::millis(2)));
   EXPECT_TRUE(model.node_out_of_sync(units::NodeId{1}, sim::millis(5)));
@@ -145,9 +190,9 @@ TEST(NodeFaultModelTest, StochasticExpansionIsDeterministicPerSeed) {
   config.stochastic_blackouts.mean_outage = sim::millis(3);
   config.stochastic_blackouts.horizon = sim::millis(100);
 
-  NodeFaultModel a(config, 7);
-  NodeFaultModel b(config, 7);
-  NodeFaultModel c(config, 8);
+  NodeFaultModel a(config, kNodes, 7);
+  NodeFaultModel b(config, kNodes, 7);
+  NodeFaultModel c(config, kNodes, 8);
 
   ASSERT_FALSE(a.schedule().empty());
   ASSERT_EQ(a.schedule().size(), b.schedule().size());
@@ -171,7 +216,7 @@ TEST(NodeFaultModelTest, StochasticEventsNeverDoubleCrash) {
   config.stochastic_crashes.mean_time_to_repair = sim::millis(10);
   config.stochastic_crashes.horizon = sim::millis(200);
   config.stochastic_crashes.num_nodes = 3;
-  NodeFaultModel model(config, 11);
+  NodeFaultModel model(config, kNodes, 11);
 
   std::vector<bool> down(3, false);
   for (const auto& ev : model.schedule()) {
@@ -191,7 +236,7 @@ TEST(NodeFaultModelTest, DescribeNamesEveryFaultClass) {
   StructuralFaultConfig config;
   config.crashes.push_back({units::NodeId{0}, sim::millis(1), sim::millis(2)});
   config.blackouts.push_back({ChannelId::kB, sim::millis(1), sim::millis(2)});
-  NodeFaultModel model(config, 1);
+  NodeFaultModel model(config, kNodes, 1);
   const std::string text = model.describe();
   EXPECT_NE(text.find("crash"), std::string::npos);
   EXPECT_NE(text.find("blackout"), std::string::npos);

@@ -21,21 +21,23 @@ PendingMessage msg(std::uint64_t instance, int priority,
 TEST(StaticBufferSetTest, WriteReadClear) {
   StaticBufferSet buffers;
   buffers.add_slot(SlotId{5});
-  EXPECT_TRUE(buffers.owns(SlotId{5}));
-  EXPECT_FALSE(buffers.owns(SlotId{6}));
   EXPECT_FALSE(buffers.read(SlotId{5}).has_value());
-  EXPECT_FALSE(buffers.write(SlotId{5}, msg(1, 0)));
+  buffers.write(SlotId{5}, msg(1, 0));
   ASSERT_TRUE(buffers.read(SlotId{5}).has_value());
   EXPECT_EQ(buffers.read(SlotId{5})->instance, 1u);
   buffers.clear(SlotId{5});
   EXPECT_FALSE(buffers.read(SlotId{5}).has_value());
 }
 
+// A host reads the buffer before it overwrites it: the schemes cancel
+// the copies of an unsent previous value.
 TEST(StaticBufferSetTest, OverwriteReportsPreviousValue) {
   StaticBufferSet buffers;
   buffers.add_slot(SlotId{2});
-  EXPECT_FALSE(buffers.write(SlotId{2}, msg(1, 0)));
-  EXPECT_TRUE(buffers.write(SlotId{2}, msg(2, 0)));  // latest value wins
+  buffers.write(SlotId{2}, msg(1, 0));
+  ASSERT_TRUE(buffers.read(SlotId{2}).has_value());
+  EXPECT_EQ(buffers.read(SlotId{2})->instance, 1u);
+  buffers.write(SlotId{2}, msg(2, 0));  // latest value wins
   EXPECT_EQ(buffers.read(SlotId{2})->instance, 2u);
 }
 
@@ -50,31 +52,13 @@ TEST(StaticBufferSetTest, ReadUnownedSlotIsEmpty) {
   EXPECT_NO_THROW(buffers.clear(SlotId{9}));
 }
 
-TEST(StaticBufferSetTest, OwnedSlotsSorted) {
-  StaticBufferSet buffers;
-  buffers.add_slot(SlotId{9});
-  buffers.add_slot(SlotId{1});
-  buffers.add_slot(SlotId{5});
-  EXPECT_EQ(buffers.owned_slots(),
-            (std::vector<SlotId>{SlotId{1}, SlotId{5}, SlotId{9}}));
-}
-
-TEST(StaticBufferSetTest, PendingCount) {
-  StaticBufferSet buffers;
-  buffers.add_slot(SlotId{1});
-  buffers.add_slot(SlotId{2});
-  EXPECT_EQ(buffers.pending_count(), 0u);
-  buffers.write(SlotId{1}, msg(1, 0));
-  EXPECT_EQ(buffers.pending_count(), 1u);
-}
-
 TEST(DynamicQueueTest, PriorityOrder) {
   DynamicQueue q;
   q.push(msg(1, 5));
   q.push(msg(2, 1));
   q.push(msg(3, 3));
-  ASSERT_TRUE(q.peek_head().has_value());
-  EXPECT_EQ(q.peek_head()->instance, 2u);
+  ASSERT_FALSE(q.empty());
+  EXPECT_EQ(q.contents().front().instance, 2u);
 }
 
 TEST(DynamicQueueTest, FifoWithinPriority) {
@@ -82,9 +66,9 @@ TEST(DynamicQueueTest, FifoWithinPriority) {
   q.push(msg(1, 2));
   q.push(msg(2, 2));
   q.push(msg(3, 2));
-  EXPECT_EQ(q.peek_head()->instance, 1u);
+  EXPECT_EQ(q.contents().front().instance, 1u);
   EXPECT_TRUE(q.pop(1));
-  EXPECT_EQ(q.peek_head()->instance, 2u);
+  EXPECT_EQ(q.contents().front().instance, 2u);
 }
 
 TEST(DynamicQueueTest, PeekByFrameId) {
@@ -114,7 +98,7 @@ TEST(DynamicQueueTest, DropExpiredRemovesOnlyPastDeadline) {
   const auto dropped = q.drop_expired(sim::millis(12));
   ASSERT_EQ(dropped.size(), 2u);
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.peek_head()->instance, 2u);
+  EXPECT_EQ(q.contents().front().instance, 2u);
 }
 
 TEST(DynamicQueueTest, DropExpiredExactDeadlineSurvives) {
@@ -127,7 +111,7 @@ TEST(DynamicQueueTest, DropExpiredExactDeadlineSurvives) {
 TEST(DynamicQueueTest, EmptyBehaviour) {
   DynamicQueue q;
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.peek_head().has_value());
+  EXPECT_TRUE(q.contents().empty());
   EXPECT_FALSE(q.pop(1));
   EXPECT_TRUE(q.drop_expired(sim::seconds(1)).empty());
 }
@@ -142,17 +126,6 @@ TEST(DynamicQueueTest, ContentsInDispatchOrder) {
   EXPECT_EQ(contents[0].instance, 2u);
   EXPECT_EQ(contents[1].instance, 3u);
   EXPECT_EQ(contents[2].instance, 1u);
-}
-
-TEST(NodeTest, IdentityAndOwnership) {
-  Node node(units::NodeId{3}, "brake-ecu");
-  EXPECT_EQ(node.id(), units::NodeId{3});
-  EXPECT_EQ(node.name(), "brake-ecu");
-  node.add_dynamic_frame_id(FrameId{90});
-  node.add_dynamic_frame_id(FrameId{95});
-  EXPECT_EQ(node.dynamic_frame_ids().size(), 2u);
-  node.static_buffers().add_slot(SlotId{4});
-  EXPECT_TRUE(node.static_buffers().owns(SlotId{4}));
 }
 
 }  // namespace

@@ -107,10 +107,10 @@ TEST(StepResponseTest, MonitoredRunIsDeterministicPerSeed) {
 }
 
 TEST(StepResponseTest, DegradedModeShedsDynamicsAndFlagsThePlan) {
-  // An unreachable goal (harsh BER, tight copy cap) must not throw by
-  // default: the scheduler flies the best achievable plan, flags it
-  // degraded, sheds dynamic-segment load and reports both through the
-  // metrics and the trace.
+  // An unreachable goal (harsh BER, tight copy cap) does not throw: the
+  // scheduler flies the best achievable plan, flags it degraded, sheds
+  // dynamic-segment load and reports both through the metrics and the
+  // trace.
   sim::Trace trace;
   ExperimentConfig config;
   config.cluster = paper_cluster_apps();
@@ -139,13 +139,6 @@ TEST(StepResponseTest, DegradedModeShedsDynamicsAndFlagsThePlan) {
   // Degraded mode keeps stolen static slack for the safety-critical
   // statics: no dynamic frames ride the static segment.
   EXPECT_EQ(result.run.dynamic_in_static_slots, 0);
-
-  // Opting into the old contract still throws.
-  ExperimentConfig strict = config;
-  strict.trace = nullptr;
-  strict.throw_on_infeasible = true;
-  EXPECT_THROW((void)run_experiment(strict, SchemeKind::kCoEfficient),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -229,7 +229,8 @@ class SurvivingChannelTest : public ::testing::Test {
     if (blackout) {
       structural.blackouts.push_back(
           {ChannelId::kA, sim::millis(5), sim::millis(25)});
-      provider = std::make_unique<fault::NodeFaultModel>(structural, 1);
+      provider = std::make_unique<fault::NodeFaultModel>(
+          structural, four_node_cluster().num_nodes, 1);
       cluster.set_fault_provider(provider.get());
     }
     cluster.run_cycles(40);

@@ -1,7 +1,7 @@
 // Golden digests of the schemes' behaviour (DESIGN.md §12). The
 // differential suite runs one scheduler on two walks, so a change inside
 // SchedulerBase or inside a scheme moves both walks alike and passes it.
-// These tests pin what the schemes themselves do: for six configurations
+// These tests pin what the schemes themselves do: for ten configurations
 // × three schemes they compare a digest of RunStats::summary() and a
 // digest of the whole trace CSV against values recorded from a known-good
 // build. A digest that moves means the schemes' observable behaviour
@@ -171,6 +171,56 @@ TEST(WalkGoldenTest, BbwMonitorModePolicyAndSilentNodes) {
   expect_golden(config, {{"abb4ae55379aef70", "3a6659f78429ee21"},
                          {"3a1c9e449f5500d9", "11011fa653fc9ad9"},
                          {"d8816d07c0ef2c30", "ce0475b2688cc51b"}});
+}
+
+// CoEfficient's channel-B gate in dynamic_slot and dynamic_next_frame
+// (the single-channel ablation), under the uniform plan.
+TEST(WalkGoldenTest, LoadedSingleChannelUniformPlan) {
+  ExperimentConfig config = loaded();
+  config.ablation_single_channel = true;
+  config.ablation_uniform_plan = true;
+  expect_golden(config, {{"c5b1e107414a8bad", "f2686e36713e2307"},
+                         {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
+                         {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});
+}
+
+// CoEfficient's outcome tally feeds the energy meter.
+TEST(WalkGoldenTest, LoadedWithPower) {
+  ExperimentConfig config = loaded();
+  config.power.enabled = true;
+  expect_golden(config, {{"6fe4ad982d526281", "955071d2693ef31d"},
+                         {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
+                         {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});
+}
+
+// Channel B dark across twenty dynamic segments: FSPEC's and HOSA's
+// mirrors are clocked into a dark wire, CoEfficient's B gate holds its
+// queue.
+TEST(WalkGoldenTest, LoadedChannelBBlackout) {
+  ExperimentConfig config = loaded();
+  config.structural.blackouts.push_back(
+      {flexray::ChannelId::kB, sim::millis(200), sim::millis(300)});
+  expect_golden(config, {{"37f10c2942bd3911", "2e5986589f36e93a"},
+                         {"9e3947ab11eab5fd", "442c1942fece9f91"},
+                         {"b8ba58ba5b28e6ed", "369cd915f11db262"}});
+}
+
+// ρ is out of reach at one copy per message and BER 1e-4: every solver
+// returns its best plan, flagged degraded, and CoEfficient sheds its
+// dynamic load.
+TEST(WalkGoldenTest, BbwUnreachablePlanDegrades) {
+  ExperimentConfig config = bbw();
+  config.ber = 1e-4;
+  config.max_copies = 1;
+  expect_golden(config, {{"d55d81200970ee22", "513677398616c0ae"},
+                         {"be3beac0a9cc264d", "92ec93ed2bed9bd0"},
+                         {"f17836bc8e635c64", "d9b2d3b62dcaa663"}});
+  // At one copy per message the uniform plan is the differentiated one,
+  // reached through solve_uniform's degrade branch.
+  config.ablation_uniform_plan = true;
+  expect_golden(config, {{"d55d81200970ee22", "513677398616c0ae"},
+                         {"be3beac0a9cc264d", "92ec93ed2bed9bd0"},
+                         {"f17836bc8e635c64", "d9b2d3b62dcaa663"}});
 }
 
 }  // namespace

@@ -11,25 +11,15 @@ namespace {
 
 TEST(TraceTest, RecordsEvents) {
   Trace t;
-  t.emit(micros(1), TraceKind::kTxStart, 1, 2, 3, 4, "hello");
+  t.emit(micros(1), TraceKind::kTxSuccess, 1, 2, 3, 4, "hello");
   ASSERT_EQ(t.records().size(), 1u);
   EXPECT_EQ(t.records()[0].at, micros(1));
-  EXPECT_EQ(t.records()[0].kind, TraceKind::kTxStart);
+  EXPECT_EQ(t.records()[0].kind, TraceKind::kTxSuccess);
   EXPECT_EQ(t.records()[0].a, 1);
   EXPECT_EQ(t.records()[0].b, 2);
   EXPECT_EQ(t.records()[0].c, 3);
   EXPECT_EQ(t.records()[0].d, 4);
   EXPECT_EQ(t.records()[0].note, "hello");
-}
-
-TEST(TraceTest, DisabledTraceRecordsNothing) {
-  Trace t;
-  t.set_enabled(false);
-  t.emit(micros(1), TraceKind::kTxStart);
-  EXPECT_TRUE(t.records().empty());
-  t.set_enabled(true);
-  t.emit(micros(2), TraceKind::kTxSuccess);
-  EXPECT_EQ(t.records().size(), 1u);
 }
 
 TEST(TraceTest, CountFiltersByKind) {
@@ -39,7 +29,7 @@ TEST(TraceTest, CountFiltersByKind) {
   t.emit(micros(3), TraceKind::kTxSuccess);
   EXPECT_EQ(t.count(TraceKind::kTxSuccess), 2u);
   EXPECT_EQ(t.count(TraceKind::kTxCorrupted), 1u);
-  EXPECT_EQ(t.count(TraceKind::kDeadlineMiss), 0u);
+  EXPECT_EQ(t.count(TraceKind::kPlanSwap), 0u);
 }
 
 TEST(TraceTest, ClearEmptiesTheLog) {
@@ -51,19 +41,17 @@ TEST(TraceTest, ClearEmptiesTheLog) {
 
 TEST(TraceTest, DumpContainsKindNames) {
   Trace t;
-  t.emit(micros(1), TraceKind::kSlackStolen, 4, 5);
+  t.emit(micros(1), TraceKind::kLoadShed, 4, 5);
   const std::string dump = t.dump();
-  EXPECT_NE(dump.find("slack_stolen"), std::string::npos);
+  EXPECT_NE(dump.find("load_shed"), std::string::npos);
   EXPECT_NE(dump.find("a=4"), std::string::npos);
 }
 
 TEST(TraceTest, AllKindsHaveNames) {
   for (auto kind :
-       {TraceKind::kCycleStart, TraceKind::kSlotStart, TraceKind::kTxStart,
-        TraceKind::kTxSuccess, TraceKind::kTxCorrupted,
-        TraceKind::kRetransmissionScheduled, TraceKind::kSlackStolen,
-        TraceKind::kDeadlineMiss, TraceKind::kDeadlineMet,
-        TraceKind::kQueueDrop, TraceKind::kBerDrift, TraceKind::kPlanSwap,
+       {TraceKind::kCycleStart, TraceKind::kTxSuccess, TraceKind::kTxCorrupted,
+        TraceKind::kRetransmissionScheduled, TraceKind::kBerDrift,
+        TraceKind::kPlanSwap,
         TraceKind::kLoadShed, TraceKind::kNodeCrash, TraceKind::kNodeRestart,
         TraceKind::kChannelDown, TraceKind::kChannelUp, TraceKind::kFailover,
         TraceKind::kVoteResolved, TraceKind::kModeChange,

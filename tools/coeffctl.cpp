@@ -505,9 +505,9 @@ int run_main(const std::vector<std::string>& args) {
                   sim::to_string(config.ber_step_at).c_str());
     }
     if (!config.structural.empty()) {
-      config.structural.validate();
       std::printf("faults   : %s\n",
-                  fault::NodeFaultModel(config.structural, config.seed)
+                  fault::NodeFaultModel(config.structural,
+                                        config.cluster.num_nodes, config.seed)
                       .describe()
                       .c_str());
     }
