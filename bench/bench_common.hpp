@@ -85,13 +85,26 @@ inline double median_of(std::vector<double> samples) {
              : 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
-/// Run the cell grid through SweepRunner on `jobs` workers (0 =
-/// COEFF_JOBS, else hardware threads), write the timing JSON to
-/// `sweep_json` unless it is empty, and print a one-line summary to
-/// stderr.
-inline core::SweepReport run_sweep(const std::string& suite,
-                                   const std::vector<core::SweepCell>& cells,
-                                   int jobs, const std::string& sweep_json) {
+/// Shared prologue of every figure binary: parse the common flags (exit
+/// 2 on a bad one), run the grid through SweepRunner on `--jobs` workers
+/// (0 = COEFF_JOBS, else hardware threads), write the timing JSON unless
+/// `--sweep-json` is empty, print a one-line summary to stderr and the
+/// figure banner to stdout. Keeps the six binaries down to "build cells,
+/// format rows". Figure rows on stdout are byte-identical for any
+/// --jobs; timing lives on stderr and in the JSON report.
+inline core::SweepReport run_figure(int argc, char** argv,
+                                    const std::string& suite,
+                                    const std::string& title,
+                                    const std::vector<core::SweepCell>& cells) {
+  int jobs = 0;
+  std::string sweep_json = "BENCH_sweep.json";
+  const cli::Table table{std::string(argv[0]) + " [options]",
+                         "Regenerates " + title + ".",
+                         cli::sweep_rows(jobs, sweep_json)};
+  if (const auto code = cli::early_exit(
+          table, argv[0], std::vector<std::string>(argv + 1, argv + argc))) {
+    std::exit(*code);
+  }
   const core::SweepRunner runner(jobs);
   core::SweepReport report = runner.run(cells);
   if (!sweep_json.empty()) {
@@ -111,28 +124,6 @@ inline core::SweepReport run_sweep(const std::string& suite,
                suite.c_str(), report.cells.size(), report.jobs,
                report.total_wall_seconds, report.serial_estimate_seconds,
                report.speedup_estimate(), sink.c_str());
-  return report;
-}
-
-/// Shared prologue of every figure binary: parse the common flags (exit
-/// 2 on a bad one), run the grid through the sweep reporter, and print
-/// the figure banner. Keeps the six binaries down to "build cells,
-/// format rows". Figure rows on stdout are byte-identical for any
-/// --jobs; timing lives on stderr and in the JSON report.
-inline core::SweepReport run_figure(int argc, char** argv,
-                                    const std::string& suite,
-                                    const std::string& title,
-                                    const std::vector<core::SweepCell>& cells) {
-  int jobs = 0;
-  std::string sweep_json = "BENCH_sweep.json";
-  const cli::Table table{std::string(argv[0]) + " [options]",
-                         "Regenerates " + title + ".",
-                         cli::sweep_rows(jobs, sweep_json)};
-  if (const auto code = cli::early_exit(
-          table, argv[0], std::vector<std::string>(argv + 1, argv + argc))) {
-    std::exit(*code);
-  }
-  core::SweepReport report = run_sweep(suite, cells, jobs, sweep_json);
   std::printf("%s\n", title.c_str());
   return report;
 }

@@ -76,7 +76,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   if (which == 0) {
-    cli::RunOptions opt;
+    cli::ExperimentOptions opt;
     (void)bound(cli::run_table(opt), args);
   } else if (which == 1) {
     cli::LintOptions opt;

@@ -8,9 +8,7 @@
 
 namespace coeff::campaign {
 
-const char* to_string(Isolation isolation) {
-  return isolation == Isolation::kProcess ? "process" : "thread";
-}
+const char* to_string(Isolation /*isolation*/) { return "process"; }
 
 void CampaignManifest::validate() const {
   auto require = [](bool ok, const char* what) {
@@ -124,13 +122,7 @@ ManifestLoad parse_manifest(std::string_view bytes) {
     } else if (key == "shards") {
       ok = units::parse_count(value, m.shards);
     } else if (key == "isolation") {
-      if (value == "process") {
-        m.isolation = Isolation::kProcess;
-      } else if (value == "thread") {
-        m.isolation = Isolation::kThread;
-      } else {
-        ok = false;
-      }
+      ok = value == "process";
     } else if (key == "watchdog_ms") {
       ok = units::parse_count(value, m.watchdog_ms);
     } else if (key == "max_attempts") {

@@ -19,9 +19,13 @@
 
 namespace coeff::campaign {
 
+/// How shards run: always one forked worker per shard, under the
+/// supervisor's watchdog and retry. The one-value enum stays because
+/// every manifest carries an `isolation=process` line (existing
+/// campaigns must keep loading byte for byte, and the report prints
+/// the word), and the benchmark harness sets the field.
 enum class Isolation : std::uint8_t {
-  kProcess,  ///< one forked worker per shard; watchdog + retry active
-  kThread,   ///< in-process runtime::ThreadPool; no kill-based watchdog
+  kProcess,
 };
 
 [[nodiscard]] const char* to_string(Isolation isolation);
@@ -34,7 +38,7 @@ struct CampaignManifest {
   int shards = 1;
   Isolation isolation = Isolation::kProcess;
   /// Per-cell watchdog budget; a cell exceeding it gets its shard
-  /// killed and the cell retried (process isolation only).
+  /// killed and the cell retried.
   std::int64_t watchdog_ms = 30'000;
   /// Attempts before a cell is quarantined as poison (>= 1).
   int max_attempts = 2;

@@ -22,7 +22,6 @@
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/report.hpp"
-#include "runtime/thread_pool.hpp"
 #include "units/number.hpp"
 
 namespace coeff::campaign {
@@ -144,9 +143,9 @@ bool cell_in_list(const std::vector<std::int64_t>& list, std::int64_t cell) {
 }
 
 /// Append a quarantine verdict: Q record in the checkpoint, failed row
-/// (with the repro seed) in the result file. Called either by the
-/// supervisor while the shard's worker is dead, or by a thread-mode
-/// worker itself — never concurrently with the worker's own appends.
+/// (with the repro seed) in the result file. Called only by the
+/// supervisor while the shard's worker is dead, so never concurrently
+/// with the worker's own appends.
 bool quarantine_cell(const std::string& dir, const CampaignManifest& manifest,
                      int shard, std::int64_t cell, int attempts,
                      const std::string& reason, bool durable) {
@@ -202,9 +201,9 @@ bool reconcile_shard(const std::string& dir, const CampaignManifest& manifest,
   return true;
 }
 
-/// The shard worker loop, shared by forked processes and pool threads.
-/// Exit codes: 0 done, 2 unrecoverable checkpoint IO error, 3 cell
-/// threw (process mode lets the supervisor retry/quarantine).
+/// The shard worker loop, run in a forked child. Exit codes: 0 done, 2
+/// unrecoverable checkpoint IO error; a cell that throws exits 3 and an
+/// injected crash 42, and the supervisor retries or quarantines it.
 int run_shard_worker(const CampaignOptions& options, int shard) {
   const CampaignManifest& manifest = options.manifest;
   const std::string ckpt_path =
@@ -247,17 +246,7 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
     }
 
     // Deterministic failure injection (tests / CI smoke).
-    if (cell_in_list(options.crash_cells, cell)) {
-      if (manifest.isolation == Isolation::kProcess) _exit(42);
-      // Thread mode cannot crash a worker; quarantine directly.
-      (void)::close(results_fd);
-      writer.close();
-      if (!quarantine_cell(options.dir, manifest, shard, cell, attempt,
-                           "crash", options.durable)) {
-        return 2;
-      }
-      return run_shard_worker(options, shard);  // reopen and continue
-    }
+    if (cell_in_list(options.crash_cells, cell)) _exit(42);
     if (cell_in_list(options.hang_cells, cell)) {
       while (true) std::this_thread::sleep_for(std::chrono::seconds(3600));
     }
@@ -268,17 +257,7 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
       const core::ExperimentConfig config = generator.config(spec);
       row = make_row(spec, core::run_experiment(config, spec.scheme));
     } catch (const std::exception&) {
-      if (manifest.isolation == Isolation::kProcess) {
-        // Let the supervisor account the attempt and retry/quarantine.
-        _exit(3);
-      }
-      (void)::close(results_fd);
-      writer.close();
-      if (!quarantine_cell(options.dir, manifest, shard, cell, attempt,
-                           "exception", options.durable)) {
-        return 2;
-      }
-      return run_shard_worker(options, shard);
+      _exit(3);  // the supervisor accounts the attempt
     }
 
     // Result row first (fsync'd), done record second: a cell only ever
@@ -506,38 +485,6 @@ CampaignOutcome supervise_processes(const CampaignOptions& options,
   return outcome;
 }
 
-CampaignOutcome run_threads(const CampaignOptions& options) {
-  const CampaignManifest& manifest = options.manifest;
-  CampaignOutcome outcome;
-  outcome.total_cells = manifest.cells;
-  for (int shard = 0; shard < manifest.shards; ++shard) {
-    if (!reconcile_shard(options.dir, manifest, shard, options.durable)) {
-      outcome.error = "shard " + std::to_string(shard) +
-                      ": checkpoint unrecoverable (see campaign lint)";
-      return outcome;
-    }
-  }
-  const std::size_t pool_size = std::min<std::size_t>(
-      static_cast<std::size_t>(manifest.shards),
-      runtime::ThreadPool::hardware_threads());
-  runtime::ThreadPool pool(pool_size);
-  std::vector<int> codes(static_cast<std::size_t>(manifest.shards), 0);
-  for (int shard = 0; shard < manifest.shards; ++shard) {
-    pool.submit([&options, &codes, shard] {
-      codes[static_cast<std::size_t>(shard)] =
-          run_shard_worker(options, shard);
-    });
-  }
-  pool.wait_idle();
-  for (int shard = 0; shard < manifest.shards; ++shard) {
-    if (codes[static_cast<std::size_t>(shard)] != 0) {
-      outcome.error = "shard " + std::to_string(shard) +
-                      " failed with checkpoint IO errors";
-    }
-  }
-  return outcome;
-}
-
 /// Final accounting over the checkpoints; fills completed/quarantined/
 /// degraded and decides ok.
 void finalize(const std::string& dir, CampaignManifest manifest,
@@ -595,9 +542,7 @@ CampaignOutcome execute(const CampaignOptions& options) {
     return outcome;
   }
 
-  outcome = options.manifest.isolation == Isolation::kProcess
-                ? supervise_processes(options, lock_fd)
-                : run_threads(options);
+  outcome = supervise_processes(options, lock_fd);
   finalize(options.dir, options.manifest, outcome);
   (void)::flock(lock_fd, LOCK_UN);
   (void)::close(lock_fd);

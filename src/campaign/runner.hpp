@@ -1,24 +1,16 @@
 // Crash-safe sharded campaign runner (DESIGN.md §13).
 //
-// Cells are assigned to shards by `cell % shards`. Under process
-// isolation (the default) each shard is a forked worker that replays
-// its checkpoint, skips finished/quarantined cells, and brackets every
-// cell with fsync'd intent/done records; the parent is a
-// single-threaded supervisor that watches checkpoint progress, kills a
-// shard whose in-flight cell exceeds the watchdog budget, retries with
-// exponential backoff, and quarantines a cell that exhausts its
-// attempt budget (the failed row records the repro seed). Workers die
-// with the supervisor (PR_SET_PDEATHSIG), so a `kill -9` of the whole
-// campaign leaves only fsync'd state behind — `resume` picks up from
-// the manifest + checkpoints alone and the final aggregate is
+// Cells are assigned to shards by `cell % shards`. Each shard is a
+// forked worker that replays its checkpoint, skips finished/quarantined
+// cells, and brackets every cell with fsync'd intent/done records; the
+// parent is a single-threaded supervisor that watches checkpoint
+// progress, kills a shard whose in-flight cell exceeds the watchdog
+// budget, retries with exponential backoff, and quarantines a cell that
+// exhausts its attempt budget (the failed row records the repro seed).
+// Workers die with the supervisor (PR_SET_PDEATHSIG), so a `kill -9` of
+// the whole campaign leaves only fsync'd state behind — `resume` picks
+// up from the manifest + checkpoints alone and the final aggregate is
 // byte-identical to an uninterrupted run.
-//
-// Thread isolation runs the same worker loop on a runtime::ThreadPool
-// inside one process: cheaper, still checkpointed and resumable after
-// a kill, but with no kill-based watchdog (a hung cell hangs its
-// worker thread); poison handling degrades to quarantining cells that
-// throw. Use it for fast trusted sweeps, process isolation for
-// overnight campaigns.
 #pragma once
 
 #include <cstdint>

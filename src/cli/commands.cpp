@@ -253,12 +253,12 @@ std::vector<Row> fault_model_rows(fault::FaultModelConfig& fm) {
   };
 }
 
-Table run_table(RunOptions& opt) {
+Table run_table(ExperimentOptions& opt) {
   return {"coeffctl [options]",
           "Runs one CoEfficient/FSPEC/HOSA experiment and prints its metrics."
           "\nSubcommands: lint, analyze --prob, campaign VERB (see --help)."
           "\nExit status: 0 ok, 1 the run failed, 2 usage error.",
-          join({sweep_rows(opt.jobs, opt.sweep_json), experiment_rows(opt)})};
+          experiment_rows(opt)};
 }
 
 Table lint_table(LintOptions& opt) {
@@ -315,10 +315,6 @@ Table campaign_table(CampaignFlags& opt) {
        number("--seed", "N", "run: campaign seed", m.seed, std::uint64_t{0},
               kU64Max),
        number("--shards", "N", "run: worker shards", m.shards, 1, 4096),
-       choice("--isolation", "NAME", "run: forked workers or a thread pool",
-              m.isolation,
-              {{"process", campaign::Isolation::kProcess},
-               {"thread", campaign::Isolation::kThread}}),
        spec("--name", "S", "run: name recorded in the manifest",
             "(no control characters)",
             [&m](std::string_view value) {

@@ -1,7 +1,7 @@
 // coeffctl's flag tables and the options they bind, next to the engine so
-// fuzz/cli_fuzz drives the tables the binary ships. run = sweep +
-// experiment rows; lint and analyze = their own rows + experiment rows;
-// campaign = its own rows, with the verb as the positional argument.
+// fuzz/cli_fuzz drives the tables the binary ships. run = experiment
+// rows; lint and analyze = their own rows + experiment rows; campaign =
+// its own rows, with the verb as the positional argument.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +36,6 @@ struct ExperimentOptions {
   std::optional<sched::CriticalitySpec> criticality;
 };
 
-struct RunOptions : ExperimentOptions {
-  int jobs = 1;
-  std::string sweep_json;
-};
-
 struct LintOptions : ExperimentOptions {
   bool trace = false;
   bool list_rules = false;
@@ -71,12 +66,12 @@ struct CampaignFlags {
   campaign::CampaignManifest manifest;
 };
 
-/// --jobs and --sweep-json, shared with the figure binaries.
+/// --jobs and --sweep-json of the figure binaries.
 [[nodiscard]] std::vector<Row> sweep_rows(int& jobs, std::string& sweep_json);
 /// --fault-model and its parameters, shared with examples/fault_injection.
 [[nodiscard]] std::vector<Row> fault_model_rows(fault::FaultModelConfig& fm);
 
-[[nodiscard]] Table run_table(RunOptions& opt);
+[[nodiscard]] Table run_table(ExperimentOptions& opt);
 [[nodiscard]] Table lint_table(LintOptions& opt);
 [[nodiscard]] Table analyze_table(AnalyzeOptions& opt);
 [[nodiscard]] Table campaign_table(CampaignFlags& opt);

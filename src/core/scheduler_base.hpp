@@ -30,9 +30,9 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// (on_arrival) and should respect the same window. Throws
   /// std::invalid_argument when a message id is both static and dynamic,
   /// or when a message names a node outside [0, cfg.num_nodes).
-  /// `table` lets a subclass install a table built from an expanded set
-  /// (FSPEC's pre-planned redundancy); by default the table is built
-  /// from `statics` directly.
+  /// `table` lets a subclass install a table it built itself (FSPEC's
+  /// exclusive-slot table); by default the table is built from
+  /// `statics` with cycle multiplexing.
   SchedulerBase(const flexray::ClusterConfig& cfg, net::MessageSet statics,
                 net::MessageSet dynamics, sim::Time batch_window,
                 std::optional<sched::StaticScheduleTable> table = std::nullopt);

@@ -9,9 +9,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
 #include "units/number.hpp"
 
 namespace coeff::core {
@@ -22,6 +22,11 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The worker count the host reports, never less than 1.
+unsigned hardware_threads() {
+  return std::max(1U, std::thread::hardware_concurrency());
 }
 
 }  // namespace
@@ -35,7 +40,7 @@ int SweepRunner::resolve_jobs(int requested) {
     int n = 0;
     if (units::parse_number(env, n) && n > 0) return n;
   }
-  return static_cast<int>(runtime::ThreadPool::hardware_threads());
+  return static_cast<int>(hardware_threads());
 }
 
 SweepReport SweepRunner::run(const std::vector<SweepCell>& cells) const {
@@ -46,9 +51,9 @@ SweepReport SweepRunner::run(const std::vector<SweepCell>& cells) const {
 
   const auto run_cell = [&](std::size_t i) {
     SweepCellResult& out = report.cells[i];
-    out.label = cells[i].label;
     const auto start = Clock::now();
     try {
+      out.label = cells[i].label;
       out.result = run_experiment(cells[i].config, cells[i].scheme);
     } catch (...) {
       errors[i] = std::current_exception();
@@ -62,22 +67,22 @@ SweepReport SweepRunner::run(const std::vector<SweepCell>& cells) const {
   } else {
     // Dynamic assignment: workers pull the next unclaimed cell, so a
     // slow cell never blocks the rest of the grid. Each result lands in
-    // its own pre-sized slot — no ordering races.
-    runtime::ThreadPool pool(static_cast<std::size_t>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_),
-                              cells.size())));
+    // its own pre-sized slot — no ordering races. run_cell catches every
+    // exception, so no worker ends the program.
     std::atomic<std::size_t> next{0};
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= report.cells.size()) return;
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(jobs_), cells.size());
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&] {
+        for (std::size_t i = next.fetch_add(1); i < cells.size();
+             i = next.fetch_add(1)) {
           run_cell(i);
         }
       });
     }
-    pool.wait_idle();
-  }
+  }  // the jthreads join here, before the results are read
   report.total_wall_seconds = seconds_since(total_start);
   for (const SweepCellResult& cell : report.cells) {
     report.serial_estimate_seconds += cell.wall_seconds;
@@ -104,7 +109,7 @@ std::string sweep_report_json(const SweepReport& report,
       << "  \"suite\": \"" << escape(suite) << "\",\n"
       << "  \"jobs\": " << report.jobs << ",\n"
       << "  \"hardware_concurrency\": "
-      << runtime::ThreadPool::hardware_threads() << ",\n"
+      << hardware_threads() << ",\n"
       << "  \"total_wall_s\": " << report.total_wall_seconds << ",\n"
       << "  \"serial_estimate_s\": " << report.serial_estimate_seconds
       << ",\n"

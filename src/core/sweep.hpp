@@ -59,7 +59,8 @@ class SweepRunner {
 
   /// Run every cell and return per-cell results in input order.
   /// jobs() == 1 runs inline on the calling thread (the serial
-  /// reference); otherwise cells are distributed over a thread pool.
+  /// reference); otherwise min(jobs(), cells) worker threads take the
+  /// next unclaimed cell until none is left.
   /// The first cell exception (in input order) is rethrown after all
   /// workers finish.
   [[nodiscard]] SweepReport run(const std::vector<SweepCell>& cells) const;

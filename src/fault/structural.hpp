@@ -13,7 +13,7 @@
 //    every frame sent there collides and arrives corrupted.
 //  * Clock-drift excursions — a node's oscillator runs far beyond the
 //    sync budget; its frames miss the action point and are unreceivable
-//    (see flexray::DriftExcursion for the sync-algorithm view).
+//    whatever the excursion's size.
 //
 // fault::NodeFaultModel implements flexray::StructuralFaultProvider
 // (the interface lives in flexray/ because coeff_fault links against
@@ -61,8 +61,10 @@ struct BabbleWindow {
 };
 
 /// Node `node` drifted beyond the sync bound over [at, until); its
-/// transmissions are unreceivable. `excess_ppm` documents the severity
-/// (and feeds flexray::DriftExcursion when the sync layer is co-run).
+/// transmissions are unreceivable. `excess_ppm` records the severity
+/// (`--drift`'s PPM field; the campaign generator draws one per window)
+/// and must be > 0, but the walk does not read it: any excursion
+/// silences the node.
 struct DriftWindow {
   units::NodeId node{0};
   sim::Time at;

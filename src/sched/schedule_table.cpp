@@ -40,12 +40,7 @@ StaticScheduleTable StaticScheduleTable::build(
     order.push_back(&m);
   }
   std::sort(order.begin(), order.end(),
-            [&options](const net::Message* a, const net::Message* b) {
-              if (options.rank) {
-                const int ra = options.rank(*a);
-                const int rb = options.rank(*b);
-                if (ra != rb) return ra < rb;
-              }
+            [](const net::Message* a, const net::Message* b) {
               if (a->deadline != b->deadline) return a->deadline < b->deadline;
               if (a->period != b->period) return a->period < b->period;
               return a->id < b->id;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -36,10 +35,6 @@ struct SlotAssignment {
 };
 
 struct TableBuildOptions {
-  /// Placement-phase rank: messages with smaller rank are placed first
-  /// (within a rank the (deadline, period) greedy order applies). Used
-  /// e.g. to place primaries before pre-planned redundant copies.
-  std::function<int(const net::Message&)> rank;
   /// Reserve a whole slot per message (repetition 1, owned every cycle)
   /// instead of cycle multiplexing — the plain FlexRay-spec behaviour
   /// the FSPEC baseline models. Wastes the occurrences between releases.

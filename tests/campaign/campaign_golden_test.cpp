@@ -1,8 +1,7 @@
 // Golden digests of everything a campaign writes and prints (DESIGN.md
-// §13). Three seeded 48-cell campaigns on 3 shards under thread
-// isolation: all three schemes; the same with the mixed-criticality axis
-// and longer windows, so the mode and energy counters are non-zero; and
-// one with a
+// §13). Three seeded 48-cell campaigns on 3 shards: all three schemes;
+// the same with the mixed-criticality axis and longer windows, so the
+// mode and energy counters are non-zero; and one with a
 // crash-quarantined cell and a shed row. Each test compares the FNV-1a of
 // the manifest, of every shard's rows and checkpoint, of both report
 // renders, of the consistency lint's text and of the analytic
@@ -54,7 +53,6 @@ CampaignManifest golden_manifest(const char* name) {
   manifest.seed = 2026;
   manifest.cells = 48;
   manifest.shards = 3;
-  manifest.isolation = Isolation::kThread;
   manifest.backoff_base_ms = 20;
   manifest.distribution.window_ms = 50;
   manifest.distribution.schemes = {core::SchemeKind::kCoEfficient,
@@ -124,14 +122,14 @@ void expect_golden(const Digests& got, const Digests& want) {
 
 TEST(CampaignGoldenTest, AllSchemes) {
   const std::string dir = run_campaign(golden_manifest("schemes"));
-  expect_golden(digest_campaign(dir), {{"manifest", "98cd69cfc6147601"},
+  expect_golden(digest_campaign(dir), {{"manifest", "858bb8d81d57af39"},
                                        {"rows 0", "76c6657ddfa320f9"},
                                        {"ckpt 0", "5d63356606fc02ea"},
                                        {"rows 1", "bda22fa0c777b2a8"},
                                        {"ckpt 1", "15bafeea29ed60bd"},
                                        {"rows 2", "5678e753b57cc4ec"},
                                        {"ckpt 2", "b5ebb22a2ba8f0a7"},
-                                       {"report text", "5e55fcae69318329"},
+                                       {"report text", "344125563baf8a3c"},
                                        {"report json", "c4e5466f713538e0"},
                                        {"lint", "cbf29ce484222325"},
                                        {"cross-check", "f7f26ba9ea42a153"}});
@@ -143,14 +141,14 @@ TEST(CampaignGoldenTest, Criticality) {
   // Long enough that every m_* and e_* total is non-zero.
   manifest.distribution.window_ms = 400;
   const std::string dir = run_campaign(manifest);
-  expect_golden(digest_campaign(dir), {{"manifest", "9b722b54b46fc5fd"},
+  expect_golden(digest_campaign(dir), {{"manifest", "80652e657427a6b7"},
                                        {"rows 0", "d108510854dcade7"},
                                        {"ckpt 0", "5d63356606fc02ea"},
                                        {"rows 1", "4a66571b60e20af4"},
                                        {"ckpt 1", "15bafeea29ed60bd"},
                                        {"rows 2", "23704f531933d281"},
                                        {"ckpt 2", "b5ebb22a2ba8f0a7"},
-                                       {"report text", "18b93a99f74eacbf"},
+                                       {"report text", "aa6c9f9a54a70184"},
                                        {"report json", "74d2892234e9ff78"},
                                        {"lint", "cbf29ce484222325"},
                                        {"cross-check", "1868e735a74647f4"}});
@@ -165,15 +163,15 @@ TEST(CampaignGoldenTest, QuarantineAndShed) {
   std::ofstream(shard_results_path(dir, 10 % manifest.shards),
                 std::ios::app | std::ios::binary)
       << render_row(make_shed_row(generator.spec(10))) << '\n';
-  expect_golden(digest_campaign(dir), {{"manifest", "15923b6bc75a2c00"},
+  expect_golden(digest_campaign(dir), {{"manifest", "b3c3e33f458050eb"},
                                        {"rows 0", "76c6657ddfa320f9"},
                                        {"ckpt 0", "5d63356606fc02ea"},
-                                       {"rows 1", "c0c87662cd09339a"},
-                                       {"ckpt 1", "bedb66352bd7160c"},
+                                       {"rows 1", "bf56a378d27ba501"},
+                                       {"ckpt 1", "d046d7aeda1a717c"},
                                        {"rows 2", "5678e753b57cc4ec"},
                                        {"ckpt 2", "b5ebb22a2ba8f0a7"},
-                                       {"report text", "eeac03bd4b0996a4"},
-                                       {"report json", "e82c4d8f729fbc32"},
+                                       {"report text", "498544ead6107df6"},
+                                       {"report json", "0b8c852b775895d3"},
                                        {"lint", "cbf29ce484222325"},
                                        {"cross-check", "4bc6634acc24b713"}});
 }

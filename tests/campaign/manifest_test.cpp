@@ -18,7 +18,6 @@ CampaignManifest sample() {
   manifest.seed = 1234567890123ULL;
   manifest.cells = 5000;
   manifest.shards = 8;
-  manifest.isolation = Isolation::kThread;
   manifest.watchdog_ms = 12000;
   manifest.max_attempts = 3;
   manifest.backoff_base_ms = 150;
@@ -101,6 +100,14 @@ TEST(Manifest, RejectsUnknownKeysAndVersions) {
   char crc_line[24];
   std::snprintf(crc_line, sizeof crc_line, "#crc32=%08X", crc32(body));
   EXPECT_FALSE(parse_manifest(body + crc_line + "\n").ok);
+
+  // Shards always fork: a manifest naming thread isolation is refused
+  // like any unknown value.
+  std::string thread = bytes.substr(0, trailer);
+  thread.replace(thread.find("isolation=process"), 17, "isolation=thread");
+  std::snprintf(crc_line, sizeof crc_line, "#crc32=%08X", crc32(thread));
+  EXPECT_EQ(parse_manifest(thread + crc_line + "\n").error,
+            "manifest: bad field 'isolation'");
 
   std::string v2 = "coeffcamp-manifest v2\n";
   std::snprintf(crc_line, sizeof crc_line, "#crc32=%08X", crc32(v2));

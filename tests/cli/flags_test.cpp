@@ -251,12 +251,12 @@ TEST(CoeffctlTables, CampaignRangesMatchTheManifestValidator) {
 }
 
 TEST(CoeffctlTables, ExperimentRowsBindTheConfigDirectly) {
-  RunOptions opt;
+  ExperimentOptions opt;
   ASSERT_TRUE(accepts(run_table(opt),
                       {"--ber", "1e-5", "--sil", "4", "--window-ms", "250",
                        "--seed", "7", "--ber-step-ms", "100", "--ber-step",
                        "2e-5", "--monitor", "--monitor-factor", "3",
-                       "--outage-ms", "10", "--vote", "3", "--jobs", "0"}));
+                       "--outage-ms", "10", "--vote", "3"}));
   const core::ExperimentConfig& c = opt.config;
   EXPECT_EQ(c.ber, 1e-5);
   EXPECT_EQ(c.sil, fault::Sil::kSil4);
@@ -268,7 +268,6 @@ TEST(CoeffctlTables, ExperimentRowsBindTheConfigDirectly) {
   EXPECT_EQ(c.monitor.trigger_factor, 3.0);
   EXPECT_EQ(c.structural.stochastic_blackouts.mean_outage, sim::millis(10));
   EXPECT_EQ(c.vote_replicas, 3);
-  EXPECT_EQ(opt.jobs, 0);
 }
 
 TEST(CoeffctlTables, StructuralSpecsParseEveryFieldAndAccumulate) {
@@ -305,9 +304,15 @@ TEST(CoeffctlTables, StructuralSpecsParseEveryFieldAndAccumulate) {
 }
 
 TEST(CoeffctlTables, SubcommandTablesRejectEachOthersFlags) {
-  RunOptions run;
+  ExperimentOptions run;
   EXPECT_FALSE(accepts(run_table(run), {"--list-rules"}));
   EXPECT_FALSE(accepts(run_table(run), {"--trace"}));
+  // A run is one experiment, not a sweep, and shards always fork.
+  EXPECT_FALSE(accepts(run_table(run), {"--jobs", "2"}));
+  EXPECT_FALSE(accepts(run_table(run), {"--sweep-json", "x.json"}));
+  CampaignFlags campaign;
+  EXPECT_FALSE(accepts(campaign_table(campaign),
+                       {"run", "--dir", "d", "--isolation", "thread"}));
   LintOptions lint;
   EXPECT_FALSE(accepts(lint_table(lint), {"--jobs", "2"}));
   EXPECT_TRUE(accepts(lint_table(lint), {"--sarif", ""}));
@@ -323,7 +328,7 @@ TEST(CoeffctlTables, SubcommandTablesRejectEachOthersFlags) {
 }
 
 TEST(CoeffctlTables, ModePolicyAndCriticalityParseAtTheFlag) {
-  RunOptions opt;
+  ExperimentOptions opt;
   ASSERT_TRUE(accepts(run_table(opt),
                       {"--mode-policy", "aggressive,dwell=5", "--criticality",
                        "static=high,7=medium"}));
@@ -335,14 +340,14 @@ TEST(CoeffctlTables, ModePolicyAndCriticalityParseAtTheFlag) {
       accepts(run_table(opt), {"--mode-policy", "", "--criticality", ""}));
   EXPECT_FALSE(opt.config.mode_policy.enabled);
   EXPECT_FALSE(opt.criticality.has_value());
-  RunOptions bad;
+  ExperimentOptions bad;
   EXPECT_FALSE(accepts(run_table(bad), {"--mode-policy", "bogus"}));
   EXPECT_FALSE(accepts(run_table(bad), {"--criticality", "7=ultra"}));
 }
 
 /// Every row of every shipped table, with fresh options behind it.
 struct Shipped {
-  RunOptions run;
+  ExperimentOptions run;
   LintOptions lint;
   AnalyzeOptions analyze;
   CampaignFlags campaign;

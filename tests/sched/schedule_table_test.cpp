@@ -197,17 +197,6 @@ TEST(ScheduleTableTest, OverloadReportsUnplaced) {
   EXPECT_EQ(table.unplaced().size(), 2u);
 }
 
-TEST(ScheduleTableTest, RankOptionControlsPlacementOrder) {
-  // With default order both messages compete by deadline; ranking the
-  // second one first hands it the better slot.
-  net::MessageSet set({msg(1, 0, 5, 5, 400), msg(2, 1, 5, 5, 400)});
-  TableBuildOptions options;
-  options.rank = [](const net::Message& m) { return m.id == 2 ? 0 : 1; };
-  const auto table = StaticScheduleTable::build(set, config_5ms(), options);
-  EXPECT_EQ(table.assignment_of(2)->slot, units::SlotId{1});
-  EXPECT_EQ(table.assignment_of(1)->slot, units::SlotId{2});
-}
-
 TEST(ScheduleTableTest, AssignmentLookupByMessage) {
   const auto table = StaticScheduleTable::build(
       net::MessageSet({msg(7, 0, 5, 5, 400)}), config_5ms());

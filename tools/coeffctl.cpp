@@ -26,7 +26,6 @@
 #include "analysis/prob_wcrt.hpp"
 #include "analysis/schedule_lint.hpp"
 #include "analysis/trace_lint.hpp"
-#include "bench_common.hpp"
 #include "campaign/checkpoint.hpp"
 #include "campaign/cross_check.hpp"
 #include "campaign/lint.hpp"
@@ -35,7 +34,6 @@
 #include "campaign/runner.hpp"
 #include "cli/commands.hpp"
 #include "core/experiment.hpp"
-#include "core/sweep.hpp"
 #include "net/csv.hpp"
 #include "net/workloads.hpp"
 #include "sched/criticality.hpp"
@@ -480,7 +478,7 @@ int campaign_main(const std::vector<std::string>& args) {
 /// Plain `coeffctl [options]`: one experiment, metrics on stdout.
 /// Exit status 0 = ok, 1 = the run failed, 2 = usage.
 int run_main(const std::vector<std::string>& args) {
-  cli::RunOptions opt;
+  cli::ExperimentOptions opt;
   if (const auto code =
           cli::early_exit(cli::run_table(opt), "coeffctl", args)) {
     return *code;
@@ -519,10 +517,7 @@ int run_main(const std::vector<std::string>& args) {
                   config.silent_cycle_threshold);
     }
     std::printf("\n");
-    const auto report = bench::run_sweep(
-        "coeffctl", {{config, scheme, core::to_string(scheme)}}, opt.jobs,
-        opt.sweep_json);
-    const auto& result = report.cells.front().result;
+    const core::ExperimentResult result = core::run_experiment(config, scheme);
     std::printf("%s", result.run.summary().c_str());
     std::printf("reliability: target=%.10f scheduled=%.10f\n",
                 result.rho_target, result.reliability_scheduled);
