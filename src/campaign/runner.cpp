@@ -1,9 +1,11 @@
 #include "campaign/runner.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -306,7 +309,39 @@ struct ShardState {
   std::size_t progress_marker = 0;  ///< done+quarantined count last seen
   Clock::time_point last_progress = Clock::now();
   int consecutive_failures = 0;
+  int pidfd = -1;  ///< readable once the running worker exits; -1 if none
 };
+
+/// A pidfd for `pid`, or -1 where the kernel offers none. Opened through
+/// syscall(): glibc's <sys/pidfd.h> lacks C linkage under C++.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
+
+void close_pidfd(ShardState& state) {
+  if (state.pidfd >= 0) (void)::close(state.pidfd);
+  state.pidfd = -1;
+}
+
+/// Sleeps up to `poll_ms`, and wakes as soon as a running worker with a
+/// pidfd exits.
+void wait_for_exit(const std::vector<ShardState>& shards,
+                   std::int64_t poll_ms) {
+  std::vector<pollfd> fds;
+  for (const ShardState& state : shards) {
+    if (state.phase == ShardState::Phase::kRunning && state.pidfd >= 0) {
+      fds.push_back({state.pidfd, POLLIN, 0});
+    }
+  }
+  (void)::poll(fds.data(), fds.size(),
+               static_cast<int>(std::min<std::int64_t>(
+                   poll_ms, std::numeric_limits<int>::max())));
+}
 
 /// Hard cap on fruitless restarts of one shard: enough for every retry
 /// the policy allows plus slack, far below "forever".
@@ -402,6 +437,7 @@ CampaignOutcome supervise_processes(const CampaignOptions& options,
           state.phase = ShardState::Phase::kBroken;
           continue;
         }
+        state.pidfd = open_pidfd(state.pid);
         state.phase = ShardState::Phase::kRunning;
         state.last_progress = Clock::now();
         state.watch_cell = -1;
@@ -412,6 +448,7 @@ CampaignOutcome supervise_processes(const CampaignOptions& options,
       int status = 0;
       const pid_t waited = ::waitpid(state.pid, &status, WNOHANG);
       if (waited == state.pid) {
+        close_pidfd(state);
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
           state.phase = ShardState::Phase::kDone;
           continue;
@@ -463,6 +500,7 @@ CampaignOutcome supervise_processes(const CampaignOptions& options,
                                    : ""));
         (void)::kill(state.pid, SIGKILL);
         (void)::waitpid(state.pid, &status, 0);
+        close_pidfd(state);
         ++outcome.respawns;
         const FailureVerdict verdict = handle_worker_failure(
             options, state, shard, "watchdog-timeout");
@@ -473,7 +511,7 @@ CampaignOutcome supervise_processes(const CampaignOptions& options,
         }
       }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
+    if (!all_settled()) wait_for_exit(shards, options.poll_ms);
   }
 
   for (const ShardState& state : shards) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -12,12 +10,20 @@ namespace coeff::sched {
 
 namespace {
 
-/// The maximal idle intervals of the set's schedule over [0, horizon),
-/// with the idle accumulated before each one.
+/// The maximal idle intervals of the set's schedule over [0, 2H), with
+/// the idle accumulated before each one. An interval may be cut at H.
 struct IdleIntervals {
   std::vector<sim::Time> start;
   std::vector<sim::Time> end;
   std::vector<sim::Time> idle_before;
+  sim::Time total = sim::Time::zero();
+
+  void push(sim::Time from, sim::Time to) {
+    start.push_back(from);
+    end.push_back(to);
+    idle_before.push_back(total);
+    total += to - from;
+  }
 };
 
 /// Idle in [0, t), read for one stream of queries. The cursor walks
@@ -50,6 +56,22 @@ class IdleCursor {
   std::size_t next_ = 0;  ///< intervals starting at or before the last query
 };
 
+using Head = std::pair<sim::Time, std::size_t>;  ///< (next release, lane)
+
+/// Replaces the least head of the min-heap `heap` with `head` and sifts
+/// it down: one pass from the root, where a pop and a push take two.
+void replace_top(std::vector<Head>& heap, Head head) {
+  const std::size_t n = heap.size();
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < head)) break;
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = head;
+}
+
 /// A work-conserving processor is idle exactly when no released work is
 /// left, and the work left depends only on release times and WCETs, not
 /// on which job runs. So one sweep over the merged release stream yields
@@ -59,7 +81,12 @@ class IdleCursor {
 /// distinct period is one sorted lane, and the heap merges lane heads.
 /// Releases at one instant only add to the backlog, so the order among
 /// them does not matter.
-IdleIntervals idle_intervals(const TaskSet& set, sim::Time horizon) {
+///
+/// The sweep covers [0, H), then runs on only until the backlog first
+/// drains after the releases at H, at some tau. From tau on the schedule
+/// repeats the one H earlier (DESIGN.md §14), so [tau, 2H) is a copy of
+/// [tau - H, H); if the backlog never drains, [H, 2H) is busy.
+IdleIntervals idle_intervals(const TaskSet& set, sim::Time h) {
   std::vector<PeriodicTask> tasks = set.tasks();
   std::sort(tasks.begin(), tasks.end(),
             [](const PeriodicTask& a, const PeriodicTask& b) {
@@ -79,42 +106,61 @@ IdleIntervals idle_intervals(const TaskSet& set, sim::Time horizon) {
     }
     lanes.back().last = i + 1;
   }
-  using Head = std::pair<sim::Time, std::size_t>;  ///< (at, lane index)
-  std::priority_queue<Head, std::vector<Head>, std::greater<>> next;
+  // Ascending order is a valid min-heap.
+  std::vector<Head> heads;
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    next.emplace(tasks[lanes[l].first].offset, l);
+    heads.emplace_back(tasks[lanes[l].first].offset, l);
   }
+  std::sort(heads.begin(), heads.end());
 
   IdleIntervals idle;
   sim::Time now = sim::Time::zero();
   sim::Time backlog = sim::Time::zero();
-  sim::Time total = sim::Time::zero();
   auto run_until = [&](sim::Time t) {
     if (backlog >= t - now) {
       backlog -= t - now;
     } else {
-      const sim::Time from = now + backlog;
-      idle.start.push_back(from);
-      idle.end.push_back(t);
-      idle.idle_before.push_back(total);
-      total += t - from;
+      idle.push(now + backlog, t);
       backlog = sim::Time::zero();
     }
     now = t;
   };
-  while (!next.empty() && next.top().first < horizon) {
-    const auto [at, l] = next.top();
-    next.pop();
-    run_until(at);
+  // Adds the least head's job to the backlog and moves its lane on.
+  auto release = [&] {
+    const std::size_t l = heads.front().second;
     Lane& lane = lanes[l];
     backlog += tasks[lane.next].wcet;
     if (++lane.next == lane.last) {
       lane.next = lane.first;
       lane.base += tasks[lane.first].period;
     }
-    next.emplace(lane.base + tasks[lane.next].offset, l);
+    replace_top(heads, {lane.base + tasks[lane.next].offset, l});
+  };
+  while (heads.front().first < h) {
+    run_until(heads.front().first);
+    release();
   }
-  run_until(horizon);
+  run_until(h);
+
+  // Release on from H until the backlog drains past H, or up to 2H.
+  const sim::Time twice = h * 2;
+  sim::Time tau = twice;
+  for (;;) {
+    const sim::Time at = std::min(heads.front().first, twice);
+    if (at > h && backlog <= at - now) {
+      tau = now + backlog;
+      break;
+    }
+    if (at == twice) break;
+    backlog -= at - now;
+    now = at;
+    release();
+  }
+  const std::size_t first_hyperperiod = idle.start.size();
+  for (std::size_t k = 0; k < first_hyperperiod; ++k) {
+    if (idle.end[k] <= tau - h) continue;
+    idle.push(std::max(idle.start[k], tau - h) + h, idle.end[k] + h);
+  }
   return idle;
 }
 
@@ -286,45 +332,30 @@ sim::Time min_idle_in_window(const TaskSet& set, sim::Time window) {
   if (window <= sim::Time::zero()) return sim::Time::zero();
   if (set.empty()) return window;  // no tasks: all time is idle
 
-  // SlackTable's horizon, periodic extension and candidate rule, on the
-  // full-schedule idle alone.
-  const sim::Time horizon = h * 3;
-  const IdleIntervals idle = idle_intervals(set, horizon);
-  IdleCursor whole(idle);
-  const sim::Time idle_per_h = whole(h * 2) - whole(h);
+  // SlackTable's periodic extension on the full-schedule idle alone:
+  // exact up to 2H, then the idle of [H, 2H) per wrap.
+  const IdleIntervals idle = idle_intervals(set, h);
+  const sim::Time idle_per_h = idle.total - IdleCursor(idle)(h);
   // Idle in [0, t), read through `cursor`.
   auto cumulative = [&](IdleCursor& cursor, sim::Time t) {
     if (t <= h * 2) return cursor(t);
     const sim::Time folded = h + (t - h) % h;
     return cursor(folded) + idle_per_h * ((t - folded) / h);
   };
-  // Idle in [a, a+window) with a folded into [H, 2H); `from` reads the
-  // idle before a, `to` the idle before a + window.
-  auto idle_from = [&](sim::Time a, IdleCursor& from, IdleCursor& to) {
-    if (a < h) a += h * ((h - a) / h + 1);
-    a = h + (a - h) % h;
-    return cumulative(to, a + window) - cumulative(from, a);
-  };
 
-  // g(a) = idle in [a, a+window) is continuous, H-periodic from H on, and
-  // piecewise linear with breakpoints only where a or a+window crosses an
-  // idle/busy boundary, so its minimum sits at a boundary b or at
-  // b - window (or at H). The busy/busy boundaries the table also tries
-  // are never below that minimum (DESIGN.md §14). The boundaries ascend,
-  // so each of the four query streams (a and a + window, for b and for
-  // b - window) ascends too, but for the few steps back where it folds
-  // over a hyperperiod: each has its own cursor.
-  IdleCursor at_b(idle);
-  IdleCursor past_b(idle);
-  IdleCursor before_b(idle);
-  IdleCursor past_before_b(idle);
-  sim::Time best = idle_from(h, at_b, past_b);
-  for (std::size_t k = 0; k < idle.start.size(); ++k) {
-    for (const sim::Time b : {idle.start[k], idle.end[k]}) {
-      if (b < h || b >= horizon) continue;
-      best = std::min({best, idle_from(b, at_b, past_b),
-                       idle_from(b - window, before_b, past_before_b)});
-    }
+  // g(a) = idle in [a, a+window) is continuous and H-periodic from H on,
+  // and some run of its minima holds an idle end, or g is constant
+  // (DESIGN.md §14). So the candidates are H and the idle ends in
+  // (H, 2H). They ascend, and so do their a + window but for at most
+  // one fold back over 2H: each stream has its own cursor.
+  IdleCursor at_a(idle);
+  IdleCursor past_a(idle);
+  auto idle_from = [&](sim::Time a) {
+    return cumulative(past_a, a + window) - at_a(a);
+  };
+  sim::Time best = idle_from(h);
+  for (const sim::Time e : idle.end) {
+    if (e > h && e < h * 2) best = std::min(best, idle_from(e));
   }
   return best;
 }

@@ -74,11 +74,13 @@ struct ScheduleResult {
 /// min over start instants a of the idle in [a, a+window), under the
 /// periodic extension SlackTable uses (exact up to 2H, then the idle of
 /// [H, 2H) per wrap). Equal to SlackTable(set).min_idle_in_window(window)
-/// in O(releases over 3H * log distinct periods + idle intervals) time:
-/// the release sweep merges one lane per distinct period, and the
-/// candidate windows read the idle intervals through cursors that
-/// search only when a query steps back over a hyperperiod fold. Memory
-/// is O(n + idle intervals).
+/// in O((releases over H + releases in the first busy period after H) *
+/// log distinct periods + idle intervals) time: the release sweep merges
+/// one lane per distinct period and stops at the first drain after the
+/// releases at H, the rest of [H, 2H) is a copy of the first
+/// hyperperiod, and the candidate windows start at H and at each idle
+/// end in (H, 2H), one evaluation each (DESIGN.md §14). Memory is
+/// O(n + idle intervals).
 /// Throws what SlackTable's constructor throws: std::invalid_argument
 /// for an invalid set, std::domain_error for a hyperperiod past one hour.
 [[nodiscard]] sim::Time min_idle_in_window(const TaskSet& set,

@@ -1,13 +1,15 @@
 // Campaign runner robustness tests: refusal to overwrite, idempotent
 // resume, poison-cell retry + quarantine with the repro seed, watchdog
-// timeouts, disk-full degradation, and the manifest-consistency lint
-// over everything the runner leaves behind.
+// timeouts, disk-full degradation, the manifest-consistency lint over
+// everything the runner leaves behind, and a supervisor that wakes when
+// its workers exit.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -175,6 +177,20 @@ TEST(CampaignRunner, DiskFullShedsDetailButNeverCorruptsState) {
     saw_degrade |= record.kind == CheckpointRecordKind::kDegrade;
   }
   EXPECT_TRUE(saw_degrade);
+}
+
+/// The supervisor sleeps on its workers' exits, not a fixed poll: with
+/// a 5 s poll interval, an 8-cell campaign must not wait out one.
+TEST(CampaignRunner, ExitWakesTheSupervisor) {
+  const std::string dir = fresh_dir("dir");
+  CampaignOptions options = options_for(dir, small_manifest(8, 2));
+  options.poll_ms = 5000;
+  const auto start = std::chrono::steady_clock::now();
+  const CampaignOutcome outcome = CampaignRunner::run(options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.completed, 8);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(2500));
 }
 
 TEST(CampaignRunner, ParseCellList) {

@@ -160,18 +160,19 @@ TEST(PeriodicScheduleTest, BusyHorizonFullyPacked) {
 /// holding every task, and one lane per task.
 enum class Periods { kMixed, kOne, kDistinct };
 
-/// A random set whose hyperperiod divides 120 us, so the reference table
-/// stays small: 1-10 tasks, per-task utilization split from `u`,
+/// A random set whose hyperperiod divides 120 ticks, so the reference
+/// table stays small: 1-10 tasks, per-task utilization split from `u`,
 /// deadlines in (0, T] (they only move priorities), offsets in [0, T]
 /// with both ends often hit exactly (an offset of T leaves the first
 /// hyperperiod one release short).
 TaskSet random_set(sim::Rng& rng, double u,
-                   Periods periods = Periods::kMixed) {
-  std::int64_t periods_us[] = {2, 3, 4, 5, 6, 8, 10, 12};
+                   Periods periods = Periods::kMixed,
+                   sim::Time tick = sim::micros(1)) {
+  std::int64_t periods_in_ticks[] = {2, 3, 4, 5, 6, 8, 10, 12};
   int n = static_cast<int>(rng.uniform_int(1, 10));
   if (periods != Periods::kMixed) {
     for (std::int64_t i = 7; i > 0; --i) {
-      std::swap(periods_us[i], periods_us[rng.uniform_int(0, i)]);
+      std::swap(periods_in_ticks[i], periods_in_ticks[rng.uniform_int(0, i)]);
     }
   }
   if (periods == Periods::kDistinct) n = std::min(n, 8);
@@ -182,10 +183,11 @@ TaskSet random_set(sim::Rng& rng, double u,
   for (int i = 0; i < n; ++i) {
     PeriodicTask t;
     t.id = i;
-    t.period = sim::micros(
-        periods == Periods::kMixed ? periods_us[rng.uniform_int(0, 7)]
-        : periods == Periods::kOne ? periods_us[0]
-                                   : periods_us[i]);
+    t.period =
+        tick * (periods == Periods::kMixed
+                    ? periods_in_ticks[rng.uniform_int(0, 7)]
+                : periods == Periods::kOne ? periods_in_ticks[0]
+                                           : periods_in_ticks[i]);
     const auto wcet = static_cast<std::int64_t>(
         u * share[static_cast<std::size_t>(i)] / sum *
         static_cast<double>(t.period.ns()));
@@ -238,6 +240,113 @@ TEST(PeriodicSchedule, MinIdleInWindowMatchesSlackTable) {
   }
   // Guard against a vacuous comparison of zeros.
   EXPECT_GT(with_idle, 5000);
+}
+
+// One hand-built set per way the sweep can end after H, each checked
+// against the table and a value worked out by hand from the steady
+// pattern (the schedule from H on, which repeats every H).
+TEST(PeriodicSchedule, MinIdleInWindowSteadyState) {
+  struct Case {
+    const char* name;
+    TaskSet set;
+    // H = 10 ms in every case, so a 25 ms window holds two whole
+    // periods of the steady pattern plus its worst 5 ms.
+    sim::Time at_1ns, at_h, at_25ms;
+  };
+  const Case cases[] = {
+      // (a) Idle at H, and task 1's offset equals its period: its first
+      // release, at H, has no twin at 0. From H on each 10 ms holds 3 ms
+      // busy then 7 ms idle; [0, H) held only 1 ms of work.
+      {"empty at H, offset = period",
+       TaskSet({task(1, 2, 10, 10, 10), task(2, 1, 10)}), sim::Time::zero(),
+       sim::millis(7), sim::millis(2 * 7 + 2)},
+      // (b) Task 2's job from 8 ms runs past H, task 1 joins at H, and
+      // the backlog drains at 13 ms, exactly when task 3 releases. From
+      // H on: 4 ms busy, 4 ms idle, then 2 ms busy that run on into the
+      // next period's 4, so the busy runs are 6 ms long.
+      {"backlog past H drains on a release",
+       TaskSet({task(1, 2, 10, 10, 10), task(2, 3, 10, 10, 8),
+                task(3, 1, 10, 10, 3)}),
+       sim::Time::zero(), sim::millis(4), sim::millis(2 * 4 + 0)},
+      // (c) U = 1.1: idle only in [0, 4 ms); from 4 ms on the backlog
+      // never drains, so the sweep ends at 2H and no window holds idle.
+      {"U > 1",
+       TaskSet({task(1, 6, 10, 10, 4), task(2, 5, 10, 10, 10)}),
+       sim::Time::zero(), sim::Time::zero(), sim::Time::zero()},
+      // (d) One task with offset = period = H: [0, H) is all idle, and
+      // from H on each 10 ms holds 2 ms busy then 8 ms idle.
+      {"first release at H", TaskSet({task(1, 2, 10, 10, 10)}),
+       sim::Time::zero(), sim::millis(8), sim::millis(2 * 8 + 3)},
+  };
+  for (const Case& c : cases) {
+    const SlackTable table(c.set);
+    ASSERT_EQ(table.hyperperiod(), sim::millis(10)) << c.name;
+    const std::pair<sim::Time, sim::Time> windows[] = {
+        {sim::nanos(1), c.at_1ns},
+        {sim::millis(10), c.at_h},
+        {sim::millis(25), c.at_25ms},
+    };
+    for (const auto& [window, expected] : windows) {
+      EXPECT_EQ(min_idle_in_window(c.set, window).ns(), expected.ns())
+          << c.name << ", window " << window.ns() << " ns";
+      EXPECT_EQ(table.min_idle_in_window(window).ns(), expected.ns())
+          << c.name << ", window " << window.ns() << " ns";
+    }
+  }
+}
+
+// An oracle that shares no candidate rule: every integer start a in
+// [H, 2H), on nanosecond periods (H <= 120 ns), summing the idle of
+// simulate_periodic's timeline one nanosecond at a time, with the
+// pattern of [H, 2H) repeated past 2H.
+TEST(PeriodicSchedule, MinIdleInWindowMatchesBruteForce) {
+  sim::Rng rng(7);
+  int with_idle = 0;
+  int overloaded = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    const double u = trial % 2 == 0 ? rng.uniform(0.05, 1.3)
+                                    : rng.uniform(0.8, 1.05);
+    const Periods periods = trial % 3 == 0   ? Periods::kMixed
+                            : trial % 3 == 1 ? Periods::kOne
+                                             : Periods::kDistinct;
+    const TaskSet set = random_set(rng, u, periods, sim::nanos(1));
+    const std::int64_t h = set.hyperperiod().ns();
+    std::int64_t work = 0;
+    for (const PeriodicTask& t : set.tasks()) {
+      work += t.wcet.ns() * (h / t.period.ns());
+    }
+    overloaded += work > h ? 1 : 0;
+
+    std::vector<int> idle(static_cast<std::size_t>(2 * h), 0);
+    for (const TimelineSegment& seg :
+         simulate_periodic(set, sim::nanos(2 * h)).timeline) {
+      if (seg.level != kIdleLevel) continue;
+      for (std::int64_t t = seg.start.ns(); t < seg.end.ns(); ++t) {
+        idle[static_cast<std::size_t>(t)] = 1;
+      }
+    }
+    auto idle_at = [&](std::int64_t t) {
+      return idle[static_cast<std::size_t>(t < 2 * h ? t : h + (t - h) % h)];
+    };
+    for (const std::int64_t window :
+         {std::int64_t{1}, rng.uniform_int(1, h), rng.uniform_int(h, 3 * h),
+          3 * h}) {
+      // Slide [a, a + window) from a = H to 2H - 1.
+      std::int64_t sum = 0;
+      for (std::int64_t t = h; t < h + window; ++t) sum += idle_at(t);
+      std::int64_t expected = sum;
+      for (std::int64_t a = h + 1; a < 2 * h; ++a) {
+        sum += idle_at(a - 1 + window) - idle_at(a - 1);
+        expected = std::min(expected, sum);
+      }
+      ASSERT_EQ(min_idle_in_window(set, sim::nanos(window)).ns(), expected)
+          << "trial " << trial << ", window " << window << " ns";
+      with_idle += expected > 0 ? 1 : 0;
+    }
+  }
+  // Guard against a vacuous comparison of zeros or of light sets only.
+  EXPECT_GT(with_idle, 2000);
+  EXPECT_GT(overloaded, 200);
 }
 
 /// A static set as the wire-speed task set the probabilistic verifier
