@@ -27,20 +27,11 @@ double log1m(double p) {
 /// (invalid, or a hyperperiod past one hour). Anything else, such as
 /// running out of memory, propagates to the caller.
 sim::Time guaranteed_service(const ProbWcrtInput& input) {
-  std::vector<sched::PeriodicTask> tasks;
-  for (const auto& m : input.statics->messages()) {
-    sched::PeriodicTask t;
-    t.id = m.id;
-    t.wcet = input.cluster->transmission_time(m.size_bits);
-    t.period = m.period;
-    t.offset = m.offset;
-    t.deadline = m.deadline;
-    tasks.push_back(t);
-  }
-  if (tasks.empty()) return input.cluster->cycle_duration();
+  if (input.statics->empty()) return input.cluster->cycle_duration();
   try {
-    return sched::min_idle_in_window(sched::TaskSet{std::move(tasks)},
-                                     input.cluster->cycle_duration());
+    return sched::min_idle_in_window(
+        sched::wire_task_set(*input.statics, *input.cluster),
+        input.cluster->cycle_duration());
   } catch (const std::domain_error&) {
     return sim::Time::zero();
   } catch (const std::invalid_argument&) {

@@ -305,18 +305,8 @@ void check_theorem1(const ScheduleLintInput& input, Report& report) {
 }
 
 void check_slack_and_rta(const ScheduleLintInput& input, Report& report) {
-  const auto& cfg = *input.cluster;
-  std::vector<sched::PeriodicTask> tasks;
-  for (const auto& m : input.statics->messages()) {
-    sched::PeriodicTask t;
-    t.id = m.id;
-    t.wcet = cfg.transmission_time(m.size_bits);
-    t.period = m.period;
-    t.offset = m.offset;
-    t.deadline = m.deadline;
-    tasks.push_back(t);
-  }
-  sched::TaskSet set{std::move(tasks)};
+  const sched::TaskSet set =
+      sched::wire_task_set(*input.statics, *input.cluster);
   try {
     set.validate();
   } catch (const std::invalid_argument& e) {

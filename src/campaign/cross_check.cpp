@@ -5,7 +5,6 @@
 
 #include "analysis/diagnostic.hpp"
 #include "campaign/scenario.hpp"
-#include "fault/iec61508.hpp"
 #include "fault/reliability.hpp"
 
 namespace coeff::campaign {
@@ -17,10 +16,7 @@ std::unique_ptr<ProbSetup> make_prob_setup(
   setup->config = config;
   setup->config.trace = nullptr;  // the analytic pass never records
 
-  const double rho = setup->config.rho > 0.0
-                         ? setup->config.rho
-                         : fault::reliability_goal(setup->config.sil,
-                                                   setup->config.u);
+  const double rho = core::reliability_goal(setup->config);
   fault::SolverOptions solver;
   solver.ber = setup->config.ber;
   solver.rho = rho;

@@ -332,7 +332,7 @@ core::ExperimentConfig ScenarioGenerator::config(
     }
     config.statics = sched::with_criticality(config.statics, crit);
     config.dynamics = sched::with_criticality(config.dynamics, crit);
-    config.power.enabled = true;
+    config.power = true;
     // The mode machine feeds on the monitor's drift ratio; half the
     // cells get a BER burst (step up, step back down) so the campaign
     // exercises the degrade -> match-up trajectory, not just NORMAL.

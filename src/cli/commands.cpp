@@ -198,7 +198,7 @@ std::vector<Row> experiment_rows(ExperimentOptions& opt) {
              }
              return spec.has_value();
            }),
-      flag("--power", "per-node DVFS/DPM energy accounting", c.power.enabled),
+      flag("--power", "per-node DVFS/DPM energy accounting", c.power),
       number("--vote", "K", "k-replica voting; 0 = off, else odd >= 3",
              c.vote_replicas, 0, kIntMax),
       flag("--silent-detect", "detect silent nodes + re-plan membership",

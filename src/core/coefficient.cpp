@@ -50,9 +50,9 @@ CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
       }
     }
   }
-  if (options_.power.enabled) {
+  if (options_.power) {
     energy_ = std::make_unique<flexray::EnergyMeter>(
-        options_.power, static_cast<int>(cfg_.num_nodes),
+        static_cast<int>(cfg_.num_nodes),
         static_cast<double>(cfg_.bus_bit_rate));
   }
 }
@@ -83,7 +83,6 @@ void CoEfficientScheduler::rebuild_plan(double ber) {
   for (std::size_t z = 0; z < msgs.size(); ++z) {
     copies_by_message_[msgs[z].id] = plan_.copies[z];
   }
-  degraded_mode_ = plan_.degraded;
   stats_.plan_degraded = plan_.degraded;
   stats_.plan_target_log_r = plan_.target_log_reliability;
   stats_.plan_achieved_log_r = plan_.log_reliability;
@@ -162,7 +161,7 @@ void CoEfficientScheduler::on_static_release(Instance& inst,
 void CoEfficientScheduler::on_dynamic_release(
     Instance& inst, const net::Message& m,
     const flexray::PendingMessage& pending) {
-  if (degraded_mode_) {
+  if (plan_.degraded) {
     // Graceful degradation: soft load is shed at release so every idle
     // slot (and the kSoftShare reservation) stays available to hard
     // retransmission copies. The instance settles as a miss.
@@ -221,8 +220,8 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
   }
 
   // Mixed-criticality mode machine: one evaluation per cycle, at the
-  // boundary, from decide-side inputs only (the monitor's latched drift
-  // ratio and the dynamic queue backlog) — so the mode trajectory is
+  // boundary, from decide-side inputs only (the monitor's drift ratio
+  // and the dynamic queue backlog) — so the mode trajectory is
   // identical across engines and job counts.
   if (mode_mgr_ != nullptr) {
     const double ratio = monitor_ != nullptr ? monitor_->drift_ratio() : 1.0;
@@ -378,7 +377,9 @@ CoEfficientScheduler::peek_dynamic_cached(std::int64_t capacity_bits,
 
 std::optional<flexray::TxRequest> CoEfficientScheduler::static_slot(
     flexray::ChannelId channel, units::CycleIndex cycle, units::SlotId slot) {
-  return decide_static(channel, cycle, slot, /*use_slack_cache=*/false);
+  return decide_static(channel, cycle, slot,
+                       cfg_.static_slot_start(cycle, slot),
+                       /*use_slack_cache=*/false);
 }
 
 void CoEfficientScheduler::decide_static_chunk(
@@ -391,11 +392,13 @@ void CoEfficientScheduler::decide_static_chunk(
   // side effect is one idle_slot_counter_ bump, which batches exactly.
   // Eligibility grows with slot_start, so checking the cached best at
   // the chunk's LAST slot bounds the whole chunk.
-  bool dyn_quiet = options_.disable_slack_stealing || degraded_mode_;
+  const sim::Time slot_duration = cfg_.static_slot_duration();
+  const sim::Time first_start =
+      cfg_.static_slot_start(cycle, units::SlotId{slot_begin});
+  bool dyn_quiet = options_.disable_slack_stealing || plan_.degraded;
   if (!dyn_quiet) {
     const sim::Time last_start =
-        cycle_duration_ * cycle.value() +
-        cfg_.static_slot_duration() * (slot_end - 1);
+        first_start + slot_duration * (slot_end - slot_begin);
     dyn_quiet = !peek_dynamic_cached(static_capacity_bits_,
                                      last_start)
                      .has_value();
@@ -404,7 +407,9 @@ void CoEfficientScheduler::decide_static_chunk(
     const bool a_up = channel_available(flexray::ChannelId::kA);
     const bool b_up = channel_available(flexray::ChannelId::kB);
     std::int64_t idle_bumps = 0;
-    for (std::int64_t s = slot_begin; s <= slot_end; ++s) {
+    sim::Time slot_start = first_start;
+    for (std::int64_t s = slot_begin; s <= slot_end;
+         ++s, slot_start = slot_start + slot_duration) {
       const units::SlotId slot{s};
       const net::Message* m = tpl_.message_at(slot, cycle);
       if (m != nullptr && node_alive(m->node)) {
@@ -413,9 +418,6 @@ void CoEfficientScheduler::decide_static_chunk(
         const flexray::ChannelId primary_ch = a_up ? flexray::ChannelId::kA
                                                    : flexray::ChannelId::kB;
         if (a_up || b_up) {
-          const sim::Time slot_start =
-              cycle_duration_ * cycle.value() +
-              cfg_.static_slot_duration() * (s - 1);
           auto& buffers =
               nodes_.at(static_cast<std::size_t>(m->node)).static_buffers();
           const auto pending = buffers.read(slot);
@@ -442,11 +444,13 @@ void CoEfficientScheduler::decide_static_chunk(
     return;
   }
 
-  for (std::int64_t s = slot_begin; s <= slot_end; ++s) {
+  sim::Time slot_start = first_start;
+  for (std::int64_t s = slot_begin; s <= slot_end;
+       ++s, slot_start = slot_start + slot_duration) {
     for (const flexray::ChannelId channel :
          {flexray::ChannelId::kA, flexray::ChannelId::kB}) {
       if (auto req = decide_static(channel, cycle, units::SlotId{s},
-                                   /*use_slack_cache=*/true)) {
+                                   slot_start, /*use_slack_cache=*/true)) {
         sink.stage(units::SlotId{s}, channel, *req);
       }
     }
@@ -455,9 +459,7 @@ void CoEfficientScheduler::decide_static_chunk(
 
 std::optional<flexray::TxRequest> CoEfficientScheduler::decide_static(
     flexray::ChannelId channel, units::CycleIndex cycle, units::SlotId slot,
-    bool use_slack_cache) {
-  const sim::Time slot_start = cycle_duration_ * cycle.value() +
-                               cfg_.static_slot_duration() * (slot.value() - 1);
+    sim::Time slot_start, bool use_slack_cache) {
   const sim::Time slot_end = slot_start + cfg_.static_slot_duration();
 
   if (const net::Message* m = tpl_.message_at(slot, cycle); m != nullptr) {
@@ -513,7 +515,7 @@ std::optional<flexray::TxRequest> CoEfficientScheduler::decide_static(
   // Degraded mode sheds soft traffic from the static segment entirely:
   // stolen slack is reserved for hard retransmission copies.
   const auto dyn =
-      options_.disable_slack_stealing || degraded_mode_
+      options_.disable_slack_stealing || plan_.degraded
           ? std::optional<flexray::PendingMessage>{}
           : (use_slack_cache ? peek_dynamic_cached(capacity, slot_start)
                              : peek_dynamic_for_slack(capacity, slot_start));

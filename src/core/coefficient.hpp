@@ -64,18 +64,19 @@ struct CoEfficientOptions {
 
   // --- Mixed-criticality mode protocol (DESIGN.md §16) -----------------
   /// When enabled, a three-mode state machine (NORMAL → DEGRADED-L1 →
-  /// DEGRADED-L2) driven by the monitor's hysteresis drift latch and
+  /// DEGRADED-L2) driven by the monitor's drift ratio and
   /// dynamic-backlog overload sheds low-criticality dynamic traffic at
   /// release and matches it up (bounded re-admission bursts) once the
-  /// drift clears. Orthogonal to the plan-infeasibility degraded flag,
-  /// which keeps its legacy shed-everything semantics.
+  /// drift clears. Orthogonal to the plan-infeasibility degraded flag
+  /// (plan().degraded), which keeps its legacy shed-everything
+  /// semantics.
   sched::ModePolicy mode_policy;
 
   // --- Per-node DVFS/DPM power model (DESIGN.md §16) -------------------
-  /// When power.enabled, an EnergyMeter accounts each cycle: DVFS level
-  /// follows the criticality mode, and transceivers sleep through idle
-  /// static slots whenever no retransmission copy is queued.
-  flexray::PowerConfig power;
+  /// When set, an EnergyMeter accounts each cycle: DVFS level follows
+  /// the criticality mode, and transceivers sleep through idle static
+  /// slots whenever no retransmission copy is queued.
+  bool power = false;
 
   // --- Ablation switches (DESIGN.md §6) --------------------------------
   /// Replace the differentiated plan with the uniform one (same k for
@@ -174,12 +175,13 @@ class CoEfficientScheduler : public SchedulerBase {
   [[nodiscard]] std::optional<flexray::PendingMessage> peek_dynamic_cached(
       std::int64_t capacity_bits, sim::Time slot_start) const;
 
-  /// Body of static_slot; `use_slack_cache` selects the memoized peek
-  /// (decide_static_chunk) or the naive scan (static_slot, the
-  /// reference walk's path).
+  /// Body of static_slot for `slot`, which starts at `slot_start`;
+  /// `use_slack_cache` selects the memoized peek (decide_static_chunk)
+  /// or the naive scan (static_slot, the reference walk's path).
   std::optional<flexray::TxRequest> decide_static(flexray::ChannelId channel,
                                                   units::CycleIndex cycle,
                                                   units::SlotId slot,
+                                                  sim::Time slot_start,
                                                   bool use_slack_cache);
 
   /// One stolen slot in kSoftShare is reserved for soft traffic when
@@ -190,8 +192,9 @@ class CoEfficientScheduler : public SchedulerBase {
   /// static releases use the new k_z (in-flight copies are untouched,
   /// so a swap takes effect at the calling cycle boundary). Messages of
   /// dead members are excluded from the solve. An unreachable rho yields
-  /// the solver's best plan, flagged degraded. Updates the degraded flag
-  /// and the resilience metrics.
+  /// the solver's best plan, flagged degraded (plan_.degraded: while
+  /// set, dynamic-segment load is shed to keep slack free for hard
+  /// copies). Updates the resilience metrics.
   void rebuild_plan(double ber);
 
   /// Re-solve after a membership change (crash detected / reintegration)
@@ -213,9 +216,6 @@ class CoEfficientScheduler : public SchedulerBase {
   /// (crashed, or flagged silent by the detector) and its slots are
   /// stealable.
   std::vector<char> member_dead_;
-  /// True while the active plan cannot meet rho at its solve-time BER;
-  /// dynamic-segment load is shed to keep slack free for hard copies.
-  bool degraded_mode_ = false;
 
   // --- Mixed-criticality mode protocol (DESIGN.md §16) -----------------
   /// One shed dynamic message awaiting match-up. Keyed by message id
@@ -234,7 +234,7 @@ class CoEfficientScheduler : public SchedulerBase {
   bool any_criticality_assigned_ = false;
 
   // --- Energy accounting (flexray::EnergyMeter) ------------------------
-  std::unique_ptr<flexray::EnergyMeter> energy_;  ///< when power.enabled
+  std::unique_ptr<flexray::EnergyMeter> energy_;  ///< when options.power
   std::int64_t cycle_tx_bits_ = 0;     ///< wire bits this cycle (outcome side)
   std::int64_t last_idle_counter_ = 0; ///< idle_slot_counter_ at last cycle end
 

@@ -26,6 +26,11 @@ flexray::ClusterConfig paper_cluster_apps(std::int64_t minislots) {
   return cfg;
 }
 
+double reliability_goal(const ExperimentConfig& config) {
+  return config.rho > 0.0 ? config.rho
+                          : fault::reliability_goal(config.sil, config.u);
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 SchemeKind scheme) {
   return run_experiment_with<flexray::Cluster>(config, scheme);

@@ -13,7 +13,6 @@
 #include "fault/iec61508.hpp"
 #include "fault/structural.hpp"
 #include "flexray/config.hpp"
-#include "flexray/power.hpp"
 #include "net/workloads.hpp"
 #include "sched/criticality.hpp"
 #include "sim/trace.hpp"
@@ -91,8 +90,8 @@ struct ExperimentConfig {
   /// Mode-change protocol (CoEfficient only). Criticality levels are
   /// carried on the message sets themselves (sched::with_criticality).
   sched::ModePolicy mode_policy;
-  /// Per-node DVFS/DPM power model (CoEfficient only).
-  flexray::PowerConfig power;
+  /// Per-node DVFS/DPM energy accounting (CoEfficient only).
+  bool power = false;
   /// Optional structured-trace sink (single runs only: sweep cells
   /// sharing one Trace would interleave nondeterministically).
   sim::Trace* trace = nullptr;
@@ -125,6 +124,11 @@ struct ExperimentResult {
   double walk_seconds = 0.0;
   bool drained = true;           ///< false if the drain cap was hit
 };
+
+/// The reliability goal rho a run of `config` plans for: `config.rho`
+/// when positive, else the IEC 61508 goal of `config.sil` over
+/// `config.u` (fault::reliability_goal).
+[[nodiscard]] double reliability_goal(const ExperimentConfig& config);
 
 /// Build the scheduler, fault model, arrivals and flexray::Cluster that
 /// `config` describes, run the batch and return its metrics. The body is

@@ -87,9 +87,7 @@ std::optional<flexray::TxRequest> FspecScheduler::static_slot(
   if (inst == nullptr) {
     throw std::logic_error("FspecScheduler: round train lost its instance");
   }
-  const sim::Time slot_start = cycle_duration_ * cycle.value() +
-                               cfg_.static_slot_duration() * (slot.value() - 1);
-  if (inst->release > slot_start) return std::nullopt;
+  if (inst->release > cfg_.static_slot_start(cycle, slot)) return std::nullopt;
   flexray::TxRequest req;
   req.instance = inst->key;
   req.frame_id = units::to_frame_id(slot);
@@ -113,7 +111,7 @@ void FspecScheduler::decide_static_chunk(
   // reproduces the two-call sequence exactly.
   const sim::Time slot_duration = cfg_.static_slot_duration();
   sim::Time slot_start =
-      cycle_duration_ * cycle.value() + slot_duration * (slot_begin - 1);
+      cfg_.static_slot_start(cycle, units::SlotId{slot_begin});
   for (std::int64_t s = slot_begin; s <= slot_end;
        ++s, slot_start = slot_start + slot_duration) {
     const units::SlotId slot{s};

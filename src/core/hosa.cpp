@@ -38,10 +38,9 @@ std::optional<flexray::TxRequest> HosaScheduler::static_slot(
   const net::Message* m = tpl_.message_at(slot, cycle);
   if (m == nullptr) return std::nullopt;  // idle slacks stay idle
   auto& buffers = nodes_.at(static_cast<std::size_t>(m->node)).static_buffers();
-  const sim::Time slot_start = cycle_duration_ * cycle.value() +
-                               cfg_.static_slot_duration() * (slot.value() - 1);
   const auto pending = buffers.read(slot);
-  if (!pending.has_value() || pending->release > slot_start) {
+  if (!pending.has_value() ||
+      pending->release > cfg_.static_slot_start(cycle, slot)) {
     return std::nullopt;
   }
   flexray::TxRequest req;
@@ -68,7 +67,7 @@ void HosaScheduler::decide_static_chunk(
   // two-call sequence exactly.
   const sim::Time slot_duration = cfg_.static_slot_duration();
   sim::Time slot_start =
-      cycle_duration_ * cycle.value() + slot_duration * (slot_begin - 1);
+      cfg_.static_slot_start(cycle, units::SlotId{slot_begin});
   for (std::int64_t s = slot_begin; s <= slot_end;
        ++s, slot_start = slot_start + slot_duration) {
     const units::SlotId slot{s};

@@ -26,9 +26,7 @@ template <class ClusterT>
 [[nodiscard]] ExperimentResult run_experiment_with(
     const ExperimentConfig& config, SchemeKind scheme) {
   config.cluster.validate();
-  const double rho = config.rho > 0.0
-                         ? config.rho
-                         : fault::reliability_goal(config.sil, config.u);
+  const double rho = reliability_goal(config);
 
   fault::SolverOptions solver;
   solver.ber = config.ber;

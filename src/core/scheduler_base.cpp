@@ -153,10 +153,9 @@ std::optional<flexray::TxRequest> SchedulerBase::take_dynamic(
   auto& queue = nodes_[static_cast<std::size_t>(m->node)].dynamic_queue();
   const auto pending = queue.peek(units::to_frame_id(slot_counter));
   if (!pending.has_value()) return std::nullopt;
-  const sim::Time at = cycle_duration_ * cycle.value() +
-                       cfg_.static_segment_duration() +
-                       cfg_.minislot_duration() * minislot.value();
-  if (pending->release > at) return std::nullopt;
+  if (pending->release > cfg_.minislot_start(cycle, minislot)) {
+    return std::nullopt;
+  }
   if (cfg_.minislots_for(pending->payload_bits) > minislots_remaining) {
     return std::nullopt;
   }

@@ -52,14 +52,7 @@ bool FaultModel::corrupted(const flexray::TxRequest& req,
     apply_ber_step(pending_steps_.back().ber);
     pending_steps_.pop_back();
   }
-  const bool fault = draw_verdict(req, channel, start);
-  ++verdicts_;
-  ++ch_verdicts_[static_cast<std::size_t>(channel)];
-  if (fault) {
-    ++faults_;
-    ++ch_faults_[static_cast<std::size_t>(channel)];
-  }
-  return fault;
+  return draw_verdict(req, channel, start);
 }
 
 flexray::CorruptionFn FaultModel::as_corruption_fn() {

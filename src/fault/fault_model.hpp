@@ -49,9 +49,10 @@ enum class FaultModelKind : std::uint8_t {
 [[nodiscard]] std::optional<FaultModelKind> parse_fault_model_kind(
     std::string_view name);
 
-/// Base class: verdict accounting, the CorruptionFn adapter, and the
-/// scheduled BER step. Subclasses implement draw_verdict (the physics)
-/// and apply_ber_step (what "the environment got worse" means to them).
+/// Base class: the CorruptionFn adapter and the scheduled BER step.
+/// Subclasses implement draw_verdict (the physics) and apply_ber_step
+/// (what "the environment got worse" means to them). The verdicts a run
+/// draws are counted once, per channel, by flexray::ChannelStats.
 class FaultModel {
  public:
   virtual ~FaultModel() = default;
@@ -74,15 +75,6 @@ class FaultModel {
   /// applied in time order regardless of scheduling order.
   void schedule_ber_step(sim::Time at, double ber);
 
-  [[nodiscard]] std::int64_t verdicts() const { return verdicts_; }
-  [[nodiscard]] std::int64_t faults() const { return faults_; }
-  [[nodiscard]] std::int64_t channel_verdicts(flexray::ChannelId ch) const {
-    return ch_verdicts_[static_cast<std::size_t>(ch)];
-  }
-  [[nodiscard]] std::int64_t channel_faults(flexray::ChannelId ch) const {
-    return ch_faults_[static_cast<std::size_t>(ch)];
-  }
-
  protected:
   [[nodiscard]] virtual bool draw_verdict(const flexray::TxRequest& req,
                                           flexray::ChannelId channel,
@@ -97,10 +89,6 @@ class FaultModel {
   /// Pending steps sorted by `at`, earliest at the back (applied and
   /// popped as simulated time passes them).
   std::vector<BerStep> pending_steps_;
-  std::int64_t verdicts_ = 0;
-  std::int64_t faults_ = 0;
-  std::array<std::int64_t, flexray::kNumChannels> ch_verdicts_{};
-  std::array<std::int64_t, flexray::kNumChannels> ch_faults_{};
 };
 
 /// Gilbert–Elliott channel parameters. Each channel runs its own chain

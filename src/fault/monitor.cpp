@@ -29,10 +29,6 @@ ReliabilityMonitor::ReliabilityMonitor(double planned_ber,
   require(opt.min_window_frames > 0, "min_window_frames",
           static_cast<double>(opt.min_window_frames));
   require(opt.cooldown_cycles >= 0, "cooldown_cycles", opt.cooldown_cycles);
-  require(opt.exit_factor >= 1.0 && opt.exit_factor <= opt.trigger_factor,
-          "exit_factor", opt.exit_factor);
-  require(opt.min_dwell_cycles >= 0, "min_dwell_cycles",
-          opt.min_dwell_cycles);
 }
 
 void ReliabilityMonitor::record_tx(flexray::ChannelId channel,
@@ -60,24 +56,14 @@ bool ReliabilityMonitor::on_cycle_end() {
     }
     window_.pop_front();
   }
-  // Latched hysteresis signal for the mode machine. Deliberately
-  // ignores the re-plan cooldown: the mode protocol has its own dwell
-  // damping, and hiding a live burst from it for cooldown_cycles would
-  // delay shedding exactly when it is needed.
+  // The mode machine's input. Deliberately ignores the re-plan
+  // cooldown: the mode protocol has its own dwell damping, and hiding a
+  // live burst from it for cooldown_cycles would delay shedding exactly
+  // when it is needed.
   if (window_frames() >= opt_.min_window_frames && planned_ber_ > 0.0) {
     drift_ratio_ = worst_channel_estimate() / planned_ber_;
   } else {
     drift_ratio_ = 1.0;
-  }
-  if (drift_ratio_ >= opt_.trigger_factor) {
-    drift_active_ = true;
-    calm_cycles_ = 0;
-  } else if (drift_active_) {
-    calm_cycles_ = drift_ratio_ < opt_.exit_factor ? calm_cycles_ + 1 : 0;
-    if (calm_cycles_ > opt_.min_dwell_cycles) {
-      drift_active_ = false;
-      calm_cycles_ = 0;
-    }
   }
 
   if (cooldown_remaining_ > 0) {
@@ -85,11 +71,7 @@ bool ReliabilityMonitor::on_cycle_end() {
     return false;
   }
   if (window_frames() < opt_.min_window_frames) return false;
-  if (worst_channel_estimate() <= planned_ber_ * opt_.trigger_factor) {
-    return false;
-  }
-  ++drift_detections_;
-  return true;
+  return worst_channel_estimate() > planned_ber_ * opt_.trigger_factor;
 }
 
 void ReliabilityMonitor::note_replanned(double new_planned_ber) {

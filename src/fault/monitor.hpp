@@ -37,16 +37,6 @@ struct ReliabilityMonitorOptions {
   /// Cycles after a re-plan during which detection is suppressed (the
   /// new plan needs a window of its own evidence).
   int cooldown_cycles = 100;
-  /// Hysteresis exit threshold for the latched drift signal: once
-  /// drift is latched (estimate > planned * trigger_factor), it stays
-  /// latched until the estimate has been below planned * exit_factor
-  /// for `min_dwell_cycles` consecutive cycles. Must satisfy
-  /// 1.0 <= exit_factor <= trigger_factor, so the latch cannot flap on
-  /// estimates that straddle a single threshold.
-  double exit_factor = 2.0;
-  /// Consecutive calm cycles (below exit_factor) required before the
-  /// drift latch releases. 0 = release on the first calm cycle.
-  int min_dwell_cycles = 0;
 };
 
 class ReliabilityMonitor {
@@ -90,23 +80,12 @@ class ReliabilityMonitor {
   /// Raw corrupted/frames ratio over the window, pooled.
   [[nodiscard]] double observed_frame_error_rate() const;
   [[nodiscard]] std::int64_t window_frames() const;
-  [[nodiscard]] std::int64_t drift_detections() const {
-    return drift_detections_;
-  }
 
-  // --- Latched hysteresis signal (mode-change protocol) ----------------
-  // Updated by on_cycle_end without affecting its return value: the
-  // re-plan trigger keeps its original threshold/cooldown semantics,
-  // while the mode machine consumes this flap-damped latch instead.
-
-  /// True while drift is latched: entered when the worst-channel
-  /// estimate exceeds planned * trigger_factor (with enough window
-  /// frames), released only after `min_dwell_cycles` consecutive
-  /// cycles below planned * exit_factor.
-  [[nodiscard]] bool drift_active() const { return drift_active_; }
   /// Last cycle's worst-channel estimate / planned BER (1.0 until the
-  /// window holds min_window_frames samples). The mode machine's
-  /// escalation input.
+  /// window holds min_window_frames samples). Set by every
+  /// on_cycle_end, re-plan cooldown or not: it is the input of
+  /// sched::ModeManager::evaluate, whose ModePolicy holds the mode
+  /// protocol's own hysteresis (exit threshold, dwell, recovery).
   [[nodiscard]] double drift_ratio() const { return drift_ratio_; }
 
  private:
@@ -128,11 +107,7 @@ class ReliabilityMonitor {
   std::deque<Bucket> window_;    ///< closed cycles, newest at the back
   Bucket totals_;                ///< running sums over window_ + current_
   std::int64_t cooldown_remaining_ = 0;
-  std::int64_t drift_detections_ = 0;
-  // Latched hysteresis state (see drift_active()).
-  bool drift_active_ = false;
   double drift_ratio_ = 1.0;
-  int calm_cycles_ = 0;  ///< consecutive cycles below exit_factor
 };
 
 }  // namespace coeff::fault

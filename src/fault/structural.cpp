@@ -167,7 +167,6 @@ NodeFaultModel::NodeFaultModel(const StructuralFaultConfig& config,
   for (const NodeCrashWindow& w : config_.crashes) {
     max_node = std::max(max_node, static_cast<int>(w.node.value()));
   }
-  node_down_.assign(static_cast<std::size_t>(max_node + 1), 0);
 
   std::vector<NodeCrashWindow> merged_crashes;
   for (int n = 0; n <= max_node; ++n) {
@@ -260,35 +259,9 @@ NodeFaultModel::NodeFaultModel(const StructuralFaultConfig& config,
 std::vector<flexray::TopologyEvent> NodeFaultModel::poll(sim::Time at) {
   std::vector<flexray::TopologyEvent> fired;
   while (next_ < events_.size() && events_[next_].at <= at) {
-    const flexray::TopologyEvent& ev = events_[next_];
-    switch (ev.kind) {
-      case flexray::TopologyEventKind::kNodeCrash:
-        node_down_[static_cast<std::size_t>(ev.node.value())] = 1;
-        break;
-      case flexray::TopologyEventKind::kNodeRestart:
-        node_down_[static_cast<std::size_t>(ev.node.value())] = 0;
-        break;
-      case flexray::TopologyEventKind::kChannelDown:
-        channel_down_[static_cast<std::size_t>(ev.channel)] = true;
-        break;
-      case flexray::TopologyEventKind::kChannelUp:
-        channel_down_[static_cast<std::size_t>(ev.channel)] = false;
-        break;
-    }
-    fired.push_back(ev);
-    ++next_;
+    fired.push_back(events_[next_++]);
   }
   return fired;
-}
-
-bool NodeFaultModel::node_down(units::NodeId node) const {
-  const auto idx = static_cast<std::size_t>(node.value());
-  return node.value() >= 0 && idx < node_down_.size() &&
-         node_down_[idx] != 0;
-}
-
-bool NodeFaultModel::channel_down(flexray::ChannelId channel) const {
-  return channel_down_[static_cast<std::size_t>(channel)];
 }
 
 bool NodeFaultModel::slot_jammed(units::SlotId slot, flexray::ChannelId channel,
@@ -346,7 +319,6 @@ std::vector<units::NodeId> SilentNodeDetector::on_cycle_end() {
       ++e.silent_cycles;
       if (e.silent_cycles >= threshold_ && !e.flagged) {
         e.flagged = true;
-        ++detections_;
         newly_silent.push_back(units::NodeId{static_cast<std::int32_t>(i)});
       }
     }

@@ -116,8 +116,6 @@ class NodeFaultModel : public flexray::StructuralFaultProvider {
                  std::uint64_t seed);
 
   std::vector<flexray::TopologyEvent> poll(sim::Time at) override;
-  [[nodiscard]] bool node_down(units::NodeId node) const override;
-  [[nodiscard]] bool channel_down(flexray::ChannelId channel) const override;
   [[nodiscard]] bool slot_jammed(units::SlotId slot, flexray::ChannelId channel,
                                  sim::Time at) const override;
   [[nodiscard]] bool node_out_of_sync(units::NodeId node,
@@ -135,8 +133,6 @@ class NodeFaultModel : public flexray::StructuralFaultProvider {
   StructuralFaultConfig config_;  ///< with stochastic windows expanded
   std::vector<flexray::TopologyEvent> events_;
   std::size_t next_ = 0;
-  std::vector<char> node_down_;  ///< indexed by node id
-  std::array<bool, flexray::kNumChannels> channel_down_{};
 };
 
 /// Silent-node detection: the ReliabilityMonitor extension for fail-
@@ -163,7 +159,6 @@ class SilentNodeDetector {
   /// A previously-flagged node transmitted again (note_activity clears
   /// the flag); query current state.
   [[nodiscard]] bool silent(units::NodeId node) const;
-  [[nodiscard]] std::int64_t detections() const { return detections_; }
 
  private:
   struct Entry {
@@ -174,7 +169,6 @@ class SilentNodeDetector {
   };
   std::vector<Entry> entries_;
   int threshold_;
-  std::int64_t detections_ = 0;
 };
 
 }  // namespace coeff::fault

@@ -13,11 +13,13 @@
 #include <functional>
 
 #include "flexray/config.hpp"
-#include "flexray/timing.hpp"
 #include "sim/time.hpp"
 #include "units/units.hpp"
 
 namespace coeff::flexray {
+
+/// The communication-cycle segment a frame was sent in.
+enum class Segment : std::uint8_t { kStatic, kDynamic };
 
 /// What a scheduler asks the bus to carry in one slot.
 struct TxRequest {
@@ -60,6 +62,10 @@ struct TxOutcome {
 using CorruptionFn =
     std::function<bool(const TxRequest&, ChannelId, sim::Time start)>;
 
+/// The one per-channel tally of wire verdicts: transmit() asks the
+/// corruption hook exactly once per frame, so `frames` is the number of
+/// verdicts drawn on this channel. `corrupted_frames` counts the frames
+/// that arrived corrupted, by a drawn fault or a structural override.
 struct ChannelStats {
   std::int64_t frames = 0;
   std::int64_t corrupted_frames = 0;

@@ -7,13 +7,15 @@ namespace coeff::flexray {
 
 Cluster::Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
                  CorruptionFn corruption, sim::Trace* trace)
-    : timing_(cfg),
+    : cfg_(cfg),
       policy_(policy),
       channels_{Channel{ChannelId::kA, corruption},
                 Channel{ChannelId::kB, corruption}},
-      trace_(trace),
-      decisions_(2 * static_cast<std::size_t>(
-                         timing_.config().g_number_of_static_slots)) {}
+      trace_(trace) {
+  cfg_.validate();
+  decisions_.resize(2 *
+                    static_cast<std::size_t>(cfg_.g_number_of_static_slots));
+}
 
 void Cluster::run_cycles(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
@@ -23,14 +25,14 @@ void Cluster::run_cycles(std::int64_t n) {
 }
 
 void Cluster::run_until(sim::Time t) {
-  while (timing_.cycle_start(next_cycle_) < t) {
+  while (cfg_.cycle_start(next_cycle_) < t) {
     execute_cycle(next_cycle_);
     ++next_cycle_;
   }
 }
 
 void Cluster::execute_cycle(units::CycleIndex cycle) {
-  const sim::Time start = timing_.cycle_start(cycle);
+  const sim::Time start = cfg_.cycle_start(cycle);
   arrivals_.deliver_until(start, policy_);  // arrivals due before this cycle
   if (trace_) trace_->emit(start, sim::TraceKind::kCycleStart, cycle.value());
   policy_.on_cycle_start(cycle, start);
@@ -40,7 +42,7 @@ void Cluster::execute_cycle(units::CycleIndex cycle) {
   execute_dynamic_segment(cycle, ChannelId::kA);
   execute_dynamic_segment(cycle, ChannelId::kB);
 
-  const sim::Time end = timing_.cycle_start(cycle + 1);
+  const sim::Time end = cfg_.cycle_start(cycle + 1);
   arrivals_.deliver_until(end, policy_);
   policy_.on_cycle_end(cycle, end);
 }
@@ -113,10 +115,10 @@ void Cluster::execute_static_segment(units::CycleIndex cycle) {
   const sim::Time slot_duration = cfg.static_slot_duration();
 
   std::int64_t slot = 1;
-  // Slot starts form an arithmetic sequence; one anchor lookup replaces
-  // a per-slot timing call (same value: static_slot_start(c, s) =
-  // anchor + duration * (s - 1)).
-  const sim::Time seg_base = timing_.static_slot_start(cycle, units::SlotId{1});
+  // Slot starts form an arithmetic sequence: the first comes from the
+  // config, the rest step by the slot duration (static_slot_start(c, s)
+  // = seg_base + duration * (s - 1)).
+  const sim::Time seg_base = cfg.static_slot_start(cycle, units::SlotId{1});
   while (slot <= nslots) {
     // Chunk = maximal run of slots strictly before the next arrival; an
     // arrival due at or before this slot's start is delivered first,
@@ -211,7 +213,7 @@ void Cluster::execute_dynamic_segment(units::CycleIndex cycle, ChannelId cid) {
   units::SlotId slot_counter{cfg.g_number_of_static_slots + 1};
 
   while (minislot.value() < nminislots) {
-    const sim::Time at = timing_.minislot_start(cycle, minislot);
+    const sim::Time at = cfg.minislot_start(cycle, minislot);
     arrivals_.deliver_until(at, policy_);
     const std::int64_t remaining = nminislots - minislot.value();
     auto req =

@@ -2,8 +2,8 @@
 //
 // The Cluster owns the two channels and the cycle walk; scheduling
 // decisions are delegated to the installed TransmissionPolicy and fault
-// verdicts to the CorruptionFn. Slot-level timing is computed
-// arithmetically (CycleTiming). The walk is phased (DESIGN.md §12):
+// verdicts to the CorruptionFn. Cycle, slot and minislot starts come
+// from the ClusterConfig it holds. The walk is phased (DESIGN.md §12):
 // static slots are decided in arrival-free chunks, then their outcomes
 // are committed in slot order, each frame's verdict drawn at its
 // commit, so dynamic arrivals land between the same slots as in a
@@ -19,14 +19,14 @@
 #include "flexray/bus.hpp"
 #include "flexray/fault_domain.hpp"
 #include "flexray/policy.hpp"
-#include "flexray/timing.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::flexray {
 
 class Cluster {
  public:
-  /// `trace` may be nullptr to disable tracing.
+  /// `trace` may be nullptr to disable tracing. Throws
+  /// std::invalid_argument when `cfg` is invalid (ClusterConfig::validate).
   Cluster(const ClusterConfig& cfg, TransmissionPolicy& policy,
           CorruptionFn corruption, sim::Trace* trace = nullptr);
 
@@ -41,7 +41,8 @@ class Cluster {
   /// Install a structural fault provider (node/channel topology faults).
   /// Must outlive the cluster; nullptr detaches. Transitions are drained
   /// at every cycle boundary, traced (kNodeCrash/kNodeRestart/
-  /// kChannelDown/kChannelUp) and forwarded to the policy.
+  /// kChannelDown/kChannelUp), applied to the channels' availability and
+  /// forwarded to the policy, which keeps the node state.
   void set_fault_provider(StructuralFaultProvider* provider) {
     faults_ = provider;
   }
@@ -57,27 +58,11 @@ class Cluster {
 
   [[nodiscard]] std::int64_t cycles_run() const { return next_cycle_.value(); }
   /// The walk's clock: the end of the last executed cycle.
-  [[nodiscard]] sim::Time now() const {
-    return timing_.cycle_start(next_cycle_);
-  }
+  [[nodiscard]] sim::Time now() const { return cfg_.cycle_start(next_cycle_); }
   [[nodiscard]] const Channel& channel(ChannelId id) const {
     return channels_[static_cast<std::size_t>(id)];
   }
-  [[nodiscard]] const CycleTiming& timing() const { return timing_; }
-  [[nodiscard]] const ClusterConfig& config() const {
-    return timing_.config();
-  }
-
-  /// Total wire capacity of the dynamic segment so far (minislots
-  /// elapsed across both channels), for utilization metrics.
-  [[nodiscard]] std::int64_t dynamic_minislots_elapsed() const {
-    return next_cycle_.value() * config().g_number_of_minislots * kNumChannels;
-  }
-  /// Total static slots elapsed across both channels.
-  [[nodiscard]] std::int64_t static_slots_elapsed() const {
-    return next_cycle_.value() * config().g_number_of_static_slots *
-           kNumChannels;
-  }
+  [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
  private:
   void execute_cycle(units::CycleIndex cycle);
@@ -106,7 +91,7 @@ class Cluster {
     bool lost = false;  ///< channel dark: lose() instead of transmit()
   };
 
-  CycleTiming timing_;
+  ClusterConfig cfg_;
   TransmissionPolicy& policy_;
   std::array<Channel, kNumChannels> channels_;
   sim::Trace* trace_;

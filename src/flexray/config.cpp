@@ -20,6 +20,23 @@ sim::Time ClusterConfig::transmission_time(std::int64_t bits) const {
   return sim::nanos(ns);
 }
 
+sim::Time ClusterConfig::static_slot_start(units::CycleIndex c,
+                                          units::SlotId slot) const {
+  if (slot.value() < 1 || slot.value() > g_number_of_static_slots) {
+    throw std::invalid_argument("static_slot_start: slot out of range");
+  }
+  return cycle_start(c) + static_slot_duration() * (slot.value() - 1);
+}
+
+sim::Time ClusterConfig::minislot_start(units::CycleIndex c,
+                                        units::MinislotId m) const {
+  if (m.value() < 0 || m.value() >= g_number_of_minislots) {
+    throw std::invalid_argument("minislot_start: minislot out of range");
+  }
+  return cycle_start(c) + static_segment_duration() +
+         minislot_duration() * m.value();
+}
+
 std::int64_t ClusterConfig::static_slot_capacity_bits() const {
   return static_slot_duration().ns() * bus_bit_rate / 1'000'000'000;
 }

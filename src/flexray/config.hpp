@@ -100,6 +100,24 @@ struct ClusterConfig {
     return cycle_duration() - static_segment_duration() -
            dynamic_segment_duration() - symbol_window_duration();
   }
+  // --- Where cycles, static slots and minislots start ---------------------
+  // The protocol's timing arithmetic, kept here once. A walk that visits
+  // slot after slot takes its first start from these and then steps by
+  // the slot or minislot duration.
+
+  /// Absolute start time of cycle `c`.
+  [[nodiscard]] sim::Time cycle_start(units::CycleIndex c) const {
+    return cycle_duration() * c.value();
+  }
+  /// Absolute start time of static slot `slot` (1-based) in cycle `c`;
+  /// throws std::invalid_argument outside [1, gNumberOfStaticSlots].
+  [[nodiscard]] sim::Time static_slot_start(units::CycleIndex c,
+                                            units::SlotId slot) const;
+  /// Absolute start time of minislot `m` (0-based) in cycle `c`; throws
+  /// std::invalid_argument outside [0, gNumberOfMinislots).
+  [[nodiscard]] sim::Time minislot_start(units::CycleIndex c,
+                                         units::MinislotId m) const;
+
   /// Effective pLatestTx (derives the default).
   [[nodiscard]] units::MinislotId latest_tx_minislot() const {
     return p_latest_tx.value() > 0 ? p_latest_tx

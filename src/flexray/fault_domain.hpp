@@ -10,8 +10,10 @@
 // way around, so the *interface* the Cluster polls lives here while the
 // seeded implementation (fault::NodeFaultModel) lives in src/fault/.
 // The Cluster drains topology transitions at each cycle boundary (state
-// changes are cycle-aligned, like plan swaps) and consults the current
-// state when clocking slots.
+// changes are cycle-aligned, like plan swaps) and hands them on: channel
+// availability is kept by the Cluster's channels, node state by the
+// policy (core::SchedulerBase). The provider itself is asked only the
+// two wire questions below when a frame is clocked.
 #pragma once
 
 #include <vector>
@@ -55,25 +57,22 @@ struct TopologyEvent {
   sim::Time at;
 };
 
-/// What the Cluster polls. Implementations must be deterministic given
-/// their seed: the same poll()/query sequence yields the same answers.
-/// Between two polls, slot_jammed() and node_out_of_sync() must give the
-/// same answer for the same arguments, however often and in whatever
-/// order they are asked: the Cluster asks them when it commits a frame,
-/// which may come after later slots were already decided.
+/// What the Cluster polls: poll() plus two wire queries. Implementations
+/// must be deterministic given their seed: the same poll()/query
+/// sequence yields the same answers. Between two polls, slot_jammed()
+/// and node_out_of_sync() must give the same answer for the same
+/// arguments, however often and in whatever order they are asked: the
+/// Cluster asks them when it commits a frame, which may come after later
+/// slots were already decided.
 class StructuralFaultProvider {
  public:
   virtual ~StructuralFaultProvider() = default;
 
-  /// Drain every transition that fires at or before `at`, ordered by
-  /// fire time (ties: channels before nodes, ascending index). The
-  /// provider's node_down()/channel_down() state advances accordingly.
-  /// Called once per cycle boundary by the Cluster.
+  /// Hand out every transition that fires at or before `at` and has not
+  /// been handed out yet, ordered by fire time (ties: channels before
+  /// nodes, ascending index). Called once per cycle boundary by the
+  /// Cluster; its channels and the policy keep the resulting state.
   virtual std::vector<TopologyEvent> poll(sim::Time at) = 0;
-
-  /// Current state, as of the last poll().
-  [[nodiscard]] virtual bool node_down(units::NodeId node) const = 0;
-  [[nodiscard]] virtual bool channel_down(ChannelId channel) const = 0;
 
   /// A babbling idiot owns the wire in `slot` at `at`: any frame sent
   /// there collides and arrives corrupted.

@@ -16,7 +16,6 @@
 // and job counts, so energy figures are deterministic.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "sim/time.hpp"
@@ -27,30 +26,15 @@ namespace coeff::flexray {
 /// and cheaper). The mode machine maps NORMAL/L1/L2 onto 0/1/2.
 inline constexpr int kDvfsLevels = 3;
 
-struct PowerConfig {
-  bool enabled = false;
-  /// Host controller + CC baseline per node at DVFS level 0, mW.
-  double controller_mw = 45.0;
-  /// Extra power while driving bits onto one channel, mW.
-  double tx_mw = 120.0;
-  /// Transceiver listening through an idle static slot, mW.
-  double idle_listen_mw = 25.0;
-  /// Transceiver sleeping through an idle static slot, mW.
-  double sleep_mw = 1.5;
-  /// Controller-power scale factor per DVFS level.
-  std::array<double, kDvfsLevels> dvfs_scale = {1.0, 0.72, 0.55};
-
-  /// Throws std::invalid_argument on negative powers, non-positive or
-  /// non-increasing-savings scale factors, or sleep >= idle power.
-  void validate() const;
-};
-
 /// Per-run energy accumulator. The scheduler feeds it once per cycle
 /// from its cycle-end hook with decide-side aggregates (wire bits,
-/// idle-slot count, sleep eligibility, DVFS level).
+/// idle-slot count, sleep eligibility, DVFS level). The node's power
+/// draws are fixed constants of the model (power.cpp).
 class EnergyMeter {
  public:
-  EnergyMeter(const PowerConfig& config, int num_nodes, double bus_bit_rate);
+  /// Throws std::invalid_argument unless num_nodes >= 1 and
+  /// bus_bit_rate > 0.
+  EnergyMeter(int num_nodes, double bus_bit_rate);
 
   /// Account one communication cycle; returns this cycle's energy (uJ).
   ///  * `tx_bits`     — payload bits clocked onto the wire this cycle
@@ -70,12 +54,8 @@ class EnergyMeter {
   [[nodiscard]] double sleep_saved_uj() const { return sleep_saved_uj_; }
   [[nodiscard]] std::int64_t cycles() const { return cycles_; }
   [[nodiscard]] std::int64_t slots_slept() const { return slots_slept_; }
-  [[nodiscard]] double per_cycle_uj() const {
-    return cycles_ == 0 ? 0.0 : total_uj_ / static_cast<double>(cycles_);
-  }
 
  private:
-  PowerConfig config_;
   int num_nodes_;
   double bus_bit_rate_;
   double total_uj_ = 0.0;

@@ -70,7 +70,6 @@ ModeDecision ModeManager::evaluate(double drift_ratio, bool overloaded) {
     decision.to = next;
     mode_ = next;
     dwell_cycles_ = 0;
-    ++mode_changes_;
   } else {
     decision.to = mode_;
   }

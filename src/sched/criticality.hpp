@@ -101,12 +101,15 @@ class ModeManager {
  public:
   explicit ModeManager(const ModePolicy& policy);
 
-  /// One cycle-boundary step. `drift_ratio` is the monitor's latched
-  /// estimated/planned BER ratio (1.0 when no estimate is available);
-  /// `overloaded` is the scheduler's backlog predicate. Escalates at
-  /// most one level per call (L2 entry from NORMAL takes two cycles —
-  /// each step is traced); de-escalates one level only after
-  /// min_dwell_cycles in the current mode AND recovery_cycles of calm.
+  /// One cycle-boundary step. `drift_ratio` is the monitor's last
+  /// estimated/planned BER ratio (fault::ReliabilityMonitor::drift_ratio,
+  /// 1.0 when no estimate is available); it carries no hysteresis of its
+  /// own, the policy's exit_factor, min_dwell_cycles and recovery_cycles
+  /// are the protocol's. `overloaded` is the scheduler's backlog
+  /// predicate. Escalates at most one level per call (L2 entry from
+  /// NORMAL takes two cycles — each step is traced); de-escalates one
+  /// level only after min_dwell_cycles in the current mode AND
+  /// recovery_cycles of calm.
   ModeDecision evaluate(double drift_ratio, bool overloaded);
 
   [[nodiscard]] CriticalityMode mode() const { return mode_; }
@@ -121,7 +124,6 @@ class ModeManager {
   }
   [[nodiscard]] const ModePolicy& policy() const { return policy_; }
   [[nodiscard]] std::int64_t dwell_cycles() const { return dwell_cycles_; }
-  [[nodiscard]] std::int64_t mode_changes() const { return mode_changes_; }
   /// Cycles spent in each mode since construction (indexed by mode).
   [[nodiscard]] std::int64_t cycles_in(CriticalityMode m) const {
     return cycles_in_[static_cast<std::size_t>(m)];
@@ -133,7 +135,6 @@ class ModeManager {
   std::int64_t dwell_cycles_ = 0;   ///< cycles in the current mode
   int calm_streak_ = 0;             ///< consecutive cycles below exit_factor
   int normal_streak_ = 0;           ///< consecutive cycles spent in NORMAL
-  std::int64_t mode_changes_ = 0;
   std::int64_t cycles_in_[kCriticalityModeCount] = {};
 };
 

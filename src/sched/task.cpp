@@ -12,6 +12,21 @@ TaskSet::TaskSet(std::vector<PeriodicTask> tasks) : tasks_(std::move(tasks)) {
   sort_deadline_monotonic();
 }
 
+TaskSet wire_task_set(const net::MessageSet& statics,
+                      const flexray::ClusterConfig& cluster) {
+  std::vector<PeriodicTask> tasks;
+  for (const auto& m : statics.messages()) {
+    PeriodicTask t;
+    t.id = m.id;
+    t.wcet = cluster.transmission_time(m.size_bits);
+    t.period = m.period;
+    t.offset = m.offset;
+    t.deadline = m.deadline;
+    tasks.push_back(t);
+  }
+  return TaskSet{std::move(tasks)};
+}
+
 void TaskSet::add(PeriodicTask t) {
   tasks_.push_back(t);
   sort_deadline_monotonic();

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "flexray/config.hpp"
+#include "net/message.hpp"
 #include "sim/time.hpp"
 
 namespace coeff::sched {
@@ -62,5 +64,12 @@ class TaskSet {
 
   std::vector<PeriodicTask> tasks_;
 };
+
+/// The static set as a wire-speed fixed-priority processor: one task per
+/// message, whose C_i is the time `cluster` takes to clock the message's
+/// bits onto the wire (ClusterConfig::transmission_time), with the
+/// message's period, offset and deadline. Not validated.
+[[nodiscard]] TaskSet wire_task_set(const net::MessageSet& statics,
+                                    const flexray::ClusterConfig& cluster);
 
 }  // namespace coeff::sched

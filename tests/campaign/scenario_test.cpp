@@ -130,9 +130,9 @@ TEST(ScenarioGenerator, CriticalityAxisNeverPerturbsTheOtherDraws) {
     const core::ExperimentConfig off = plain.config(a);
     const core::ExperimentConfig on = crit.config(b);
     EXPECT_FALSE(off.mode_policy.enabled);
-    EXPECT_FALSE(off.power.enabled);
+    EXPECT_FALSE(off.power);
     EXPECT_TRUE(on.mode_policy.enabled) << "cell " << cell;
-    EXPECT_TRUE(on.power.enabled);
+    EXPECT_TRUE(on.power);
     EXPECT_EQ(off.statics.messages().size(), on.statics.messages().size());
     // Deterministic per seed: re-materializing draws the same policy.
     const core::ExperimentConfig again = crit.config(b);

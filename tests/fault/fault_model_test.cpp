@@ -73,7 +73,6 @@ TEST(FaultModelTest, SameSeedGivesByteIdenticalVerdicts) {
     EXPECT_EQ(verdict_stream(*a, ChannelId::kA, 4000),
               verdict_stream(*b, ChannelId::kA, 4000))
         << describe(config);
-    EXPECT_EQ(a->faults(), b->faults()) << describe(config);
   }
 }
 
@@ -87,22 +86,25 @@ TEST(FaultModelTest, DifferentSeedsDecorrelate) {
 }
 
 TEST(FaultModelTest, ChannelsDrawFromIndependentStreams) {
-  // Interleaving channel-A verdicts must not perturb channel B's stream
-  // (each channel owns its RNG). Compare B's stream with and without A
-  // traffic in between.
+  // Interleaving one channel's verdicts must not perturb the other's
+  // stream (each channel owns its RNG). Compare each channel's stream
+  // with and without the other's traffic in between.
   FaultInjector interleaved(1e-3, 99);
+  FaultInjector a_only(1e-3, 99);
   FaultInjector b_only(1e-3, 99);
-  std::vector<bool> b_interleaved, b_alone;
+  std::vector<bool> a_interleaved, b_interleaved, a_alone, b_alone;
   for (int i = 0; i < 3000; ++i) {
-    (void)interleaved.corrupted(request(), ChannelId::kA, sim::micros(i + 1));
+    a_interleaved.push_back(
+        interleaved.corrupted(request(), ChannelId::kA, sim::micros(i + 1)));
     b_interleaved.push_back(
         interleaved.corrupted(request(), ChannelId::kB, sim::micros(i + 1)));
+    a_alone.push_back(
+        a_only.corrupted(request(), ChannelId::kA, sim::micros(i + 1)));
     b_alone.push_back(
         b_only.corrupted(request(), ChannelId::kB, sim::micros(i + 1)));
   }
+  EXPECT_EQ(a_interleaved, a_alone);
   EXPECT_EQ(b_interleaved, b_alone);
-  EXPECT_EQ(interleaved.channel_verdicts(ChannelId::kA), 3000);
-  EXPECT_EQ(interleaved.channel_verdicts(ChannelId::kB), 3000);
 }
 
 TEST(FaultModelTest, GilbertElliottWithoutBurstsMatchesIidRate) {
@@ -193,18 +195,22 @@ TEST(FaultModelTest, CommonModeFractionZeroIsIndependent) {
 TEST(FaultModelTest, BerStepAppliesAtScheduledTime) {
   FaultInjector injector(0.0, 5);
   injector.schedule_ber_step(sim::millis(1), 1.0);
+  int faults = 0;
   // Before the step: ber = 0, nothing corrupts.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(injector.corrupted(request(), ChannelId::kA,
-                                    sim::micros(i + 1)));
+    const bool fault =
+        injector.corrupted(request(), ChannelId::kA, sim::micros(i + 1));
+    EXPECT_FALSE(fault);
+    if (fault) ++faults;
   }
   // At/after the step: ber = 1, every frame corrupts.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(injector.corrupted(request(), ChannelId::kA,
-                                   sim::millis(1) + sim::micros(i)));
+    const bool fault = injector.corrupted(request(), ChannelId::kA,
+                                          sim::millis(1) + sim::micros(i));
+    EXPECT_TRUE(fault);
+    if (fault) ++faults;
   }
-  EXPECT_EQ(injector.faults(), 100);
-  EXPECT_EQ(injector.verdicts(), 200);
+  EXPECT_EQ(faults, 100);
 }
 
 TEST(FaultModelTest, GilbertElliottBerStepRaisesBothStates) {

@@ -13,11 +13,11 @@ flexray::TxRequest req(std::int64_t bits) {
 
 TEST(InjectorTest, ZeroBerNeverCorrupts) {
   FaultInjector inj(0.0, 1);
+  int faults = 0;
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(inj.corrupted(req(1500), flexray::ChannelId::kA, {}));
+    if (inj.corrupted(req(1500), flexray::ChannelId::kA, {})) ++faults;
   }
-  EXPECT_EQ(inj.faults(), 0);
-  EXPECT_EQ(inj.verdicts(), 1000);
+  EXPECT_EQ(faults, 0);
 }
 
 TEST(InjectorTest, BerOneAlwaysCorrupts) {
@@ -84,10 +84,18 @@ TEST(InjectorTest, InvalidBerThrows) {
 }
 
 TEST(InjectorTest, CorruptionFnAdapterForwards) {
-  FaultInjector inj(1.0, 1);
-  auto fn = inj.as_corruption_fn();
-  EXPECT_TRUE(fn(req(1), flexray::ChannelId::kA, {}));
-  EXPECT_EQ(inj.verdicts(), 1);
+  // The adapter draws from the model's own stream: a verdict taken
+  // through it advances the stream a direct call continues.
+  FaultInjector via_fn(1e-3, 1);
+  FaultInjector direct(1e-3, 1);
+  auto fn = via_fn.as_corruption_fn();
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(fn(req(1000), flexray::ChannelId::kA, {}),
+              direct.corrupted(req(1000), flexray::ChannelId::kA, {}))
+        << "verdict " << i;
+  }
+  EXPECT_EQ(via_fn.corrupted(req(1000), flexray::ChannelId::kA, {}),
+            direct.corrupted(req(1000), flexray::ChannelId::kA, {}));
 }
 
 }  // namespace

@@ -57,16 +57,17 @@ TEST(MonitorTest, DetectsDriftAboveTriggerFactor) {
   ReliabilityMonitor mon(1e-7, small_window());
   feed_cycle(mon, 50, 1);
   EXPECT_TRUE(mon.on_cycle_end());
-  EXPECT_EQ(mon.drift_detections(), 1);
+  EXPECT_GT(mon.worst_channel_estimate(), 5.0 * mon.planned_ber());
 }
 
 TEST(MonitorTest, CleanTrafficNeverTriggers) {
   ReliabilityMonitor mon(1e-7, small_window());
+  int detections = 0;
   for (int c = 0; c < 20; ++c) {
     feed_cycle(mon, 50, 0);
-    EXPECT_FALSE(mon.on_cycle_end()) << "cycle " << c;
+    if (mon.on_cycle_end()) ++detections;
   }
-  EXPECT_EQ(mon.drift_detections(), 0);
+  EXPECT_EQ(detections, 0);
   EXPECT_DOUBLE_EQ(mon.estimated_ber(), 0.0);
 }
 
@@ -84,19 +85,18 @@ TEST(MonitorTest, MinWindowFramesGatesDetection) {
 TEST(MonitorTest, CooldownSuppressesRedetection) {
   ReliabilityMonitor mon(1e-7, small_window());
   feed_cycle(mon, 50, 1);
-  ASSERT_TRUE(mon.on_cycle_end());
+  int detections = mon.on_cycle_end() ? 1 : 0;
+  ASSERT_EQ(detections, 1);
   mon.note_replanned(2e-5);
   // Same corruption level keeps flowing; the first cooldown_cycles=2
   // boundaries must stay quiet even though the estimate is unchanged.
-  feed_cycle(mon, 50, 1);
-  EXPECT_FALSE(mon.on_cycle_end());
-  feed_cycle(mon, 50, 1);
-  EXPECT_FALSE(mon.on_cycle_end());
   // After the cooldown the baseline is the re-planned 2e-5, and the
   // observed ~2e-5 is below 5 * 2e-5: still quiet, by threshold now.
-  feed_cycle(mon, 50, 1);
-  EXPECT_FALSE(mon.on_cycle_end());
-  EXPECT_EQ(mon.drift_detections(), 1);
+  for (int c = 0; c < 3; ++c) {
+    feed_cycle(mon, 50, 1);
+    if (mon.on_cycle_end()) ++detections;
+  }
+  EXPECT_EQ(detections, 1);
   EXPECT_DOUBLE_EQ(mon.planned_ber(), 2e-5);
 }
 
@@ -146,13 +146,17 @@ TEST(MonitorTest, FullyStarvedWindowFallsBackToPlan) {
   // No traffic at all (total blackout): every estimate that has a
   // defined fallback reports the planned BER; nothing divides by zero.
   ReliabilityMonitor mon(1e-5, small_window());
-  for (int c = 0; c < 6; ++c) EXPECT_FALSE(mon.on_cycle_end());
+  int detections = 0;
+  for (int c = 0; c < 6; ++c) {
+    if (mon.on_cycle_end()) ++detections;
+  }
+  EXPECT_EQ(detections, 0);
   EXPECT_TRUE(mon.starved(ChannelId::kA));
   EXPECT_TRUE(mon.starved(ChannelId::kB));
   EXPECT_DOUBLE_EQ(mon.worst_channel_estimate(), 1e-5);
   EXPECT_DOUBLE_EQ(mon.estimated_ber(ChannelId::kA), 1e-5);
   EXPECT_DOUBLE_EQ(mon.estimated_ber(ChannelId::kB), 1e-5);
-  EXPECT_EQ(mon.drift_detections(), 0);
+  EXPECT_DOUBLE_EQ(mon.drift_ratio(), 1.0);
 }
 
 TEST(MonitorTest, ChannelRecoveryRestoresEstimate) {
@@ -169,20 +173,20 @@ TEST(MonitorTest, ChannelRecoveryRestoresEstimate) {
 
 TEST(MonitorTest, HysteresisLatchEntersAtTriggerFactor) {
   // 2% frame errors at 1000 bits estimate ~2e-5 against planned 1e-7:
-  // ratio ~200, far past trigger_factor=5 — the latch must set and the
-  // ratio must be exposed for the mode protocol.
+  // ratio ~200, far past trigger_factor=5 — the ratio the mode protocol
+  // reads must show it from the first cycle boundary on.
   ReliabilityMonitor mon(1e-7, small_window());
-  EXPECT_FALSE(mon.drift_active());
   EXPECT_DOUBLE_EQ(mon.drift_ratio(), 1.0);
   feed_cycle(mon, 50, 1);
   (void)mon.on_cycle_end();
-  EXPECT_TRUE(mon.drift_active());
   EXPECT_GT(mon.drift_ratio(), 5.0);
+  EXPECT_DOUBLE_EQ(mon.drift_ratio(),
+                   mon.worst_channel_estimate() / mon.planned_ber());
 }
 
 TEST(MonitorTest, HysteresisLatchIgnoresReplanCooldown) {
-  // The one-shot detection return is cooldown-gated, but the latched
-  // signal is not: the mode protocol has its own dwell damping and must
+  // The one-shot detection return is cooldown-gated, but the drift
+  // ratio is not: the mode protocol has its own dwell damping and must
   // keep seeing the drift while the re-planner is cooling down.
   ReliabilityMonitor mon(1e-7, small_window());
   feed_cycle(mon, 50, 1);
@@ -190,65 +194,7 @@ TEST(MonitorTest, HysteresisLatchIgnoresReplanCooldown) {
   mon.note_replanned(1e-7);  // baseline kept: drift ratio stays high
   feed_cycle(mon, 50, 1);
   EXPECT_FALSE(mon.on_cycle_end());  // cooldown suppresses redetection
-  EXPECT_TRUE(mon.drift_active());   // ...but the latch stays set
-}
-
-TEST(MonitorTest, HysteresisExitNeedsCalmDwell) {
-  auto opt = small_window();
-  opt.exit_factor = 2.0;
-  opt.min_dwell_cycles = 2;
-  ReliabilityMonitor mon(1e-7, opt);
-  feed_cycle(mon, 50, 1);
-  (void)mon.on_cycle_end();
-  ASSERT_TRUE(mon.drift_active());
-  // Clean cycles age the burst out of the 4-cycle window; the latch
-  // must hold through min_dwell_cycles=2 calm boundaries and release
-  // only on the one after (calm_cycles > min_dwell).
-  for (int c = 0; c < 6; ++c) {
-    feed_cycle(mon, 50, 0);
-    (void)mon.on_cycle_end();
-    if (mon.drift_ratio() >= opt.exit_factor) continue;  // still windowed
-    break;
-  }
-  ASSERT_LT(mon.drift_ratio(), opt.exit_factor);
-  EXPECT_TRUE(mon.drift_active());  // calm streak just started
-  feed_cycle(mon, 50, 0);
-  (void)mon.on_cycle_end();
-  EXPECT_TRUE(mon.drift_active());  // calm_cycles == 2 == min_dwell
-  feed_cycle(mon, 50, 0);
-  (void)mon.on_cycle_end();
-  EXPECT_FALSE(mon.drift_active());  // calm_cycles = 3 > min_dwell
-}
-
-TEST(MonitorTest, HysteresisFlapBetweenExitAndTriggerHoldsLatch) {
-  // A level between exit_factor and trigger_factor is the hysteresis
-  // band: it must neither set a clear latch nor clear a set one, no
-  // matter how long it flaps there.
-  auto opt = small_window();
-  opt.window_cycles = 1;  // estimate follows each cycle exactly
-  opt.exit_factor = 2.0;
-  opt.min_dwell_cycles = 1;
-  ReliabilityMonitor mon(1e-6, opt);
-  // ~3e-6 estimate: ratio ~3, inside (exit=2, trigger=5).
-  auto feed_band = [&] {
-    for (const auto ch : {ChannelId::kA, ChannelId::kB}) {
-      for (int i = 0; i < 1000; ++i) mon.record_tx(ch, 1000, i < 3);
-    }
-  };
-  for (int c = 0; c < 8; ++c) {
-    feed_band();
-    (void)mon.on_cycle_end();
-    EXPECT_FALSE(mon.drift_active()) << "cycle " << c;
-  }
-  // Now latch with a real burst, then flap in the band again: held.
-  feed_cycle(mon, 50, 5);
-  (void)mon.on_cycle_end();
-  ASSERT_TRUE(mon.drift_active());
-  for (int c = 0; c < 8; ++c) {
-    feed_band();
-    (void)mon.on_cycle_end();
-    EXPECT_TRUE(mon.drift_active()) << "cycle " << c;
-  }
+  EXPECT_GT(mon.drift_ratio(), 5.0);  // ...but the ratio still shows it
 }
 
 TEST(MonitorTest, InvalidOptionsThrow) {
@@ -265,15 +211,10 @@ TEST(MonitorTest, InvalidOptionsThrow) {
   opt = ReliabilityMonitorOptions{};
   opt.cooldown_cycles = -1;
   EXPECT_THROW(ReliabilityMonitor(1e-7, opt), std::invalid_argument);
+  // Any trigger factor above 1 is valid, as --monitor-factor promises.
   opt = ReliabilityMonitorOptions{};
-  opt.exit_factor = 0.5;  // must be >= 1
-  EXPECT_THROW(ReliabilityMonitor(1e-7, opt), std::invalid_argument);
-  opt = ReliabilityMonitorOptions{};
-  opt.exit_factor = opt.trigger_factor + 1.0;  // must be <= trigger
-  EXPECT_THROW(ReliabilityMonitor(1e-7, opt), std::invalid_argument);
-  opt = ReliabilityMonitorOptions{};
-  opt.min_dwell_cycles = -1;
-  EXPECT_THROW(ReliabilityMonitor(1e-7, opt), std::invalid_argument);
+  opt.trigger_factor = 1.5;
+  EXPECT_NO_THROW(ReliabilityMonitor(1e-7, opt));
   ReliabilityMonitor ok(1e-7, ReliabilityMonitorOptions{});
   EXPECT_THROW(ok.note_replanned(-1.0), std::invalid_argument);
 }

@@ -95,18 +95,21 @@ TEST(NodeFaultModelTest, ScheduledCrashReplaysInOrder) {
   EXPECT_EQ(model.schedule()[1].kind, TopologyEventKind::kNodeRestart);
 
   EXPECT_TRUE(model.poll(sim::millis(4)).empty());
-  EXPECT_FALSE(model.node_down(units::NodeId{1}));
 
   const auto crash = model.poll(sim::millis(5));
   ASSERT_EQ(crash.size(), 1u);
   EXPECT_EQ(crash[0].kind, TopologyEventKind::kNodeCrash);
   EXPECT_EQ(crash[0].node, units::NodeId{1});
-  EXPECT_TRUE(model.node_down(units::NodeId{1}));
+  EXPECT_EQ(crash[0].at, sim::millis(5));
+  // Each transition is handed out once.
+  EXPECT_TRUE(model.poll(sim::millis(5)).empty());
 
   const auto restart = model.poll(sim::millis(25));
   ASSERT_EQ(restart.size(), 1u);
   EXPECT_EQ(restart[0].kind, TopologyEventKind::kNodeRestart);
-  EXPECT_FALSE(model.node_down(units::NodeId{1}));
+  EXPECT_EQ(restart[0].node, units::NodeId{1});
+  EXPECT_EQ(restart[0].at, sim::millis(20));
+  EXPECT_TRUE(model.poll(sim::millis(100)).empty());
 }
 
 TEST(NodeFaultModelTest, BlackoutFlipsChannelState) {
@@ -114,11 +117,14 @@ TEST(NodeFaultModelTest, BlackoutFlipsChannelState) {
   config.blackouts.push_back({ChannelId::kA, sim::millis(2), sim::millis(6)});
   NodeFaultModel model(config, kNodes, 1);
 
-  (void)model.poll(sim::millis(2));
-  EXPECT_TRUE(model.channel_down(ChannelId::kA));
-  EXPECT_FALSE(model.channel_down(ChannelId::kB));
-  (void)model.poll(sim::millis(6));
-  EXPECT_FALSE(model.channel_down(ChannelId::kA));
+  const auto down = model.poll(sim::millis(2));
+  ASSERT_EQ(down.size(), 1u);
+  EXPECT_EQ(down[0].kind, TopologyEventKind::kChannelDown);
+  EXPECT_EQ(down[0].channel, ChannelId::kA);
+  const auto up = model.poll(sim::millis(6));
+  ASSERT_EQ(up.size(), 1u);
+  EXPECT_EQ(up[0].kind, TopologyEventKind::kChannelUp);
+  EXPECT_EQ(up[0].channel, ChannelId::kA);
 }
 
 TEST(NodeFaultModelTest, OverlappingWindowsCoalesce) {
@@ -253,19 +259,19 @@ TEST(SilentNodeDetectorTest, FlagsAfterThresholdConsecutiveSilentCycles) {
   ASSERT_EQ(flagged.size(), 1u);
   EXPECT_EQ(flagged[0], units::NodeId{1});
   EXPECT_TRUE(det.silent(units::NodeId{1}));
-  EXPECT_EQ(det.detections(), 1);
 
   // Flagged exactly once: staying silent does not re-flag.
   det.note_expected(units::NodeId{1});
   EXPECT_TRUE(det.on_cycle_end().empty());
-  EXPECT_EQ(det.detections(), 1);
+  EXPECT_TRUE(det.silent(units::NodeId{1}));
 }
 
 TEST(SilentNodeDetectorTest, ActivityResetsSilenceAndFlag) {
   SilentNodeDetector det(2, 2);
+  std::size_t flagged = 0;
   for (int c = 0; c < 2; ++c) {
     det.note_expected(units::NodeId{0});
-    (void)det.on_cycle_end();
+    flagged += det.on_cycle_end().size();
   }
   ASSERT_TRUE(det.silent(units::NodeId{0}));
 
@@ -279,8 +285,9 @@ TEST(SilentNodeDetectorTest, ActivityResetsSilenceAndFlag) {
   det.note_expected(units::NodeId{0});
   EXPECT_TRUE(det.on_cycle_end().empty());  // 1 silent cycle again
   det.note_expected(units::NodeId{0});
-  EXPECT_EQ(det.on_cycle_end().size(), 1u);  // re-detected after recovery
-  EXPECT_EQ(det.detections(), 2);
+  const std::size_t redetected = det.on_cycle_end().size();
+  EXPECT_EQ(redetected, 1u);  // re-detected after recovery
+  EXPECT_EQ(flagged + redetected, 2u);
 }
 
 TEST(SilentNodeDetectorTest, UnexpectedNodesAreNeverFlagged) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 namespace coeff::flexray {
@@ -282,6 +283,13 @@ TEST(ClusterTest, ArrivalsDeliveredAtSlotBoundaries) {
   EXPECT_EQ(policy.arrivals[2].static_calls_before, 4);
 }
 
+TEST(TimingTest, InvalidConfigRejectedAtConstruction) {
+  ClusterConfig cfg;
+  cfg.g_number_of_static_slots = 0;
+  ScriptedPolicy policy;
+  EXPECT_THROW((Cluster{cfg, policy, nullptr}), std::invalid_argument);
+}
+
 TEST(ClusterTest, RunUntilCoversWholeCycles) {
   ScriptedPolicy policy;
   Cluster cluster(small_config(), policy, nullptr);
@@ -294,8 +302,6 @@ TEST(ClusterTest, RunUntilCoversWholeCycles) {
 class StubFaults : public StructuralFaultProvider {
  public:
   std::vector<TopologyEvent> poll(sim::Time) override { return {}; }
-  [[nodiscard]] bool node_down(units::NodeId) const override { return false; }
-  [[nodiscard]] bool channel_down(ChannelId) const override { return false; }
   [[nodiscard]] bool slot_jammed(SlotId slot, ChannelId channel,
                                  sim::Time at) const override {
     return slot == SlotId{2} && channel == ChannelId::kA &&
@@ -390,8 +396,13 @@ TEST(ClusterTest, ElapsedCapacityCounters) {
   ScriptedPolicy policy;
   Cluster cluster(small_config(), policy, nullptr);
   cluster.run_cycles(3);
-  EXPECT_EQ(cluster.static_slots_elapsed(), 3 * 4 * 2);
-  EXPECT_EQ(cluster.dynamic_minislots_elapsed(), 3 * 20 * 2);
+  // The elapsed wire capacity, across both channels, as
+  // run_experiment_with derives it from cycles_run().
+  const ClusterConfig& cfg = cluster.config();
+  EXPECT_EQ(cluster.cycles_run() * cfg.g_number_of_static_slots * kNumChannels,
+            3 * 4 * 2);
+  EXPECT_EQ(cluster.cycles_run() * cfg.g_number_of_minislots * kNumChannels,
+            3 * 20 * 2);
 }
 
 }  // namespace

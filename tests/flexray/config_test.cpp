@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace coeff::flexray {
 namespace {
 
@@ -135,6 +137,56 @@ TEST(ConfigTest, DescribeMentionsKeyNumbers) {
 TEST(ConfigTest, ChannelNames) {
   EXPECT_STREQ(to_string(ChannelId::kA), "A");
   EXPECT_STREQ(to_string(ChannelId::kB), "B");
+}
+
+// --- Where cycles, static slots and minislots start -----------------------
+
+using units::CycleIndex;
+using units::MinislotId;
+using units::SlotId;
+
+TEST(TimingTest, CycleStartInvertsIndex) {
+  const ClusterConfig cfg;  // 5 ms cycles
+  for (std::int64_t c : {0, 1, 7, 1000}) {
+    const sim::Time start = cfg.cycle_start(CycleIndex{c});
+    EXPECT_EQ(start / cfg.cycle_duration(), c);
+    EXPECT_EQ(start % cfg.cycle_duration(), sim::Time::zero());
+  }
+}
+
+TEST(TimingTest, StaticSlotStart) {
+  const ClusterConfig cfg;
+  EXPECT_EQ(cfg.static_slot_start(CycleIndex{0}, SlotId{1}), sim::Time::zero());
+  EXPECT_EQ(cfg.static_slot_start(CycleIndex{0}, SlotId{2}), sim::micros(40));
+  EXPECT_EQ(cfg.static_slot_start(CycleIndex{1}, SlotId{1}), sim::millis(5));
+  EXPECT_EQ(cfg.static_slot_start(CycleIndex{2}, SlotId{80}),
+            sim::millis(10) + sim::micros(79 * 40));
+}
+
+TEST(TimingTest, SlotOutOfRangeThrows) {
+  const ClusterConfig cfg;
+  EXPECT_THROW((void)cfg.static_slot_start(CycleIndex{0}, SlotId{0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)cfg.static_slot_start(CycleIndex{0}, SlotId{81}),
+               std::invalid_argument);
+}
+
+TEST(TimingTest, MinislotStart) {
+  const ClusterConfig cfg;
+  EXPECT_EQ(cfg.minislot_start(CycleIndex{0}, MinislotId{0}),
+            sim::micros(3200));
+  EXPECT_EQ(cfg.minislot_start(CycleIndex{0}, MinislotId{1}),
+            sim::micros(3208));
+  EXPECT_EQ(cfg.minislot_start(CycleIndex{1}, MinislotId{0}),
+            sim::millis(5) + sim::micros(3200));
+}
+
+TEST(TimingTest, MinislotOutOfRangeThrows) {
+  const ClusterConfig cfg;
+  EXPECT_THROW((void)cfg.minislot_start(CycleIndex{0}, MinislotId{-1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)cfg.minislot_start(CycleIndex{0}, MinislotId{50}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ ExperimentConfig burst_config(sim::Trace* trace) {
   config.monitor.trigger_factor = 5.0;
   config.monitor.cooldown_cycles = 1000000;
   config.mode_policy = *sched::parse_mode_policy("aggressive,window=400");
-  config.power.enabled = true;
+  config.power = true;
   config.trace = trace;
   return config;
 }

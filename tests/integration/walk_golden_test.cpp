@@ -187,7 +187,7 @@ TEST(WalkGoldenTest, LoadedSingleChannelUniformPlan) {
 // CoEfficient's outcome tally feeds the energy meter.
 TEST(WalkGoldenTest, LoadedWithPower) {
   ExperimentConfig config = loaded();
-  config.power.enabled = true;
+  config.power = true;
   expect_golden(config, {{"6fe4ad982d526281", "955071d2693ef31d"},
                          {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
                          {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});

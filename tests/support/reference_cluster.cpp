@@ -13,11 +13,13 @@ std::atomic<std::int64_t> g_static_slot_calls{0};
 ReferenceCluster::ReferenceCluster(const ClusterConfig& cfg,
                                    TransmissionPolicy& policy,
                                    CorruptionFn corruption, sim::Trace* trace)
-    : timing_(cfg),
+    : cfg_(cfg),
       policy_(policy),
       channels_{Channel{ChannelId::kA, corruption},
                 Channel{ChannelId::kB, corruption}},
-      trace_(trace) {}
+      trace_(trace) {
+  cfg_.validate();
+}
 
 void ReferenceCluster::set_arrivals(const std::vector<Arrival>& arrivals) {
   for (const Arrival& a : arrivals) {
@@ -39,14 +41,14 @@ void ReferenceCluster::run_cycles(std::int64_t n) {
 }
 
 void ReferenceCluster::run_until(sim::Time t) {
-  while (timing_.cycle_start(next_cycle_) < t) {
+  while (cfg_.cycle_start(next_cycle_) < t) {
     execute_cycle(next_cycle_);
     ++next_cycle_;
   }
 }
 
 void ReferenceCluster::execute_cycle(units::CycleIndex cycle) {
-  const sim::Time start = timing_.cycle_start(cycle);
+  const sim::Time start = cfg_.cycle_start(cycle);
   engine_.run_until(start);  // arrivals due before this cycle
   if (trace_) trace_->emit(start, sim::TraceKind::kCycleStart, cycle.value());
   policy_.on_cycle_start(cycle, start);
@@ -56,7 +58,7 @@ void ReferenceCluster::execute_cycle(units::CycleIndex cycle) {
   execute_dynamic_segment(cycle, ChannelId::kA);
   execute_dynamic_segment(cycle, ChannelId::kB);
 
-  const sim::Time end = timing_.cycle_start(cycle + 1);
+  const sim::Time end = cfg_.cycle_start(cycle + 1);
   engine_.run_until(end);
   policy_.on_cycle_end(cycle, end);
 }
@@ -110,7 +112,7 @@ void ReferenceCluster::execute_static_segment(units::CycleIndex cycle) {
   const ClusterConfig& cfg = config();
   for (units::SlotId slot{1};
        slot.value() <= cfg.g_number_of_static_slots; ++slot) {
-    const sim::Time slot_start = timing_.static_slot_start(cycle, slot);
+    const sim::Time slot_start = cfg.static_slot_start(cycle, slot);
     engine_.run_until(slot_start);
     for (auto& channel : channels_) {
       auto req = policy_.static_slot(channel.id(), cycle, slot);
@@ -168,7 +170,7 @@ void ReferenceCluster::execute_dynamic_segment(units::CycleIndex cycle,
   units::SlotId slot_counter{cfg.g_number_of_static_slots + 1};
 
   while (minislot.value() < cfg.g_number_of_minislots) {
-    const sim::Time at = timing_.minislot_start(cycle, minislot);
+    const sim::Time at = cfg.minislot_start(cycle, minislot);
     engine_.run_until(at);
     const std::int64_t remaining =
         cfg.g_number_of_minislots - minislot.value();

@@ -25,7 +25,6 @@
 #include "flexray/bus.hpp"
 #include "flexray/fault_domain.hpp"
 #include "flexray/policy.hpp"
-#include "flexray/timing.hpp"
 #include "sim/trace.hpp"
 #include "support/engine.hpp"
 
@@ -54,9 +53,7 @@ class ReferenceCluster {
   [[nodiscard]] const Channel& channel(ChannelId id) const {
     return channels_[static_cast<std::size_t>(id)];
   }
-  [[nodiscard]] const ClusterConfig& config() const {
-    return timing_.config();
-  }
+  [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
   /// static_slot calls made by every ReferenceCluster in this process so
   /// far. A differential test reads it before and after a run to prove
@@ -73,7 +70,7 @@ class ReferenceCluster {
                                            ChannelId channel,
                                            sim::Time at) const;
 
-  CycleTiming timing_;
+  ClusterConfig cfg_;
   TransmissionPolicy& policy_;
   std::array<Channel, kNumChannels> channels_;
   sim::Trace* trace_;

@@ -162,9 +162,7 @@ int lint_main(const std::vector<std::string>& args) {
     core::ExperimentConfig config = build_config(opt);
     const core::SchemeKind scheme = opt.scheme;
 
-    const double rho = config.rho > 0.0
-                           ? config.rho
-                           : fault::reliability_goal(config.sil, config.u);
+    const double rho = core::reliability_goal(config);
 
     analysis::Report report;
 
