@@ -63,8 +63,6 @@ namespace {
 // SARIF rule helpUri).
 constexpr const char* kHelpSchedule = "DESIGN.md#9-static-analysis-srcanalysis";
 constexpr const char* kHelpTrace = "DESIGN.md#9-static-analysis-srcanalysis";
-constexpr const char* kHelpEngine =
-    "DESIGN.md#12-compiled-cycle-engine-flexraycluster-corecycle_template";
 constexpr const char* kHelpCampaign =
     "DESIGN.md#13-crash-safe-campaign-engine-srccampaign";
 constexpr const char* kHelpProb =
@@ -166,10 +164,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"trace.vote-consistency", Severity::kError,
        "replica-vote verdict inconsistent with its clean-copy count",
        kHelpTrace},
-      {"engine.template-invalidation", Severity::kError,
-       "transmission while the compiled cycle template was stale (plan "
-       "swap / membership / channel event without a rebuild marker)",
-       kHelpEngine},
       // --- CampaignLint ---------------------------------------------------
       {"campaign.manifest-consistency", Severity::kError,
        "campaign manifest, shard checkpoints and result rows disagree "

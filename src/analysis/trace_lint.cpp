@@ -59,20 +59,6 @@ Report lint_trace(const TraceLintInput& input) {
   bool chan_down[flexray::kNumChannels] = {};
 
   const auto& records = input.trace->records();
-
-  // engine.template-invalidation is gated on the trace actually carrying
-  // rebuild markers: policies without a cycle template (or pre-template
-  // traces) never emit kTemplateRebuild and are exempt.
-  bool has_rebuild_markers = false;
-  for (const auto& r : records) {
-    if (r.kind == sim::TraceKind::kTemplateRebuild) {
-      has_rebuild_markers = true;
-      break;
-    }
-  }
-  // Index of the staleness event awaiting a rebuild marker, or -1.
-  std::int64_t stale_since = -1;
-  sim::TraceKind stale_kind = sim::TraceKind::kInfo;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const sim::TraceRecord& r = records[i];
     const auto idx = static_cast<std::int64_t>(i);
@@ -332,40 +318,6 @@ Report lint_trace(const TraceLintInput& input) {
       }
       default:
         break;
-    }
-
-    // --- engine.template-invalidation ---------------------------------
-    // Plan swaps, membership changes and channel topology flips all
-    // invalidate the compiled cycle template; a transmission before the
-    // rebuild marker means the engine drove a stale schedule.
-    if (has_rebuild_markers) {
-      switch (r.kind) {
-        case sim::TraceKind::kPlanSwap:
-        case sim::TraceKind::kNodeCrash:
-        case sim::TraceKind::kNodeRestart:
-        case sim::TraceKind::kChannelDown:
-        case sim::TraceKind::kChannelUp:
-          stale_since = idx;
-          stale_kind = r.kind;
-          break;
-        case sim::TraceKind::kTemplateRebuild:
-          stale_since = -1;
-          break;
-        default:
-          break;
-      }
-      if (is_tx(r.kind) && stale_since >= 0) {
-        out.add("engine.template-invalidation",
-                strformat("record %lld: transmission at %s while the cycle "
-                          "template was stale (%s at record %lld was never "
-                          "followed by a rebuild marker)",
-                          static_cast<long long>(idx),
-                          sim::to_string(r.at).c_str(),
-                          sim::to_string(stale_kind),
-                          static_cast<long long>(stale_since)),
-                record_loc(idx));
-        stale_since = -1;  // report each stale window once
-      }
     }
 
     if (!is_tx(r.kind)) continue;

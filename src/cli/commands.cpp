@@ -135,6 +135,20 @@ std::vector<Row> structural_rows(fault::StructuralFaultConfig& s) {
   };
 }
 
+/// The BER after a scheduled step, or -1 for no step.
+Row ber_step(std::string name, std::string help, double& target) {
+  return spec(
+      std::move(name), "X", std::move(help), "(-1 = none, or in [0, 1])",
+      [&target](std::string_view text) {
+        double v = 0.0;
+        const bool in = parse_number(text, v) &&
+                        (v == -1.0 || (0.0 <= v && v <= 1.0));
+        if (in) target = v;
+        return in;
+      },
+      [&target] { return to_text(target); });
+}
+
 /// Everything run, lint and analyze need to build the experiment.
 std::vector<Row> experiment_rows(ExperimentOptions& opt) {
   core::ExperimentConfig& c = opt.config;
@@ -165,12 +179,10 @@ std::vector<Row> experiment_rows(ExperimentOptions& opt) {
       flag("--no-dynamics", "statics only", opt.no_dynamics),
       millis("--ber-step-ms", "MS", "step the BER at; 0 = never",
              c.ber_step_at, 0, kMaxMillis),
-      number("--ber-step", "X", "BER after the step; -1 = none", c.ber_step,
-             -1.0, 1.0),
+      ber_step("--ber-step", "BER after the step", c.ber_step),
       millis("--ber-step2-ms", "MS", "second step at (burst: up, then down)",
              c.ber_step2_at, 0, kMaxMillis),
-      number("--ber-step2", "X", "BER after the second step; -1 = none",
-             c.ber_step2, -1.0, 1.0),
+      ber_step("--ber-step2", "BER after the second step", c.ber_step2),
       flag("--monitor", "reliability monitor + online re-plan",
            c.enable_monitor),
       number("--monitor-window", "N", "monitor window in cycles",
@@ -199,8 +211,15 @@ std::vector<Row> experiment_rows(ExperimentOptions& opt) {
              return spec.has_value();
            }),
       flag("--power", "per-node DVFS/DPM energy accounting", c.power),
-      number("--vote", "K", "k-replica voting; 0 = off, else odd >= 3",
-             c.vote_replicas, 0, kIntMax),
+      spec("--vote", "K", "k-replica voting", "(0 = off, or odd >= 3)",
+           [&c](std::string_view text) {
+             int k = 0;
+             const bool in = parse_number(text, k) &&
+                             (k == 0 || (k >= 3 && k % 2 == 1));
+             if (in) c.vote_replicas = k;
+             return in;
+           },
+           [&c] { return to_text(c.vote_replicas); }),
       flag("--silent-detect", "detect silent nodes + re-plan membership",
            c.silent_node_detection),
       number("--silent-threshold", "N", "consecutive silent cycles",

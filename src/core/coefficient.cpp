@@ -13,7 +13,8 @@ CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
                                            const CoEfficientOptions& options)
     : SchedulerBase(cfg, std::move(statics), std::move(dynamics),
                     batch_window),
-      options_(options) {
+      options_(options),
+      copies_by_position_(statics_.size(), 0) {
   static_capacity_bits_ = cfg_.static_slot_capacity_bits();
   if (options_.vote_replicas != 0 &&
       (options_.vote_replicas < 3 || options_.vote_replicas % 2 == 0)) {
@@ -27,11 +28,6 @@ CoEfficientScheduler::CoEfficientScheduler(const flexray::ClusterConfig& cfg,
   }
   if (options_.rho > 0.0) {
     rebuild_plan(options_.ber);
-    // Bake the fresh budget into the template (the base constructor
-    // built it before the plan existed). No trace is attached yet, so
-    // this stays silent; the first cycle start announces the result.
-    rebuild_template(TemplateRebuildWhy::kInitial, units::CycleIndex{0},
-                     sim::Time::zero());
     if (options_.enable_monitor) {
       monitor_ = std::make_unique<fault::ReliabilityMonitor>(
           options_.ber, options_.monitor);
@@ -65,7 +61,7 @@ void CoEfficientScheduler::rebuild_plan(double ber) {
   solver.max_copies_per_message = options_.max_copies_per_message;
   // Dead members produce nothing: solving over their messages would
   // spend the copy budget on traffic that cannot exist. Their messages
-  // simply get no copies_by_message_ entry (k_z = 0).
+  // keep k_z = 0.
   const bool membership_reduced =
       std::any_of(member_dead_.begin(), member_dead_.end(),
                   [](char dead) { return dead != 0; });
@@ -78,10 +74,12 @@ void CoEfficientScheduler::rebuild_plan(double ber) {
   const net::MessageSet& set = membership_reduced ? alive : statics_;
   plan_ = options_.use_uniform_plan ? fault::solve_uniform(set, solver)
                                     : fault::solve_differentiated(set, solver);
-  copies_by_message_.clear();
-  const auto& msgs = set.messages();
-  for (std::size_t z = 0; z < msgs.size(); ++z) {
-    copies_by_message_[msgs[z].id] = plan_.copies[z];
+  // `set` is statics_ without the dead members' messages, in order.
+  std::size_t solved = 0;
+  for (std::size_t z = 0; z < statics_.size(); ++z) {
+    const auto node = static_cast<std::size_t>(statics_.messages()[z].node);
+    copies_by_position_[z] =
+        member_dead_[node] == 0 ? plan_.copies[solved++] : 0;
   }
   stats_.plan_degraded = plan_.degraded;
   stats_.plan_target_log_r = plan_.target_log_reliability;
@@ -115,16 +113,9 @@ void CoEfficientScheduler::on_static_release(Instance& inst,
     cancel_copies(inst, 1);
   }
 
-  // Budget class from the compiled template when the message is placed
-  // (its entry at the home occurrence carries k_z); unplaced messages
-  // fall back to the plan map.
-  int kz;
-  if (a != nullptr) {
-    kz = tpl_.budget_at(a->slot, a->base_cycle);
-  } else {
-    auto it = copies_by_message_.find(m.id);
-    kz = it == copies_by_message_.end() ? 0 : it->second;
-  }
+  // The active plan's k_z, placed or not: a plan swap reaches the
+  // releases staged at the next cycle start.
+  int kz = copies_by_position_[static_position(m)];
   if (options_.vote_replicas > 0) {
     // NMR voting: the instance needs vote_replicas replicas on the wire
     // (primary included); the extra copies ride the same slack-stealing
@@ -216,7 +207,6 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
                    plan_.total_copies(),
                    plan_.degraded ? 1 : 0);
     }
-    rebuild_template(TemplateRebuildWhy::kPlanSwap, cycle, at);
   }
 
   // Mixed-criticality mode machine: one evaluation per cycle, at the
@@ -657,9 +647,6 @@ void CoEfficientScheduler::replan_membership(units::CycleIndex cycle,
     trace_->emit(at, sim::TraceKind::kPlanSwap, cycle.value(),
                  plan_.total_copies(), plan_.degraded ? 1 : 0);
   }
-  // Membership replans reach here from the silent-node detector too
-  // (no topology event, so the base's rebuild does not fire).
-  rebuild_template(TemplateRebuildWhy::kMembership, cycle, at);
 }
 
 void CoEfficientScheduler::on_node_down(units::NodeId node,

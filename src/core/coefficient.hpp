@@ -125,10 +125,6 @@ class CoEfficientScheduler : public SchedulerBase {
   void on_cycle_end(units::CycleIndex cycle, sim::Time at) override;
 
  protected:
-  [[nodiscard]] const std::unordered_map<int, int>* retransmission_budget()
-      const override {
-    return &copies_by_message_;
-  }
   void on_cycle_start_hook(units::CycleIndex cycle, sim::Time at) override;
   void on_static_release(Instance& inst, const net::Message& m) override;
   void on_dynamic_release(Instance& inst, const net::Message& m,
@@ -207,7 +203,9 @@ class CoEfficientScheduler : public SchedulerBase {
   /// after construction and the value is read on every slot decision.
   std::int64_t static_capacity_bits_ = 0;
   std::int64_t idle_slot_counter_ = 0;
-  std::unordered_map<int, int> copies_by_message_;  ///< k_z by message id
+  /// k_z of the active plan by static position (0 for a dead member's
+  /// messages, and everywhere when rho is 0); rebuild_plan fills it.
+  std::vector<int> copies_by_position_;
   /// EDF-ordered, FIFO among equal deadlines; one entry per instance.
   std::deque<RetxJob> retx_jobs_;
   std::unique_ptr<fault::ReliabilityMonitor> monitor_;

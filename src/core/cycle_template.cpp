@@ -65,7 +65,6 @@ void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
       first_cycle_[i] = first;
     }
   }
-  ++version_;
 }
 
 }  // namespace coeff::core

@@ -2,14 +2,12 @@
 // path (DESIGN.md §12).
 //
 // The StaticScheduleTable answers "who owns (slot, cycle)?" by scanning
-// the slot's occupant list and testing cycle phases; the MessageSet
-// answers "what is message id?" through a linear find; the active
-// retransmission plan answers "how many copies?" through a hash lookup.
-// A walk that asked them directly would pay all three on every slot of
-// every cycle. This template precomputes the composition once per
-// (table, plan) pair into flat SoA arrays — message ref, first active
-// cycle, retransmission-budget class — so the steady-state walk is one
-// index computation and a few loads.
+// the slot's occupant list and testing cycle phases, and the MessageSet
+// answers "what is message id?" through a linear find. A walk that asked
+// them directly would pay both on every slot of every cycle. This
+// template precomputes the composition into flat SoA arrays — message
+// ref, first active cycle — so the steady-state walk is one index
+// computation and a few loads.
 //
 // Each slot keeps its own period: the LCM of the repetitions of the
 // placements it hosts (1 when idle), as a FlexRay controller filters
@@ -19,13 +17,16 @@
 // the template never stores more than slots × table-period cells, and
 // usually far fewer (DESIGN.md §12).
 //
-// The template is a pure cache: it must be rebuilt (rebuild()) whenever
-// any input changes — a plan swap, a membership change, or failover
-// re-homing via channel topology events. SchedulerBase owns the
-// rebuild triggers and emits a kTemplateRebuild trace record per
-// rebuild; the analysis::TraceLint rule `engine.template-invalidation`
-// checks at trace level that no transmission ever follows a staleness
-// event before the rebuild marker.
+// SchedulerBase builds its template once, in its constructor, from the
+// table and the static set, and neither changes afterwards: the static
+// schedule is cluster configuration. What does change at run time —
+// node liveness, channel availability, CoEfficient's retransmission
+// plan — the schemes read from their own state at each decision, so
+// nothing can make the template stale.
+//
+// The budget column (budget_at) is filled only from a budget map given
+// to rebuild(). The schedulers pass none, so it reads 0 there; it stays
+// for the perfbench probe that times a build with one.
 #pragma once
 
 #include <cstdint>
@@ -38,35 +39,13 @@
 
 namespace coeff::core {
 
-/// Why a template rebuild happened (trace field c of kTemplateRebuild).
-enum class TemplateRebuildWhy : std::uint8_t {
-  kInitial = 0,     ///< first build announced at the first cycle start
-  kPlanSwap = 1,    ///< retransmission plan re-solved (budget changed)
-  kMembership = 2,  ///< node crash/restart/silent-detection replan
-  kChannel = 3,     ///< channel down/up (failover re-homing)
-};
-
-[[nodiscard]] constexpr const char* to_string(TemplateRebuildWhy why) {
-  switch (why) {
-    case TemplateRebuildWhy::kInitial:
-      return "initial";
-    case TemplateRebuildWhy::kPlanSwap:
-      return "plan_swap";
-    case TemplateRebuildWhy::kMembership:
-      return "membership";
-    case TemplateRebuildWhy::kChannel:
-      return "channel";
-  }
-  return "?";
-}
-
 class CycleTemplate {
  public:
-  /// Recompute every array from the current inputs. `budget` maps
-  /// message id to its planned retransmission copies (k_z); nullptr or
-  /// a missing id mean 0. `num_slots` is the table's static slot count.
-  /// Message pointers are borrowed from `statics`, which must stay alive
-  /// and unmodified while the template is in use.
+  /// Compute every array from the inputs. `budget` maps message id to
+  /// its planned retransmission copies (k_z); nullptr or a missing id
+  /// mean 0. `num_slots` is the table's static slot count. Message
+  /// pointers are borrowed from `statics`, which must stay alive and
+  /// unmodified while the template is in use.
   void rebuild(const sched::StaticScheduleTable& table,
                const net::MessageSet& statics,
                const std::unordered_map<int, int>* budget,
@@ -88,8 +67,6 @@ class CycleTemplate {
     return cycle.value() >= first_cycle_[i] ? budget_[i] : 0;
   }
 
-  /// Monotonic rebuild counter (trace field b of kTemplateRebuild).
-  [[nodiscard]] std::int64_t version() const { return version_; }
   /// Stored (slot, cycle-in-slot-period) cells: the sum of the slot
   /// periods.
   [[nodiscard]] std::size_t cells() const { return message_.size(); }
@@ -115,7 +92,6 @@ class CycleTemplate {
   std::vector<const net::Message*> message_;
   std::vector<std::int32_t> budget_;
   std::vector<std::int64_t> first_cycle_;
-  std::int64_t version_ = 0;
 };
 
 }  // namespace coeff::core

@@ -115,20 +115,11 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
   next_dynamic_index_.assign(dynamics_.size(), 0);
   node_down_.assign(static_cast<std::size_t>(cfg_.num_nodes), 0);
 
-  // First template build. Virtual dispatch is still the base's here, so
-  // the budget column starts empty; a subclass that plans retransmission
-  // copies rebuilds from its own constructor once the plan exists.
+  // The one template build: table_ and statics_ never change after
+  // construction. Liveness, channel availability and k_z change at run
+  // time, and the schemes read them from their own state, so the
+  // template carries no budget.
   tpl_.rebuild(table_, statics_, nullptr, cfg_.g_number_of_static_slots);
-}
-
-void SchedulerBase::rebuild_template(TemplateRebuildWhy why,
-                                     units::CycleIndex cycle, sim::Time at) {
-  tpl_.rebuild(table_, statics_, retransmission_budget(),
-               cfg_.g_number_of_static_slots);
-  if (trace_ != nullptr) {
-    trace_->emit(at, sim::TraceKind::kTemplateRebuild, cycle.value(),
-                 tpl_.version(), static_cast<std::int64_t>(why));
-  }
 }
 
 std::optional<std::size_t> SchedulerBase::dynamic_position(
@@ -278,15 +269,6 @@ void SchedulerBase::on_topology_event(const flexray::TopologyEvent& event,
       channel_down_[static_cast<std::size_t>(event.channel)] = false;
       break;
   }
-  // Every topology event can re-home traffic or change the budget a
-  // subclass hook just re-planned; the template must never serve a
-  // pre-event view to the upcoming segment walk.
-  const bool channel_event =
-      event.kind == flexray::TopologyEventKind::kChannelDown ||
-      event.kind == flexray::TopologyEventKind::kChannelUp;
-  rebuild_template(channel_event ? TemplateRebuildWhy::kChannel
-                                 : TemplateRebuildWhy::kMembership,
-                   cycle, at);
 }
 
 void SchedulerBase::settle_vote(Instance& inst, bool accepted, sim::Time at) {
@@ -383,17 +365,6 @@ void SchedulerBase::on_arrival(int message_id, sim::Time at) {
 }
 
 void SchedulerBase::on_cycle_start(units::CycleIndex cycle, sim::Time at) {
-  if (!tpl_announced_) {
-    // Announce the constructor-time build once tracing can see it, so
-    // every traced run carries a baseline marker the invalidation lint
-    // rule is armed by.
-    tpl_announced_ = true;
-    if (trace_ != nullptr) {
-      trace_->emit(at, sim::TraceKind::kTemplateRebuild, cycle.value(),
-                   tpl_.version(),
-                   static_cast<std::int64_t>(TemplateRebuildWhy::kInitial));
-    }
-  }
   if (channels_available() < flexray::kNumChannels) {
     ++stats_.channel_down_cycles;
   }

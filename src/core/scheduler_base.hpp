@@ -8,7 +8,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -182,20 +181,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
     return placements_[static_position(m)];
   }
 
-  /// The per-message retransmission budget baked into the template
-  /// (k_z by message id), or nullptr when the scheme plans none.
-  [[nodiscard]] virtual const std::unordered_map<int, int>*
-  retransmission_budget() const {
-    return nullptr;
-  }
-
-  /// Recompute the cycle template from (table_, statics_,
-  /// retransmission_budget()) and emit the kTemplateRebuild marker
-  /// (a=cycle, b=version, c=why) the trace linter checks invalidation
-  /// against. Call after ANY input of the template changed.
-  void rebuild_template(TemplateRebuildWhy why, units::CycleIndex cycle,
-                        sim::Time at);
-
   flexray::ClusterConfig cfg_;
   net::MessageSet statics_;
   net::MessageSet dynamics_;
@@ -205,6 +190,7 @@ class SchedulerBase : public flexray::TransmissionPolicy {
 
   InstanceStore instances_;
   std::vector<flexray::Node> nodes_;
+  /// Built once from table_ and statics_, which never change.
   CycleTemplate tpl_;
   std::vector<const net::Message*> dynamic_frame_lut_;  ///< by frame id
   std::int64_t owed_copies_ = 0;
@@ -216,7 +202,6 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   std::array<bool, flexray::kNumChannels> channel_down_{};
 
  private:
-  bool tpl_announced_ = false;  ///< initial kTemplateRebuild emitted
   /// Earliest not-yet-released static instance, maintained by
   /// release_statics_until so cycles with nothing due skip the full
   /// static scan. Starts at zero (= before any cap) so the first call

@@ -46,9 +46,6 @@ class Cluster {
   void set_fault_provider(StructuralFaultProvider* provider) {
     faults_ = provider;
   }
-  [[nodiscard]] const StructuralFaultProvider* fault_provider() const {
-    return faults_;
-  }
 
   /// Execute the next `n` communication cycles.
   void run_cycles(std::int64_t n);

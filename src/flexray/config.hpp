@@ -149,25 +149,6 @@ struct ClusterConfig {
   [[nodiscard]] static ClusterConfig app_suite(std::int64_t minislots = 25);
 };
 
-// --- ClusterConfig-aware unit conversions ---------------------------------
-
-/// Exact conversion onto this cluster's macrotick grid; throws when `t`
-/// is not a whole number of macroticks.
-[[nodiscard]] inline units::Macroticks to_macroticks(
-    sim::Time t, const ClusterConfig& cfg) {
-  return units::to_macroticks(t, cfg.gd_macrotick);
-}
-
-[[nodiscard]] inline units::Macroticks to_macroticks(
-    units::Microseconds us, const ClusterConfig& cfg) {
-  return units::to_macroticks(units::to_time(us), cfg.gd_macrotick);
-}
-
-[[nodiscard]] inline sim::Time to_time(units::Macroticks mt,
-                                       const ClusterConfig& cfg) {
-  return units::to_time(mt, cfg.gd_macrotick);
-}
-
 [[nodiscard]] std::string describe(const ClusterConfig& cfg);
 
 }  // namespace coeff::flexray

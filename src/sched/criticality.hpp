@@ -123,7 +123,6 @@ class ModeManager {
            normal_streak_ >= policy_.recovery_cycles;
   }
   [[nodiscard]] const ModePolicy& policy() const { return policy_; }
-  [[nodiscard]] std::int64_t dwell_cycles() const { return dwell_cycles_; }
   /// Cycles spent in each mode since construction (indexed by mode).
   [[nodiscard]] std::int64_t cycles_in(CriticalityMode m) const {
     return cycles_in_[static_cast<std::size_t>(m)];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
-#include <stdexcept>
 #include <utility>
 
 namespace coeff::sched {
@@ -173,10 +172,8 @@ sim::Time ScheduleResult::level_idle(std::size_t level, sim::Time from,
     if (seg.end <= from) continue;
     if (seg.start >= to) break;
     // Level-i idle: the running level is strictly lower priority (larger
-    // index) than i, i.e. neither a task of level <= i nor an inserted
-    // block occupies the processor.
-    if (seg.level != kInsertedLevel &&
-        seg.level > static_cast<int>(level)) {
+    // index) than i, i.e. no task of level <= i occupies the processor.
+    if (seg.level > static_cast<int>(level)) {
       const sim::Time lo = std::max(seg.start, from);
       const sim::Time hi = std::min(seg.end, to);
       idle += hi - lo;
@@ -193,15 +190,8 @@ sim::Time ScheduleResult::finish_of(std::size_t level,
   return sim::Time::max();
 }
 
-ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
-                                 const std::vector<InsertedBlock>& inserted) {
+ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon) {
   set.validate();
-  for (std::size_t i = 1; i < inserted.size(); ++i) {
-    if (inserted[i].at < inserted[i - 1].at) {
-      throw std::invalid_argument("simulate_periodic: inserted blocks must be "
-                                  "sorted by insertion time");
-    }
-  }
 
   const auto& tasks = set.tasks();
   const std::size_t n = tasks.size();
@@ -213,16 +203,14 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
 
   ScheduleResult result;
   std::vector<std::deque<PendingJob>> pending(n);  // per level, FIFO
-  std::deque<PendingJob> inserted_pending;
   std::vector<std::int64_t> next_release_index(n, 0);
-  std::size_t next_inserted = 0;
 
   auto task_next_release = [&](std::size_t level) {
     return tasks[level].offset + tasks[level].period * next_release_index[level];
   };
 
   auto release_due = [&](sim::Time now) {
-    // Release every task job and inserted block with release time <= now.
+    // Release every task job with release time <= now.
     for (std::size_t level = 0; level < n; ++level) {
       while (task_next_release(level) <= now &&
              task_next_release(level) < horizon) {
@@ -239,21 +227,6 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
         ++next_release_index[level];
       }
     }
-    while (next_inserted < inserted.size() &&
-           inserted[next_inserted].at <= now) {
-      // Inserted blocks are bookkept as jobs of a pseudo task (id -1).
-      JobRecord job;
-      job.task_id = -1;
-      job.level = static_cast<std::size_t>(-1);
-      job.index = static_cast<std::int64_t>(next_inserted);
-      job.release = inserted[next_inserted].at;
-      job.abs_deadline = sim::Time::max();
-      job.finish = sim::Time::max();
-      result.jobs.push_back(job);
-      inserted_pending.push_back(
-          {result.jobs.size() - 1, inserted[next_inserted].length});
-      ++next_inserted;
-    }
   };
 
   auto next_release_time = [&]() {
@@ -262,14 +235,10 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
       const sim::Time r = task_next_release(level);
       if (r < horizon) next = std::min(next, r);
     }
-    if (next_inserted < inserted.size()) {
-      next = std::min(next, inserted[next_inserted].at);
-    }
     return next;
   };
 
   auto highest_pending = [&]() -> int {
-    if (!inserted_pending.empty()) return kInsertedLevel;
     for (std::size_t level = 0; level < n; ++level) {
       if (!pending[level].empty()) return static_cast<int>(level);
     }
@@ -298,9 +267,7 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
       release_due(now);
       continue;
     }
-    PendingJob& job = (level == kInsertedLevel)
-                          ? inserted_pending.front()
-                          : pending[static_cast<std::size_t>(level)].front();
+    PendingJob& job = pending[static_cast<std::size_t>(level)].front();
     const sim::Time completion = now + job.remaining;
     const sim::Time until = std::min({completion, next_rel, horizon});
     emit_segment(now, until, level);
@@ -308,21 +275,14 @@ ScheduleResult simulate_periodic(const TaskSet& set, sim::Time horizon,
     now = until;
     if (job.remaining == sim::Time::zero()) {
       result.jobs[job.job_slot].finish = now;
-      if (level == kInsertedLevel) {
-        inserted_pending.pop_front();
-      } else {
-        pending[static_cast<std::size_t>(level)].pop_front();
-      }
+      pending[static_cast<std::size_t>(level)].pop_front();
     }
     release_due(now);
   }
 
-  for (const auto& job : result.jobs) {
-    if (job.task_id >= 0 && job.missed()) {
-      result.any_deadline_missed = true;
-      break;
-    }
-  }
+  result.any_deadline_missed =
+      std::any_of(result.jobs.begin(), result.jobs.end(),
+                  [](const JobRecord& job) { return job.missed(); });
   return result;
 }
 

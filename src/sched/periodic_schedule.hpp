@@ -1,11 +1,9 @@
 // Exact fixed-priority preemptive schedule construction.
 //
 // Builds the timeline of a periodic task set (with offsets) over a
-// finite horizon, optionally with "inserted blocks" — aperiodic work
-// executed at a priority above every task, which is how slack stealing
-// injects transmissions. The result carries per-job finish times and
-// the execution timeline, from which SlackTable derives the level-i
-// idle curves of §III-B/§III-F and tests obtain an exact oracle.
+// finite horizon. The result carries per-job finish times and the
+// execution timeline, from which SlackTable derives the level-i idle
+// curves of §III-B/§III-F and tests obtain an exact oracle.
 //
 // min_idle_in_window answers the one question the probabilistic
 // verifier asks of the full schedule without building it: processor
@@ -23,8 +21,7 @@
 namespace coeff::sched {
 
 /// Priority level of an execution segment; tasks use their level index
-/// (0 = highest), inserted blocks run above all tasks, idle below all.
-inline constexpr int kInsertedLevel = -1;
+/// (0 = highest), idle runs below all.
 inline constexpr int kIdleLevel = 1'000'000;
 
 struct JobRecord {
@@ -40,13 +37,7 @@ struct JobRecord {
 struct TimelineSegment {
   sim::Time start;
   sim::Time end;
-  int level = kIdleLevel;  ///< kInsertedLevel, task level, or kIdleLevel
-};
-
-/// Top-priority aperiodic work injected into the schedule.
-struct InsertedBlock {
-  sim::Time at;
-  sim::Time length;
+  int level = kIdleLevel;  ///< task level, or kIdleLevel
 };
 
 struct ScheduleResult {
@@ -55,7 +46,7 @@ struct ScheduleResult {
   bool any_deadline_missed = false;
 
   /// Level-i idle time accumulated in [from, to): time where no task of
-  /// level <= i (and no inserted block) executes.
+  /// level <= i executes.
   [[nodiscard]] sim::Time level_idle(std::size_t level, sim::Time from,
                                      sim::Time to) const;
 
@@ -64,11 +55,9 @@ struct ScheduleResult {
                                     std::int64_t index) const;
 };
 
-/// Simulate the set over [0, horizon). `inserted` must be sorted by
-/// `at`; blocks queue FIFO at the top priority.
-[[nodiscard]] ScheduleResult simulate_periodic(
-    const TaskSet& set, sim::Time horizon,
-    const std::vector<InsertedBlock>& inserted = {});
+/// Simulate the set over [0, horizon).
+[[nodiscard]] ScheduleResult simulate_periodic(const TaskSet& set,
+                                               sim::Time horizon);
 
 /// Guaranteed full-schedule idle inside ANY window of length `window`:
 /// min over start instants a of the idle in [a, a+window), under the

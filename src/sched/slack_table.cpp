@@ -23,8 +23,7 @@ SlackTable::SlackTable(const TaskSet& set) {
     LevelCurve& curve = idle_curves_[level];
     sim::Time cum = sim::Time::zero();
     for (const auto& seg : schedule.timeline) {
-      const bool idle = seg.level != kInsertedLevel &&
-                        seg.level > static_cast<int>(level);
+      const bool idle = seg.level > static_cast<int>(level);
       curve.seg_start.push_back(seg.start);
       curve.seg_end.push_back(seg.end);
       curve.cum_at_start.push_back(cum);
@@ -45,7 +44,6 @@ SlackTable::SlackTable(const TaskSet& set) {
 
   // Per-level deadlines and suffix minima of Idle_level(deadline).
   for (const auto& job : schedule.jobs) {
-    if (job.task_id < 0) continue;  // inserted pseudo-jobs
     idle_curves_[job.level].deadlines.push_back(job.abs_deadline);
   }
   for (std::size_t level = 0; level < n; ++level) {

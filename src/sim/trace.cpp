@@ -32,16 +32,12 @@ const char* to_string(TraceKind k) {
       return "failover";
     case TraceKind::kVoteResolved:
       return "vote_resolved";
-    case TraceKind::kTemplateRebuild:
-      return "template_rebuild";
     case TraceKind::kModeChange:
       return "mode_change";
     case TraceKind::kShedByMode:
       return "shed_by_mode";
     case TraceKind::kMatchUp:
       return "match_up";
-    case TraceKind::kInfo:
-      return "info";
   }
   return "unknown";
 }

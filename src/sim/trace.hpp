@@ -34,8 +34,6 @@ enum class TraceKind : std::uint8_t {
                   ///< b=slot, c=carrying channel, d=payload bits
   kVoteResolved,  ///< replica vote settled; a=message, b=accepted(0/1),
                   ///< c=clean replicas, d=replica count k
-  kTemplateRebuild,  ///< compiled cycle template rebuilt; a=cycle,
-                     ///< b=template version, c=trigger (see TemplateRebuildWhy)
   // Mixed-criticality mode-change protocol. Mode swaps happen only at
   // cycle boundaries (trace.mode-change-boundary); sheds only in a
   // degraded mode (trace.shed-outside-degraded); match-up re-admission
@@ -47,13 +45,12 @@ enum class TraceKind : std::uint8_t {
                 ///< a=message id, b=node, c=current mode, d=criticality
   kMatchUp,     ///< shed traffic re-admitted after recovery; a=message id,
                 ///< b=node, c=cycle, d=criticality
-  kInfo,
 };
 
-/// Number of TraceKind enumerators (kInfo is last). Keep in sync when
+/// Number of TraceKind enumerators (kMatchUp is last). Keep in sync when
 /// adding kinds; the exhaustive-switch test in trace_test.cpp and the
 /// trace linter both iterate [0, kTraceKindCount).
-inline constexpr int kTraceKindCount = static_cast<int>(TraceKind::kInfo) + 1;
+inline constexpr int kTraceKindCount = static_cast<int>(TraceKind::kMatchUp) + 1;
 
 [[nodiscard]] const char* to_string(TraceKind k);
 

@@ -4,8 +4,7 @@
 // std::invalid_argument when the value is off the target grid, and the
 // rounding conversions say their rounding mode in their name. The
 // macrotick conversions are parameterized by the configured macrotick
-// length; flexray/config.hpp layers ClusterConfig-aware overloads on
-// top of these.
+// length.
 #pragma once
 
 #include <stdexcept>
@@ -73,28 +72,6 @@ namespace coeff::units {
                                                    sim::Time gd_macrotick) {
   const std::int64_t g = gd_macrotick.ns();
   return Macroticks{(t.ns() + g - 1) / g};
-}
-
-// --- CycleTime <-> sim::Time ---------------------------------------------
-
-/// Tag a within-cycle offset. Throws on negative offsets (an offset is
-/// always measured forward from its cycle start).
-[[nodiscard]] constexpr CycleTime to_cycle_time(sim::Time offset) {
-  if (offset < sim::Time::zero()) {
-    throw std::invalid_argument("to_cycle_time: negative offset");
-  }
-  return CycleTime{offset.ns()};
-}
-
-[[nodiscard]] constexpr sim::Time to_time(CycleTime offset) {
-  return sim::Time{offset.count()};
-}
-
-/// Fold an absolute instant onto the cycle it falls in:
-/// `t mod cycle_duration` as a typed within-cycle offset.
-[[nodiscard]] constexpr CycleTime wrap_cycle_time(sim::Time t,
-                                                  sim::Time cycle_duration) {
-  return CycleTime{(t % cycle_duration).ns()};
 }
 
 }  // namespace coeff::units

@@ -1,21 +1,19 @@
 // Compile-time units & identifier safety layer (DESIGN.md §10).
 //
 // The reproduction juggles several incompatible scalar domains —
-// microsecond durations, macrotick counts, cycle indices, within-cycle
-// offsets, slot/minislot numbers, frame and node identifiers — that
-// were historically all spelled `std::int64_t`/`int`/`std::uint16_t`.
-// The paper's correctness hinges on exact grid arithmetic (Theorem 1's
-// per-u exponents, slack curves on the macrotick grid, FTDMA minislot
+// microsecond durations, macrotick counts, cycle indices, slot/minislot
+// numbers, frame and node identifiers — that were historically all
+// spelled `std::int64_t`/`int`/`std::uint16_t`. The paper's
+// correctness hinges on exact grid arithmetic (Theorem 1's per-u
+// exponents, slack curves on the macrotick grid, FTDMA minislot
 // accounting), so mixing those domains is always a bug. This header
 // gives each domain a zero-overhead strong type with only the
 // arithmetic that is dimensionally meaningful; every cross-domain
-// conversion is an explicit named function (units/convert.hpp, or the
-// ClusterConfig-aware overloads in flexray/config.hpp).
+// conversion is an explicit named function (units/convert.hpp).
 //
 // Quantities (additive, scalable):
 //   Microseconds  wall-clock duration counted in us
 //   Macroticks    duration counted in macroticks (the FlexRay grid)
-//   CycleTime     offset from the enclosing cycle start, in nanoseconds
 // Ordinals (ordered, step/difference only):
 //   CycleIndex    communication-cycle number (0-based)
 //   SlotId        static slot / dynamic slot counter (1-based)
@@ -185,9 +183,6 @@ class Identifier {
 
 using Microseconds = Quantity<struct MicrosecondsTag>;
 using Macroticks = Quantity<struct MacroticksTag>;
-/// Offset from the start of the enclosing communication cycle, in
-/// nanoseconds (sub-macrotick precision is needed for wire-time ends).
-using CycleTime = Quantity<struct CycleTimeTag>;
 
 using CycleIndex = Ordinal<struct CycleIndexTag>;
 using SlotId = Ordinal<struct SlotIdTag>;
@@ -206,11 +201,6 @@ using NodeId = Identifier<struct NodeIdTag, std::int32_t>;
   return FrameId{static_cast<std::uint16_t>(slot.value())};
 }
 
-/// Inverse of to_frame_id for frames sent in their owning slot.
-[[nodiscard]] constexpr SlotId to_slot_id(FrameId id) {
-  return SlotId{static_cast<std::int64_t>(id.value())};
-}
-
 // --- Zero-overhead guarantees -------------------------------------------
 // A strong type must compile down to its representation: same size, no
 // vtable, trivially copyable, usable in memcpy'd aggregates.
@@ -223,7 +213,6 @@ using NodeId = Identifier<struct NodeIdTag, std::int32_t>;
 
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(Microseconds, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(Macroticks, std::int64_t);
-COEFF_UNITS_ASSERT_ZERO_OVERHEAD(CycleTime, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(CycleIndex, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(SlotId, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(MinislotId, std::int64_t);

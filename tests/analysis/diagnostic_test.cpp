@@ -14,11 +14,9 @@ TEST(RuleCatalogTest, IdsAreUniqueAndNamespaced) {
     EXPECT_TRUE(ids.insert(r.id).second) << "duplicate rule id " << r.id;
     const std::string id = r.id;
     EXPECT_TRUE(id.rfind("schedule.", 0) == 0 || id.rfind("trace.", 0) == 0 ||
-                id.rfind("engine.", 0) == 0 || id.rfind("campaign.", 0) == 0 ||
-                id.rfind("analysis.", 0) == 0)
-        << id
-        << " is outside the schedule./trace./engine./campaign./analysis."
-           " namespaces";
+                id.rfind("campaign.", 0) == 0 || id.rfind("analysis.", 0) == 0)
+        << id << " is outside the schedule./trace./campaign./analysis."
+                 " namespaces";
     EXPECT_NE(std::string(r.summary), "");
   }
   // The catalog itself is the single source of truth for its size; the

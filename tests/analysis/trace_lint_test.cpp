@@ -4,10 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <string>
-#include <vector>
-
 #include "core/experiment.hpp"
 #include "net/workloads.hpp"
 #include "sim/trace.hpp"
@@ -319,99 +315,6 @@ TEST(TraceLintTest, ConsistentVotesAreClean) {
   f.trace.emit(sim::micros(100), TraceKind::kVoteResolved, 1, 1, 2, 3);
   f.trace.emit(sim::micros(200), TraceKind::kVoteResolved, 2, 0, 1, 3);
   EXPECT_FALSE(f.lint().has_rule("trace.vote-consistency"));
-}
-
-// --- engine.template-invalidation --------------------------------------
-
-TEST(TraceLintTest, StaleTemplateTransmissionIsFlagged) {
-  Fixture f;
-  // A rebuild marker arms the rule; a later plan swap is then followed
-  // by a transmission with no second rebuild — the stale-template bug.
-  f.trace.emit(sim::Time::zero(), TraceKind::kTemplateRebuild, 0, 1, 0);
-  f.trace.emit(sim::millis(1), TraceKind::kPlanSwap, 1, 4, 0);
-  f.trace.emit(sim::millis(1), TraceKind::kTxSuccess, 0, 1, 0, 64);
-  EXPECT_TRUE(f.lint().has_rule("engine.template-invalidation"));
-}
-
-TEST(TraceLintTest, MembershipEventWithoutRebuildIsFlagged) {
-  Fixture f;
-  f.trace.emit(sim::Time::zero(), TraceKind::kTemplateRebuild, 0, 1, 0);
-  f.trace.emit(sim::millis(1), TraceKind::kNodeCrash, 2, 1);
-  f.trace.emit(sim::millis(1) + sim::micros(50), TraceKind::kTxSuccess, 0, 2,
-               0, 64);
-  EXPECT_TRUE(f.lint().has_rule("engine.template-invalidation"));
-}
-
-TEST(TraceLintTest, RebuildBeforeNextTxIsClean) {
-  Fixture f;
-  f.trace.emit(sim::Time::zero(), TraceKind::kTemplateRebuild, 0, 1, 0);
-  f.trace.emit(sim::millis(1), TraceKind::kPlanSwap, 1, 4, 0);
-  f.trace.emit(sim::millis(1), TraceKind::kTemplateRebuild, 1, 2, 1);
-  f.trace.emit(sim::millis(1), TraceKind::kTxSuccess, 0, 1, 0, 64);
-  f.trace.emit(sim::millis(2), TraceKind::kChannelDown, 0, 2);
-  f.trace.emit(sim::millis(2), TraceKind::kTemplateRebuild, 2, 3, 3);
-  f.trace.emit(sim::millis(2), TraceKind::kTxSuccess, 0, 1, 1, 64);
-  EXPECT_FALSE(f.lint().has_rule("engine.template-invalidation"));
-}
-
-TEST(TraceLintTest, TracesWithoutRebuildMarkersAreExempt) {
-  Fixture f;
-  // Pre-template trace (or a policy without a template): plan swap then
-  // tx, no markers anywhere — the rule must stay silent.
-  f.trace.emit(sim::millis(1), TraceKind::kPlanSwap, 1, 4, 0);
-  f.trace.emit(sim::millis(1), TraceKind::kTxSuccess, 0, 1, 0, 64);
-  EXPECT_FALSE(f.lint().has_rule("engine.template-invalidation"));
-}
-
-TEST(TraceLintTest, RecordedStructuralRunPassesTemplateInvalidation) {
-  // A real run with a crash, a blackout and a monitor re-plan after a
-  // BER step: each scheme's own rebuild discipline must satisfy the
-  // rule, and each trace must carry the rebuild reasons the scheme has.
-  core::ExperimentConfig config;
-  config.cluster = core::paper_cluster_apps(25);
-  config.statics = net::brake_by_wire().merged_with(net::adaptive_cruise());
-  config.batch_window = sim::millis(100);
-  config.structural.blackouts.push_back(
-      {flexray::ChannelId::kA, sim::millis(5), sim::millis(20)});
-  config.structural.crashes.push_back(
-      {units::NodeId{1}, sim::millis(10), sim::millis(30)});
-  config.ber_step_at = sim::millis(40);
-  config.ber_step = 2e-5;
-  config.enable_monitor = true;
-  using Why = core::TemplateRebuildWhy;
-  const struct {
-    core::SchemeKind scheme;
-    std::vector<Why> reasons;
-  } cases[] = {
-      {core::SchemeKind::kCoEfficient,
-       {Why::kInitial, Why::kPlanSwap, Why::kMembership, Why::kChannel}},
-      {core::SchemeKind::kFspec,
-       {Why::kInitial, Why::kMembership, Why::kChannel}},
-      {core::SchemeKind::kHosa,
-       {Why::kInitial, Why::kMembership, Why::kChannel}},
-  };
-  for (const auto& c : cases) {
-    SCOPED_TRACE(core::to_string(c.scheme));
-    sim::Trace trace;
-    config.trace = &trace;
-    (void)core::run_experiment(config, c.scheme);
-    std::set<std::string> seen;
-    for (const auto& r : trace.records()) {
-      if (r.kind == TraceKind::kTemplateRebuild) {
-        seen.insert(core::to_string(static_cast<Why>(r.c)));
-      }
-    }
-    std::set<std::string> expected;
-    for (const Why why : c.reasons) expected.insert(core::to_string(why));
-    EXPECT_EQ(seen, expected);
-
-    TraceLintInput input;
-    input.trace = &trace;
-    input.cluster = &config.cluster;
-    const Report report = lint_trace(input);
-    EXPECT_FALSE(report.has_rule("engine.template-invalidation"))
-        << report.render_text();
-  }
 }
 
 TEST(TraceLintTest, ModeChangeOffBoundaryIsFlagged) {

@@ -268,6 +268,27 @@ TEST(CoeffctlTables, ExperimentRowsBindTheConfigDirectly) {
   EXPECT_EQ(c.monitor.trigger_factor, 3.0);
   EXPECT_EQ(c.structural.stochastic_blackouts.mean_outage, sim::millis(10));
   EXPECT_EQ(c.vote_replicas, 3);
+
+  // A vote is off or an odd replica count of at least 3; a step BER is
+  // -1 (none) or a probability.
+  ExperimentOptions more;
+  ASSERT_TRUE(accepts(run_table(more), {"--vote", "0", "--ber-step2", "-1"}));
+  EXPECT_EQ(more.config.vote_replicas, 0);
+  EXPECT_EQ(more.config.ber_step2, -1.0);
+  ASSERT_TRUE(accepts(run_table(more), {"--vote", "5"}));
+  EXPECT_EQ(more.config.vote_replicas, 5);
+  for (const Args& bad : std::vector<Args>{{"--vote", "1"},
+                                           {"--vote", "4"},
+                                           {"--ber-step", "-0.5"},
+                                           {"--ber-step2", "-0.5"}}) {
+    ExperimentOptions fresh;
+    const Parse p = parse(run_table(fresh), bad);
+    expect_one_line_error(p);
+    EXPECT_NE(p.error.find(bad[0]), std::string::npos) << p.error;
+    EXPECT_EQ(fresh.config.vote_replicas, 0);
+    EXPECT_EQ(fresh.config.ber_step, -1.0);
+    EXPECT_EQ(fresh.config.ber_step2, -1.0);
+  }
 }
 
 TEST(CoeffctlTables, StructuralSpecsParseEveryFieldAndAccumulate) {

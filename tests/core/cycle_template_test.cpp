@@ -258,17 +258,5 @@ TEST(CycleTemplateTest, StoresOneRowPerSlotPeriod) {
   EXPECT_EQ(cells, 522);
 }
 
-TEST(CycleTemplateTest, VersionAdvancesPerRebuild) {
-  const auto statics = four_statics();
-  const auto table = make_table();
-  CycleTemplate tpl;
-  EXPECT_EQ(tpl.version(), 0);
-  EXPECT_TRUE(tpl.empty());
-  tpl.rebuild(table, statics, nullptr, 3);
-  EXPECT_EQ(tpl.version(), 1);
-  tpl.rebuild(table, statics, nullptr, 3);
-  EXPECT_EQ(tpl.version(), 2);
-}
-
 }  // namespace
 }  // namespace coeff::core

@@ -94,8 +94,8 @@ TEST(EngineDifferentialTest, MonitorAndBerStepStayIdentical) {
   const auto production = run_production(config, SchemeKind::kCoEfficient);
   expect_identical(production,
                    run_reference(config, SchemeKind::kCoEfficient));
-  // The scenario actually re-planned, so the kPlanSwap -> template
-  // rebuild path was exercised, not just the steady state.
+  // The scenario actually re-planned, so releases staged under a
+  // swapped plan were exercised, not just the steady state.
   EXPECT_GT(production.result.run.plan_swaps, 0);
 }
 

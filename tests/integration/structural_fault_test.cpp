@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "fault/fault_model.hpp"
 #include "fault/structural.hpp"
 #include "flexray/cluster.hpp"
+#include "net/workloads.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::core {
@@ -181,6 +183,73 @@ TEST(StructuralFaultTest, TraceSurvivesStructuralLinterRules) {
   const auto report = analysis::lint_trace(input);
   EXPECT_EQ(report.count(analysis::Severity::kError), 0u)
       << report.render_text();
+}
+
+// A blackout, a crash and a monitor re-plan after a BER step, on the
+// application cluster. CoEfficient stages each static release with the
+// k_z of the plan active when the release is staged, so every release a
+// full cycle after the last swap carries the final plan's k_z. Every
+// scheme's trace lints clean.
+TEST(StructuralFaultTest, StagedCopiesFollowTheLivePlan) {
+  ExperimentConfig config;
+  config.cluster = paper_cluster_apps(25);
+  config.statics = net::brake_by_wire().merged_with(net::adaptive_cruise());
+  config.batch_window = sim::millis(100);
+  config.structural.blackouts.push_back(
+      {ChannelId::kA, sim::millis(5), sim::millis(20)});
+  config.structural.crashes.push_back(
+      {units::NodeId{1}, sim::millis(10), sim::millis(30)});
+  config.ber_step_at = sim::millis(40);
+  config.ber_step = 2e-5;
+  config.enable_monitor = true;
+  const struct {
+    SchemeKind scheme;
+    analysis::RetxDiscipline discipline;
+  } cases[] = {
+      {SchemeKind::kCoEfficient, analysis::RetxDiscipline::kPlanned},
+      {SchemeKind::kFspec, analysis::RetxDiscipline::kRounds},
+      {SchemeKind::kHosa, analysis::RetxDiscipline::kMirrored},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(to_string(c.scheme));
+    sim::Trace trace;
+    config.trace = &trace;
+    const auto result = run_experiment(config, c.scheme);
+
+    analysis::TraceLintInput input;
+    input.trace = &trace;
+    input.cluster = &config.cluster;
+    input.discipline = c.discipline;
+    const auto report = analysis::lint_trace(input);
+    EXPECT_EQ(report.count(analysis::Severity::kError), 0u)
+        << report.render_text();
+    if (c.scheme != SchemeKind::kCoEfficient) continue;
+
+    // Node 1 is back by the end, so the final plan covers every static.
+    ASSERT_EQ(result.final_plan.copies.size(), config.statics.size());
+    std::map<std::int64_t, int> final_kz;  // by message id
+    for (std::size_t z = 0; z < config.statics.size(); ++z) {
+      final_kz[config.statics[z].id] = result.final_plan.copies[z];
+    }
+    sim::Time last_swap = sim::Time::max();
+    for (const auto& r : trace.records()) {
+      if (r.kind == sim::TraceKind::kPlanSwap) last_swap = r.at;
+    }
+    ASSERT_NE(last_swap, sim::Time::max());
+    const sim::Time settled = last_swap + config.cluster.cycle_duration();
+    int checked = 0;
+    for (const auto& r : trace.records()) {
+      if (r.kind != sim::TraceKind::kRetransmissionScheduled ||
+          r.at < settled) {
+        continue;
+      }
+      ASSERT_EQ(final_kz.count(r.a), 1u) << "message " << r.a;
+      EXPECT_EQ(r.c, final_kz[r.a])
+          << "message " << r.a << " released at " << sim::to_string(r.at);
+      ++checked;
+    }
+    EXPECT_GT(checked, 0);
+  }
 }
 
 TEST(StructuralFaultTest, ReplicaVotingAcceptsCleanRuns) {

@@ -96,9 +96,9 @@ void expect_golden(const ExperimentConfig& config, const Golden (&golden)[3]) {
 }
 
 TEST(WalkGoldenTest, Loaded) {
-  expect_golden(loaded(), {{"048e044b819b6dd5", "955071d2693ef31d"},
-                           {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
-                           {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});
+  expect_golden(loaded(), {{"048e044b819b6dd5", "a962f426173aec1b"},
+                           {"c9c9354d3f39d8a0", "ed6d14e9e1eaa525"},
+                           {"e4b09c5f888527c9", "be6bb67f60e9c4b3"}});
 }
 
 // In the two voting cases CoEfficient's trace digest also pins the
@@ -108,25 +108,25 @@ TEST(WalkGoldenTest, LoadedWithVotingAtHighBer) {
   ExperimentConfig config = loaded();
   config.ber = 1e-5;
   config.vote_replicas = 3;
-  expect_golden(config, {{"01191482c3b7f78d", "2626b02314dbe6bf"},
-                         {"296a68a3c8a1dae2", "a939a2de95fcd977"},
-                         {"0bd20c001c1dadce", "6d4625c7f709159c"}});
+  expect_golden(config, {{"01191482c3b7f78d", "20e52daea73ea7b5"},
+                         {"296a68a3c8a1dae2", "e9327ddbd5bfd712"},
+                         {"0bd20c001c1dadce", "a13fdf7f956a1fe1"}});
 }
 
 TEST(WalkGoldenTest, LoadedWithoutSlackStealing) {
   ExperimentConfig config = loaded();
   config.ablation_no_slack = true;
-  expect_golden(config, {{"758ac5ec12f99233", "06cfe992ffa928f4"},
-                         {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
-                         {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});
+  expect_golden(config, {{"758ac5ec12f99233", "f17a60bb65f81906"},
+                         {"c9c9354d3f39d8a0", "ed6d14e9e1eaa525"},
+                         {"e4b09c5f888527c9", "be6bb67f60e9c4b3"}});
 }
 
 TEST(WalkGoldenTest, LoadedDrain) {
   ExperimentConfig config = loaded();
   config.drain_batch = true;
-  expect_golden(config, {{"048e044b819b6dd5", "955071d2693ef31d"},
-                         {"dffb19a94ed32a38", "30764f85415c164c"},
-                         {"78b3f78cec640419", "9eb7c4f7eb8f1240"}});
+  expect_golden(config, {{"048e044b819b6dd5", "a962f426173aec1b"},
+                         {"dffb19a94ed32a38", "ecb34ca37ed6e737"},
+                         {"78b3f78cec640419", "069677e86cf98def"}});
 }
 
 TEST(WalkGoldenTest, BbwStructuralFaultsWithVoting) {
@@ -148,9 +148,9 @@ TEST(WalkGoldenTest, BbwStructuralFaultsWithVoting) {
   drift.until = sim::millis(24);
   config.structural.drifts.push_back(drift);
   config.vote_replicas = 3;
-  expect_golden(config, {{"333429dd78e86471", "edd21c5659099878"},
-                         {"61b0cca91bbda901", "78c4b75e24045b38"},
-                         {"153f929124e7e6af", "423eceaec491569c"}});
+  expect_golden(config, {{"333429dd78e86471", "0127285e3aaa1ac3"},
+                         {"61b0cca91bbda901", "639af6e9942a7661"},
+                         {"153f929124e7e6af", "2be9f64eb765d9e7"}});
 }
 
 TEST(WalkGoldenTest, BbwMonitorModePolicyAndSilentNodes) {
@@ -168,9 +168,9 @@ TEST(WalkGoldenTest, BbwMonitorModePolicyAndSilentNodes) {
   config.silent_node_detection = true;
   config.structural.crashes.push_back(
       {units::NodeId{2}, sim::millis(40), sim::millis(90)});
-  expect_golden(config, {{"abb4ae55379aef70", "3a6659f78429ee21"},
-                         {"3a1c9e449f5500d9", "11011fa653fc9ad9"},
-                         {"d8816d07c0ef2c30", "ce0475b2688cc51b"}});
+  expect_golden(config, {{"abb4ae55379aef70", "8c3e7fb72a4b7c4e"},
+                         {"3a1c9e449f5500d9", "2e76ddc75737b5ad"},
+                         {"d8816d07c0ef2c30", "c843f792caa36929"}});
 }
 
 // CoEfficient's channel-B gate in dynamic_slot and dynamic_next_frame
@@ -179,18 +179,18 @@ TEST(WalkGoldenTest, LoadedSingleChannelUniformPlan) {
   ExperimentConfig config = loaded();
   config.ablation_single_channel = true;
   config.ablation_uniform_plan = true;
-  expect_golden(config, {{"c5b1e107414a8bad", "f2686e36713e2307"},
-                         {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
-                         {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});
+  expect_golden(config, {{"c5b1e107414a8bad", "ed8d4c2623ccf0ed"},
+                         {"c9c9354d3f39d8a0", "ed6d14e9e1eaa525"},
+                         {"e4b09c5f888527c9", "be6bb67f60e9c4b3"}});
 }
 
 // CoEfficient's outcome tally feeds the energy meter.
 TEST(WalkGoldenTest, LoadedWithPower) {
   ExperimentConfig config = loaded();
   config.power = true;
-  expect_golden(config, {{"6fe4ad982d526281", "955071d2693ef31d"},
-                         {"c9c9354d3f39d8a0", "b5d5387ffc149c54"},
-                         {"e4b09c5f888527c9", "c0eb7f7c69ec2676"}});
+  expect_golden(config, {{"6fe4ad982d526281", "a962f426173aec1b"},
+                         {"c9c9354d3f39d8a0", "ed6d14e9e1eaa525"},
+                         {"e4b09c5f888527c9", "be6bb67f60e9c4b3"}});
 }
 
 // Channel B dark across twenty dynamic segments: FSPEC's and HOSA's
@@ -200,9 +200,9 @@ TEST(WalkGoldenTest, LoadedChannelBBlackout) {
   ExperimentConfig config = loaded();
   config.structural.blackouts.push_back(
       {flexray::ChannelId::kB, sim::millis(200), sim::millis(300)});
-  expect_golden(config, {{"37f10c2942bd3911", "2e5986589f36e93a"},
-                         {"9e3947ab11eab5fd", "442c1942fece9f91"},
-                         {"b8ba58ba5b28e6ed", "369cd915f11db262"}});
+  expect_golden(config, {{"37f10c2942bd3911", "ec62bff23a867ab8"},
+                         {"9e3947ab11eab5fd", "4b6f67fc7a69382c"},
+                         {"b8ba58ba5b28e6ed", "a81042bd9d1c40a3"}});
 }
 
 // ρ is out of reach at one copy per message and BER 1e-4: every solver
@@ -212,15 +212,15 @@ TEST(WalkGoldenTest, BbwUnreachablePlanDegrades) {
   ExperimentConfig config = bbw();
   config.ber = 1e-4;
   config.max_copies = 1;
-  expect_golden(config, {{"d55d81200970ee22", "513677398616c0ae"},
-                         {"be3beac0a9cc264d", "92ec93ed2bed9bd0"},
-                         {"f17836bc8e635c64", "d9b2d3b62dcaa663"}});
+  expect_golden(config, {{"d55d81200970ee22", "6bfefbc1c205ae5c"},
+                         {"be3beac0a9cc264d", "3c9a5ab06ec7d1b5"},
+                         {"f17836bc8e635c64", "be4b1edd14850ab2"}});
   // At one copy per message the uniform plan is the differentiated one,
   // reached through solve_uniform's degrade branch.
   config.ablation_uniform_plan = true;
-  expect_golden(config, {{"d55d81200970ee22", "513677398616c0ae"},
-                         {"be3beac0a9cc264d", "92ec93ed2bed9bd0"},
-                         {"f17836bc8e635c64", "d9b2d3b62dcaa663"}});
+  expect_golden(config, {{"d55d81200970ee22", "6bfefbc1c205ae5c"},
+                         {"be3beac0a9cc264d", "3c9a5ab06ec7d1b5"},
+                         {"f17836bc8e635c64", "be4b1edd14850ab2"}});
 }
 
 }  // namespace

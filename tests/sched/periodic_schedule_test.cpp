@@ -100,33 +100,6 @@ TEST(PeriodicScheduleTest, LevelIdleAccounting) {
             sim::millis(1));
 }
 
-TEST(PeriodicScheduleTest, InsertedBlockRunsAboveEverything) {
-  TaskSet set({task(1, 2, 10)});
-  const std::vector<InsertedBlock> blocks{{sim::Time::zero(), sim::millis(1)}};
-  const auto result = simulate_periodic(set, sim::millis(10), blocks);
-  // The periodic job is displaced by 1 ms.
-  EXPECT_EQ(result.finish_of(0, 0), sim::millis(3));
-  ASSERT_FALSE(result.timeline.empty());
-  EXPECT_EQ(result.timeline.front().level, kInsertedLevel);
-}
-
-TEST(PeriodicScheduleTest, InsertedBlockInIdleTimeHarmless) {
-  TaskSet set({task(1, 2, 10)});
-  const std::vector<InsertedBlock> blocks{{sim::millis(5), sim::millis(2)}};
-  const auto result = simulate_periodic(set, sim::millis(20), blocks);
-  EXPECT_EQ(result.finish_of(0, 0), sim::millis(2));   // untouched
-  EXPECT_EQ(result.finish_of(0, 1), sim::millis(12));  // untouched
-  EXPECT_FALSE(result.any_deadline_missed);
-}
-
-TEST(PeriodicScheduleTest, UnsortedInsertedBlocksRejected) {
-  TaskSet set({task(1, 2, 10)});
-  const std::vector<InsertedBlock> blocks{{sim::millis(5), sim::millis(1)},
-                                          {sim::millis(2), sim::millis(1)}};
-  EXPECT_THROW((void)simulate_periodic(set, sim::millis(10), blocks),
-               std::invalid_argument);
-}
-
 TEST(PeriodicScheduleTest, EqualPriorityIsFifoWithinLevel) {
   // Same deadline -> one level each, ordered by id; but FIFO applies to
   // jobs of the same task across releases.

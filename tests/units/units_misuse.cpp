@@ -17,7 +17,6 @@ namespace sim = coeff::sim;
 void misuse() {
   [[maybe_unused]] u::Microseconds us{40};
   [[maybe_unused]] u::Macroticks mt{8};
-  [[maybe_unused]] u::CycleTime ct{100};
   [[maybe_unused]] u::CycleIndex cycle{2};
   [[maybe_unused]] u::SlotId slot{5};
   [[maybe_unused]] u::MinislotId mini{3};

@@ -79,11 +79,11 @@ TEST(IdentifierTest, ComparesAndHashesButHasNoArithmetic) {
   EXPECT_EQ(by_slot.at(SlotId{3}), 9);
 }
 
-// --- SlotId <-> FrameId crossing -----------------------------------------
+// --- SlotId -> FrameId crossing ------------------------------------------
 
 TEST(FrameIdTest, SlotCrossingRoundTripsInsideElevenBits) {
   for (std::int64_t s : {1, 100, 2047}) {
-    EXPECT_EQ(to_slot_id(to_frame_id(SlotId{s})), SlotId{s});
+    EXPECT_EQ(to_frame_id(SlotId{s}).value(), s);
   }
   EXPECT_THROW((void)to_frame_id(SlotId{2048}), std::overflow_error);
   EXPECT_THROW((void)to_frame_id(SlotId{-1}), std::overflow_error);
@@ -127,19 +127,6 @@ TEST(ConvertTest, MacrotickOverflowAtHyperperiodScaleThrows) {
   EXPECT_THROW((void)to_time(Microseconds{
                    std::numeric_limits<std::int64_t>::max() / 10}),
                std::overflow_error);
-}
-
-// --- CycleTime wrap at the 5 ms cycle boundary ---------------------------
-
-TEST(ConvertTest, CycleTimeWrapsAtCycleBoundary) {
-  const sim::Time cycle = sim::millis(5);
-  EXPECT_EQ(wrap_cycle_time(sim::Time::zero(), cycle), CycleTime::zero());
-  EXPECT_EQ(wrap_cycle_time(sim::millis(5) - sim::nanos(1), cycle),
-            to_cycle_time(sim::millis(5) - sim::nanos(1)));
-  EXPECT_EQ(wrap_cycle_time(sim::millis(5), cycle), CycleTime::zero());
-  EXPECT_EQ(wrap_cycle_time(sim::millis(12), cycle),
-            to_cycle_time(sim::millis(2)));
-  EXPECT_THROW((void)to_cycle_time(sim::nanos(-1)), std::invalid_argument);
 }
 
 // --- Compile-time surface -------------------------------------------------
