@@ -42,14 +42,15 @@ void check_config(const flexray::ClusterConfig& cfg, Report& report) {
 void check_macrotick_roundtrip(const flexray::ClusterConfig& cfg,
                                Report& report) {
   if (cfg.gd_macrotick <= sim::Time::zero()) return;  // config-valid fired
-  // The units layer models wall-clock durations as whole microseconds;
-  // a fractional-us macrotick cannot be expressed on that grid, so any
-  // Microseconds-typed configuration input would silently truncate.
+  // The message CSV writes periods, offsets and deadlines in whole
+  // microseconds; on a fractional-us macrotick some grid points have no
+  // such spelling, so a message cannot be pinned to them.
   if (!units::is_whole_microseconds(cfg.gd_macrotick)) {
     report.add("schedule.macrotick-roundtrip",
                strformat("gdMacrotick %s is not a whole number of "
-                      "microseconds; units::Microseconds cannot express "
-                      "the macrotick grid exactly",
+                      "microseconds; the message CSV's period_us, "
+                      "offset_us and deadline_us fields cannot land on "
+                      "every point of this macrotick grid",
                       sim::to_string(cfg.gd_macrotick).c_str()));
   }
   // Every configured macrotick length must survive the units-layer

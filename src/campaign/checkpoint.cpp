@@ -367,9 +367,17 @@ bool CheckpointWriter::open(const std::string& path,
 }
 
 bool CheckpointWriter::append(const CheckpointRecord& record) {
+  return append(std::span(&record, 1));
+}
+
+bool CheckpointWriter::append(std::span<const CheckpointRecord> records) {
   if (fd_ < 0) return false;
-  return write_all(fd_, render_record(record) + "\n") &&
-         (!durable_ || ::fsync(fd_) == 0);
+  std::string bytes;
+  for (const CheckpointRecord& record : records) {
+    bytes += render_record(record);
+    bytes += '\n';
+  }
+  return write_all(fd_, bytes) && (!durable_ || ::fsync(fd_) == 0);
 }
 
 }  // namespace coeff::campaign

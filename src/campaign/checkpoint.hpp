@@ -2,12 +2,14 @@
 //
 // A checkpoint is the shard's write-ahead log: one CRC32-guarded text
 // record per state transition, appended and fsync'd before the
-// transition is acted on. The file is created atomically (tmp + fsync +
-// rename + directory fsync) with a versioned header record, then only
-// ever appended to — so the sole failure mode a `kill -9` can leave
-// behind is a torn *tail* record, which the loader detects by CRC and
-// drops cleanly. A bad CRC anywhere before the tail is real corruption
-// and is reported as such, never silently skipped.
+// transition is acted on. Records that may become durable together
+// share one write and one fsync: the runner appends cell k's done
+// record with cell k+1's intent. The file is created atomically (tmp +
+// fsync + rename + directory fsync) with a versioned header record,
+// then only ever appended to — so the sole failure mode a `kill -9` can
+// leave behind is a torn *tail* record, which the loader detects by CRC
+// and drops cleanly. A bad CRC anywhere before the tail is real
+// corruption and is reported as such, never silently skipped.
 //
 // Record grammar (one line each, `payload#crc32hex\n`):
 //   coeffcamp-ckpt v1 shard=S shards=N seed=U cells=C   header
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,7 +109,7 @@ struct CheckpointLoad {
 
 /// Append-only checkpoint writer. Creation goes through the atomic
 /// write path (header-only file appears fully formed or not at all);
-/// appends are fsync'd per record when `durable` is set. All write
+/// each append is one write, fsync'd when `durable` is set. All write
 /// failures are reported through the return value, never thrown: the
 /// runner's disk-full degradation depends on surviving them.
 class CheckpointWriter {
@@ -123,6 +126,11 @@ class CheckpointWriter {
 
   /// Append one sealed record (+fsync when durable). False = IO error.
   bool append(const CheckpointRecord& record);
+
+  /// Append `records` in order with one write and one fsync (when
+  /// durable). A kill mid-write leaves a prefix of them plus at most
+  /// one torn record, exactly as appending them one by one could.
+  bool append(std::span<const CheckpointRecord> records);
 
   void close();
 

@@ -228,6 +228,9 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
   const ScenarioGenerator generator(manifest.seed, manifest.distribution);
   bool degraded = progress.degraded;
   int exit_code = 0;
+  // Cell k's done record waits here for cell k+1's intent, so the two
+  // share one write and one fsync (DESIGN.md §13, write ordering).
+  std::vector<CheckpointRecord> unsynced;
   for (std::int64_t cell = shard; cell < manifest.cells;
        cell += manifest.shards) {
     if (progress.done.count(cell) != 0 ||
@@ -243,10 +246,12 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
     intent.kind = CheckpointRecordKind::kIntent;
     intent.cell = cell;
     intent.attempt = attempt;
-    if (!writer.append(intent)) {
+    unsynced.push_back(intent);
+    if (!writer.append(unsynced)) {
       exit_code = 2;
       break;
     }
+    unsynced.clear();
 
     // Deterministic failure injection (tests / CI smoke).
     if (cell_in_list(options.crash_cells, cell)) _exit(42);
@@ -263,8 +268,8 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
       _exit(3);  // the supervisor accounts the attempt
     }
 
-    // Result row first (fsync'd), done record second: a cell only ever
-    // counts as done once its row is durable.
+    // Result row first (fsync'd), done record after it: a cell only
+    // ever counts as done once its row is durable.
     bool row_ok = write_all(results_fd, render_row(row) + "\n") &&
                   (!options.durable || ::fsync(results_fd) == 0);
     if (!row_ok) {
@@ -286,10 +291,10 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
     CheckpointRecord done;
     done.kind = CheckpointRecordKind::kDone;
     done.cell = cell;
-    if (!writer.append(done)) {
-      exit_code = 2;
-      break;
-    }
+    unsynced.push_back(done);
+  }
+  if (exit_code == 0 && !unsynced.empty() && !writer.append(unsynced)) {
+    exit_code = 2;
   }
   (void)::close(results_fd);
   writer.close();

@@ -2,15 +2,18 @@
 //
 // Cells are assigned to shards by `cell % shards`. Each shard is a
 // forked worker that replays its checkpoint, skips finished/quarantined
-// cells, and brackets every cell with fsync'd intent/done records; the
-// parent is a single-threaded supervisor that watches checkpoint
-// progress, kills a shard whose in-flight cell exceeds the watchdog
-// budget, retries with exponential backoff, and quarantines a cell that
-// exhausts its attempt budget (the failed row records the repro seed).
-// Workers die with the supervisor (PR_SET_PDEATHSIG), so a `kill -9` of
-// the whole campaign leaves only fsync'd state behind — `resume` picks
-// up from the manifest + checkpoints alone and the final aggregate is
-// byte-identical to an uninterrupted run.
+// cells, and brackets every cell with intent/done records. A cell costs
+// two fsyncs: its intent, written together with the previous cell's
+// done record, and its result row; the shard's last done record is
+// fsync'd alone. The parent is a single-threaded supervisor that
+// watches checkpoint progress, kills a shard whose in-flight cell
+// exceeds the watchdog budget, retries with exponential backoff, and
+// quarantines a cell that exhausts its attempt budget (the failed row
+// records the repro seed). Workers die with the supervisor
+// (PR_SET_PDEATHSIG), so a `kill -9` of the whole campaign leaves only
+// fsync'd state behind — `resume` picks up from the manifest +
+// checkpoints alone and the final aggregate is byte-identical to an
+// uninterrupted run.
 #pragma once
 
 #include <cstdint>

@@ -14,28 +14,10 @@
 
 namespace coeff::units {
 
-// --- Microseconds <-> sim::Time ------------------------------------------
-
-[[nodiscard]] constexpr sim::Time to_time(Microseconds us) {
-  return sim::Time{detail::checked_mul(us.count(), 1'000, "us -> Time")};
-}
-
+/// Whether `t` lands on the whole-microsecond grid that the message
+/// CSV's `period_us`, `offset_us` and `deadline_us` fields are written in.
 [[nodiscard]] constexpr bool is_whole_microseconds(sim::Time t) {
   return t.ns() % 1'000 == 0;
-}
-
-/// Exact conversion; throws when `t` is not a whole number of us.
-[[nodiscard]] constexpr Microseconds to_microseconds(sim::Time t) {
-  if (!is_whole_microseconds(t)) {
-    throw std::invalid_argument(
-        "to_microseconds: time is not a whole number of microseconds");
-  }
-  return Microseconds{t.ns() / 1'000};
-}
-
-/// Truncation toward negative infinity for non-negative times.
-[[nodiscard]] constexpr Microseconds floor_microseconds(sim::Time t) {
-  return Microseconds{t.ns() / 1'000};
 }
 
 // --- Macroticks <-> sim::Time (explicit grid) ----------------------------
@@ -58,12 +40,6 @@ namespace coeff::units {
     throw std::invalid_argument(
         "to_macroticks: time is not a whole number of macroticks");
   }
-  return Macroticks{t.ns() / gd_macrotick.ns()};
-}
-
-/// Whole macroticks fully elapsed by `t` (truncating).
-[[nodiscard]] constexpr Macroticks floor_macroticks(sim::Time t,
-                                                    sim::Time gd_macrotick) {
   return Macroticks{t.ns() / gd_macrotick.ns()};
 }
 

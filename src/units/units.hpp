@@ -1,9 +1,9 @@
 // Compile-time units & identifier safety layer (DESIGN.md §10).
 //
 // The reproduction juggles several incompatible scalar domains —
-// microsecond durations, macrotick counts, cycle indices, slot/minislot
-// numbers, frame and node identifiers — that were historically all
-// spelled `std::int64_t`/`int`/`std::uint16_t`. The paper's
+// macrotick counts, cycle indices, slot/minislot numbers, frame and
+// node identifiers — that were historically all spelled
+// `std::int64_t`/`int`/`std::uint16_t`. The paper's
 // correctness hinges on exact grid arithmetic (Theorem 1's per-u
 // exponents, slack curves on the macrotick grid, FTDMA minislot
 // accounting), so mixing those domains is always a bug. This header
@@ -12,7 +12,6 @@
 // conversion is an explicit named function (units/convert.hpp).
 //
 // Quantities (additive, scalable):
-//   Microseconds  wall-clock duration counted in us
 //   Macroticks    duration counted in macroticks (the FlexRay grid)
 // Ordinals (ordered, step/difference only):
 //   CycleIndex    communication-cycle number (0-based)
@@ -181,7 +180,6 @@ class Identifier {
   Rep value_ = 0;
 };
 
-using Microseconds = Quantity<struct MicrosecondsTag>;
 using Macroticks = Quantity<struct MacroticksTag>;
 
 using CycleIndex = Ordinal<struct CycleIndexTag>;
@@ -211,7 +209,6 @@ using NodeId = Identifier<struct NodeIdTag, std::int32_t>;
   static_assert(std::is_standard_layout_v<T>);            \
   static_assert(std::is_nothrow_default_constructible_v<T>)
 
-COEFF_UNITS_ASSERT_ZERO_OVERHEAD(Microseconds, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(Macroticks, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(CycleIndex, std::int64_t);
 COEFF_UNITS_ASSERT_ZERO_OVERHEAD(SlotId, std::int64_t);

@@ -105,7 +105,8 @@ TEST(ScheduleLintTest, MacrotickRoundTripFlagsFractionalMicrosecond) {
   const Report report = f.lint();
   EXPECT_TRUE(report.has_rule("schedule.macrotick-roundtrip"));
   // A warning, not an error: the simulator itself runs fine on a
-  // nanosecond grid, only the Microseconds-typed API loses precision.
+  // nanosecond grid, only the message CSV's whole-microsecond
+  // period_us, offset_us and deadline_us fields miss grid points.
   EXPECT_FALSE(report.has_errors());
 }
 

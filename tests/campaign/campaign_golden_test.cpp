@@ -6,6 +6,8 @@
 // the manifest, of every shard's rows and checkpoint, of both report
 // renders, of the consistency lint's text and of the analytic
 // cross-check summary against values recorded from a known-good build.
+// DurableRunWritesTheSameBytes runs the first campaign again with fsync
+// on and must reproduce its digests.
 // A digest that moves means campaign bytes moved; resume and the report
 // rely on them staying put, so re-record only with a line-by-line
 // argument for why.
@@ -61,15 +63,18 @@ CampaignManifest golden_manifest(const char* name) {
   return manifest;
 }
 
-/// Runs `manifest` in a fresh directory named after it; returns the dir.
+/// Runs `manifest` in a fresh directory named after it (and after
+/// `durable`, so the fsync'd run never shares one); returns the dir.
 std::string run_campaign(const CampaignManifest& manifest,
-                         std::vector<std::int64_t> crash_cells = {}) {
-  const std::string dir = "campaign_golden_" + manifest.name;
+                         std::vector<std::int64_t> crash_cells = {},
+                         bool durable = false) {
+  const std::string dir =
+      "campaign_golden_" + manifest.name + (durable ? "_durable" : "");
   (void)std::system(("rm -rf " + dir).c_str());
   CampaignOptions options;
   options.dir = dir;
   options.manifest = manifest;
-  options.durable = false;
+  options.durable = durable;
   options.poll_ms = 5;
   options.crash_cells = std::move(crash_cells);
   const CampaignOutcome outcome = CampaignRunner::run(options);
@@ -120,19 +125,30 @@ void expect_golden(const Digests& got, const Digests& want) {
   EXPECT_EQ(listing(got), listing(want));
 }
 
+const Digests kAllSchemes = {{"manifest", "858bb8d81d57af39"},
+                              {"rows 0", "76c6657ddfa320f9"},
+                              {"ckpt 0", "5d63356606fc02ea"},
+                              {"rows 1", "bda22fa0c777b2a8"},
+                              {"ckpt 1", "15bafeea29ed60bd"},
+                              {"rows 2", "5678e753b57cc4ec"},
+                              {"ckpt 2", "b5ebb22a2ba8f0a7"},
+                              {"report text", "344125563baf8a3c"},
+                              {"report json", "c4e5466f713538e0"},
+                              {"lint", "cbf29ce484222325"},
+                              {"cross-check", "f7f26ba9ea42a153"}};
+
 TEST(CampaignGoldenTest, AllSchemes) {
   const std::string dir = run_campaign(golden_manifest("schemes"));
-  expect_golden(digest_campaign(dir), {{"manifest", "858bb8d81d57af39"},
-                                       {"rows 0", "76c6657ddfa320f9"},
-                                       {"ckpt 0", "5d63356606fc02ea"},
-                                       {"rows 1", "bda22fa0c777b2a8"},
-                                       {"ckpt 1", "15bafeea29ed60bd"},
-                                       {"rows 2", "5678e753b57cc4ec"},
-                                       {"ckpt 2", "b5ebb22a2ba8f0a7"},
-                                       {"report text", "344125563baf8a3c"},
-                                       {"report json", "c4e5466f713538e0"},
-                                       {"lint", "cbf29ce484222325"},
-                                       {"cross-check", "f7f26ba9ea42a153"}});
+  expect_golden(digest_campaign(dir), kAllSchemes);
+}
+
+// Every other campaign test skips fsync; this one runs the fsync'd
+// worker path, where each done record shares a write with the next
+// intent, and it must leave the same bytes as the unsynced run.
+TEST(CampaignGoldenTest, DurableRunWritesTheSameBytes) {
+  const std::string dir =
+      run_campaign(golden_manifest("schemes"), {}, /*durable=*/true);
+  expect_golden(digest_campaign(dir), kAllSchemes);
 }
 
 TEST(CampaignGoldenTest, Criticality) {

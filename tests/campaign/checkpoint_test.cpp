@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace coeff::campaign {
 namespace {
@@ -73,17 +74,31 @@ TEST(CheckpointWriter, AppendsAndReloads) {
   done.kind = CheckpointRecordKind::kDone;
   done.cell = 5;
   ASSERT_TRUE(writer.append(done));
+  // Several records in one write, as the runner appends a done record
+  // with the next cell's intent.
+  std::vector<CheckpointRecord> grouped(2);
+  grouped[0].kind = CheckpointRecordKind::kIntent;
+  grouped[0].cell = 9;
+  grouped[0].attempt = 2;
+  grouped[1].kind = CheckpointRecordKind::kDone;
+  grouped[1].cell = 9;
+  ASSERT_TRUE(writer.append(grouped));
   writer.close();
 
   const CheckpointLoad load = load_checkpoint(path);
   ASSERT_TRUE(load.ok) << load.error;
   EXPECT_EQ(load.header.shard, 1);
   EXPECT_EQ(load.header.cells, 40);
-  ASSERT_EQ(load.records.size(), 2u);
+  ASSERT_EQ(load.records.size(), 4u);
   EXPECT_EQ(load.records[0].kind, CheckpointRecordKind::kIntent);
   EXPECT_EQ(load.records[0].cell, 5);
   EXPECT_EQ(load.records[0].attempt, 1);
   EXPECT_EQ(load.records[1].kind, CheckpointRecordKind::kDone);
+  EXPECT_EQ(load.records[2].kind, CheckpointRecordKind::kIntent);
+  EXPECT_EQ(load.records[2].cell, 9);
+  EXPECT_EQ(load.records[2].attempt, 2);
+  EXPECT_EQ(load.records[3].kind, CheckpointRecordKind::kDone);
+  EXPECT_EQ(load.records[3].cell, 9);
   EXPECT_FALSE(load.recovered_torn_tail);
   (void)::remove(path.c_str());
 }
@@ -126,6 +141,49 @@ TEST(CheckpointTorn, TruncateMidRecordRecoversCleanly) {
     EXPECT_TRUE(load.recovered_torn_tail) << "cut=" << cut;
     EXPECT_EQ(load.records.size(), 2u) << "cut=" << cut;
     EXPECT_GT(load.torn_bytes, 0u) << "cut=" << cut;
+  }
+  (void)::remove(path.c_str());
+}
+
+/// A kill inside a grouped append (cell 5's done record written with
+/// cell 9's intent) leaves a state that two single appends could also
+/// leave: a cut inside the intent keeps the done record, a cut inside
+/// the done record drops both, and the load stays ok either way.
+TEST(CheckpointTorn, TornGroupedAppendKeepsTheWholeRecords) {
+  const std::string path = scratch("log");
+  std::vector<CheckpointRecord> grouped(2);
+  grouped[0].kind = CheckpointRecordKind::kDone;
+  grouped[0].cell = 5;
+  grouped[1].kind = CheckpointRecordKind::kIntent;
+  grouped[1].cell = 9;
+  grouped[1].attempt = 1;
+  {
+    CheckpointWriter writer;
+    ASSERT_TRUE(writer.open(path, test_header(), false));
+    CheckpointRecord intent;
+    intent.kind = CheckpointRecordKind::kIntent;
+    intent.cell = 5;
+    intent.attempt = 1;
+    ASSERT_TRUE(writer.append(intent));
+    ASSERT_TRUE(writer.append(grouped));
+  }
+  const std::string full = read_file(path).value();
+  const std::size_t intent_bytes = render_record(grouped[1]).size() + 1;
+  const std::size_t done_bytes = render_record(grouped[0]).size() + 1;
+  for (std::size_t cut = 1; cut < intent_bytes + done_bytes; ++cut) {
+    if (cut == intent_bytes) continue;  // a whole record, nothing torn
+    ASSERT_TRUE(atomic_write_file(path, full.substr(0, full.size() - cut)));
+    const CheckpointLoad load = load_checkpoint(path);
+    ASSERT_TRUE(load.ok) << "cut=" << cut << ": " << load.error;
+    EXPECT_TRUE(load.recovered_torn_tail) << "cut=" << cut;
+    if (cut < intent_bytes) {
+      ASSERT_EQ(load.records.size(), 2u) << "cut=" << cut;
+      EXPECT_EQ(load.records[1].kind, CheckpointRecordKind::kDone);
+      EXPECT_EQ(load.records[1].cell, 5);
+    } else {
+      ASSERT_EQ(load.records.size(), 1u) << "cut=" << cut;
+      EXPECT_EQ(load.records[0].kind, CheckpointRecordKind::kIntent);
+    }
   }
   (void)::remove(path.c_str());
 }

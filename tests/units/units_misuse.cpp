@@ -15,7 +15,7 @@ namespace u = coeff::units;
 namespace sim = coeff::sim;
 
 void misuse() {
-  [[maybe_unused]] u::Microseconds us{40};
+  [[maybe_unused]] sim::Time t = sim::micros(40);
   [[maybe_unused]] u::Macroticks mt{8};
   [[maybe_unused]] u::CycleIndex cycle{2};
   [[maybe_unused]] u::SlotId slot{5};
@@ -26,13 +26,13 @@ void misuse() {
 #if defined(MISUSE_OK)
   // Sanctioned operations only; must compile.
   [[maybe_unused]] auto a = mt + u::Macroticks{1};
-  [[maybe_unused]] auto b = us * 2;
+  [[maybe_unused]] auto b = mt * 2;
   [[maybe_unused]] auto c = cycle + 1;
   [[maybe_unused]] auto d = u::to_frame_id(slot);
-  [[maybe_unused]] auto e = u::to_time(us);
+  [[maybe_unused]] auto e = u::to_time(mt, t);
 #elif defined(MISUSE_CROSS_UNIT_ADD)
-  // Microseconds + Macroticks is dimensionally meaningless.
-  [[maybe_unused]] auto x = us + mt;
+  // A macrotick count is not a duration until it meets its grid.
+  [[maybe_unused]] auto x = mt + t;
 #elif defined(MISUSE_IMPLICIT_FROM_RAW)
   // No implicit construction from the raw representation.
   [[maybe_unused]] u::Macroticks x = 8;
@@ -63,9 +63,9 @@ void misuse() {
   // Macroticks -> sim::Time needs the configured macrotick length.
   [[maybe_unused]] sim::Time x = u::to_time(mt);
 #elif defined(MISUSE_QUANTITY_DIVIDE_CROSS_UNIT)
-  // "How many macroticks fit in these microseconds" must go through
-  // the named grid conversions, never raw division.
-  [[maybe_unused]] auto x = us / mt;
+  // "How many macroticks fit in this duration" must go through the
+  // named grid conversions, never raw division.
+  [[maybe_unused]] auto x = t / mt;
 #else
 #error "units_misuse.cpp compiled without selecting a MISUSE_* case"
 #endif

@@ -89,15 +89,11 @@ TEST(FrameIdTest, SlotCrossingRoundTripsInsideElevenBits) {
   EXPECT_THROW((void)to_frame_id(SlotId{-1}), std::overflow_error);
 }
 
-// --- Microseconds <-> sim::Time ------------------------------------------
+// --- The whole-microsecond grid -----------------------------------------
 
 TEST(ConvertTest, MicrosecondsRoundTrip) {
-  EXPECT_EQ(to_time(Microseconds{40}), sim::micros(40));
-  EXPECT_EQ(to_microseconds(sim::micros(40)), Microseconds{40});
+  EXPECT_TRUE(is_whole_microseconds(sim::micros(40)));
   EXPECT_FALSE(is_whole_microseconds(sim::nanos(1500)));
-  EXPECT_THROW((void)to_microseconds(sim::nanos(1500)),
-               std::invalid_argument);
-  EXPECT_EQ(floor_microseconds(sim::nanos(1500)), Microseconds{1});
 }
 
 // --- Macroticks on a non-integer us/MT grid ------------------------------
@@ -113,7 +109,6 @@ TEST(ConvertTest, MacrotickConversionsOnFractionalMicrosecondGrid) {
   EXPECT_THROW((void)to_macroticks(sim::nanos(11'001), mt),
                std::invalid_argument);
   // Rounding forms state their direction in the name.
-  EXPECT_EQ(floor_macroticks(sim::nanos(11'001), mt), Macroticks{8});
   EXPECT_EQ(ceil_macroticks(sim::nanos(11'001), mt), Macroticks{9});
   EXPECT_EQ(ceil_macroticks(sim::nanos(11'000), mt), Macroticks{8});
 }
@@ -124,9 +119,6 @@ TEST(ConvertTest, MacrotickOverflowAtHyperperiodScaleThrows) {
   const sim::Time mt = sim::nanos(1375);
   const Macroticks too_many{std::numeric_limits<std::int64_t>::max() / 1000};
   EXPECT_THROW((void)to_time(too_many, mt), std::overflow_error);
-  EXPECT_THROW((void)to_time(Microseconds{
-                   std::numeric_limits<std::int64_t>::max() / 10}),
-               std::overflow_error);
 }
 
 // --- Compile-time surface -------------------------------------------------
@@ -135,7 +127,7 @@ TEST(ConvertTest, MacrotickOverflowAtHyperperiodScaleThrows) {
 // (e.g. a non-constexpr checked_add) breaks the build via these tests.
 
 static_assert(Macroticks{40} + Macroticks{8} == Macroticks{48});
-static_assert(to_time(Microseconds{3}) == sim::Time{3'000});
+static_assert(to_time(Macroticks{3}, sim::nanos(1375)) == sim::Time{4'125});
 static_assert(to_frame_id(SlotId{17}).value() == 17);
 static_assert(CycleIndex{7} - CycleIndex{2} == 5);
 
