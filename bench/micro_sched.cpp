@@ -1,6 +1,5 @@
 // Micro-benchmarks of the scheduling and reliability kernels: the costs
-// that bound how fast the offline configuration step and the per-slot
-// online decisions run.
+// that bound how fast the offline configuration step runs.
 #include <benchmark/benchmark.h>
 
 #include "core/cycle_template.hpp"
@@ -72,18 +71,6 @@ void BM_MinIdleInWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinIdleInWindow)->Arg(10)->Arg(50)->Arg(200);
-
-void BM_SlackQuery(benchmark::State& state) {
-  const auto set = make_task_set(static_cast<int>(state.range(0)), 9);
-  const sched::SlackTable table(set);
-  sim::Rng rng(1);
-  std::int64_t t_us = 0;
-  for (auto _ : state) {
-    t_us += rng.uniform_int(1, 500);
-    benchmark::DoNotOptimize(table.slack_at(sim::micros(t_us)));
-  }
-}
-BENCHMARK(BM_SlackQuery)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_DifferentiatedSolver(benchmark::State& state) {
   const auto set = make_statics(static_cast<std::size_t>(state.range(0)));

@@ -20,9 +20,10 @@ double log1m(double p) {
 }
 
 /// Guaranteed stealable wire service per communication cycle: the
-/// static set as a wire-speed fixed-priority processor (the same model
-/// CoEfficient's admission test runs), at its full-schedule idle floor
-/// over any one cycle. 0 when the schedule leaves no guaranteed idle,
+/// static set as a wire-speed fixed-priority processor, at its
+/// full-schedule idle floor over any one cycle. No scheduler runs this
+/// model; it stands in for the idle (slot, channel) pairs CoEfficient's
+/// walk steals. 0 when the schedule leaves no guaranteed idle,
 /// or, as a pessimistic fallback, when the set has no exact schedule
 /// (invalid, or a hyperperiod past one hour). Anything else, such as
 /// running out of memory, propagates to the caller.
@@ -185,10 +186,10 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
     // Copy crediting gate: each stolen (slot,channel) pair costs one
     // whole static slot of the guaranteed idle, and an instance's k_z
     // copies must all land inside its min(T, D) window. When the
-    // amortized demand exceeds the guaranteed service floor, the
-    // admission test may legitimately drop copies — no analytic
-    // delivery guarantee exists, so the upper envelope credits only the
-    // owned primary slot.
+    // amortized demand exceeds the guaranteed service floor, the walk
+    // may drop copies (a copy whose deadline passes with no fitting
+    // slack is dropped) — no analytic delivery guarantee exists, so the
+    // upper envelope credits only the owned primary slot.
     double demand_ns = 0.0;
     for (std::size_t z = 0; z < input.statics->size(); ++z) {
       const net::Message& m = (*input.statics)[z];
@@ -351,8 +352,8 @@ Report lint_prob(const ProbWcrtInput& input, const ProbWcrtResult& result) {
             loc);
   }
   // (0b) The plan's k_z copies demand more stolen wire than the
-  // schedule guarantees: the Theorem-1 sizing counts copies the
-  // admission test may drop.
+  // schedule guarantees: the Theorem-1 sizing counts copies the walk
+  // may drop when their deadline passes with no fitting slack.
   if (input.discipline == ProbRetxModel::kPlannedSerial &&
       target.plan_claims_met && !result.copies_credited &&
       result.copy_demand_per_cycle > sim::Time::zero()) {

@@ -157,8 +157,9 @@ struct ProbWcrtResult : SetEnvelope {
   sim::Time copy_demand_per_cycle;
   /// True when the copy demand fits inside the guaranteed service and
   /// the plan is not degraded — only then does the upper envelope
-  /// credit retransmission copies (otherwise the admission test may
-  /// drop them and no analytic guarantee exists).
+  /// credit retransmission copies (otherwise the walk may drop them,
+  /// when a copy's deadline passes with no fitting slack, and no
+  /// analytic guarantee exists).
   bool copies_credited = true;
   /// Per-cycle competing-backlog distribution (kPlannedSerial only).
   Pmf interference{sim::micros(50), 1};

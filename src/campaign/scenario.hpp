@@ -4,8 +4,8 @@
 // set (UUniFast utilization split across messages, SAE-style dynamic
 // mix), a cluster sized 2..64 nodes, a channel fault model drawn from
 // the i.i.d. / Gilbert–Elliott / common-mode space, and a structural
-// fault drawn from {none, crash, blackout, babble, drift} — the full
-// cross of ROADMAP item 1. Every cell is derived *statelessly* from
+// fault drawn from {none, crash, blackout, babble, drift}, crossed
+// with one another. Every cell is derived *statelessly* from
 // (campaign_seed, cell index): shard workers can materialize any cell
 // in any order, and a resumed campaign regenerates byte-identical
 // scenarios from the manifest alone.

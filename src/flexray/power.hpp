@@ -1,4 +1,4 @@
-// Per-node DVFS/DPM power model (ROADMAP item 4 ride-along).
+// Per-node DVFS/DPM power model (DESIGN.md §16).
 //
 // Models the communication-side energy of a FlexRay node: the host
 // controller draws a DVFS-scaled baseline all cycle, the bus driver

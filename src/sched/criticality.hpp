@@ -1,4 +1,4 @@
-// Mixed-criticality mode-change protocol (ROADMAP item 4).
+// Mixed-criticality mode-change protocol (DESIGN.md §16).
 //
 // Generalizes the binary `degraded` flag into a three-mode state
 // machine in the style of Novak/Sucha/Hanzalek's match-up scheduling

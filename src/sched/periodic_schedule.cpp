@@ -292,8 +292,8 @@ sim::Time min_idle_in_window(const TaskSet& set, sim::Time window) {
   if (window <= sim::Time::zero()) return sim::Time::zero();
   if (set.empty()) return window;  // no tasks: all time is idle
 
-  // SlackTable's periodic extension on the full-schedule idle alone:
-  // exact up to 2H, then the idle of [H, 2H) per wrap.
+  // SlackTable's periodic extension: exact up to 2H, then the idle of
+  // [H, 2H) per wrap.
   const IdleIntervals idle = idle_intervals(set, h);
   const sim::Time idle_per_h = idle.total - IdleCursor(idle)(h);
   // Idle in [0, t), read through `cursor`.

@@ -2,8 +2,8 @@
 //
 // Builds the timeline of a periodic task set (with offsets) over a
 // finite horizon. The result carries per-job finish times and the
-// execution timeline, from which SlackTable derives the level-i idle
-// curves of §III-B/§III-F and tests obtain an exact oracle.
+// execution timeline, from which SlackTable keeps the idle intervals
+// and tests obtain an exact oracle.
 //
 // min_idle_in_window answers the one question the probabilistic
 // verifier asks of the full schedule without building it: processor

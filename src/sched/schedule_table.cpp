@@ -66,8 +66,9 @@ StaticScheduleTable StaticScheduleTable::build(
 
     // Evaluate every (slot, base) candidate; latency is constant across
     // jobs: latency = base*cycle + slot_offset + slot_dur - msg_offset.
-    std::optional<SlotAssignment> best_meeting;  // meets deadline
-    std::optional<SlotAssignment> best_any;      // fallback: min latency
+    // Keep the first least-latency one: if any candidate meets the
+    // deadline, it does.
+    std::optional<SlotAssignment> best;
     for (units::SlotId slot{1}; slot.value() <= table.num_slots_; ++slot) {
       const sim::Time slot_offset = slot_dur * (slot.value() - 1);
       // Earliest base cycle whose slot starts at/after the first release.
@@ -100,26 +101,19 @@ StaticScheduleTable StaticScheduleTable::build(
       cand.repetition = repetition;
       cand.latency =
           cycle * free_base->value() + slot_offset + slot_dur - m->offset;
-      if (cand.latency <= m->deadline &&
-          (!best_meeting || cand.latency < best_meeting->latency)) {
-        best_meeting = cand;
-      }
-      if (!best_any || cand.latency < best_any->latency) {
-        best_any = cand;
-      }
+      if (!best || cand.latency < best->latency) best = cand;
     }
 
-    if (!best_meeting && !best_any) {
+    if (!best) {
       table.unplaced_.push_back(m->id);
       continue;
     }
-    const SlotAssignment chosen = best_meeting ? *best_meeting : *best_any;
-    if (!best_meeting) table.deadline_risk_.push_back(m->id);
+    if (best->latency > m->deadline) table.deadline_risk_.push_back(m->id);
     table.by_message_[m->id] = table.assignments_.size();
-    table.assignments_.push_back(chosen);
-    table.slot_occupants_[static_cast<std::size_t>(chosen.slot.value() - 1)]
-        .push_back({chosen.base_cycle, chosen.repetition, m->id});
-    table.table_period_ = std::lcm(table.table_period_, chosen.repetition);
+    table.assignments_.push_back(*best);
+    table.slot_occupants_[static_cast<std::size_t>(best->slot.value() - 1)]
+        .push_back({best->base_cycle, best->repetition, m->id});
+    table.table_period_ = std::lcm(table.table_period_, best->repetition);
   }
 
   return table;

@@ -7,11 +7,11 @@
 // (disjoint phases), as in the FlexRay spec and the static-segment
 // scheduling literature the paper builds on ([14], [15]).
 //
-// Placement is greedy in (deadline, period) order and prefers slots
-// whose fixed release-to-completion latency meets the deadline; when no
-// deadline-meeting placement exists (e.g. deadline < cycle, which TDMA
-// cannot honour) the minimum-latency placement is used and the message
-// is listed in `deadline_risk`.
+// Placement is greedy in (deadline, period) order: each message takes
+// the first (slot, base) candidate of least fixed release-to-completion
+// latency, which meets the deadline whenever any candidate does. When
+// that latency exceeds the deadline (e.g. deadline < cycle, which TDMA
+// cannot honour) the message is listed in `deadline_risk`.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 #include "core/experiment.hpp"
 #include "fault/reliability.hpp"
 #include "net/workloads.hpp"
-#include "sched/slack_table.hpp"
 
 namespace coeff::core {
 namespace {
@@ -88,40 +87,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SolverProperties,
     ::testing::Combine(::testing::Values(1e-8, 1e-7, 1e-6),
                        ::testing::Values(1e-5, 1e-7, 1e-9)));
-
-// ---------------------------------------------------------------------
-// Property: slack is monotone in priority level — dropping the
-// highest-priority constraints can only increase the available slack.
-// ---------------------------------------------------------------------
-class SlackLevelMonotonicity : public ::testing::TestWithParam<int> {};
-
-TEST_P(SlackLevelMonotonicity, SlackGrowsAsLevelsDrop) {
-  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
-  std::vector<sched::PeriodicTask> tasks;
-  for (int i = 0; i < 4; ++i) {
-    sched::PeriodicTask t;
-    t.id = i;
-    t.period = sim::millis(rng.uniform_int(1, 4) * 10);
-    t.wcet = sim::millis(rng.uniform_int(1, 3));
-    t.deadline = t.period;
-    t.offset = sim::millis(rng.uniform_int(0, 5));
-    tasks.push_back(t);
-  }
-  sched::SlackTable table{sched::TaskSet(tasks)};
-  if (!table.schedulable()) GTEST_SKIP();
-  for (int q = 0; q < 20; ++q) {
-    const auto t = sim::millis(rng.uniform_int(0, 200));
-    sim::Time prev = sim::Time::zero();
-    for (std::size_t level = 0; level < table.levels(); ++level) {
-      const auto s = table.slack_at(t, level);
-      EXPECT_GE(s, prev) << "level " << level << " t " << t.ns();
-      prev = s;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SlackLevelMonotonicity,
-                         ::testing::Range(1, 12));
 
 // ---------------------------------------------------------------------
 // Property: arrival generators respect the horizon and ordering for all

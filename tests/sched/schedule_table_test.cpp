@@ -164,6 +164,17 @@ TEST(ScheduleTableTest, DeadlineRiskWhenTdmaCannotMeetDeadline) {
   EXPECT_GT(table.assignments()[0].latency, sim::millis(1));
 }
 
+TEST(ScheduleTableTest, LatencyEqualToDeadlineIsNoRisk) {
+  // Released at 4040 us, past the static segment: the least latency is
+  // slot 1 of the next cycle, 5000 + 40 - 4040 = 1000 us, which meets
+  // the 1 ms deadline exactly.
+  const auto table = StaticScheduleTable::build(
+      net::MessageSet({msg(1, 0, 5, 1, 400, 4040)}), config_5ms());
+  ASSERT_EQ(table.assignments().size(), 1u);
+  EXPECT_EQ(table.assignments()[0].latency, sim::millis(1));
+  EXPECT_TRUE(table.deadline_risk().empty());
+}
+
 TEST(ScheduleTableTest, BbwFitsAppSuite) {
   const auto table =
       StaticScheduleTable::build(net::brake_by_wire(), config_1ms());
