@@ -91,6 +91,17 @@ bool parse_header_payload(std::string_view payload, CheckpointHeader& header) {
   return header.shard < header.shards;
 }
 
+/// "C <bytes> <row_bytes>" sealed at file offset `offset`; a commit
+/// names the length before itself, so <bytes> must equal `offset`.
+bool parse_commit_payload(std::string_view payload, std::size_t offset,
+                          std::uint64_t& row_bytes) {
+  const auto fields = split_fields(payload);
+  std::uint64_t bytes = 0;
+  return fields.size() == 3 && fields[0] == "C" &&
+         units::parse_count(fields[1], bytes) && bytes == offset &&
+         units::parse_count(fields[2], row_bytes);
+}
+
 bool parse_record_payload(std::string_view payload, CheckpointRecord& record) {
   const auto fields = split_fields(payload);
   if (fields.empty()) return false;
@@ -256,58 +267,66 @@ CheckpointLoad parse_checkpoint(std::string_view bytes) {
   CheckpointLoad load;
   bool saw_header = false;
   std::int64_t line_no = 0;
+  // The first damaged line: where the torn tail starts, unless a valid
+  // commit record follows it.
+  std::size_t damage_at = std::string_view::npos;
+  std::int64_t damage_line = -1;
+  const auto corrupt = [&load](std::int64_t line) {
+    load.bad_record_line = line;
+    load.error = "corrupt checkpoint record before the last commit (line " +
+                 std::to_string(line) + ")";
+    return load;
+  };
   std::size_t start = 0;
   while (start < bytes.size()) {
-    const auto newline = bytes.find('\n', start);
-    if (newline == std::string_view::npos) {
-      // No terminating newline: the classic torn tail.
-      load.recovered_torn_tail = true;
-      load.torn_bytes = bytes.size() - start;
-      break;
-    }
-    const std::string_view line = bytes.substr(start, newline - start);
-    const bool is_last_line = bytes.find('\n', newline + 1) ==
-                                  std::string_view::npos &&
-                              newline + 1 == bytes.size();
     ++line_no;
-    const auto payload = unseal_record(line);
-    bool parsed = false;
-    if (payload.has_value()) {
-      if (!saw_header) {
-        parsed = parse_header_payload(*payload, load.header);
-        saw_header = parsed;
-        if (!parsed) {
-          load.error = "bad checkpoint header";
-          return load;
+    const auto newline = bytes.find('\n', start);
+    const std::optional<std::string_view> payload =
+        newline == std::string_view::npos
+            ? std::nullopt
+            : unseal_record(bytes.substr(start, newline - start));
+    if (!saw_header) {
+      if (newline == std::string_view::npos) break;  // headerless
+      if (!payload.has_value() ||
+          !parse_header_payload(*payload, load.header)) {
+        load.error = "bad checkpoint header";
+        return load;
+      }
+      saw_header = true;
+    } else if (!payload.has_value()) {
+      if (damage_at == std::string_view::npos) {
+        damage_at = start;
+        damage_line = line_no;
+      }
+    } else {
+      CheckpointRecord record;
+      std::uint64_t row_bytes = 0;
+      if (parse_commit_payload(*payload, start, row_bytes)) {
+        if (damage_at != std::string_view::npos) return corrupt(damage_line);
+        load.committed_records = load.records.size();
+        load.committed_row_bytes = row_bytes;
+      } else if (parse_record_payload(*payload, record)) {
+        if (damage_at == std::string_view::npos) {
+          load.records.push_back(std::move(record));
         }
-      } else {
-        CheckpointRecord record;
-        parsed = parse_record_payload(*payload, record);
-        if (parsed) load.records.push_back(std::move(record));
+      } else if (damage_at == std::string_view::npos) {
+        // A sealed line our writer never wrote: only as the last line
+        // can it still be the tail.
+        if (newline + 1 != bytes.size()) return corrupt(line_no);
+        damage_at = start;
+        damage_line = line_no;
       }
     }
-    if (!parsed && saw_header) {
-      if (is_last_line) {
-        // A complete-looking but CRC-broken or unparseable final line:
-        // still only the tail, still recoverable.
-        load.recovered_torn_tail = true;
-        load.torn_bytes = line.size() + 1;
-        break;
-      }
-      load.bad_record_line = line_no;
-      load.error = "corrupt checkpoint record before the tail (line " +
-                   std::to_string(line_no) + ")";
-      return load;
-    }
-    if (!parsed && !saw_header) {
-      load.error = "bad checkpoint header";
-      return load;
-    }
+    if (newline == std::string_view::npos) break;
     start = newline + 1;
   }
   if (!saw_header) {
     load.error = "empty or headerless checkpoint";
     return load;
+  }
+  if (damage_at != std::string_view::npos) {
+    load.recovered_torn_tail = true;
+    load.torn_bytes = bytes.size() - damage_at;
   }
   load.ok = true;
   return load;
@@ -367,17 +386,28 @@ bool CheckpointWriter::open(const std::string& path,
 }
 
 bool CheckpointWriter::append(const CheckpointRecord& record) {
-  return append(std::span(&record, 1));
+  return write(std::span(&record, 1)) && (!durable_ || ::fsync(fd_) == 0);
 }
 
-bool CheckpointWriter::append(std::span<const CheckpointRecord> records) {
+bool CheckpointWriter::write(std::span<const CheckpointRecord> records) {
   if (fd_ < 0) return false;
   std::string bytes;
   for (const CheckpointRecord& record : records) {
     bytes += render_record(record);
     bytes += '\n';
   }
-  return write_all(fd_, bytes) && (!durable_ || ::fsync(fd_) == 0);
+  return write_all(fd_, bytes);
+}
+
+bool CheckpointWriter::commit(std::uint64_t row_bytes) {
+  struct stat st{};
+  if (fd_ < 0 || (durable_ && ::fsync(fd_) != 0) || ::fstat(fd_, &st) != 0) {
+    return false;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "C %lld %" PRIu64,
+                static_cast<long long>(st.st_size), row_bytes);
+  return write_all(fd_, seal_record(buf) + "\n");
 }
 
 }  // namespace coeff::campaign

@@ -1,28 +1,34 @@
 // Crash-safe per-shard checkpoint files (DESIGN.md §13).
 //
 // A checkpoint is the shard's write-ahead log: one CRC32-guarded text
-// record per state transition, appended and fsync'd before the
-// transition is acted on. Records that may become durable together
-// share one write and one fsync: the runner appends cell k's done
-// record with cell k+1's intent. The file is created atomically (tmp +
+// record per state transition. The file is created atomically (tmp +
 // fsync + rename + directory fsync) with a versioned header record,
-// then only ever appended to — so the sole failure mode a `kill -9` can
-// leave behind is a torn *tail* record, which the loader detects by CRC
-// and drops cleanly. A bad CRC anywhere before the tail is real
-// corruption and is reported as such, never silently skipped.
+// then only ever appended to. The worker writes its records without
+// fsync and commits them as a group: it fsyncs the shard's result rows,
+// then this file, then appends a commit record naming the two lengths
+// those fsyncs made durable. A kill -9 loses no written byte; a machine
+// crash may lose any unsynced page, in any order, but never a byte
+// before the last commit. So damage (a line without its newline or
+// whose CRC fails) past the last commit record is a torn tail, which
+// the loader drops cleanly, and damage before it is real corruption,
+// reported as such and never silently skipped.
 //
 // Record grammar (one line each, `payload#crc32hex\n`):
 //   coeffcamp-ckpt v1 shard=S shards=N seed=U cells=C   header
 //   I <cell> <attempt>    intent: about to run <cell> (attempt is 1-based)
-//   D <cell>              done: result row for <cell> is on disk
+//   D <cell>              done: result row for <cell> is written
 //   Q <cell> <attempts> <reason>   quarantined poison cell
 //   G <reason>            degraded: result detail shed (e.g. disk full)
+//   C <bytes> <row_bytes> commit: this file's first <bytes> (everything
+//                         before this record) and the rows' first
+//                         <row_bytes> are durable
 //
 // The intent/done pair brackets the unit of work: a cell with a
 // dangling intent is exactly the cell that was in flight when the
 // worker died, and the count of its intents is the attempt budget
 // already spent — both facts the watchdog/retry machinery needs, both
-// reconstructible from the file alone after any crash.
+// reconstructible from the file alone after any crash. A done record
+// past the last commit is a hint: it counts only if its row survived.
 #pragma once
 
 #include <cstdint>
@@ -88,30 +94,42 @@ struct CheckpointHeader {
 [[nodiscard]] std::string render_header(const CheckpointHeader& header);
 
 /// Everything load/parse learned about one checkpoint file. `ok` means
-/// the header parsed and no record before the tail was corrupt; a torn
-/// tail alone (the expected kill -9 residue) keeps ok == true and sets
-/// `recovered_torn_tail`.
+/// the header parsed and nothing before the last commit was corrupt; a
+/// torn tail alone (the expected crash residue) keeps ok == true and
+/// sets `recovered_torn_tail`. Commit records are not in `records`.
 struct CheckpointLoad {
   bool ok = false;
   std::string error;
   CheckpointHeader header;
   std::vector<CheckpointRecord> records;
+  /// The last commit record's claim: `records[0, committed_records)`
+  /// and the rows' first `committed_row_bytes` are durable. Both 0 when
+  /// the file has no commit record (then only its header is).
+  std::size_t committed_records = 0;
+  std::uint64_t committed_row_bytes = 0;
   bool recovered_torn_tail = false;
   std::size_t torn_bytes = 0;        ///< bytes dropped from the tail
   std::int64_t bad_record_line = -1; ///< 1-based line of mid-file corruption
 };
 
 /// Parse checkpoint bytes (fuzz-hardened: never throws on any input).
+/// Damage is a line without its newline or whose CRC fails. The first
+/// damage starts the torn tail, unless a valid commit record follows it
+/// (then it is corruption). A sealed line that does not parse, or a
+/// commit naming a length other than its own offset, is corruption
+/// unless it is the last line.
 [[nodiscard]] CheckpointLoad parse_checkpoint(std::string_view bytes);
 
 /// Load + parse `path`. A missing file is ok == false with an error.
 [[nodiscard]] CheckpointLoad load_checkpoint(const std::string& path);
 
 /// Append-only checkpoint writer. Creation goes through the atomic
-/// write path (header-only file appears fully formed or not at all);
-/// each append is one write, fsync'd when `durable` is set. All write
-/// failures are reported through the return value, never thrown: the
-/// runner's disk-full degradation depends on surviving them.
+/// write path (header-only file appears fully formed or not at all).
+/// `append` fsyncs each write when `durable` is set; `write` never
+/// does, and `commit` makes everything written so far durable as one
+/// group. All write failures are reported through the return value,
+/// never thrown: the runner's disk-full degradation depends on
+/// surviving them.
 class CheckpointWriter {
  public:
   CheckpointWriter() = default;
@@ -127,10 +145,17 @@ class CheckpointWriter {
   /// Append one sealed record (+fsync when durable). False = IO error.
   bool append(const CheckpointRecord& record);
 
-  /// Append `records` in order with one write and one fsync (when
-  /// durable). A kill mid-write leaves a prefix of them plus at most
-  /// one torn record, exactly as appending them one by one could.
-  bool append(std::span<const CheckpointRecord> records);
+  /// Append `records` in order with one write and no fsync; the next
+  /// commit() makes them durable. A kill mid-write leaves a prefix of
+  /// them plus at most one torn record, exactly as appending them one
+  /// by one could.
+  bool write(std::span<const CheckpointRecord> records);
+
+  /// Group commit: fsync (when durable), then append `C <bytes>
+  /// <row_bytes>` naming the file's length before the record. Call it
+  /// only once the rows' first `row_bytes` are durable. False on a
+  /// failed fsync (no commit record is written) or write.
+  bool commit(std::uint64_t row_bytes);
 
   void close();
 

@@ -40,6 +40,7 @@ analysis::Report lint_campaign(const std::string& dir) {
       manifest.status == "complete" || manifest.status == "degraded";
 
   std::set<std::int64_t> done;
+  std::set<std::int64_t> hinted;  ///< done past the last commit: hints
   std::set<std::int64_t> quarantined;
   for (int shard = 0; shard < manifest.shards; ++shard) {
     const std::string path = shard_checkpoint_path(dir, shard);
@@ -74,7 +75,8 @@ analysis::Report lint_campaign(const std::string& dir) {
       report.add(diag);
     }
     std::set<std::int64_t> shard_done;
-    for (const CheckpointRecord& record : load.records) {
+    for (std::size_t i = 0; i < load.records.size(); ++i) {
+      const CheckpointRecord& record = load.records[i];
       if (record.kind == CheckpointRecordKind::kDegrade) continue;
       if (record.cell < 0 || record.cell >= manifest.cells ||
           record.cell % manifest.shards != shard) {
@@ -97,7 +99,7 @@ analysis::Report lint_campaign(const std::string& dir) {
           diag.loc = cell_loc(record.cell);
           report.add(diag);
         }
-        done.insert(record.cell);
+        (i < load.committed_records ? done : hinted).insert(record.cell);
       } else if (record.kind == CheckpointRecordKind::kQuarantine) {
         quarantined.insert(record.cell);
       }
@@ -139,9 +141,25 @@ analysis::Report lint_campaign(const std::string& dir) {
                  cell_loc(row.cell));
     }
   }
+  for (const std::int64_t cell : hinted) {
+    if (rows_present.count(cell) != 0) {
+      done.insert(cell);
+    } else if (done.count(cell) == 0) {
+      analysis::Diagnostic diag;
+      diag.rule = kRule;
+      diag.severity = analysis::Severity::kWarning;
+      diag.message = analysis::strformat(
+          "cell %lld: done record past the last commit has no result row "
+          "(machine-crash residue; resume re-runs the cell)",
+          static_cast<long long>(cell));
+      diag.loc = cell_loc(cell);
+      report.add(diag);
+    }
+  }
   for (const std::int64_t cell : done) {
-    // The write ordering makes the row durable *before* the done
-    // record; a done cell without a row breaks that invariant.
+    // The write ordering makes the row durable *before* the commit that
+    // covers its done record; a committed done cell without a row
+    // breaks that invariant.
     if (rows_present.count(cell) == 0) {
       report.add(kRule,
                  analysis::strformat(

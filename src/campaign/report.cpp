@@ -388,6 +388,21 @@ ResultScan scan_results(const std::string& dir,
   return scan;
 }
 
+std::size_t recovered_results_length(std::string_view bytes,
+                                     std::size_t committed,
+                                     std::set<std::int64_t>* tail_cells) {
+  std::size_t start = committed;
+  while (start < bytes.size()) {
+    const auto newline = bytes.find('\n', start);
+    if (newline == std::string_view::npos) break;
+    const auto row = parse_row(bytes.substr(start, newline - start));
+    if (!row.has_value()) break;
+    if (tail_cells != nullptr) tail_cells->insert(row->cell);
+    start = newline + 1;
+  }
+  return std::min(start, bytes.size());
+}
+
 CampaignAggregate aggregate_rows(const std::vector<ResultRow>& rows,
                                  std::int64_t expected_cells) {
   CampaignAggregate agg;

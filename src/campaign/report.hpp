@@ -1,9 +1,9 @@
 // Streaming columnar campaign output + deterministic aggregation.
 //
 // Each completed cell appends exactly one JSON line to its shard's
-// `shard-NNNN.jsonl` (append-only, fsync'd before the checkpoint DONE
-// record, so a row on disk is the *precondition* of a cell counting as
-// done). The aggregator reads every shard file, tolerates the torn
+// `shard-NNNN.jsonl` (append-only, written before the checkpoint's done
+// record and fsync'd before the commit that covers it, so a row on disk
+// is the *precondition* of a cell counting as done). The aggregator reads every shard file, tolerates the torn
 // tail a kill can leave, dedups by cell (re-run cells after a resume
 // produce byte-identical rows), and folds rows in cell order — so the
 // final report of a killed-and-resumed campaign is byte-identical to
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,6 +107,15 @@ struct ResultScan {
 
 [[nodiscard]] ResultScan scan_results(const std::string& dir,
                                       const CampaignManifest& manifest);
+
+/// Crash recovery of one shard's result file (DESIGN.md §13): how many
+/// of `bytes` to keep. The first `committed` bytes are durable and kept
+/// as they are; past them the file is cut at the first line that lacks
+/// its newline or does not parse. The cells of the rows kept past
+/// `committed` go to `tail_cells` when it is non-null.
+[[nodiscard]] std::size_t recovered_results_length(
+    std::string_view bytes, std::size_t committed,
+    std::set<std::int64_t>* tail_cells = nullptr);
 
 struct GroupStat {
   std::int64_t cells = 0;

@@ -45,16 +45,24 @@ struct ShardProgress {
   std::int64_t inflight_cell = -1;      ///< last intent without done/Q
   int inflight_attempt = 0;
   bool degraded = false;
+  /// Records or rows past the last commit (recover_shard only).
+  bool uncommitted = false;
   bool ok = false;
   std::string error;
 };
 
-ShardProgress digest_checkpoint(const CheckpointLoad& load) {
+/// Folds the records. With `tail_rows` (the cells whose rows survived
+/// past the last commit), a done record past the last commit is a hint
+/// that counts only if its row is there.
+ShardProgress digest_checkpoint(
+    const CheckpointLoad& load,
+    const std::set<std::int64_t>* tail_rows = nullptr) {
   ShardProgress progress;
   progress.ok = load.ok;
   progress.error = load.error;
   if (!load.ok) return progress;
-  for (const CheckpointRecord& record : load.records) {
+  for (std::size_t i = 0; i < load.records.size(); ++i) {
+    const CheckpointRecord& record = load.records[i];
     switch (record.kind) {
       case CheckpointRecordKind::kIntent: {
         int& attempts = progress.intents[record.cell];
@@ -64,6 +72,18 @@ ShardProgress digest_checkpoint(const CheckpointLoad& load) {
         break;
       }
       case CheckpointRecordKind::kDone:
+        if (tail_rows != nullptr && i >= load.committed_records &&
+            tail_rows->count(record.cell) == 0) {
+          // A machine crash lost the row of an attempt that succeeded:
+          // give the attempt back and run the cell again.
+          if (record.cell == progress.inflight_cell) {
+            if (--progress.intents[record.cell] == 0) {
+              progress.intents.erase(record.cell);
+            }
+            progress.inflight_cell = -1;
+          }
+          break;
+        }
         progress.done.insert(record.cell);
         if (record.cell == progress.inflight_cell) {
           progress.inflight_cell = -1;
@@ -87,49 +107,61 @@ ShardProgress load_progress(const std::string& dir, int shard) {
   return digest_checkpoint(load_checkpoint(shard_checkpoint_path(dir, shard)));
 }
 
-/// Open a result file for append, first truncating the torn
-/// (newline-less or half-written) tail a kill may have left — classic
-/// WAL recovery: a record either fully committed or never happened.
-int open_results_append(const std::string& path, bool create) {
-  // Only regular files get tail recovery (the disk-full tests point the
-  // results path at a character device, which must not be read back).
-  struct stat st{};
-  const bool regular =
-      ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
-  const auto bytes =
-      regular ? read_file(path) : std::optional<std::string>();
-  if (bytes.has_value() && !bytes->empty() && bytes->back() != '\n') {
-    const auto keep = bytes->find_last_of('\n');
-    const off_t new_size =
-        keep == std::string::npos ? 0 : static_cast<off_t>(keep) + 1;
-    (void)::truncate(path.c_str(), new_size);
-  }
-  const int flags = O_WRONLY | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0);
-  return ::open(path.c_str(), flags, 0644);
-}
-
-/// Truncate a checkpoint's torn tail (if any) so appended records
-/// never splice into a half-written one. Mid-file corruption is NOT
-/// repaired here — that is an error the caller must surface.
-bool recover_checkpoint_tail(const std::string& path, std::string* error) {
-  const auto bytes = read_file(path);
-  if (!bytes.has_value()) return true;  // fresh shard, nothing to recover
-  const CheckpointLoad load = parse_checkpoint(*bytes);
-  if (!load.ok) {
-    if (error != nullptr) *error = path + ": " + load.error;
-    return false;
-  }
-  if (load.recovered_torn_tail && load.torn_bytes > 0) {
-    const auto new_size =
-        static_cast<off_t>(bytes->size() - load.torn_bytes);
-    if (::truncate(path.c_str(), new_size) != 0) {
-      if (error != nullptr) {
-        *error = "truncate " + path + ": " + std::strerror(errno);
-      }
-      return false;
+/// Crash recovery of a shard (DESIGN.md §13): cuts the torn tail off
+/// its checkpoint and its rows (classic WAL recovery: a record either
+/// fully committed or never happened), then reads its progress, with
+/// done records past the last commit checked against the rows that
+/// survived. Corruption before the last commit is an error the caller
+/// must surface, never repaired here. A shard not started yet has no
+/// files and no progress.
+ShardProgress recover_shard(const std::string& dir, int shard) {
+  ShardProgress failed;
+  const std::string ckpt_path = shard_checkpoint_path(dir, shard);
+  const auto ckpt = read_file(ckpt_path);
+  CheckpointLoad load;
+  load.ok = true;
+  if (ckpt.has_value()) {
+    load = parse_checkpoint(*ckpt);
+    if (!load.ok) {
+      failed.error = ckpt_path + ": " + load.error;
+      return failed;
+    }
+    if (load.torn_bytes > 0 &&
+        ::truncate(ckpt_path.c_str(),
+                   static_cast<off_t>(ckpt->size() - load.torn_bytes)) != 0) {
+      failed.error = "truncate " + ckpt_path + ": " + std::strerror(errno);
+      return failed;
     }
   }
-  return true;
+  // Only regular files get tail recovery (the disk-full tests point the
+  // results path at a character device, which must not be read back).
+  const std::string rows_path = shard_results_path(dir, shard);
+  std::set<std::int64_t> tail_rows;
+  std::size_t row_bytes = 0;
+  struct stat st{};
+  if (::stat(rows_path.c_str(), &st) != 0 || S_ISREG(st.st_mode)) {
+    const std::string rows = read_file(rows_path).value_or("");
+    if (rows.size() < load.committed_row_bytes) {
+      failed.error = rows_path + ": shorter than its last commit";
+      return failed;
+    }
+    row_bytes = recovered_results_length(rows, load.committed_row_bytes,
+                                         &tail_rows);
+    if (row_bytes < rows.size() &&
+        ::truncate(rows_path.c_str(), static_cast<off_t>(row_bytes)) != 0) {
+      failed.error = "truncate " + rows_path + ": " + std::strerror(errno);
+      return failed;
+    }
+  }
+  ShardProgress progress = digest_checkpoint(load, &tail_rows);
+  progress.uncommitted = load.records.size() > load.committed_records ||
+                         row_bytes > load.committed_row_bytes;
+  return progress;
+}
+
+int open_results_append(const std::string& dir, int shard) {
+  return ::open(shard_results_path(dir, shard).c_str(),
+                O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
 }
 
 CheckpointHeader make_header(const CampaignManifest& manifest, int shard) {
@@ -146,23 +178,22 @@ bool cell_in_list(const std::vector<std::int64_t>& list, std::int64_t cell) {
 }
 
 /// Append a quarantine verdict: Q record in the checkpoint, failed row
-/// (with the repro seed) in the result file. Called only by the
-/// supervisor while the shard's worker is dead, so never concurrently
-/// with the worker's own appends.
+/// (with the repro seed) in the result file, each fsync'd when durable.
+/// Called only by the supervisor while the shard's worker is dead, so
+/// never concurrently with the worker's own appends.
 bool quarantine_cell(const std::string& dir, const CampaignManifest& manifest,
                      int shard, std::int64_t cell, int attempts,
                      const std::string& reason, bool durable) {
   CheckpointWriter writer;
-  std::string error;
-  if (!recover_checkpoint_tail(shard_checkpoint_path(dir, shard), &error) ||
+  if (!recover_shard(dir, shard).ok ||
       !writer.open(shard_checkpoint_path(dir, shard),
-                   make_header(manifest, shard), durable, &error)) {
+                   make_header(manifest, shard), durable)) {
     return false;
   }
   const ScenarioGenerator generator(manifest.seed, manifest.distribution);
   const ResultRow row =
       make_failed_row(generator.spec(cell), attempts, reason);
-  const int fd = open_results_append(shard_results_path(dir, shard), true);
+  const int fd = open_results_append(dir, shard);
   if (fd < 0) return false;
   const bool row_ok = write_all(fd, render_row(row) + "\n") &&
                       (!durable || ::fsync(fd) == 0);
@@ -181,16 +212,8 @@ bool quarantine_cell(const std::string& dir, const CampaignManifest& manifest,
 /// gets its Q record + failed row now, so workers can simply skip it.
 bool reconcile_shard(const std::string& dir, const CampaignManifest& manifest,
                      int shard, bool durable) {
-  std::string error;
-  if (!recover_checkpoint_tail(shard_checkpoint_path(dir, shard), &error)) {
-    return false;
-  }
-  const ShardProgress progress = load_progress(dir, shard);
-  if (!progress.ok) {
-    // No checkpoint yet (fresh shard) is fine; corruption is not.
-    struct stat st{};
-    return ::stat(shard_checkpoint_path(dir, shard).c_str(), &st) != 0;
-  }
+  const ShardProgress progress = recover_shard(dir, shard);
+  if (!progress.ok) return false;
   for (const auto& [cell, attempts] : progress.intents) {
     if (attempts >= manifest.max_attempts &&
         progress.done.count(cell) == 0 &&
@@ -204,33 +227,51 @@ bool reconcile_shard(const std::string& dir, const CampaignManifest& manifest,
   return true;
 }
 
-/// The shard worker loop, run in a forked child. Exit codes: 0 done, 2
-/// unrecoverable checkpoint IO error; a cell that throws exits 3 and an
-/// injected crash 42, and the supervisor retries or quarantines it.
-int run_shard_worker(const CampaignOptions& options, int shard) {
+}  // namespace
+
+namespace detail {
+
+int run_shard_worker(const CampaignOptions& options, int shard,
+                     std::int64_t group_cells) {
   const CampaignManifest& manifest = options.manifest;
-  const std::string ckpt_path =
-      shard_checkpoint_path(options.dir, shard);
-  std::string error;
-  if (!recover_checkpoint_tail(ckpt_path, &error)) return 2;
+  const ShardProgress progress = recover_shard(options.dir, shard);
+  if (!progress.ok) return 2;
   CheckpointWriter writer;
-  if (!writer.open(ckpt_path, make_header(manifest, shard), options.durable,
-                   &error)) {
+  if (!writer.open(shard_checkpoint_path(options.dir, shard),
+                   make_header(manifest, shard), options.durable)) {
     return 2;
   }
-  ShardProgress progress = load_progress(options.dir, shard);
-  if (!progress.ok) return 2;
-
-  const int results_fd = open_results_append(
-      shard_results_path(options.dir, shard), /*create=*/true);
+  const int results_fd = open_results_append(options.dir, shard);
   if (results_fd < 0) return 2;
 
   const ScenarioGenerator generator(manifest.seed, manifest.distribution);
   bool degraded = progress.degraded;
+  // Records wait here for the next write: cell k's done record goes
+  // out with cell k+1's intent, or with the group commit.
+  std::vector<CheckpointRecord> unwritten;
+  std::int64_t group = 0;  // cells run since the last commit
+  bool tail = progress.uncommitted;
+  // Group commit (DESIGN.md §13, write ordering): the rows are durable
+  // before the commit record that names their length is written.
+  const auto commit_group = [&]() -> bool {
+    if (!writer.write(unwritten)) return false;
+    unwritten.clear();
+    group = 0;
+    tail = false;
+    struct stat st{};
+    const bool committed =
+        ::fstat(results_fd, &st) == 0 &&
+        (!options.durable || ::fsync(results_fd) == 0) &&
+        writer.commit(static_cast<std::uint64_t>(st.st_size));
+    if (committed || degraded) return true;
+    // No commit record: a later commit covers this group too.
+    degraded = true;
+    CheckpointRecord shed;
+    shed.kind = CheckpointRecordKind::kDegrade;
+    shed.reason = "group-commit-failed";
+    return writer.write(std::span(&shed, 1));
+  };
   int exit_code = 0;
-  // Cell k's done record waits here for cell k+1's intent, so the two
-  // share one write and one fsync (DESIGN.md §13, write ordering).
-  std::vector<CheckpointRecord> unsynced;
   for (std::int64_t cell = shard; cell < manifest.cells;
        cell += manifest.shards) {
     if (progress.done.count(cell) != 0 ||
@@ -242,16 +283,18 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
         (intent_it == progress.intents.end() ? 0 : intent_it->second) + 1;
     if (attempt > manifest.max_attempts) continue;  // supervisor's call
 
+    // Written, not synced: the supervisor reads the page cache, so a
+    // crash of this cell is charged to it.
     CheckpointRecord intent;
     intent.kind = CheckpointRecordKind::kIntent;
     intent.cell = cell;
     intent.attempt = attempt;
-    unsynced.push_back(intent);
-    if (!writer.append(unsynced)) {
+    unwritten.push_back(intent);
+    if (!writer.write(unwritten)) {
       exit_code = 2;
       break;
     }
-    unsynced.clear();
+    unwritten.clear();
 
     // Deterministic failure injection (tests / CI smoke).
     if (cell_in_list(options.crash_cells, cell)) _exit(42);
@@ -268,22 +311,17 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
       _exit(3);  // the supervisor accounts the attempt
     }
 
-    // Result row first (fsync'd), done record after it: a cell only
-    // ever counts as done once its row is durable.
-    bool row_ok = write_all(results_fd, render_row(row) + "\n") &&
-                  (!options.durable || ::fsync(results_fd) == 0);
+    // Result row first, done record after it: a cell only ever counts
+    // as done once its row is written.
+    bool row_ok = write_all(results_fd, render_row(row) + "\n");
     if (!row_ok) {
       // Disk trouble: shed detail, keep the campaign accounting exact.
-      row_ok = write_all(results_fd, render_row(make_shed_row(spec)) + "\n") &&
-               (!options.durable || ::fsync(results_fd) == 0);
+      row_ok = write_all(results_fd, render_row(make_shed_row(spec)) + "\n");
       if (!degraded) {
         CheckpointRecord shed;
         shed.kind = CheckpointRecordKind::kDegrade;
         shed.reason = row_ok ? "result-detail-shed" : "result-write-failed";
-        if (!writer.append(shed)) {
-          exit_code = 2;
-          break;
-        }
+        unwritten.push_back(shed);
         degraded = true;
       }
     }
@@ -291,15 +329,23 @@ int run_shard_worker(const CampaignOptions& options, int shard) {
     CheckpointRecord done;
     done.kind = CheckpointRecordKind::kDone;
     done.cell = cell;
-    unsynced.push_back(done);
+    unwritten.push_back(done);
+    if (++group == group_cells && !commit_group()) {
+      exit_code = 2;
+      break;
+    }
   }
-  if (exit_code == 0 && !unsynced.empty() && !writer.append(unsynced)) {
+  if (exit_code == 0 && (group > 0 || tail) && !commit_group()) {
     exit_code = 2;
   }
   (void)::close(results_fd);
   writer.close();
   return exit_code;
 }
+
+}  // namespace detail
+
+namespace {
 
 // --- Process-isolation supervisor --------------------------------------
 
@@ -363,7 +409,7 @@ pid_t spawn_worker(const CampaignOptions& options, int shard, int lock_fd) {
   (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
   if (::getppid() != parent) _exit(0);  // supervisor already gone
-  _exit(run_shard_worker(options, shard));
+  _exit(detail::run_shard_worker(options, shard));
 }
 
 struct FailureVerdict {

@@ -1,19 +1,21 @@
 // Crash-safe sharded campaign runner (DESIGN.md §13).
 //
 // Cells are assigned to shards by `cell % shards`. Each shard is a
-// forked worker that replays its checkpoint, skips finished/quarantined
-// cells, and brackets every cell with intent/done records. A cell costs
-// two fsyncs: its intent, written together with the previous cell's
-// done record, and its result row; the shard's last done record is
-// fsync'd alone. The parent is a single-threaded supervisor that
-// watches checkpoint progress, kills a shard whose in-flight cell
+// forked worker that recovers its checkpoint and rows, skips
+// finished/quarantined cells, and brackets every cell with intent/done
+// records. Records and rows are written without fsync and committed as
+// a group every kGroupCells cells and at shard end: the rows are
+// fsync'd, then the checkpoint, then a commit record names the lengths
+// now durable. So a 250-cell shard pays 8 fsyncs, and a machine crash
+// re-runs at most one group. The parent is a single-threaded supervisor
+// that watches checkpoint progress, kills a shard whose in-flight cell
 // exceeds the watchdog budget, retries with exponential backoff, and
 // quarantines a cell that exhausts its attempt budget (the failed row
 // records the repro seed). Workers die with the supervisor
 // (PR_SET_PDEATHSIG), so a `kill -9` of the whole campaign leaves only
-// fsync'd state behind — `resume` picks up from the manifest +
-// checkpoints alone and the final aggregate is byte-identical to an
-// uninterrupted run.
+// written state behind, which the page cache keeps — `resume` picks up
+// from the manifest + checkpoints alone and the final aggregate is
+// byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +31,8 @@ namespace coeff::campaign {
 struct CampaignOptions {
   std::string dir;
   CampaignManifest manifest;
-  /// fsync every record/row append (disable only in tests that don't
-  /// care about durability).
+  /// fsync at every group commit (disable only in tests that don't
+  /// care about durability; the bytes written are the same).
   bool durable = true;
   /// Supervisor poll interval.
   std::int64_t poll_ms = 20;
@@ -77,5 +79,19 @@ class CampaignRunner {
   [[nodiscard]] static std::optional<std::vector<std::int64_t>>
   parse_cell_list(const char* text);
 };
+
+namespace detail {
+
+/// Cells a shard worker runs between two group commits.
+inline constexpr std::int64_t kGroupCells = 64;
+
+/// The loop CampaignRunner forks for each shard. Exit codes: 0 done, 2
+/// unrecoverable checkpoint IO error; a cell that throws exits 3 and an
+/// injected crash 42, and the supervisor retries or quarantines it.
+/// Exposed so that a test can run it in-process with a smaller group.
+int run_shard_worker(const CampaignOptions& options, int shard,
+                     std::int64_t group_cells = kGroupCells);
+
+}  // namespace detail
 
 }  // namespace coeff::campaign

@@ -366,7 +366,7 @@ Table campaign_table(CampaignFlags& opt) {
        number("--max-util", "X", "run: highest static utilization",
               d.max_util, 0.0, 1.0, /*lo_open=*/true),
        flag("--criticality", "run: mixed-criticality axis", d.criticality),
-       flag("--no-fsync", "run: skip per-record fsync (tests only)",
+       flag("--no-fsync", "run: skip the group-commit fsyncs (tests only)",
             opt.no_fsync),
        flag("--json", "report: machine-readable aggregate", opt.json),
        text("--out", "PATH", "report: write here, not stdout", opt.out_path),

@@ -279,21 +279,21 @@ void CoEfficientScheduler::on_cycle_start_hook(units::CycleIndex cycle,
   }
 
   // Copies whose deadline passed with no fitting slack are abandoned,
-  // each one cancelled and counted.
-  for (auto it = retx_jobs_.begin(); it != retx_jobs_.end();) {
-    if (it->deadline < at) {
-      if (Instance* inst = instances_.find(it->instance)) {
-        cancel_copies(*inst, it->copies);
-      }
-      stats_.retransmission_copies_dropped += it->copies;
-      it = retx_jobs_.erase(it);
-    } else {
-      ++it;
+  // each one cancelled and counted. The queue is EDF-ordered, so they
+  // are a prefix.
+  const auto live = std::find_if(
+      retx_jobs_.begin(), retx_jobs_.end(),
+      [at](const RetxJob& job) { return job.deadline >= at; });
+  for (auto it = retx_jobs_.begin(); it != live; ++it) {
+    if (Instance* inst = instances_.find(it->instance)) {
+      cancel_copies(*inst, it->copies);
     }
+    stats_.retransmission_copies_dropped += it->copies;
   }
+  retx_jobs_.erase(retx_jobs_.begin(), live);
 }
 
-std::deque<CoEfficientScheduler::RetxJob>::iterator
+std::vector<CoEfficientScheduler::RetxJob>::iterator
 CoEfficientScheduler::find_retx(std::int64_t capacity_bits,
                                 sim::Time slot_start, sim::Time slot_end,
                                 units::SlotId slot,
@@ -306,7 +306,7 @@ CoEfficientScheduler::find_retx(std::int64_t capacity_bits,
         (slot != it->home_slot || channel != flexray::ChannelId::kB)) {
       continue;  // ablation: copies may only mirror their own slot
     }
-    return it;  // the deque is EDF-ordered; first eligible is earliest
+    return it;  // the queue is EDF-ordered; first eligible is earliest
   }
   return retx_jobs_.end();
 }
@@ -338,9 +338,7 @@ CoEfficientScheduler::peek_dynamic_for_slack(std::int64_t capacity_bits,
 std::optional<flexray::PendingMessage>
 CoEfficientScheduler::peek_dynamic_cached(std::int64_t capacity_bits,
                                           sim::Time slot_start) const {
-  std::uint64_t stamp = 0;
-  for (const auto& node : nodes_) stamp += node.dynamic_queue().version();
-  if (!slack_peek_valid_ || stamp != slack_peek_stamp_) {
+  if (!slack_peek_valid_) {
     // Same iteration order and comparator as peek_dynamic_for_slack,
     // minus the waited-a-cycle filter (applied below at query time).
     slack_peek_best_.reset();
@@ -355,7 +353,6 @@ CoEfficientScheduler::peek_dynamic_cached(std::int64_t capacity_bits,
         }
       }
     }
-    slack_peek_stamp_ = stamp;
     slack_peek_valid_ = true;
   }
   if (!slack_peek_best_.has_value()) return std::nullopt;
@@ -385,6 +382,14 @@ void CoEfficientScheduler::decide_static_chunk(
   const sim::Time slot_duration = cfg_.static_slot_duration();
   const sim::Time first_start =
       cfg_.static_slot_start(cycle, units::SlotId{slot_begin});
+  // The dynamic queues change between chunks; inside one, only
+  // decide_static's own pop does, and it drops the peek cache itself.
+  std::uint64_t stamp = 0;
+  for (const auto& node : nodes_) stamp += node.dynamic_queue().version();
+  if (stamp != slack_peek_stamp_) {
+    slack_peek_stamp_ = stamp;
+    slack_peek_valid_ = false;
+  }
   bool dyn_quiet = options_.disable_slack_stealing || plan_.degraded;
   if (!dyn_quiet) {
     const sim::Time last_start =
@@ -541,6 +546,7 @@ std::optional<flexray::TxRequest> CoEfficientScheduler::decide_static(
     nodes_.at(static_cast<std::size_t>(m->node))
         .dynamic_queue()
         .pop(dyn->instance);
+    slack_peek_valid_ = false;
     ++stats_.slack_slots_stolen;
     ++stats_.dynamic_in_static_slots;
     flexray::TxRequest req;
@@ -654,14 +660,11 @@ void CoEfficientScheduler::on_node_down(units::NodeId node,
   // The crash settled the node's instances as source-lost and erased
   // them; drop the dangling retransmission copies still queued for
   // slack (their owed counts were already cancelled), counting each.
-  for (auto it = retx_jobs_.begin(); it != retx_jobs_.end();) {
-    if (instances_.find(it->instance) == nullptr) {
-      stats_.retransmission_copies_dropped += it->copies;
-      it = retx_jobs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(retx_jobs_, [this](const RetxJob& job) {
+    if (instances_.find(job.instance) != nullptr) return false;
+    stats_.retransmission_copies_dropped += job.copies;
+    return true;
+  });
   if (detector_ == nullptr) {
     // Immediate membership change; with detection enabled the change is
     // instead inferred from wire silence (on_cycle_end).

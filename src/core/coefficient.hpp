@@ -17,10 +17,10 @@
 //   into stolen static slack once no retransmission copy wants it.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/scheduler_base.hpp"
 #include "fault/monitor.hpp"
@@ -151,10 +151,11 @@ class CoEfficientScheduler : public SchedulerBase {
   /// whose deadline admits completion by `slot_end`; end() if none.
   /// `slot`/`channel` identify the offered wire for the
   /// disable_slack_stealing ablation filter.
-  std::deque<RetxJob>::iterator find_retx(std::int64_t capacity_bits,
-                                          sim::Time slot_start,
-                                          sim::Time slot_end, units::SlotId slot,
-                                          flexray::ChannelId channel);
+  std::vector<RetxJob>::iterator find_retx(std::int64_t capacity_bits,
+                                           sim::Time slot_start,
+                                           sim::Time slot_end,
+                                           units::SlotId slot,
+                                           flexray::ChannelId channel);
 
   /// Earliest-deadline queued dynamic message (across all nodes) that
   /// fits `capacity_bits`, for transmission in stolen static slack.
@@ -162,11 +163,12 @@ class CoEfficientScheduler : public SchedulerBase {
       std::int64_t capacity_bits, sim::Time slot_start) const;
 
   /// Memoized peek_dynamic_for_slack for the batched decide. Caches the
-  /// best *fitting* entry (ignoring the waited-a-cycle filter) keyed by
-  /// the sum of the per-queue version counters; the filter is applied at
-  /// query time. Exact: the cached best has the minimum release among
-  /// fitting entries, so if it has not waited a full cycle, none has.
-  /// Assumes `capacity_bits` is invariant across calls (it is always
+  /// best *fitting* entry (ignoring the waited-a-cycle filter) until
+  /// decide_static_chunk sees the per-queue version counters move or
+  /// decide_static pops a queue; the filter is applied at query time.
+  /// Exact: the cached best has the minimum release among fitting
+  /// entries, so if it has not waited a full cycle, none has. Assumes
+  /// `capacity_bits` is invariant across calls (it is always
   /// static_slot_capacity_bits()).
   [[nodiscard]] std::optional<flexray::PendingMessage> peek_dynamic_cached(
       std::int64_t capacity_bits, sim::Time slot_start) const;
@@ -207,7 +209,7 @@ class CoEfficientScheduler : public SchedulerBase {
   /// messages, and everywhere when rho is 0); rebuild_plan fills it.
   std::vector<int> copies_by_position_;
   /// EDF-ordered, FIFO among equal deadlines; one entry per instance.
-  std::deque<RetxJob> retx_jobs_;
+  std::vector<RetxJob> retx_jobs_;
   std::unique_ptr<fault::ReliabilityMonitor> monitor_;
   std::unique_ptr<fault::SilentNodeDetector> detector_;
   /// By node: 1 while the node is excluded from the retransmission plan
@@ -237,7 +239,8 @@ class CoEfficientScheduler : public SchedulerBase {
   std::int64_t last_idle_counter_ = 0; ///< idle_slot_counter_ at last cycle end
 
   // Slack-peek cache (decide_static_chunk only; see peek_dynamic_cached).
-  mutable std::uint64_t slack_peek_stamp_ = 0;
+  // The stamp is the sum of the queue versions at the last chunk.
+  std::uint64_t slack_peek_stamp_ = 0;
   mutable bool slack_peek_valid_ = false;
   mutable std::optional<flexray::PendingMessage> slack_peek_best_;
 };

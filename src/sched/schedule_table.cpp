@@ -64,13 +64,17 @@ StaticScheduleTable StaticScheduleTable::build(
             ? 1
             : std::max<std::int64_t>(1, m->period / cycle);
 
-    // Evaluate every (slot, base) candidate; latency is constant across
+    // Evaluate (slot, base) candidates; latency is constant across
     // jobs: latency = base*cycle + slot_offset + slot_dur - msg_offset.
     // Keep the first least-latency one: if any candidate meets the
-    // deadline, it does.
+    // deadline, it does. A slot's candidates are no better than
+    // slot_offset + slot_dur - msg_offset, which grows with the slot,
+    // so the scan stops once that bound reaches the best (a tie never
+    // replaces the first).
     std::optional<SlotAssignment> best;
     for (units::SlotId slot{1}; slot.value() <= table.num_slots_; ++slot) {
       const sim::Time slot_offset = slot_dur * (slot.value() - 1);
+      if (best && slot_offset + slot_dur - m->offset >= best->latency) break;
       // Earliest base cycle whose slot starts at/after the first release.
       units::CycleIndex base{0};
       if (slot_offset < m->offset) {

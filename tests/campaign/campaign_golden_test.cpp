@@ -10,7 +10,9 @@
 // on and must reproduce its digests.
 // A digest that moves means campaign bytes moved; resume and the report
 // rely on them staying put, so re-record only with a line-by-line
-// argument for why.
+// argument for why. Each checkpoint ends with a commit record naming
+// its shard's row length, so the criticality campaign's checkpoints
+// differ from the first campaign's although their other records match.
 //
 // NumberVerdicts pins which spellings of a number each campaign reader
 // accepts. A change may flip an entry from accepted to rejected (and say
@@ -127,11 +129,11 @@ void expect_golden(const Digests& got, const Digests& want) {
 
 const Digests kAllSchemes = {{"manifest", "858bb8d81d57af39"},
                               {"rows 0", "76c6657ddfa320f9"},
-                              {"ckpt 0", "5d63356606fc02ea"},
+                              {"ckpt 0", "d05865a493b30d71"},
                               {"rows 1", "bda22fa0c777b2a8"},
-                              {"ckpt 1", "15bafeea29ed60bd"},
+                              {"ckpt 1", "4618a4ff7f99bc02"},
                               {"rows 2", "5678e753b57cc4ec"},
-                              {"ckpt 2", "b5ebb22a2ba8f0a7"},
+                              {"ckpt 2", "8e3ecfe90b6a3f39"},
                               {"report text", "344125563baf8a3c"},
                               {"report json", "c4e5466f713538e0"},
                               {"lint", "cbf29ce484222325"},
@@ -143,8 +145,9 @@ TEST(CampaignGoldenTest, AllSchemes) {
 }
 
 // Every other campaign test skips fsync; this one runs the fsync'd
-// worker path, where each done record shares a write with the next
-// intent, and it must leave the same bytes as the unsynced run.
+// worker path, whose group commit fsyncs the rows and the checkpoint
+// before its commit record, and it must leave the same bytes as the
+// unsynced run.
 TEST(CampaignGoldenTest, DurableRunWritesTheSameBytes) {
   const std::string dir =
       run_campaign(golden_manifest("schemes"), {}, /*durable=*/true);
@@ -159,11 +162,11 @@ TEST(CampaignGoldenTest, Criticality) {
   const std::string dir = run_campaign(manifest);
   expect_golden(digest_campaign(dir), {{"manifest", "80652e657427a6b7"},
                                        {"rows 0", "d108510854dcade7"},
-                                       {"ckpt 0", "5d63356606fc02ea"},
+                                       {"ckpt 0", "fe5a07c2d36c82db"},
                                        {"rows 1", "4a66571b60e20af4"},
-                                       {"ckpt 1", "15bafeea29ed60bd"},
+                                       {"ckpt 1", "03e33f013cc8379d"},
                                        {"rows 2", "23704f531933d281"},
-                                       {"ckpt 2", "b5ebb22a2ba8f0a7"},
+                                       {"ckpt 2", "0f112be6e27c926f"},
                                        {"report text", "aa6c9f9a54a70184"},
                                        {"report json", "74d2892234e9ff78"},
                                        {"lint", "cbf29ce484222325"},
@@ -181,11 +184,11 @@ TEST(CampaignGoldenTest, QuarantineAndShed) {
       << render_row(make_shed_row(generator.spec(10))) << '\n';
   expect_golden(digest_campaign(dir), {{"manifest", "b3c3e33f458050eb"},
                                        {"rows 0", "76c6657ddfa320f9"},
-                                       {"ckpt 0", "5d63356606fc02ea"},
+                                       {"ckpt 0", "d05865a493b30d71"},
                                        {"rows 1", "bf56a378d27ba501"},
-                                       {"ckpt 1", "d046d7aeda1a717c"},
+                                       {"ckpt 1", "cf687bd2554533b5"},
                                        {"rows 2", "5678e753b57cc4ec"},
-                                       {"ckpt 2", "b5ebb22a2ba8f0a7"},
+                                       {"ckpt 2", "8e3ecfe90b6a3f39"},
                                        {"report text", "498544ead6107df6"},
                                        {"report json", "0b8c852b775895d3"},
                                        {"lint", "cbf29ce484222325"},

@@ -74,7 +74,7 @@ TEST(CheckpointWriter, AppendsAndReloads) {
   done.kind = CheckpointRecordKind::kDone;
   done.cell = 5;
   ASSERT_TRUE(writer.append(done));
-  // Several records in one write, as the runner appends a done record
+  // Several records in one write, as the runner writes a done record
   // with the next cell's intent.
   std::vector<CheckpointRecord> grouped(2);
   grouped[0].kind = CheckpointRecordKind::kIntent;
@@ -82,7 +82,7 @@ TEST(CheckpointWriter, AppendsAndReloads) {
   grouped[0].attempt = 2;
   grouped[1].kind = CheckpointRecordKind::kDone;
   grouped[1].cell = 9;
-  ASSERT_TRUE(writer.append(grouped));
+  ASSERT_TRUE(writer.write(grouped));
   writer.close();
 
   const CheckpointLoad load = load_checkpoint(path);
@@ -165,7 +165,7 @@ TEST(CheckpointTorn, TornGroupedAppendKeepsTheWholeRecords) {
     intent.cell = 5;
     intent.attempt = 1;
     ASSERT_TRUE(writer.append(intent));
-    ASSERT_TRUE(writer.append(grouped));
+    ASSERT_TRUE(writer.write(grouped));
   }
   const std::string full = read_file(path).value();
   const std::size_t intent_bytes = render_record(grouped[1]).size() + 1;
@@ -188,8 +188,8 @@ TEST(CheckpointTorn, TornGroupedAppendKeepsTheWholeRecords) {
   (void)::remove(path.c_str());
 }
 
-/// Corruption *before* the tail is not kill residue — it must be an
-/// error, never silently skipped.
+/// Corruption *before* the last commit is not crash residue — it must be
+/// an error, never silently skipped.
 TEST(CheckpointTorn, MidFileCorruptionIsAnError) {
   const std::string path = scratch("log");
   {
@@ -201,6 +201,7 @@ TEST(CheckpointTorn, MidFileCorruptionIsAnError) {
       record.cell = cell;
       ASSERT_TRUE(writer.append(record));
     }
+    ASSERT_TRUE(writer.commit(0));
   }
   std::string bytes = read_file(path).value();
   // Flip a byte inside the *first* record line (after the header line).
@@ -211,6 +212,98 @@ TEST(CheckpointTorn, MidFileCorruptionIsAnError) {
   EXPECT_FALSE(load.ok);
   EXPECT_GT(load.bad_record_line, 0);
   (void)::remove(path.c_str());
+}
+
+std::vector<CheckpointRecord> intent_done(std::int64_t cell) {
+  std::vector<CheckpointRecord> records(2);
+  records[0].kind = CheckpointRecordKind::kIntent;
+  records[0].cell = cell;
+  records[0].attempt = 1;
+  records[1].kind = CheckpointRecordKind::kDone;
+  records[1].cell = cell;
+  return records;
+}
+
+/// A commit record names the length before itself and the row length it
+/// was given; the loader reports the records it covers.
+TEST(CheckpointWriter, CommitNamesTheDurableLengths) {
+  const std::string path = scratch("log");
+  std::size_t committed_at = 0;
+  {
+    CheckpointWriter writer;
+    ASSERT_TRUE(writer.open(path, test_header(), false));
+    ASSERT_TRUE(writer.write(intent_done(1)));
+    committed_at = read_file(path).value().size();
+    ASSERT_TRUE(writer.commit(1234));
+    ASSERT_TRUE(writer.write(intent_done(5)));
+  }
+  const std::string bytes = read_file(path).value();
+  EXPECT_EQ(bytes.substr(committed_at, bytes.find('#', committed_at) -
+                                           committed_at),
+            "C " + std::to_string(committed_at) + " 1234");
+  const CheckpointLoad load = parse_checkpoint(bytes);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.records.size(), 4u);  // the commit is not a record
+  EXPECT_EQ(load.committed_records, 2u);
+  EXPECT_EQ(load.committed_row_bytes, 1234u);
+  EXPECT_FALSE(load.recovered_torn_tail);
+  (void)::remove(path.c_str());
+}
+
+/// A machine crash may keep any subset of the pages written after the
+/// last commit: a lost page in the middle of the tail reads as zeros
+/// while later records survive. All of it past the first damage is the
+/// torn tail.
+TEST(CheckpointTorn, DamagePastTheLastCommitIsATornTail) {
+  const std::string path = scratch("log");
+  {
+    CheckpointWriter writer;
+    ASSERT_TRUE(writer.open(path, test_header(), false));
+    ASSERT_TRUE(writer.write(intent_done(1)));
+    ASSERT_TRUE(writer.commit(77));
+    ASSERT_TRUE(writer.write(intent_done(5)));
+    ASSERT_TRUE(writer.write(intent_done(9)));
+  }
+  std::string bytes = read_file(path).value();
+  // Zero cell 5's done record; cell 9's records survive after it.
+  const std::size_t done5 = bytes.find("D 5#");
+  ASSERT_NE(done5, std::string::npos);
+  for (std::size_t i = done5; i < done5 + 6; ++i) bytes[i] = '\0';
+  const CheckpointLoad load = parse_checkpoint(bytes);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_TRUE(load.recovered_torn_tail);
+  EXPECT_EQ(load.torn_bytes, bytes.size() - done5);
+  ASSERT_EQ(load.records.size(), 3u);  // I 1, D 1, I 5
+  EXPECT_EQ(load.records[2].cell, 5);
+  EXPECT_EQ(load.committed_records, 2u);
+  EXPECT_EQ(load.committed_row_bytes, 77u);
+  (void)::remove(path.c_str());
+}
+
+/// Nothing a crash leaves puts damage before a valid commit, nor makes
+/// a commit name a length other than its own offset: both are
+/// corruption. A sealed line the writer never writes is corruption
+/// unless it is the last line.
+TEST(CheckpointParse, MisplacedCommitsAndSealedGarbageAreCorruption) {
+  const std::string header = render_header(test_header()) + "\n";
+  const std::string intent = render_record(intent_done(3)[0]) + "\n";
+  const auto commit_at = [](std::size_t offset) {
+    return seal_record("C " + std::to_string(offset) + " 0") + "\n";
+  };
+  const std::string good =
+      header + intent + commit_at(header.size() + intent.size());
+  EXPECT_TRUE(parse_checkpoint(good).ok);
+  std::string damaged = good;
+  damaged[header.size() + 2] = 'X';  // inside the intent, before the commit
+  EXPECT_FALSE(parse_checkpoint(damaged).ok);
+  EXPECT_EQ(parse_checkpoint(damaged).bad_record_line, 2);
+  const std::string wrong_length = header + intent + commit_at(7) + intent;
+  EXPECT_FALSE(parse_checkpoint(wrong_length).ok);
+  const CheckpointLoad last = parse_checkpoint(header + intent + commit_at(7));
+  EXPECT_TRUE(last.ok);
+  EXPECT_TRUE(last.recovered_torn_tail);
+  EXPECT_EQ(last.committed_records, 0u);
+  EXPECT_FALSE(parse_checkpoint(header + seal_record("D x") + "\n" + intent).ok);
 }
 
 TEST(CheckpointParse, GarbageInputsNeverThrow) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "net/workloads.hpp"
+#include <algorithm>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <vector>
 
+#include "net/workloads.hpp"
 #include "sim/random.hpp"
 
 namespace coeff::sched {
@@ -223,6 +227,117 @@ TEST(ScheduleTableTest, DynamicMessagesIgnored) {
   const auto table =
       StaticScheduleTable::build(net::MessageSet({dyn}), config_5ms());
   EXPECT_TRUE(table.assignments().empty());
+}
+
+/// StaticScheduleTable::build with no early stop: every slot of every
+/// message is scanned, and the first least-latency candidate is kept.
+struct FullScan {
+  std::vector<SlotAssignment> placed;
+  std::vector<int> unplaced;
+  std::vector<int> risk;
+};
+
+FullScan full_scan_build(const net::MessageSet& statics,
+                         const flexray::ClusterConfig& cfg, bool exclusive) {
+  const sim::Time cycle = cfg.cycle_duration();
+  const sim::Time slot_dur = cfg.static_slot_duration();
+  std::vector<const net::Message*> order;
+  for (const auto& m : statics.messages()) order.push_back(&m);
+  std::sort(order.begin(), order.end(),
+            [](const net::Message* a, const net::Message* b) {
+              if (a->deadline != b->deadline) return a->deadline < b->deadline;
+              if (a->period != b->period) return a->period < b->period;
+              return a->id < b->id;
+            });
+  std::vector<std::vector<SlotAssignment>> occupants(
+      static_cast<std::size_t>(cfg.g_number_of_static_slots));
+  FullScan out;
+  for (const net::Message* m : order) {
+    const std::int64_t repetition = exclusive ? 1 : m->period / cycle;
+    std::optional<SlotAssignment> best;
+    for (std::int64_t s = 1; s <= cfg.g_number_of_static_slots; ++s) {
+      const sim::Time slot_offset = slot_dur * (s - 1);
+      std::int64_t base = 0;
+      if (slot_offset < m->offset) {
+        base = ((m->offset - slot_offset).ns() + cycle.ns() - 1) / cycle.ns();
+      }
+      const auto& here = occupants[static_cast<std::size_t>(s - 1)];
+      for (std::int64_t b = base; b < base + repetition; ++b) {
+        const bool clash = std::any_of(
+            here.begin(), here.end(), [&](const SlotAssignment& o) {
+              const std::int64_t g = std::gcd(repetition, o.repetition);
+              return ((b - o.base_cycle.value()) % g + g) % g == 0;
+            });
+        if (clash) continue;
+        SlotAssignment cand;
+        cand.message_id = m->id;
+        cand.slot = units::SlotId{s};
+        cand.base_cycle = units::CycleIndex{b};
+        cand.repetition = repetition;
+        cand.latency = cycle * b + slot_offset + slot_dur - m->offset;
+        if (!best || cand.latency < best->latency) best = cand;
+        break;
+      }
+    }
+    if (!best) {
+      out.unplaced.push_back(m->id);
+      continue;
+    }
+    if (best->latency > m->deadline) out.risk.push_back(m->id);
+    out.placed.push_back(*best);
+    occupants[static_cast<std::size_t>(best->slot.value() - 1)].push_back(
+        *best);
+  }
+  return out;
+}
+
+/// The scan stops once no later slot can beat the best latency found;
+/// that must never change a placement. Random sets on 4 to 125 slots:
+/// few slots fill and multiplex, and a static segment as long as the
+/// cycle puts every offset before some slot. Offsets of up to a period
+/// make base cycles above 0 compete.
+TEST(ScheduleTableTest, EarlyStopPlacesLikeAFullScan) {
+  sim::Rng rng(20261020);
+  const std::int64_t repetitions[] = {1, 2, 4, 5, 8, 10};
+  const std::int64_t slot_counts[] = {4, 8, 16, 32, 64, 80, 125};
+  for (int trial = 0; trial < 1000; ++trial) {
+    const auto cfg = flexray::ClusterConfig::static_suite(
+        slot_counts[rng.uniform_int(0, 6)]);
+    std::vector<net::Message> messages;
+    const std::int64_t count = rng.uniform_int(1, 60);
+    for (int id = 1; id <= count; ++id) {
+      net::Message m;
+      m.id = id;
+      m.node = static_cast<int>(rng.uniform_int(0, 9));
+      m.kind = net::MessageKind::kStatic;
+      m.period = cfg.cycle_duration() * repetitions[rng.uniform_int(0, 5)];
+      m.deadline = sim::micros(rng.uniform_int(1, m.period.ns() / 1000));
+      m.offset = sim::micros(rng.uniform_int(0, m.period.ns() / 1000 - 1));
+      m.size_bits = rng.uniform_int(16, cfg.static_slot_capacity_bits());
+      messages.push_back(m);
+    }
+    const net::MessageSet set(messages);
+    for (const bool exclusive : {false, true}) {
+      TableBuildOptions options;
+      options.exclusive_slots = exclusive;
+      const auto table = StaticScheduleTable::build(set, cfg, options);
+      const FullScan want = full_scan_build(set, cfg, exclusive);
+      const std::string where = "trial " + std::to_string(trial) +
+                                (exclusive ? " exclusive" : " cyclic");
+      ASSERT_EQ(table.assignments().size(), want.placed.size()) << where;
+      for (std::size_t i = 0; i < want.placed.size(); ++i) {
+        const SlotAssignment& got = table.assignments()[i];
+        const SlotAssignment& ref = want.placed[i];
+        ASSERT_EQ(got.message_id, ref.message_id) << where;
+        ASSERT_EQ(got.slot, ref.slot) << where;
+        ASSERT_EQ(got.base_cycle, ref.base_cycle) << where;
+        ASSERT_EQ(got.repetition, ref.repetition) << where;
+        ASSERT_EQ(got.latency, ref.latency) << where;
+      }
+      ASSERT_EQ(table.unplaced(), want.unplaced) << where;
+      ASSERT_EQ(table.deadline_risk(), want.risk) << where;
+    }
+  }
 }
 
 }  // namespace

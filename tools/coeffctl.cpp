@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -390,16 +391,20 @@ int campaign_status_main(const cli::CampaignFlags& flags) {
     return 1;
   }
   const campaign::CampaignManifest& m = load.manifest;
-  std::int64_t done = 0;
-  std::int64_t quarantined = 0;
+  // Distinct cells: a cell whose row a machine crash lost re-runs and
+  // records done again.
+  std::set<std::int64_t> done;
+  std::set<std::int64_t> quarantined;
   for (int shard = 0; shard < m.shards; ++shard) {
     const auto ckpt = campaign::load_checkpoint(
         campaign::shard_checkpoint_path(flags.dir, shard));
     if (!ckpt.ok) continue;
     for (const auto& record : ckpt.records) {
-      if (record.kind == campaign::CheckpointRecordKind::kDone) ++done;
+      if (record.kind == campaign::CheckpointRecordKind::kDone) {
+        done.insert(record.cell);
+      }
       if (record.kind == campaign::CheckpointRecordKind::kQuarantine) {
-        ++quarantined;
+        quarantined.insert(record.cell);
       }
     }
   }
@@ -407,9 +412,10 @@ int campaign_status_main(const cli::CampaignFlags& flags) {
               "(%lld quarantined)\nshards   : %d (%s isolation)\nseed     "
               ": %llu\n",
               m.name.empty() ? "(unnamed)" : m.name.c_str(),
-              m.status.c_str(), static_cast<long long>(done + quarantined),
+              m.status.c_str(),
+              static_cast<long long>(done.size() + quarantined.size()),
               static_cast<long long>(m.cells),
-              static_cast<long long>(quarantined), m.shards,
+              static_cast<long long>(quarantined.size()), m.shards,
               campaign::to_string(m.isolation),
               static_cast<unsigned long long>(m.seed));
   const analysis::Report report = campaign::lint_campaign(flags.dir);
