@@ -237,17 +237,21 @@ ProbWcrtResult analyze_prob_wcrt(const ProbWcrtInput& input) {
         break;
     }
 
-    // r0 + primary liveness from the placement. Releases are staged at
-    // cycle start, so a placement whose transmitting occurrence falls in
-    // (or past) the cycle that stages the *next* release is overwritten
-    // before its slot fires: the primary deterministically never
-    // transmits, even though the table's latency check passed. The
-    // condition is base_cycle - floor(offset/cycle) >= period/cycle —
-    // in practice period == cycle with a boundary-crossing placement.
+    // r0 + primary liveness from the placement. A message the table
+    // gives no slot never sends its primary: FSPEC and HOSA drop the
+    // instance at release, CoEfficient cancels the primary and keeps
+    // only its copies. Releases are staged at cycle start, so a
+    // placement whose transmitting occurrence falls in (or past) the
+    // cycle that stages the *next* release is overwritten before its
+    // slot fires: the primary deterministically never transmits, even
+    // though the table's latency check passed. The condition is
+    // base_cycle - floor(offset/cycle) >= period/cycle — in practice
+    // period == cycle with a boundary-crossing placement. Without a
+    // table, r0 is bounded by one cycle.
     sim::Time r0 = cycle;
     const sched::SlotAssignment* assign =
         input.table != nullptr ? input.table->assignment_of(m.id) : nullptr;
-    mp.primary_live = true;
+    mp.primary_live = input.table == nullptr || assign != nullptr;
     if (assign != nullptr) {
       r0 = assign->latency;
       const std::int64_t period_cycles =
@@ -334,21 +338,27 @@ Report lint_prob(const ProbWcrtInput& input, const ProbWcrtResult& result) {
       });
 
   // --- analysis.kz-contradiction ----------------------------------------
-  // (0a) The placement's transmitting occurrence falls in the cycle
-  // that stages the next release: the schedule table claims the
+  // (0a) The primary never transmits: the table gives the message no
+  // slot, or the placement's transmitting occurrence falls in the cycle
+  // that stages the next release (the schedule table claims the
   // deadline is met, but the primary is overwritten before its slot
-  // fires and can never transmit. Every attempt the reliability
-  // accounting pays for rides a transmission that does not happen.
+  // fires). Every attempt the reliability accounting pays for rides a
+  // transmission that does not happen.
   for (const MessageProb& mp : result.messages) {
     if (mp.primary_live) continue;
     Location loc;
     loc.message_id = mp.message_id;
+    const bool unplaced = input.table != nullptr &&
+                          input.table->assignment_of(mp.message_id) == nullptr;
     out.add("analysis.kz-contradiction",
-            strformat("message %s: placement crosses into the next "
-                      "release's staging cycle — the primary is "
-                      "overwritten before its slot and never transmits "
-                      "(deterministic miss, T=%.0fus)",
-                      mp.name.c_str(), mp.period.as_us()),
+            strformat("message %s: %s (deterministic miss, T=%.0fus)",
+                      mp.name.c_str(),
+                      unplaced ? "the schedule table gives it no slot — the "
+                                 "primary is never sent"
+                               : "placement crosses into the next release's "
+                                 "staging cycle — the primary is overwritten "
+                                 "before its slot and never transmits",
+                      mp.period.as_us()),
             loc);
   }
   // (0b) The plan's k_z copies demand more stolen wire than the

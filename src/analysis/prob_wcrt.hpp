@@ -44,7 +44,9 @@
 
 namespace coeff::analysis {
 
-/// How the scheme under analysis spends its redundancy.
+/// How the scheme under check spends its redundancy: the discipline
+/// both probabilistic verifiers model and the trace linter
+/// (TraceLintInput) holds a recorded run to.
 enum class ProbRetxModel : std::uint8_t {
   /// CoEfficient: k_z planned serial copies per instance, placed by
   /// slack stealing (contention-delayed, one per cycle at worst).
@@ -85,8 +87,9 @@ struct ProbWcrtInput : EnvelopeInput {
   /// kMirroredRounds: dual-channel rounds per instance.
   int rounds = 1;
   const net::MessageSet* statics = nullptr;
-  /// Optional: placement latencies (r0). Unplaced/absent messages are
-  /// bounded by one communication cycle.
+  /// Optional: placement latencies (r0) and primary liveness. A message
+  /// the table holds no slot for has a dead primary; without a table,
+  /// r0 is bounded by one communication cycle.
   const sched::StaticScheduleTable* table = nullptr;
 };
 
@@ -114,10 +117,11 @@ struct MessageEnvelope {
 struct MessageProb : MessageEnvelope {
   int planned_attempts = 1;  ///< attempts the scheme pays for
   int timely_attempts = 1;   ///< credited attempts that fit before D
-  /// False when the placement's release-to-slot path crosses into the
-  /// next release's staging cycle: the primary is overwritten before it
-  /// can transmit (a deterministic miss the schedule table's latency
-  /// check does not see).
+  /// False when the primary never transmits: the table gives the
+  /// message no slot, or the placement's release-to-slot path crosses
+  /// into the next release's staging cycle, so the primary is
+  /// overwritten before its slot (a deterministic miss the schedule
+  /// table's latency check does not see).
   bool primary_live = true;
 };
 

@@ -371,7 +371,7 @@ Report lint_trace(const TraceLintInput& input) {
       continue;
     }
     switch (input.discipline) {
-      case RetxDiscipline::kPlanned: {
+      case ProbRetxModel::kPlannedSerial: {
         if (--retx_budget[r.a] < 0) {
           out.add("trace.retx-causality",
                   strformat("record %lld: node %lld sent a retransmission "
@@ -383,7 +383,7 @@ Report lint_trace(const TraceLintInput& input) {
         }
         break;
       }
-      case RetxDiscipline::kRounds: {
+      case ProbRetxModel::kMirroredRounds: {
         // A round-train copy must repeat a frame this sender already put
         // on the wire (the round-1 original, whatever its outcome).
         if (seen_frames.find({r.a, r.b}) == seen_frames.end()) {
@@ -397,7 +397,7 @@ Report lint_trace(const TraceLintInput& input) {
         }
         break;
       }
-      case RetxDiscipline::kMirrored: {
+      case ProbRetxModel::kMirroredSingle: {
         if (channel != static_cast<std::size_t>(flexray::ChannelId::kB)) {
           out.add("trace.retx-causality",
                   strformat("record %lld: mirror copy of node %lld rode "

@@ -20,22 +20,20 @@
 #pragma once
 
 #include "analysis/diagnostic.hpp"
+#include "analysis/prob_wcrt.hpp"
 #include "flexray/config.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::analysis {
 
-/// How the recorded scheme justifies retransmission copies.
-enum class RetxDiscipline : std::uint8_t {
-  kPlanned,  ///< CoEfficient: copies budgeted by kRetransmissionScheduled
-  kRounds,   ///< FSPEC: rounds repeat an earlier tx of the same frame
-  kMirrored, ///< HOSA: every channel-B copy is a legal mirror
-};
-
 struct TraceLintInput {
   const sim::Trace* trace = nullptr;              ///< required
   const flexray::ClusterConfig* cluster = nullptr;  ///< required
-  RetxDiscipline discipline = RetxDiscipline::kPlanned;
+  /// How the recorded scheme justifies retransmission copies: planned
+  /// copies are budgeted by kRetransmissionScheduled, rounds repeat an
+  /// earlier transmission of the same frame, and every channel-B copy
+  /// of a single mirrored shot is a legal mirror.
+  ProbRetxModel discipline = ProbRetxModel::kPlannedSerial;
   /// Whether the scheduler started the run already degraded (a plan
   /// solved below rho); load shedding before the first plan swap is
   /// legal only in that case.

@@ -15,36 +15,27 @@ std::unique_ptr<ProbSetup> make_prob_setup(
   auto setup = std::make_unique<ProbSetup>();
   setup->config = config;
   setup->config.trace = nullptr;  // the analytic pass never records
-
-  const double rho = core::reliability_goal(setup->config);
-  fault::SolverOptions solver;
-  solver.ber = setup->config.ber;
-  solver.rho = rho;
-  solver.u = setup->config.u;
-  solver.max_copies_per_message = setup->config.max_copies;
+  const core::ExperimentConfig& c = setup->config;
+  const fault::SolverOptions solver = core::solver_options(c);
 
   analysis::ProbWcrtInput& in = setup->input;
-  in.cluster = &setup->config.cluster;
-  in.statics = &setup->config.statics;
-  in.fault_model = setup->config.fault_model;
-  in.fault_model.ber = setup->config.ber;  // single-knob rule (experiment.cpp)
-  in.rho = rho;
-  in.u = setup->config.u;
+  in.cluster = &c.cluster;
+  in.statics = &c.statics;
+  in.fault_model = c.fault_model;
+  in.fault_model.ber = c.ber;  // single-knob rule (run_experiment_with)
+  in.rho = solver.rho;
+  in.u = c.u;
   in.options = options;
 
-  sched::TableBuildOptions table_options;
   switch (scheme) {
     case core::SchemeKind::kCoEfficient:
-      setup->plan = fault::solve_differentiated(setup->config.statics, solver);
+      setup->plan = fault::solve_differentiated(c.statics, solver);
       in.plan = &setup->plan;
       in.discipline = analysis::ProbRetxModel::kPlannedSerial;
       break;
     case core::SchemeKind::kFspec:
-      setup->rounds =
-          fault::solve_uniform_rounds(setup->config.statics, solver, 2);
-      in.rounds = setup->rounds;
+      in.rounds = core::fspec_rounds(c.statics, solver);
       in.discipline = analysis::ProbRetxModel::kMirroredRounds;
-      table_options.exclusive_slots = true;
       break;
     case core::SchemeKind::kHosa:
       in.discipline = analysis::ProbRetxModel::kMirroredSingle;
@@ -52,19 +43,19 @@ std::unique_ptr<ProbSetup> make_prob_setup(
   }
   try {
     setup->table = sched::StaticScheduleTable::build(
-        setup->config.statics, setup->config.cluster, table_options);
+        c.statics, c.cluster, core::table_options(scheme));
     in.table = &*setup->table;
-  } catch (const std::exception&) {
+  } catch (const std::exception& e) {
     // Unschedulable under these options: keep the one-cycle r0 bound.
-    // lint_schedule owns reporting that failure; here it only costs the
-    // envelope some tightness.
-    in.table = nullptr;
+    // Lint reports the failure; here it only costs the envelope some
+    // tightness.
+    setup->table_error = e.what();
   }
-  if (!setup->config.dynamics.messages().empty()) {
+  if (!c.dynamics.messages().empty()) {
     setup->has_dynamics = true;
     // The dynamic pass shares every envelope input with the static one.
     static_cast<analysis::EnvelopeInput&>(setup->dyn_input) = in;
-    setup->dyn_input.dynamics = &setup->config.dynamics;
+    setup->dyn_input.dynamics = &c.dynamics;
   }
   return setup;
 }

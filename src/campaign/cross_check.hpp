@@ -13,6 +13,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,14 +27,17 @@
 
 namespace coeff::campaign {
 
-/// Everything analysis::ProbWcrtInput points at, owned in one place so
-/// the pointers stay valid for the caller's lifetime of the setup.
-/// Heap-allocate (make_prob_setup does) — the input wires into members.
+/// The design under check, and everything analysis::ProbWcrtInput
+/// points at, owned in one place so the pointers stay valid for the
+/// caller's lifetime of the setup. Heap-allocate (make_prob_setup does)
+/// — the input wires into members.
 struct ProbSetup {
   core::ExperimentConfig config;  ///< owns cluster + message sets
+  /// The scheme's schedule table; empty when its build threw, and then
+  /// `table_error` holds what it said.
   std::optional<sched::StaticScheduleTable> table;
-  fault::RetransmissionPlan plan;
-  int rounds = 1;
+  std::string table_error;
+  fault::RetransmissionPlan plan;  ///< CoEfficient's; input.plan points here
   analysis::ProbWcrtInput input;
   /// Dynamic-segment counterpart, wired whenever config.dynamics is
   /// non-empty (has_dynamics); shares plan/fault model with `input`.
@@ -40,11 +45,14 @@ struct ProbSetup {
   analysis::DynWcrtInput dyn_input;
 };
 
-/// Wire an analytic input for `config` under `scheme`: CoEfficient gets
-/// its differentiated plan + slack-stolen serial copies, FSPEC its
-/// exclusive-slot mirrored rounds, HOSA a single mirrored shot. Never
-/// throws on an unschedulable table — the input just loses its r0
-/// refinement (table = nullptr, one-cycle bound).
+/// The one derivation of the design `scheme` runs under `config`, which
+/// `coeffctl analyze` and `coeffctl lint` check: its schedule table
+/// (core::table_options), its redundancy, discipline, goal and fault
+/// model. CoEfficient gets its differentiated plan and slack-stolen
+/// serial copies, FSPEC its exclusive-slot mirrored rounds
+/// (core::fspec_rounds), HOSA a single mirrored shot. Never throws on
+/// an unschedulable table: the input just loses its r0 refinement
+/// (table = nullptr, one-cycle bound) and `table_error` says why.
 [[nodiscard]] std::unique_ptr<ProbSetup> make_prob_setup(
     const core::ExperimentConfig& config, core::SchemeKind scheme,
     const analysis::ProbWcrtOptions& options);

@@ -53,15 +53,6 @@ const char* to_string(StructuralKind k) {
   return "?";
 }
 
-std::optional<StructuralKind> parse_structural_tag(std::string_view name) {
-  if (name == "none") return StructuralKind::kNone;
-  if (name == "crash") return StructuralKind::kCrash;
-  if (name == "blackout") return StructuralKind::kBlackout;
-  if (name == "babble") return StructuralKind::kBabble;
-  if (name == "drift") return StructuralKind::kDrift;
-  return std::nullopt;
-}
-
 const char* scheme_tag(core::SchemeKind scheme) {
   switch (scheme) {
     case core::SchemeKind::kCoEfficient:

@@ -120,7 +120,5 @@ class ScenarioGenerator {
     const std::vector<core::SchemeKind>& schemes);
 [[nodiscard]] std::optional<std::vector<core::SchemeKind>> parse_scheme_list(
     std::string_view text);
-[[nodiscard]] std::optional<StructuralKind> parse_structural_tag(
-    std::string_view name);
 
 }  // namespace coeff::campaign

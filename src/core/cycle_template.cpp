@@ -39,9 +39,9 @@ void CycleTemplate::rebuild(const sched::StaticScheduleTable& table,
   // repetition divides its slot's period, so that answer depends only
   // on cycle % period. Stamp the placements last to first, so the first
   // one writes its rows last and wins. A placement whose id is outside
-  // `statics` (e.g. a subclass's pre-planned clones) leaves its rows
-  // idle; the subclass resolves them through its own mapping. A cell's
-  // first active cycle is its occupant's base: warm-up cycles stay idle.
+  // `statics` (only a from_assignments table can carry one) leaves its
+  // rows idle. A cell's first active cycle is its occupant's base:
+  // warm-up cycles stay idle.
   const auto& placements = table.assignments();
   for (auto a = placements.rbegin(); a != placements.rend(); ++a) {
     if (!indexed(*a)) continue;

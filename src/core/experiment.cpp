@@ -26,9 +26,27 @@ flexray::ClusterConfig paper_cluster_apps(std::int64_t minislots) {
   return cfg;
 }
 
-double reliability_goal(const ExperimentConfig& config) {
-  return config.rho > 0.0 ? config.rho
-                          : fault::reliability_goal(config.sil, config.u);
+fault::SolverOptions solver_options(const ExperimentConfig& config) {
+  fault::SolverOptions solver;
+  solver.ber = config.ber;
+  solver.rho = config.rho > 0.0
+                   ? config.rho
+                   : fault::reliability_goal(config.sil, config.u);
+  solver.u = config.u;
+  solver.max_copies_per_message = config.max_copies;
+  return solver;
+}
+
+int fspec_rounds(const net::MessageSet& statics,
+                 const fault::SolverOptions& solver) {
+  return solver.rho > 0.0 ? fault::solve_uniform_rounds(statics, solver, 2)
+                          : 1;
+}
+
+sched::TableBuildOptions table_options(SchemeKind scheme) {
+  sched::TableBuildOptions options;
+  options.exclusive_slots = scheme == SchemeKind::kFspec;
+  return options;
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config,

@@ -11,10 +11,12 @@
 #include "core/metrics.hpp"
 #include "fault/fault_model.hpp"
 #include "fault/iec61508.hpp"
+#include "fault/reliability.hpp"
 #include "fault/structural.hpp"
 #include "flexray/config.hpp"
 #include "net/workloads.hpp"
 #include "sched/criticality.hpp"
+#include "sched/schedule_table.hpp"
 #include "sim/trace.hpp"
 
 namespace coeff::core {
@@ -101,9 +103,10 @@ struct ExperimentResult {
   RunStats run;
   SchemeKind scheme = SchemeKind::kCoEfficient;
   double rho_target = 0.0;
-  /// Theoretical reliability of what the scheme actually scheduled
-  /// (CoEfficient: the differentiated plan; FSPEC: placed clone rounds,
-  /// accounting for clones that did not fit).
+  /// Theoretical reliability of what the scheme intends to send
+  /// (CoEfficient: the differentiated plan; FSPEC: `fspec_rounds`
+  /// mirrored pairs for every message, placed or not; HOSA: one
+  /// mirrored pair).
   double reliability_scheduled = 0.0;
   int fspec_rounds = 0;          ///< FSPEC only
   /// Bandwidth the retransmission plan adds (CoEfficient only).
@@ -125,10 +128,26 @@ struct ExperimentResult {
   bool drained = true;           ///< false if the drain cap was hit
 };
 
-/// The reliability goal rho a run of `config` plans for: `config.rho`
-/// when positive, else the IEC 61508 goal of `config.sil` over
-/// `config.u` (fault::reliability_goal).
-[[nodiscard]] double reliability_goal(const ExperimentConfig& config);
+// The static design a scheme runs, stated once. run_experiment builds
+// its scheduler from these and campaign::make_prob_setup its analytic
+// and lint inputs, so the simulator and the verifiers check one design.
+
+/// The retransmission solver's options for a run of `config`: its BER,
+/// time unit and copy bound, and the goal rho it plans for —
+/// `config.rho` when positive, else the IEC 61508 goal of `config.sil`
+/// over `config.u` (fault::reliability_goal).
+[[nodiscard]] fault::SolverOptions solver_options(
+    const ExperimentConfig& config);
+
+/// FSPEC's mirrored transmission rounds per static instance: the fewest
+/// that meet `solver.rho` uniformly (fault::solve_uniform_rounds), 1 when
+/// no goal is set.
+[[nodiscard]] int fspec_rounds(const net::MessageSet& statics,
+                               const fault::SolverOptions& solver);
+
+/// How `scheme` builds its static schedule table: FSPEC reserves an
+/// exclusive slot per message, CoEfficient and HOSA multiplex cycles.
+[[nodiscard]] sched::TableBuildOptions table_options(SchemeKind scheme);
 
 /// Build the scheduler, fault model, arrivals and flexray::Cluster that
 /// `config` describes, run the batch and return its metrics. The body is

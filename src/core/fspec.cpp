@@ -2,25 +2,17 @@
 
 #include <stdexcept>
 
-namespace coeff::core {
+#include "core/experiment.hpp"
 
-sched::StaticScheduleTable FspecScheduler::build_exclusive_table(
-    const flexray::ClusterConfig& cfg, const net::MessageSet& statics) {
-  sched::TableBuildOptions options;
-  options.exclusive_slots = true;
-  return sched::StaticScheduleTable::build(statics, cfg, options);
-}
+namespace coeff::core {
 
 FspecScheduler::FspecScheduler(const flexray::ClusterConfig& cfg,
                                net::MessageSet statics,
                                net::MessageSet dynamics,
                                sim::Time batch_window,
                                const FspecOptions& options)
-    // `statics` is deliberately copied (not moved) into the base: the
-    // exclusive table is built from the same still-valid argument, and
-    // argument evaluation order is unspecified.
-    : SchedulerBase(cfg, statics, std::move(dynamics), batch_window,
-                    build_exclusive_table(cfg, statics)),
+    : SchedulerBase(cfg, std::move(statics), std::move(dynamics), batch_window,
+                    table_options(SchemeKind::kFspec)),
       options_(options) {
   if (options_.rounds < 1) {
     throw std::invalid_argument("FspecScheduler: rounds must be >= 1");

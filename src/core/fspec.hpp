@@ -33,9 +33,9 @@ namespace coeff::core {
 
 struct FspecOptions {
   /// Pre-planned transmission rounds per static instance (each round is
-  /// mirrored on both channels). 1 = no redundancy. Use
-  /// fault::solve_uniform_rounds(set, opt, 2) to match a reliability
-  /// goal the way FSPEC would (uniformly, for all segments).
+  /// mirrored on both channels). 1 = no redundancy. core::fspec_rounds
+  /// matches a reliability goal the way FSPEC would (uniformly, for all
+  /// segments).
   int rounds = 1;
 };
 
@@ -78,10 +78,6 @@ class FspecScheduler : public SchedulerBase {
                     sim::Time at) override;
 
  private:
-  /// Build the exclusive-slot (repetition-1) schedule table.
-  static sched::StaticScheduleTable build_exclusive_table(
-      const flexray::ClusterConfig& cfg, const net::MessageSet& statics);
-
   /// Per-message serial round train: the transmitting instance and the
   /// staged next one (0 = empty).
   struct RoundState {

@@ -26,13 +26,8 @@ template <class ClusterT>
 [[nodiscard]] ExperimentResult run_experiment_with(
     const ExperimentConfig& config, SchemeKind scheme) {
   config.cluster.validate();
-  const double rho = reliability_goal(config);
-
-  fault::SolverOptions solver;
-  solver.ber = config.ber;
-  solver.rho = rho;
-  solver.u = config.u;
-  solver.max_copies_per_message = config.max_copies;
+  const fault::SolverOptions solver = solver_options(config);
+  const double rho = solver.rho;
 
   ExperimentResult result;
   result.scheme = scheme;
@@ -42,10 +37,10 @@ template <class ClusterT>
   CoEfficientScheduler* coeff_ptr = nullptr;
   if (scheme == SchemeKind::kCoEfficient) {
     CoEfficientOptions opt;
-    opt.ber = config.ber;
-    opt.rho = rho;
-    opt.u = config.u;
-    opt.max_copies_per_message = config.max_copies;
+    opt.ber = solver.ber;
+    opt.rho = solver.rho;
+    opt.u = solver.u;
+    opt.max_copies_per_message = solver.max_copies_per_message;
     opt.enable_monitor = config.enable_monitor;
     opt.monitor = config.monitor;
     opt.use_uniform_plan = config.ablation_uniform_plan;
@@ -75,9 +70,7 @@ template <class ClusterT>
                                             config.batch_window);
   } else {
     FspecOptions opt;
-    opt.rounds = rho > 0.0 ? fault::solve_uniform_rounds(config.statics,
-                                                         solver, 2)
-                           : 1;
+    opt.rounds = fspec_rounds(config.statics, solver);
     auto fspec = std::make_unique<FspecScheduler>(
         config.cluster, config.statics, config.dynamics, config.batch_window,
         opt);

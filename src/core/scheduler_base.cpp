@@ -29,13 +29,11 @@ flexray::PendingMessage dynamic_pending(const Instance& inst,
 SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
                              net::MessageSet statics, net::MessageSet dynamics,
                              sim::Time batch_window,
-                             std::optional<sched::StaticScheduleTable> table)
+                             const sched::TableBuildOptions& table_options)
     : cfg_(cfg),
       statics_(std::move(statics)),
       dynamics_(std::move(dynamics)),
-      table_(table.has_value()
-                 ? std::move(*table)
-                 : sched::StaticScheduleTable::build(statics_, cfg_)),
+      table_(sched::StaticScheduleTable::build(statics_, cfg_, table_options)),
       batch_window_(batch_window),
       cycle_duration_(cfg.cycle_duration()) {
   statics_.validate();
@@ -59,11 +57,10 @@ SchedulerBase::SchedulerBase(const flexray::ClusterConfig& cfg,
   }
   nodes_.resize(static_cast<std::size_t>(cfg_.num_nodes));
   for (const auto& a : table_.assignments()) {
-    // Assignments for ids not in the base set (e.g. FSPEC's redundant
-    // clones) are registered by the subclass, which knows the mapping.
-    const net::Message* m = statics_.find(a.message_id);
-    if (m == nullptr) continue;
-    nodes_.at(static_cast<std::size_t>(m->node)).static_buffers().add_slot(
+    // The table is built from statics_, so every assignment names one of
+    // its messages.
+    const net::Message& m = *statics_.find(a.message_id);
+    nodes_.at(static_cast<std::size_t>(m.node)).static_buffers().add_slot(
         a.slot);
   }
   // The frame-id → message table for the FTDMA hot path. Two or more

@@ -29,12 +29,11 @@ class SchedulerBase : public flexray::TransmissionPolicy {
   /// (on_arrival) and should respect the same window. Throws
   /// std::invalid_argument when a message id is both static and dynamic,
   /// or when a message names a node outside [0, cfg.num_nodes).
-  /// `table` lets a subclass install a table it built itself (FSPEC's
-  /// exclusive-slot table); by default the table is built from
-  /// `statics` with cycle multiplexing.
+  /// The schedule table is built from `statics` with `table_options`
+  /// (core::table_options of the scheme: cycle multiplexing by default).
   SchedulerBase(const flexray::ClusterConfig& cfg, net::MessageSet statics,
                 net::MessageSet dynamics, sim::Time batch_window,
-                std::optional<sched::StaticScheduleTable> table = std::nullopt);
+                const sched::TableBuildOptions& table_options = {});
   ~SchedulerBase() override = default;
 
   /// When false, dynamic queue entries survive their deadline and are

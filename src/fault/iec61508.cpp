@@ -27,15 +27,4 @@ double reliability_goal(Sil sil, sim::Time u) {
   return gamma >= 1.0 ? 0.0 : 1.0 - gamma;
 }
 
-int achieved_sil(double failures_per_hour) {
-  if (failures_per_hour < 0.0) {
-    throw std::invalid_argument("achieved_sil: negative failure rate");
-  }
-  if (failures_per_hour <= 1e-9) return 4;
-  if (failures_per_hour <= 1e-7) return 3;
-  if (failures_per_hour <= 1e-6) return 2;
-  if (failures_per_hour <= 1e-5) return 1;
-  return 0;
-}
-
 }  // namespace coeff::fault

@@ -23,8 +23,4 @@ enum class Sil : std::uint8_t { kSil1 = 1, kSil2 = 2, kSil3 = 3, kSil4 = 4 };
 /// first order and conservative).
 [[nodiscard]] double reliability_goal(Sil sil, sim::Time u);
 
-/// Lowest SIL whose budget a measured failure probability per hour
-/// satisfies; returns 0 if even SIL1 is violated.
-[[nodiscard]] int achieved_sil(double failures_per_hour);
-
 }  // namespace coeff::fault

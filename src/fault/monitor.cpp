@@ -135,17 +135,6 @@ double ReliabilityMonitor::worst_channel_estimate() const {
   return worst.value_or(planned_ber_);
 }
 
-double ReliabilityMonitor::observed_frame_error_rate() const {
-  std::int64_t frames = 0, corrupted = 0;
-  for (std::size_t ch = 0; ch < flexray::kNumChannels; ++ch) {
-    frames += totals_.frames[ch];
-    corrupted += totals_.corrupted[ch];
-  }
-  return frames == 0 ? 0.0
-                     : static_cast<double>(corrupted) /
-                           static_cast<double>(frames);
-}
-
 std::int64_t ReliabilityMonitor::window_frames() const {
   std::int64_t frames = 0;
   for (std::size_t ch = 0; ch < flexray::kNumChannels; ++ch) {

@@ -77,8 +77,6 @@ class ReliabilityMonitor {
   /// Detection and re-planning use this (the plan must cover the worse
   /// observable channel). planned_ber() when every channel is starved.
   [[nodiscard]] double worst_channel_estimate() const;
-  /// Raw corrupted/frames ratio over the window, pooled.
-  [[nodiscard]] double observed_frame_error_rate() const;
   [[nodiscard]] std::int64_t window_frames() const;
 
   /// Last cycle's worst-channel estimate / planned BER (1.0 until the

@@ -109,7 +109,6 @@ class Channel {
 
   [[nodiscard]] ChannelId id() const { return id_; }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = ChannelStats{}; }
 
  private:
   ChannelId id_;

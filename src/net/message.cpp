@@ -61,14 +61,6 @@ MessageSet MessageSet::merged_with(const MessageSet& other) const {
   return out;
 }
 
-double MessageSet::demanded_bits_per_second() const {
-  double total = 0.0;
-  for (const auto& m : msgs_) {
-    total += static_cast<double>(m.size_bits) / m.period.as_seconds();
-  }
-  return total;
-}
-
 sim::Time MessageSet::hyperperiod() const {
   std::int64_t lcm_ns = 1;
   for (const auto& m : msgs_) {

@@ -77,9 +77,6 @@ class MessageSet {
   /// Concatenate two sets; message ids must stay unique.
   [[nodiscard]] MessageSet merged_with(const MessageSet& other) const;
 
-  /// Bus utilization demanded by the set: sum of size/period in bits/s.
-  [[nodiscard]] double demanded_bits_per_second() const;
-
   /// Hyperperiod (LCM of periods). Throws if it exceeds ~1 hour, which
   /// signals a misconfigured set rather than a schedulable one.
   [[nodiscard]] sim::Time hyperperiod() const;

@@ -42,10 +42,4 @@ RtaResult response_time_analysis(const TaskSet& set) {
   return result;
 }
 
-double liu_layland_bound(std::size_t n) {
-  if (n == 0) return 1.0;
-  const double nn = static_cast<double>(n);
-  return nn * (std::pow(2.0, 1.0 / nn) - 1.0);
-}
-
 }  // namespace coeff::sched

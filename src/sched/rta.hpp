@@ -29,9 +29,4 @@ struct RtaResult {
 [[nodiscard]] std::optional<sim::Time> response_time_of_level(
     const TaskSet& set, std::size_t level);
 
-/// Liu–Layland utilization bound for n tasks: n(2^{1/n} - 1). A set
-/// whose utilization is below this bound is RM-schedulable; above it the
-/// exact test decides.
-[[nodiscard]] double liu_layland_bound(std::size_t n);
-
 }  // namespace coeff::sched

@@ -105,8 +105,8 @@ TEST(AnalyzeGoldenTest, Acc) {
   expect_golden(workload_config(Workload::kAcc),
                 {{"c205c97c3cd0af50", "40be8c65efd8e6f7", "3bbe3ca6fcd65809",
                   "49167189a37adaec"},
-                 {"6f62c862a7154d15", "bdfdc3c3289da4f7", "acf121fbcfd31377",
-                  "533691a523b116d2"},
+                 {"53e331f691e91ca4", "bdfdc3c3289da4f7", "acf121fbcfd31377",
+                  "efa75c7bf49b2c2c"},
                  {"bd5fa7ae7e42a847", "503dd70765562b83", "a753e6e0162d441f",
                   "bedf5ee75fc6a86f"}});
 }
@@ -115,8 +115,8 @@ TEST(AnalyzeGoldenTest, Bbw) {
   expect_golden(workload_config(Workload::kBbw),
                 {{"c6787c0c0ef405f0", "40be8c65efd8e6f7", "9db32b50f9ff1f83",
                   "3d0f15a62efa1c05"},
-                 {"d424c23cabcda203", "bdfdc3c3289da4f7", "222b40ebc6abb75a",
-                  "078db54caec15086"},
+                 {"844354ec88a7963f", "bdfdc3c3289da4f7", "69635094055c6e39",
+                  "46d122097491118c"},
                  {"d07f99e8cd871ec4", "503dd70765562b83", "2f91617528e8022b",
                   "d27330a2abfb5e15"}});
 }
@@ -125,8 +125,8 @@ TEST(AnalyzeGoldenTest, Apps) {
   expect_golden(workload_config(Workload::kApps),
                 {{"5fa8d07b31565e88", "40be8c65efd8e6f7", "1cbfcaefbaeb3673",
                   "6782a224b7cc45fd"},
-                 {"a0cb8ab5c57e38d2", "bdfdc3c3289da4f7", "9ef0dd11461a601a",
-                  "078db54caec15086"},
+                 {"33fc251f8990f999", "bdfdc3c3289da4f7", "854ca635a62259c4",
+                  "46d122097491118c"},
                  {"a264ae91126045fe", "503dd70765562b83", "272f2dfeaefef055",
                   "d27330a2abfb5e15"}});
 }
@@ -135,8 +135,8 @@ TEST(AnalyzeGoldenTest, Synthetic) {
   expect_golden(workload_config(Workload::kSynthetic),
                 {{"df036e87308e32cd", "2ef5e9165541fc39", "f8650a01ca9b558f",
                   "8f2a4e7305a739ef"},
-                 {"07ca3afbea34a604", "159e539114adfd04", "dfecafe816c9201e",
-                  "220701749759fe34"},
+                 {"d7b5f4f53adaaaaa", "159e539114adfd04", "c5f29f6a422b20fc",
+                  "1aed6bdb16b0de77"},
                  {"a77fc4a71eea85cb", "aa5f7bffb9cc1fce", "0e34df4e6d78ade0",
                   "c5c407a90827ac73"}});
 }
@@ -150,8 +150,8 @@ TEST(AnalyzeGoldenTest, BbwGilbertElliott) {
   expect_golden(config,
                 {{"782d74e21b0c126d", "9714d551fa992c49", "0aa43791a587ea5a",
                   "c846cb16e1c919fc"},
-                 {"24bb869ab8472794", "6ef50795c1a8312d", "e4d07674746deeed",
-                  "ec5760e53ae405ee"},
+                 {"e52dbe3a52b4fe43", "6ef50795c1a8312d", "204ff49a81041e75",
+                  "33e9cac0f248fa1f"},
                  {"14354f2e8bead4d9", "4b57f5f31f3ccbcf", "b4414ba89ecb2c64",
                   "7f2ca1ea744168bc"}});
 }
@@ -164,8 +164,8 @@ TEST(AnalyzeGoldenTest, AccDegradedPlan) {
   expect_golden(config,
                 {{"88ba6c5bca21ea83", "18b418b7b11f6e4f", "21e67dc87032195c",
                   "313d0c34a8c2e4d9"},
-                 {"24a28aafaef16f67", "c85b539994c60549", "6f9d7bc8298f2ff3",
-                  "9c366c560f65300d"},
+                 {"90e9fd311887cb99", "c85b539994c60549", "6f9d7bc8298f2ff3",
+                  "91797113581cf1d9"},
                  {"8709f5b56e6f4673", "37bc7b7a692df57b", "c1e9606e5c7dbd45",
                   "062e83083b4218be"}});
 }

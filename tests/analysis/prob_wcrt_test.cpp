@@ -151,6 +151,51 @@ TEST(ProbWcrt, CrossCyclePlacementWithLongPeriodStaysLive) {
   EXPECT_LT(result.messages.back().p_miss_upper, 1e-3);
 }
 
+// A message the table gives no slot never sends its primary: FSPEC and
+// HOSA drop the instance at release, and CoEfficient cancels the
+// primary and keeps only its copies. Without a table, r0 keeps its
+// one-cycle bound and the primary stays live.
+TEST(ProbWcrt, UnplacedMessageHasDeadPrimary) {
+  Fixture f;
+  f.statics.add(static_msg(1, sim::millis(8), 600, sim::Time::zero(), 1));
+  f.statics.add(static_msg(2, sim::millis(8), 600, sim::Time::zero(), 2));
+  sched::SlotAssignment placed;
+  placed.message_id = 1;
+  placed.slot = units::SlotId{1};
+  placed.repetition = 8;
+  placed.latency = sim::micros(50);
+  const auto table = sched::StaticScheduleTable::from_assignments(
+      {placed}, f.cluster.g_number_of_static_slots);
+  for (const ProbRetxModel d :
+       {ProbRetxModel::kMirroredRounds, ProbRetxModel::kMirroredSingle}) {
+    SCOPED_TRACE(to_string(d));
+    ProbWcrtInput in = f.input(d);
+    in.rounds = 2;
+    in.table = &table;
+    const ProbWcrtResult result = analyze_prob_wcrt(in);
+    ASSERT_EQ(result.messages.size(), 2u);
+    EXPECT_TRUE(result.messages[0].primary_live);
+    EXPECT_LT(result.messages[0].p_miss_upper, 1e-3);
+    const MessageProb& unplaced = result.messages[1];
+    EXPECT_FALSE(unplaced.primary_live);
+    EXPECT_EQ(unplaced.timely_attempts, 0);
+    EXPECT_EQ(unplaced.p_miss_upper, 1.0);
+    EXPECT_NE(lint_prob(in, result).render_text().find(
+                  "message m2: the schedule table gives it no slot"),
+              std::string::npos);
+    in.table = nullptr;
+    EXPECT_TRUE(analyze_prob_wcrt(in).messages[1].primary_live);
+  }
+  // CoEfficient's planned copy still rides stolen slack.
+  f.plan.copies = {0, 1};
+  ProbWcrtInput in = f.input();
+  in.plan = &f.plan;
+  in.table = &table;
+  const ProbWcrtResult result = analyze_prob_wcrt(in);
+  EXPECT_FALSE(result.messages[1].primary_live);
+  EXPECT_LT(result.messages[1].p_miss_upper, 1e-3);
+}
+
 // When the plan's copies demand more stolen wire than the schedule
 // guarantees, the upper envelope stops crediting them (the admission
 // test may drop copies) and the kz-contradiction rule reports the

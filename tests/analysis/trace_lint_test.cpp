@@ -19,7 +19,7 @@ struct Fixture {
   flexray::ClusterConfig cluster = core::paper_cluster_apps(25);
   sim::Trace trace;
 
-  Report lint(RetxDiscipline discipline = RetxDiscipline::kPlanned,
+  Report lint(ProbRetxModel discipline = ProbRetxModel::kPlannedSerial,
               bool initial_degraded = false) const {
     TraceLintInput input;
     input.trace = &trace;
@@ -43,7 +43,7 @@ TEST(TraceLintTest, RecordedExperimentTraceIsClean) {
   TraceLintInput input;
   input.trace = &trace;
   input.cluster = &config.cluster;
-  input.discipline = RetxDiscipline::kPlanned;
+  input.discipline = ProbRetxModel::kPlannedSerial;
   const Report report = lint_trace(input);
   EXPECT_FALSE(report.has_errors()) << report.render_text();
 }
@@ -112,7 +112,7 @@ TEST(TraceLintTest, RetxPlannedRequiresBudget) {
   f.trace.emit(sim::micros(0), TraceKind::kTxSuccess, /*node=*/3, 1, 0, 64,
                "retx");
   EXPECT_TRUE(
-      f.lint(RetxDiscipline::kPlanned).has_rule("trace.retx-causality"));
+      f.lint(ProbRetxModel::kPlannedSerial).has_rule("trace.retx-causality"));
 }
 
 TEST(TraceLintTest, RetxPlannedHonoursScheduledBudget) {
@@ -122,7 +122,7 @@ TEST(TraceLintTest, RetxPlannedHonoursScheduledBudget) {
   f.trace.emit(sim::micros(50), TraceKind::kTxSuccess, /*node=*/3, 1, 0, 64,
                "retx");
   EXPECT_FALSE(
-      f.lint(RetxDiscipline::kPlanned).has_rule("trace.retx-causality"));
+      f.lint(ProbRetxModel::kPlannedSerial).has_rule("trace.retx-causality"));
 }
 
 TEST(TraceLintTest, RetxPlannedFlagsExcessCopies) {
@@ -130,7 +130,7 @@ TEST(TraceLintTest, RetxPlannedFlagsExcessCopies) {
   f.trace.emit(sim::micros(0), TraceKind::kRetransmissionScheduled, 1, 3, 1);
   f.trace.emit(sim::micros(50), TraceKind::kTxSuccess, 3, 1, 0, 64, "retx");
   f.trace.emit(sim::micros(100), TraceKind::kTxSuccess, 3, 1, 0, 64, "retx");
-  const Report report = f.lint(RetxDiscipline::kPlanned);
+  const Report report = f.lint(ProbRetxModel::kPlannedSerial);
   EXPECT_EQ(report.count_rule("trace.retx-causality"), 1u);
 }
 
@@ -138,7 +138,7 @@ TEST(TraceLintTest, RetxRoundsMustRepeatAnOriginal) {
   Fixture f;
   f.trace.emit(sim::micros(0), TraceKind::kTxSuccess, 3, 1, 0, 64, "retx");
   EXPECT_TRUE(
-      f.lint(RetxDiscipline::kRounds).has_rule("trace.retx-causality"));
+      f.lint(ProbRetxModel::kMirroredRounds).has_rule("trace.retx-causality"));
 }
 
 TEST(TraceLintTest, RetxRoundsAcceptsRepeatOfEarlierFrame) {
@@ -147,7 +147,7 @@ TEST(TraceLintTest, RetxRoundsAcceptsRepeatOfEarlierFrame) {
   f.trace.emit(sim::micros(0), TraceKind::kTxCorrupted, 3, 1, 0, 64);
   f.trace.emit(sim::micros(50), TraceKind::kTxSuccess, 3, 1, 0, 64, "retx");
   EXPECT_FALSE(
-      f.lint(RetxDiscipline::kRounds).has_rule("trace.retx-causality"));
+      f.lint(ProbRetxModel::kMirroredRounds).has_rule("trace.retx-causality"));
 }
 
 TEST(TraceLintTest, RetxMirroredBelongsOnChannelB) {
@@ -155,7 +155,7 @@ TEST(TraceLintTest, RetxMirroredBelongsOnChannelB) {
   f.trace.emit(sim::micros(0), TraceKind::kTxSuccess, 3, 1, /*channel=*/0, 64,
                "retx");
   EXPECT_TRUE(
-      f.lint(RetxDiscipline::kMirrored).has_rule("trace.retx-causality"));
+      f.lint(ProbRetxModel::kMirroredSingle).has_rule("trace.retx-causality"));
 }
 
 TEST(TraceLintTest, RetxMirroredAcceptsChannelB) {
@@ -163,7 +163,7 @@ TEST(TraceLintTest, RetxMirroredAcceptsChannelB) {
   f.trace.emit(sim::micros(0), TraceKind::kTxSuccess, 3, 1, /*channel=*/1, 64,
                "retx");
   EXPECT_FALSE(
-      f.lint(RetxDiscipline::kMirrored).has_rule("trace.retx-causality"));
+      f.lint(ProbRetxModel::kMirroredSingle).has_rule("trace.retx-causality"));
 }
 
 TEST(TraceLintTest, PlanSwapBoundary) {
@@ -194,7 +194,7 @@ TEST(TraceLintTest, LoadShedLegalAfterDegradedSwap) {
 TEST(TraceLintTest, LoadShedLegalWhenInitiallyDegraded) {
   Fixture f;
   f.trace.emit(sim::micros(100), TraceKind::kLoadShed, 7, 2);
-  EXPECT_FALSE(f.lint(RetxDiscipline::kPlanned, /*initial_degraded=*/true)
+  EXPECT_FALSE(f.lint(ProbRetxModel::kPlannedSerial, /*initial_degraded=*/true)
                    .has_rule("trace.load-shed-degraded"));
 }
 

@@ -149,14 +149,7 @@ TEST(ScenarioTags, RoundTrip) {
         core::SchemeKind::kHosa}) {
     EXPECT_EQ(parse_scheme_tag(scheme_tag(scheme)), scheme);
   }
-  for (const auto kind :
-       {StructuralKind::kNone, StructuralKind::kCrash,
-        StructuralKind::kBlackout, StructuralKind::kBabble,
-        StructuralKind::kDrift}) {
-    EXPECT_EQ(parse_structural_tag(to_string(kind)), kind);
-  }
   EXPECT_FALSE(parse_scheme_tag("nope").has_value());
-  EXPECT_FALSE(parse_structural_tag("nope").has_value());
 }
 
 }  // namespace

@@ -35,32 +35,5 @@ TEST(Iec61508Test, NonPositiveWindowThrows) {
                std::invalid_argument);
 }
 
-TEST(Iec61508Test, AchievedSilClassification) {
-  EXPECT_EQ(achieved_sil(1e-10), 4);
-  EXPECT_EQ(achieved_sil(1e-8), 3);
-  EXPECT_EQ(achieved_sil(5e-7), 2);
-  EXPECT_EQ(achieved_sil(5e-6), 1);
-  EXPECT_EQ(achieved_sil(1e-3), 0);
-}
-
-TEST(Iec61508Test, AchievedSilBoundaries) {
-  EXPECT_EQ(achieved_sil(1e-9), 4);
-  EXPECT_EQ(achieved_sil(1e-7), 3);
-  EXPECT_EQ(achieved_sil(1e-6), 2);
-  EXPECT_EQ(achieved_sil(1e-5), 1);
-  EXPECT_EQ(achieved_sil(0.0), 4);
-}
-
-TEST(Iec61508Test, NegativeRateThrows) {
-  EXPECT_THROW((void)achieved_sil(-1.0), std::invalid_argument);
-}
-
-TEST(Iec61508Test, RoundTripGoalAndClassification) {
-  for (auto sil : {Sil::kSil1, Sil::kSil2, Sil::kSil3, Sil::kSil4}) {
-    const double gamma = max_failure_probability_per_hour(sil);
-    EXPECT_GE(achieved_sil(gamma), static_cast<int>(sil));
-  }
-}
-
 }  // namespace
 }  // namespace coeff::fault

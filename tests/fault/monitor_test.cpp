@@ -32,7 +32,6 @@ TEST(MonitorTest, EstimateInvertsFrameErrorLaw) {
   // ber = 1 - (1 - 0.01)^(1/1000) ~ 1.005e-5.
   ReliabilityMonitor mon(1e-7, small_window());
   feed_cycle(mon, 50, 1);  // 100 frames pooled, 2 corrupted -> rate 0.02
-  EXPECT_DOUBLE_EQ(mon.observed_frame_error_rate(), 0.02);
   const double expected = -std::expm1(std::log1p(-0.02) / 1000.0);
   EXPECT_NEAR(mon.estimated_ber(), expected, 1e-12);
   EXPECT_EQ(mon.window_frames(), 100);
@@ -111,7 +110,6 @@ TEST(MonitorTest, WindowEvictsOldCycles) {
   }
   // Window holds the last 4 cycles, all clean.
   EXPECT_EQ(mon.window_frames(), 80);
-  EXPECT_DOUBLE_EQ(mon.observed_frame_error_rate(), 0.0);
   EXPECT_DOUBLE_EQ(mon.estimated_ber(), 0.0);
 }
 

@@ -85,14 +85,5 @@ TEST(ChannelTest, MinislotAccounting) {
   EXPECT_EQ(ch.stats().minislots_used, 5);
 }
 
-TEST(ChannelTest, ResetStats) {
-  Channel ch(ChannelId::kA, nullptr);
-  ch.transmit(req(10), {}, sim::micros(1), units::CycleIndex{0},
-              units::SlotId{1}, Segment::kStatic);
-  ch.reset_stats();
-  EXPECT_EQ(ch.stats().frames, 0);
-  EXPECT_EQ(ch.stats().busy_static, sim::Time::zero());
-}
-
 }  // namespace
 }  // namespace coeff::flexray

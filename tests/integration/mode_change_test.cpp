@@ -177,7 +177,7 @@ TEST(ModeChangeTest, RecordedTraceSurvivesTheModeLinterRules) {
   analysis::TraceLintInput input;
   input.trace = &trace;
   input.cluster = &config.cluster;
-  input.discipline = analysis::RetxDiscipline::kPlanned;
+  input.discipline = analysis::ProbRetxModel::kPlannedSerial;
   const auto report = analysis::lint_trace(input);
   EXPECT_EQ(report.count(analysis::Severity::kError), 0u)
       << report.render_text();

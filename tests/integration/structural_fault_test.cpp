@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/trace_lint.hpp"
+#include "campaign/cross_check.hpp"
 #include "core/experiment.hpp"
 #include "core/fspec.hpp"
 #include "core/sweep.hpp"
@@ -179,7 +180,7 @@ TEST(StructuralFaultTest, TraceSurvivesStructuralLinterRules) {
   analysis::TraceLintInput input;
   input.trace = &trace;
   input.cluster = &config.cluster;
-  input.discipline = analysis::RetxDiscipline::kPlanned;
+  input.discipline = analysis::ProbRetxModel::kPlannedSerial;
   const auto report = analysis::lint_trace(input);
   EXPECT_EQ(report.count(analysis::Severity::kError), 0u)
       << report.render_text();
@@ -202,28 +203,24 @@ TEST(StructuralFaultTest, StagedCopiesFollowTheLivePlan) {
   config.ber_step_at = sim::millis(40);
   config.ber_step = 2e-5;
   config.enable_monitor = true;
-  const struct {
-    SchemeKind scheme;
-    analysis::RetxDiscipline discipline;
-  } cases[] = {
-      {SchemeKind::kCoEfficient, analysis::RetxDiscipline::kPlanned},
-      {SchemeKind::kFspec, analysis::RetxDiscipline::kRounds},
-      {SchemeKind::kHosa, analysis::RetxDiscipline::kMirrored},
-  };
-  for (const auto& c : cases) {
-    SCOPED_TRACE(to_string(c.scheme));
+  for (const SchemeKind scheme :
+       {SchemeKind::kCoEfficient, SchemeKind::kFspec, SchemeKind::kHosa}) {
+    SCOPED_TRACE(to_string(scheme));
     sim::Trace trace;
     config.trace = &trace;
-    const auto result = run_experiment(config, c.scheme);
+    const auto result = run_experiment(config, scheme);
 
+    // The scheme's discipline, as `coeffctl lint --trace` reads it.
     analysis::TraceLintInput input;
     input.trace = &trace;
     input.cluster = &config.cluster;
-    input.discipline = c.discipline;
+    input.discipline =
+        campaign::make_prob_setup(config, scheme, analysis::ProbWcrtOptions{})
+            ->input.discipline;
     const auto report = analysis::lint_trace(input);
     EXPECT_EQ(report.count(analysis::Severity::kError), 0u)
         << report.render_text();
-    if (c.scheme != SchemeKind::kCoEfficient) continue;
+    if (scheme != SchemeKind::kCoEfficient) continue;
 
     // Node 1 is back by the end, so the final plan covers every static.
     ASSERT_EQ(result.final_plan.copies.size(), config.statics.size());

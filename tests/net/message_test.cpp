@@ -152,12 +152,6 @@ TEST(MessageSetTest, MergePreservesAll) {
   EXPECT_NO_THROW(merged.validate());
 }
 
-TEST(MessageSetTest, DemandedBandwidth) {
-  // 1000 bits every 10 ms = 100 kb/s; plus 500 bits every 5 ms = 100 kb/s.
-  MessageSet set({make(1, 10, 5, 1000), make(2, 5, 5, 500)});
-  EXPECT_NEAR(set.demanded_bits_per_second(), 200'000.0, 1e-6);
-}
-
 TEST(MessageSetTest, Hyperperiod) {
   MessageSet set({make(1, 8, 8, 1), make(2, 12, 12, 1)});
   EXPECT_EQ(set.hyperperiod(), sim::millis(24));

@@ -70,20 +70,11 @@ TEST(RtaTest, FullUtilizationHarmonicSetSchedulable) {
   EXPECT_EQ(result.response_times[1], sim::millis(4));
 }
 
-TEST(RtaTest, LiuLaylandBound) {
-  EXPECT_DOUBLE_EQ(liu_layland_bound(0), 1.0);
-  EXPECT_DOUBLE_EQ(liu_layland_bound(1), 1.0);
-  EXPECT_NEAR(liu_layland_bound(2), 0.8284, 1e-4);
-  EXPECT_NEAR(liu_layland_bound(3), 0.7798, 1e-4);
-  // Approaches ln 2 from above.
-  EXPECT_GT(liu_layland_bound(1000), 0.6931);
-  EXPECT_LT(liu_layland_bound(1000), 0.694);
-}
-
 TEST(RtaTest, BelowLiuLaylandAlwaysPasses) {
-  // Any 3-task set below 0.7798 utilization must pass the exact test.
+  // Any 3-task set below 0.7798 utilization (the Liu–Layland bound
+  // 3(2^{1/3} - 1)) must pass the exact test.
   TaskSet set({task(1, 1, 5), task(2, 2, 10), task(3, 3, 20)});
-  EXPECT_LT(set.utilization(), liu_layland_bound(3));
+  EXPECT_LT(set.utilization(), 0.7798);
   EXPECT_TRUE(response_time_analysis(set).schedulable);
 }
 

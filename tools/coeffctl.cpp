@@ -38,7 +38,6 @@
 #include "net/csv.hpp"
 #include "net/workloads.hpp"
 #include "sched/criticality.hpp"
-#include "sched/schedule_table.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -161,40 +160,29 @@ int lint_main(const std::vector<std::string>& args) {
 
   try {
     core::ExperimentConfig config = build_config(opt);
-    const core::SchemeKind scheme = opt.scheme;
+    // The design the scheme runs: its table, plan, goal and discipline.
+    const auto setup = campaign::make_prob_setup(config, opt.scheme,
+                                                 analysis::ProbWcrtOptions{});
+    const analysis::ProbWcrtInput& design = setup->input;
 
-    const double rho = core::reliability_goal(config);
-
+    // A table build that throws is itself a finding (the structural
+    // rules will name the root cause; this keeps a diagnostic even if
+    // they don't).
     analysis::Report report;
-
-    // The schedule table and retransmission plan under analysis. A build
-    // that throws is itself a finding (the structural rules will name
-    // the root cause; the catch keeps a diagnostic even if they don't).
-    std::optional<sched::StaticScheduleTable> table;
-    try {
-      table = sched::StaticScheduleTable::build(config.statics,
-                                                config.cluster);
-    } catch (const std::exception& e) {
+    if (!setup->table.has_value()) {
       report.add("schedule.message-set-valid",
-                 std::string("schedule table: ") + e.what());
+                 "schedule table: " + setup->table_error);
     }
-    fault::SolverOptions solver;
-    solver.ber = config.ber;
-    solver.rho = rho;
-    solver.u = config.u;
-    solver.max_copies_per_message = config.max_copies;
-    const fault::RetransmissionPlan plan =
-        fault::solve_differentiated(config.statics, solver);
-
+    // The Theorem-1 rules run only where a plan exists (CoEfficient).
     analysis::ScheduleLintInput input;
-    input.cluster = &config.cluster;
-    input.statics = &config.statics;
-    input.dynamics = &config.dynamics;
-    input.table = table.has_value() ? &*table : nullptr;
-    input.plan = &plan;
-    input.ber = config.ber;
-    input.rho = rho;
-    input.u = config.u;
+    input.cluster = design.cluster;
+    input.statics = design.statics;
+    input.dynamics = &setup->config.dynamics;
+    input.table = design.table;
+    input.plan = design.plan;
+    input.ber = setup->config.ber;
+    input.rho = design.rho;
+    input.u = design.u;
     report.merge(analysis::lint_schedule(input));
 
     // --trace: record one batch with the chosen scheme and check the
@@ -202,16 +190,12 @@ int lint_main(const std::vector<std::string>& args) {
     if (opt.trace) {
       sim::Trace trace;
       config.trace = &trace;
-      (void)core::run_experiment(config, scheme);
+      (void)core::run_experiment(config, opt.scheme);
       analysis::TraceLintInput tin;
       tin.trace = &trace;
-      tin.cluster = &config.cluster;
-      tin.discipline = scheme == core::SchemeKind::kCoEfficient
-                           ? analysis::RetxDiscipline::kPlanned
-                       : scheme == core::SchemeKind::kFspec
-                           ? analysis::RetxDiscipline::kRounds
-                           : analysis::RetxDiscipline::kMirrored;
-      tin.initial_degraded = plan.degraded;
+      tin.cluster = design.cluster;
+      tin.discipline = design.discipline;
+      tin.initial_degraded = design.plan != nullptr && design.plan->degraded;
       report.merge(analysis::lint_trace(tin));
     }
 
@@ -502,10 +486,16 @@ int run_main(const std::vector<std::string>& args) {
                 fault::describe(header_fm).c_str(),
                 static_cast<unsigned long long>(config.seed),
                 config.enable_monitor ? " monitor=on" : "");
-    if (config.ber_step >= 0.0 && config.ber_step_at > sim::Time::zero()) {
-      std::printf("drift    : ber -> %g at %s\n", config.ber_step,
-                  sim::to_string(config.ber_step_at).c_str());
+    std::string drift;  // every scheduled BER step, in order
+    for (const auto& [ber, at] :
+         {std::pair{config.ber_step, config.ber_step_at},
+          std::pair{config.ber_step2, config.ber_step2_at}}) {
+      if (ber < 0.0 || at <= sim::Time::zero()) continue;  // disabled
+      drift += analysis::strformat("%sber -> %g at %s",
+                                   drift.empty() ? "" : ", ", ber,
+                                   sim::to_string(at).c_str());
     }
+    if (!drift.empty()) std::printf("drift    : %s\n", drift.c_str());
     if (!config.structural.empty()) {
       std::printf("faults   : %s\n",
                   fault::NodeFaultModel(config.structural,
